@@ -38,7 +38,7 @@ EXIT_RUNTIME = 3
 
 DEFAULTS = {
     "grid": {"dim": 3, "n": 32, "length": 6.283185307179586},
-    "params": {"c_p": 1.5, "c_n": 1.5, "D_p": 1.0, "D_n": 1.0, "k": 1.0, "eps": 1.0},
+    "params": {"c_p": 1.5, "c_n": 1.5, "D_p": 1.0, "D_n": 1.0, "k": 1.0},
     "stepper": {
         "scheme": "RK4",
         "dt": 1e-3,
@@ -48,8 +48,11 @@ DEFAULTS = {
     },
     "initial_condition": {
         "type": "equilibrium",
-        # single_mode keys: field (theta|u|v|n|p), axis, amplitude
-        # random_band keys: seed, amplitude, band
+        "field": "theta",  # single_mode
+        "axis": 0,  # single_mode
+        "amplitude": 1e-2,  # single_mode, random_band
+        "seed": 0,  # random_band
+        "band": 2,  # random_band
     },
     "outputs": None,  # default: $PNPF_OUT or "."
     "audit_every": 10,
@@ -72,7 +75,7 @@ DEFAULTS = {
 # published shape of the config document; values show the expected types
 CONFIG_SCHEMA = {
     "grid": {"dim": "int in {1,2,3}", "n": "power-of-two int >= 8", "length": "float > 0"},
-    "params": {k: "float > 0" for k in ("c_p", "c_n", "D_p", "D_n", "k", "eps")},
+    "params": {k: "float > 0" for k in ("c_p", "c_n", "D_p", "D_n", "k")},
     "stepper": {
         "scheme": "RK4 | IMEX1",
         "dt": "float > 0",
@@ -179,22 +182,21 @@ def _outputs_dir(config: dict) -> Path:
 def build_initial_state(config: dict, grid: GridSpec) -> State:
     """Initial State from the configured profile.  Neutrality and
     positivity are enforced by State construction; a profile that breaks
-    them (a bare n or p mode) is reported as a config error."""
+    them (an amplitude of 1 or more) is reported as a config error."""
     ic = config["initial_condition"]
-    kind = ic.get("type", "equilibrium")
+    kind = ic["type"]
     ones = np.ones(grid.shape)
     n, p, theta = ones.copy(), ones.copy(), ones.copy()
     if kind == "equilibrium":
         pass
     elif kind == "single_mode":
-        field = ic.get("field", "theta")
-        axis = int(ic.get("axis", 0))
-        amp = float(ic.get("amplitude", 1e-2))
-        offset = float(ic.get("offset", 0.0))
+        field = ic["field"]
+        axis = int(ic["axis"])
+        amp = float(ic["amplitude"])
         if not 0 <= axis < grid.dim:
             raise ConfigError(f"single_mode axis {axis} out of range for dim {grid.dim}")
         x = grid.axes_coordinates()[axis]
-        wave = amp * np.sin(2.0 * np.pi * x / grid.length) + offset
+        wave = amp * np.sin(2.0 * np.pi * x / grid.length)
         if field == "theta":
             theta += wave
         elif field == "u":
@@ -204,16 +206,15 @@ def build_initial_state(config: dict, grid: GridSpec) -> State:
             n += 0.5 * wave
             p -= 0.5 * wave
         elif field == "n":
-            # offset != 0 here yields a non-neutral profile, rejected below
             n += wave
         elif field == "p":
             p += wave
         else:
             raise ConfigError(f"unknown single_mode field {field!r}")
     elif kind == "random_band":
-        seed = int(ic.get("seed", 0))
-        amp = float(ic.get("amplitude", 1e-2))
-        band = int(ic.get("band", 2))
+        seed = int(ic["seed"])
+        amp = float(ic["amplitude"])
+        band = int(ic["band"])
         gen = np.random.Generator(np.random.Philox(key=seed))
         ut = decay_mod._band_field(grid, gen, band) * amp
         v = decay_mod._band_field(grid, gen, band) * amp

@@ -127,16 +127,7 @@ def smallness_size(ps: PerturbationState) -> float:
 
 def _band_field(grid: GridSpec, gen, kmax: int) -> np.ndarray:
     white = gen.standard_normal(grid.shape)
-    spec = grid.fft(white)
-    mask = np.zeros(grid.spectral_shape, dtype=bool)
-    mask[:] = True
-    for ax in range(grid.dim):
-        n = grid.n
-        m1 = np.fft.rfftfreq(n) * n if ax == grid.dim - 1 else np.fft.fftfreq(n) * n
-        shape = [1] * grid.dim
-        shape[ax] = m1.size
-        mask &= np.abs(m1.reshape(shape)) <= kmax
-    spec = np.where(mask, spec, 0.0)
+    spec = np.where(grid.band_mask(kmax), grid.fft(white), 0.0)
     spec[(0,) * grid.dim] = 0.0
     vals = grid.ifft(spec)
     peak = np.abs(vals).max()

@@ -14,6 +14,9 @@ Discretization choices that the audits rely on:
   discretization); for 2/3-dealiased states this makes the semi-discrete
   total energy exactly conserved and makes the two formulations agree to
   rounding;
+* the gradients and Darcy fluxes come from fields.darcy_arrays, the
+  kernel the audits and variational checks also use, so the audited
+  fluxes are the stepped fluxes bit for bit;
 * the electric potential is never integrated: each right-hand-side
   evaluation re-solves Delta(phi) = n - p (equivalently Delta(phi) = v),
   so phi stays slaved to the charge density at every substage.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poisson
-from .fields import PhysParams, State
+from .fields import PhysParams, State, darcy_arrays
 from .grid import GridSpec, ScalarField
 
 _RK4_REAL_AXIS = 2.785  # |lambda| dt limit on the negative real axis
@@ -129,25 +132,9 @@ def convert_back(ps: PerturbationState) -> State:
 def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=True):
     """(dn, dp, dtheta) raw arrays; see the module docstring for the scheme."""
     d = grid.dim
-    spec3 = grid.fft(np.stack([n, p, th]))
-    nh, ph, thh = spec3[0], spec3[1], spec3[2]
-    phih = -grid.inv_k2 * (nh - ph)
-
-    # one batched inverse transform: gradients of n, p, theta, phi and the
-    # three Laplacians
-    stack = [m * nh for m in grid.grad_mult]
-    stack += [m * ph for m in grid.grad_mult]
-    stack += [m * thh for m in grid.grad_mult]
-    stack += [m * phih for m in grid.grad_mult]
-    stack += [-grid.k2 * nh, -grid.k2 * ph, -grid.k2 * thh]
-    out = grid.ifft(np.stack(stack))
-    gn, gp, gth, gphi = out[0:d], out[d : 2 * d], out[2 * d : 3 * d], out[3 * d : 4 * d]
-    lap_n, lap_p, lap_th = out[4 * d], out[4 * d + 1], out[4 * d + 2]
-
+    gn, gp, gth, gphi, lap_n, lap_p, lap_th, j_p, j_n = darcy_arrays(grid, n, p, th, params)
     Dp, Dn, kh = params.D_p, params.D_n, params.k
     rho = n - p  # equals Delta(phi) exactly for the slaved potential
-    j_p = [-Dp * (th * gp[i] + p * gth[i] + p * gphi[i]) for i in range(d)]
-    j_n = [-Dn * (th * gn[i] + n * gth[i] - n * gphi[i]) for i in range(d)]
 
     # div(j) expanded with derivatives on primitive fields only
     gp_gth = sum(gp[i] * gth[i] for i in range(d))

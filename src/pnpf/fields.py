@@ -8,20 +8,22 @@ This module also exposes the linear-response (Onsager) coefficient block
 relating fluxes to gradients of mu/theta and 1/theta, with the reciprocal
 symmetries built in, plus the reconstruction residual the audits use.
 
-All ion-flux arrays are assembled in expanded form
+Gradients and fluxes are built in one place, the raw-array helpers
+darcy_arrays, exchange_arrays and energy_weights.  The ion fluxes are
+assembled in expanded form
 
     j_p = -D_p (theta*grad p + p*grad theta + p*grad phi)
 
-with every spectral derivative acting on a primitive field and all
-products pointwise; the time stepper uses the identical arrays, which is
-what makes the discrete energy audit an identity rather than an
-approximation.
+with every spectral derivative acting on a primitive field (phi slaved to
+n - p) and all products pointwise.  The time stepper, the audits and the
+variational checks share these helpers, so the stepper's fluxes are the
+audited fluxes bit for bit; that is what makes the discrete energy audit
+an identity rather than an approximation.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +41,7 @@ class PositivityError(ValueError):
 class PhysParams:
     """
     Physical coefficients: heat capacities c_p, c_n (> 0), ion mobilities
-    D_p, D_n (> 0), heat conduction rate k (> 0), dielectric coefficient
-    eps (> 0, fixed 1 by default and unused by the final system).
+    D_p, D_n (> 0) and heat conduction rate k (> 0).
     """
 
     c_p: float = 1.5
@@ -48,10 +49,9 @@ class PhysParams:
     D_p: float = 1.0
     D_n: float = 1.0
     k: float = 1.0
-    eps: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("c_p", "c_n", "D_p", "D_n", "k", "eps"):
+        for name in ("c_p", "c_n", "D_p", "D_n", "k"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"PhysParams.{name} must be > 0")
 
@@ -117,12 +117,56 @@ class State:
         return cls(one, one, ScalarField.constant(grid, 1.0), ScalarField.constant(grid, 0.0))
 
 
+def darcy_arrays(grid: GridSpec, n, p, th, params: PhysParams):
+    """
+    Gradients, Laplacians and Darcy ion fluxes of raw (n, p, theta) arrays,
+    with phi slaved to n - p (phi_hat = -(n_hat - p_hat)/|k|^2).
+
+    One batched forward transform of (n, p, theta) and one batched inverse
+    transform of the 4*dim gradient components and three Laplacians,
+    filled into a single preallocated spectral array.  Returns
+    (grad n, grad p, grad theta, grad phi, lap n, lap p, lap theta, j_p, j_n):
+    each gradient is a (dim, ...) view into the inverse transform's output,
+    each flux a list of dim arrays.
+    """
+    d = grid.dim
+    spec3 = grid.fft(np.stack([n, p, th]))
+    phih = -grid.inv_k2 * (spec3[0] - spec3[1])
+    spec = np.empty((4 * d + 3,) + grid.spectral_shape, dtype=complex)
+    for j, fh in enumerate((spec3[0], spec3[1], spec3[2], phih)):
+        for i, m in enumerate(grid.grad_mult):
+            np.multiply(m, fh, out=spec[j * d + i])
+    for j in range(3):
+        np.multiply(-grid.k2, spec3[j], out=spec[4 * d + j])
+    out = grid.ifft(spec)
+    gn, gp, gth, gphi = out[0:d], out[d : 2 * d], out[2 * d : 3 * d], out[3 * d : 4 * d]
+    j_p = [-params.D_p * (th * gp[i] + p * gth[i] + p * gphi[i]) for i in range(d)]
+    j_n = [-params.D_n * (th * gn[i] + n * gth[i] - n * gphi[i]) for i in range(d)]
+    return gn, gp, gth, gphi, out[4 * d], out[4 * d + 1], out[4 * d + 2], j_p, j_n
+
+
+def exchange_arrays(grid: GridSpec, phi, gphi, j_p, j_n):
+    """(phi_t, exchange flux): the potential rate solving
+    Delta(phi_t) = div(j_p - j_n) and the electrostatic exchange flux
+    (phi_t grad(phi) - phi grad(phi_t))/2 of the energy balance."""
+    phi_t = poisson.solve_array(
+        grid, divergence_arrays(grid, [j_p[i] - j_n[i] for i in range(grid.dim)])
+    )
+    gphi_t = grad_arrays(grid, phi_t)
+    return phi_t, [0.5 * (phi_t * gphi[i] - phi * gphi_t[i]) for i in range(grid.dim)]
+
+
+def energy_weights(th, phi, params: PhysParams):
+    """Energy carried per unit ion flux: ((c_p+1) theta + phi, (c_n+1) theta - phi)."""
+    return (params.c_p + 1.0) * th + phi, (params.c_n + 1.0) * th - phi
+
+
 @dataclass(frozen=True)
 class FluxSet:
-    """Constitutive fluxes and velocities of one State.
+    """Constitutive fluxes of one State.
 
     q = -k*grad(theta) by construction; j_e additionally carries the
-    electrostatic exchange term built from phi_t, the potential rate
+    electrostatic exchange flux, built from phi_t, the potential rate
     obtained by solving Delta(phi_t) = div(j_p - j_n).
     """
 
@@ -130,8 +174,7 @@ class FluxSet:
     j_n: VectorField
     q: VectorField
     j_e: VectorField
-    v_p: VectorField
-    v_n: VectorField
+    exchange: VectorField
     phi_t: ScalarField
 
 
@@ -146,35 +189,15 @@ def constitutive_fluxes(s: State, params: PhysParams) -> FluxSet:
               + (phi_t grad(phi) - phi grad(phi_t))/2 + q
     """
     g = s.grid
-    n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
-    gn = grad_arrays(g, n)
-    gp = grad_arrays(g, p)
-    gth = grad_arrays(g, th)
-    gphi = grad_arrays(g, phi)
-
-    j_p = [-params.D_p * (th * gp[i] + p * gth[i] + p * gphi[i]) for i in range(g.dim)]
-    j_n = [-params.D_n * (th * gn[i] + n * gth[i] - n * gphi[i]) for i in range(g.dim)]
+    th, phi = s.theta.values, s.phi.values
+    _, _, gth, gphi, _, _, _, j_p, j_n = darcy_arrays(g, s.n.values, s.p.values, th, params)
+    phi_t, exchange = exchange_arrays(g, phi, gphi, j_p, j_n)
+    a, b = energy_weights(th, phi, params)
     q = [-params.k * gth[i] for i in range(g.dim)]
-
-    phi_t = poisson.solve_array(
-        g, divergence_arrays(g, [j_p[i] - j_n[i] for i in range(g.dim)])
-    )
-    gphi_t = grad_arrays(g, phi_t)
-
-    a = (params.c_p + 1.0) * th + phi
-    b = (params.c_n + 1.0) * th - phi
-    j_e = [
-        a * j_p[i] + b * j_n[i] + 0.5 * (phi_t * gphi[i] - phi * gphi_t[i]) + q[i]
-        for i in range(g.dim)
-    ]
-
+    j_e = [a * j_p[i] + b * j_n[i] + exchange[i] + q[i] for i in range(g.dim)]
+    vec = lambda comps: VectorField(g, tuple(comps))
     return FluxSet(
-        j_p=VectorField(g, tuple(j_p)),
-        j_n=VectorField(g, tuple(j_n)),
-        q=VectorField(g, tuple(q)),
-        j_e=VectorField(g, tuple(j_e)),
-        v_p=VectorField(g, tuple(j_p[i] / p for i in range(g.dim))),
-        v_n=VectorField(g, tuple(j_n[i] / n for i in range(g.dim))),
+        j_p=vec(j_p), j_n=vec(j_n), q=vec(q), j_e=vec(j_e), exchange=vec(exchange),
         phi_t=ScalarField(g, phi_t),
     )
 
@@ -217,19 +240,16 @@ class OnsagerBlock:
     """
     Pointwise linear-response coefficients and chemical potentials.
 
-    The reciprocal symmetries are structural: L_ptheta and L_thetap hold
-    the same array (one expression evaluated once), likewise L_ntheta and
-    L_thetan; the cross block L_pn = L_np is identically zero.
+    The reciprocal relations hold by construction: each reciprocal pair is
+    one array that serves both rows of the flux form (L_ptheta is also
+    L_thetap, L_ntheta is also L_thetan), and the cross block
+    L_pn = L_np is zero, so it is not stored.
     """
 
     L_pp: ScalarField
-    L_pn: ScalarField
-    L_np: ScalarField
     L_nn: ScalarField
     L_ptheta: ScalarField
-    L_thetap: ScalarField
     L_ntheta: ScalarField
-    L_thetan: ScalarField
     L_thetatheta: ScalarField
     mu_p: ScalarField
     mu_n: ScalarField
@@ -239,15 +259,17 @@ def onsager_block(s: State, params: PhysParams) -> OnsagerBlock:
     """
     Coefficients of the flux form
 
-        j_p  = -L_pp grad(mu_p/theta) - L_pn grad(mu_n/theta) + L_ptheta grad(1/theta)
+        j_p = -L_pp grad(mu_p/theta) + L_ptheta grad(1/theta)
+        j_n = -L_nn grad(mu_n/theta) + L_ntheta grad(1/theta)
+        j_e = -L_ptheta grad(mu_p/theta) - L_ntheta grad(mu_n/theta)
+              + L_thetatheta grad(1/theta) + exchange flux
 
-    and its n/e rows.  The paper-level coefficients are
+    with the paper-level coefficients
 
-        L_pp = D_p p theta,   L_ptheta = L_thetap = D_p p theta [(c_p+1) theta + phi],
-        L_nn = D_n n theta,   L_ntheta = L_thetan = D_n n theta [(c_n+1) theta - phi],
-        L_pn = L_np = 0,
+        L_pp = D_p p theta,   L_ptheta = D_p p theta [(c_p+1) theta + phi],
+        L_nn = D_n n theta,   L_ntheta = D_n n theta [(c_n+1) theta - phi],
 
-    and L_thetatheta is derived so the energy-flux reconstruction is exact
+    and L_thetatheta derived so the energy-flux reconstruction is exact
     given the others:
 
         L_thetatheta = D_p p theta [(c_p+1) theta + phi]^2
@@ -260,61 +282,43 @@ def onsager_block(s: State, params: PhysParams) -> OnsagerBlock:
     n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
     L_pp = params.D_p * p * th
     L_nn = params.D_n * n * th
-    a = (params.c_p + 1.0) * th + phi
-    b = (params.c_n + 1.0) * th - phi
-    L_pth = L_pp * a
-    L_nth = L_nn * b
-    L_thth = L_pp * a**2 + L_nn * b**2 + params.k * th**2
-    zero = np.zeros(g.shape)
+    a, b = energy_weights(th, phi, params)
     logth = np.log(th)
-    mu_p = th * (np.log(p) - params.c_p * logth) + phi
-    mu_n = th * (np.log(n) - params.c_n * logth) - phi
-
     f = lambda v: ScalarField(g, v)
     return OnsagerBlock(
-        L_pp=f(L_pp), L_pn=f(zero), L_np=f(zero), L_nn=f(L_nn),
-        L_ptheta=f(L_pth), L_thetap=f(L_pth),
-        L_ntheta=f(L_nth), L_thetan=f(L_nth),
-        L_thetatheta=f(L_thth), mu_p=f(mu_p), mu_n=f(mu_n),
+        L_pp=f(L_pp), L_nn=f(L_nn), L_ptheta=f(L_pp * a), L_ntheta=f(L_nn * b),
+        L_thetatheta=f(L_pp * a**2 + L_nn * b**2 + params.k * th**2),
+        mu_p=f(th * (np.log(p) - params.c_p * logth) + phi),
+        mu_n=f(th * (np.log(n) - params.c_n * logth) - phi),
     )
 
 
 def reconstruct_fluxes(
-    s: State, params: PhysParams, block: OnsagerBlock | None = None
+    s: State, params: PhysParams, block: OnsagerBlock | None = None,
+    fl: FluxSet | None = None,
 ) -> tuple[VectorField, VectorField, VectorField]:
     """
     Rebuild (j_p, j_n, j_e) from the coefficient block and the gradients of
     mu/theta and 1/theta (quotients pointwise, then spectral gradients).
-    j_e additionally restores the electrostatic exchange term, which is not
-    expressible through the local coefficient block.
+    j_e additionally restores the electrostatic exchange flux of fl, which
+    is not expressible through the local coefficient block.
     """
     g = s.grid
     if block is None:
         block = onsager_block(s, params)
+    if fl is None:
+        fl = constitutive_fluxes(s, params)
     th = s.theta.values
     gmp = grad_arrays(g, block.mu_p.values / th)
     gmn = grad_arrays(g, block.mu_n.values / th)
     ginv = grad_arrays(g, 1.0 / th)
+    L_pth, L_nth = block.L_ptheta.values, block.L_ntheta.values
 
-    fl = constitutive_fluxes(s, params)
-    phi_t, phi = fl.phi_t.values, s.phi.values
-    gphi = grad_arrays(g, phi)
-    gphi_t = grad_arrays(g, phi_t)
-
-    j_p = [
-        -block.L_pp.values * gmp[i] - block.L_pn.values * gmn[i]
-        + block.L_ptheta.values * ginv[i]
-        for i in range(g.dim)
-    ]
-    j_n = [
-        -block.L_np.values * gmp[i] - block.L_nn.values * gmn[i]
-        + block.L_ntheta.values * ginv[i]
-        for i in range(g.dim)
-    ]
+    j_p = [-block.L_pp.values * gmp[i] + L_pth * ginv[i] for i in range(g.dim)]
+    j_n = [-block.L_nn.values * gmn[i] + L_nth * ginv[i] for i in range(g.dim)]
     j_e = [
-        -block.L_thetap.values * gmp[i] - block.L_thetan.values * gmn[i]
-        + block.L_thetatheta.values * ginv[i]
-        + 0.5 * (phi_t * gphi[i] - phi * gphi_t[i])
+        -L_pth * gmp[i] - L_nth * gmn[i] + block.L_thetatheta.values * ginv[i]
+        + fl.exchange.components[i]
         for i in range(g.dim)
     ]
     return (
@@ -325,15 +329,17 @@ def reconstruct_fluxes(
 
 
 def flux_reconstruction_residual(
-    s: State, params: PhysParams, block: OnsagerBlock | None = None
+    s: State, params: PhysParams, block: OnsagerBlock | None = None,
+    fl: FluxSet | None = None,
 ) -> float:
     """
     Max absolute deviation between the Darcy fluxes and their
     linear-response reconstruction (j_p plus j_n), normalized by the
     largest flux magnitude; returns 0 when all fluxes vanish.
     """
-    fl = constitutive_fluxes(s, params)
-    j_p_rec, j_n_rec, _ = reconstruct_fluxes(s, params, block)
+    if fl is None:
+        fl = constitutive_fluxes(s, params)
+    j_p_rec, j_n_rec, _ = reconstruct_fluxes(s, params, block, fl)
     dev = 0.0
     scale = 0.0
     for rec, ref in ((j_p_rec, fl.j_p), (j_n_rec, fl.j_n)):

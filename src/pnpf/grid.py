@@ -109,14 +109,7 @@ class GridSpec:
             grad_mult.append(g)
         object.__setattr__(self, "grad_mult", tuple(grad_mult))
 
-        m_cut = n // 3
-        mask = np.ones(self.spectral_shape, dtype=bool)
-        for ax in range(d):
-            m1 = np.fft.rfftfreq(n) * n if ax == d - 1 else np.fft.fftfreq(n) * n
-            shape = [1] * d
-            shape[ax] = m1.size
-            mask &= np.abs(m1.reshape(shape)) <= m_cut + 0.5
-        object.__setattr__(self, "dealias_mask", mask)
+        object.__setattr__(self, "dealias_mask", self.band_mask(n // 3))
 
         # Sobolev multipliers: sum over multi-indices |alpha| = 1, 2
         # (mixed second derivatives counted once each)
@@ -138,6 +131,18 @@ class GridSpec:
         sl[d - 1] = n // 2
         pw[tuple(sl)] = 1.0
         object.__setattr__(self, "parseval_weight", pw)
+
+    def band_mask(self, kmax: int) -> np.ndarray:
+        """Boolean mask, in rfftn layout, of the modes with |m_i| <= kmax
+        on every axis."""
+        n, d = self.n, self.dim
+        mask = np.ones(self.spectral_shape, dtype=bool)
+        for ax in range(d):
+            m1 = np.fft.rfftfreq(n) * n if ax == d - 1 else np.fft.fftfreq(n) * n
+            shape = [1] * d
+            shape[ax] = m1.size
+            mask &= np.abs(m1.reshape(shape)) <= kmax
+        return mask
 
     # -- transforms ---------------------------------------------------------
 
@@ -290,9 +295,3 @@ def norm(f: ScalarField, kind: str = "L2", p: float | None = None) -> float:
             total += g.spectral_l2_sum(spec, g.h2_weight)
         return math.sqrt(total)
     raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def vector_l2(v: VectorField) -> float:
-    """sqrt(sum_i ||v_i||_L2^2)."""
-    g = v.grid
-    return math.sqrt(float(sum((c**2).sum() for c in v.components) * g.cell_volume))

@@ -32,7 +32,14 @@ class NonNeutralSource(ValueError):
 @dataclass(frozen=True)
 class PoissonSolution:
     phi: ScalarField
-    residual_norm: float
+    source: ScalarField
+
+    @property
+    def residual_norm(self) -> float:
+        """||Delta(phi) - source||_L2, computed spectrally on access."""
+        g = self.phi.grid
+        res = (-g.k2) * g.fft(self.phi.values) - g.fft(self.source.values)
+        return math.sqrt(g.spectral_l2_sum(res))
 
 
 def solve_array(grid: GridSpec, v: np.ndarray) -> np.ndarray:
@@ -56,11 +63,7 @@ def solve(v: ScalarField) -> PoissonSolution:
             f"Poisson source has mean {m:.3e} (tolerance {NEUTRALITY_TOL:.0e}); "
             "the periodic problem requires a neutral source"
         )
-    phi = solve_array(g, v.values)
-    spec = g.fft(phi)
-    res = (-g.k2) * spec - g.fft(v.values)
-    residual = math.sqrt(g.spectral_l2_sum(res))
-    return PoissonSolution(ScalarField(g, phi), residual)
+    return PoissonSolution(ScalarField(g, solve_array(g, v.values)), v)
 
 
 def inverse_laplacian(gfield: ScalarField) -> ScalarField:

@@ -42,19 +42,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PhysParams, PositivityError, State, constitutive_fluxes, energy_density
-from .grid import (
-    GridSpec,
-    ScalarField,
-    VectorField,
-    dealias_array,
-    divergence_arrays,
-    grad_arrays,
+from .fields import (
+    PhysParams,
+    PositivityError,
+    State,
+    constitutive_fluxes,
+    energy_density,
+    energy_weights,
+    exchange_arrays,
 )
+from .grid import GridSpec, ScalarField, VectorField, divergence_arrays, grad_arrays
 from .poisson import greens_apply, solve_array
 
 DEFAULT_EPS_SCAN = (1e-3, 1e-4, 1e-5)
@@ -82,21 +83,13 @@ def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.
                  eps_scan=DEFAULT_EPS_SCAN) -> FlowMapProbe:
     """Band-limited, dealiased probe directions from Philox(seed)."""
     gen = np.random.Generator(np.random.Philox(key=seed))
+    mask = grid.band_mask(kmax)
 
     def vec():
         comps = []
         for _ in range(grid.dim):
             white = gen.standard_normal(grid.shape)
-            spec = grid.fft(white)
-            mask = np.zeros(grid.spectral_shape, dtype=bool)
-            mask[:] = True
-            for ax in range(grid.dim):
-                n = grid.n
-                m1 = np.fft.rfftfreq(n) * n if ax == grid.dim - 1 else np.fft.fftfreq(n) * n
-                shape = [1] * grid.dim
-                shape[ax] = m1.size
-                mask &= np.abs(m1.reshape(shape)) <= kmax
-            vals = grid.ifft(np.where(mask, spec, 0.0))
+            vals = grid.ifft(np.where(mask, grid.fft(white), 0.0))
             peak = np.abs(vals).max()
             comps.append(vals * (amplitude / peak) if peak > 0 else vals)
         return VectorField(grid, tuple(comps))
@@ -163,15 +156,9 @@ def _eliminate_heat_flux(s: State, params: PhysParams, j_p, j_n, j_e):
     potential rate solved from the continuity equations."""
     g = s.grid
     th, phi = s.theta.values, s.phi.values
-    a = (params.c_p + 1.0) * th + phi
-    b = (params.c_n + 1.0) * th - phi
-    phi_t = solve_array(g, divergence_arrays(g, [j_p[i] - j_n[i] for i in range(g.dim)]))
-    gphi = grad_arrays(g, phi)
-    gphi_t = grad_arrays(g, phi_t)
-    q = [
-        j_e[i] - a * j_p[i] - b * j_n[i] + 0.5 * (phi * gphi_t[i] - phi_t * gphi[i])
-        for i in range(g.dim)
-    ]
+    a, b = energy_weights(th, phi, params)
+    _, exchange = exchange_arrays(g, phi, grad_arrays(g, phi), j_p, j_n)
+    q = [j_e[i] - a * j_p[i] - b * j_n[i] - exchange[i] for i in range(g.dim)]
     return q, a, b
 
 
@@ -216,10 +203,12 @@ def dissipative_force_closed(s: State, fl, params: PhysParams) -> ForceSet:
     )
 
 
-def force_balance_residual(s: State, params: PhysParams) -> float:
+def force_balance_residual(s: State, params: PhysParams, fl=None) -> float:
     """Max relative deviation between conservative and dissipative closed
-    forms with the constitutive fluxes inserted; zero at equilibrium."""
-    fl = constitutive_fluxes(s, params)
+    forms with the constitutive fluxes fl (built here when not given)
+    inserted; zero at equilibrium."""
+    if fl is None:
+        fl = constitutive_fluxes(s, params)
     con = conservative_force_closed(s, params)
     dis = dissipative_force_closed(s, fl, params)
     dev, scale = 0.0, 0.0
@@ -338,8 +327,9 @@ def varcheck_report(
     state; the report carries the full eps-scan tables and verdicts."""
     probe = random_probe(s.grid, seed=seed, kmax=probe_kmax)
     con = check_conservative(s, params, probe)
-    dis = check_dissipative(s, params, probe)
-    balance = force_balance_residual(s, params)
+    fl = constitutive_fluxes(s, params)
+    dis = check_dissipative(s, params, probe, fl)
+    balance = force_balance_residual(s, params, fl)
     passed = (
         con["best_rel_err"] <= fd_tol
         and dis["best_rel_err"] <= fd_tol

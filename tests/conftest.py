@@ -25,15 +25,7 @@ def band_limited(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 1.
     the requested max-abs amplitude."""
     gen = rng(seed)
     white = gen.standard_normal(grid.shape)
-    spec = grid.fft(white)
-    mask = np.ones(grid.spectral_shape, dtype=bool)
-    for ax in range(grid.dim):
-        n = grid.n
-        m1 = np.fft.rfftfreq(n) * n if ax == grid.dim - 1 else np.fft.fftfreq(n) * n
-        shape = [1] * grid.dim
-        shape[ax] = m1.size
-        mask &= np.abs(m1.reshape(shape)) <= kmax
-    spec = np.where(mask, spec, 0.0)
+    spec = np.where(grid.band_mask(kmax), grid.fft(white), 0.0)
     if zero_mean:
         spec[(0,) * grid.dim] = 0.0
     vals = grid.ifft(spec)

@@ -13,6 +13,26 @@ from pnpf.grid import GridSpec
 from pnpf.thermo_audit import totals
 
 
+def leaf_keys(doc, prefix=""):
+    for key, val in doc.items():
+        if isinstance(val, dict):
+            yield from leaf_keys(val, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+class TestConfig:
+    def test_set_accepts_exactly_the_schema_keys(self):
+        schema = set(leaf_keys(cli.CONFIG_SCHEMA))
+        for key in sorted(schema):
+            cli.load_config(None, [f"{key}=1"])
+        # --set accepts the DEFAULTS leaves, so these must be the schema's
+        assert set(leaf_keys(cli.DEFAULTS)) == schema
+        for key in ("params.eps", "initial_condition.offset", "grid.width"):
+            with pytest.raises(cli.ConfigError, match="unknown config key"):
+                cli.load_config(None, [f"{key}=1"])
+
+
 def read_audit_csv(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")

@@ -2,10 +2,12 @@
 energy conservation order, reciprocity residual and fault injection."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from pnpf import fields
 from pnpf.dynamics import StepperConfig, integrate
 from pnpf.fields import PhysParams, State, onsager_block
 from pnpf.grid import GridSpec, ScalarField
@@ -143,15 +145,40 @@ class TestOnsagerResidual:
         s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
         assert onsager_residual(s, params) <= 1e-10
 
-    def test_fault_injection_detected(self, grid3d, params):
+    def test_fault_injection_detected(self, params):
+        # on the resolved state above, where the clean block reads rounding
         from dataclasses import replace
 
-        s = perturbed_state(grid3d, seed=17, amplitude=1e-2)
+        grid = GridSpec(dim=3, n=16, length=1.0)
+        s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
         block = onsager_block(s, params)
         corrupted = replace(
-            block, L_ptheta=ScalarField(grid3d, block.L_ptheta.values * (1 + 5e-3))
+            block, L_ptheta=ScalarField(grid, block.L_ptheta.values * (1 + 5e-3))
         )
+        assert onsager_residual(s, params, block) <= 1e-10
         assert onsager_residual(s, params, corrupted) > 1e-3
+
+
+class TestAuditSample:
+    def test_observe_builds_one_flux_set(self, tmp_path, params, monkeypatch):
+        # totals and the reciprocity residual share one FluxSet per sample
+        calls = []
+        real = fields.constitutive_fluxes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("pnpf") and getattr(mod, "constitutive_fluxes", None) is real:
+                monkeypatch.setattr(mod, "constitutive_fluxes", counting)
+        grid = GridSpec(dim=2, n=8, length=2 * np.pi)
+        writer = AuditWriter(tmp_path / "audit.csv", params)
+        try:
+            writer.observe(0.0, perturbed_state(grid, seed=3, amplitude=1e-2))
+        finally:
+            writer.close()
+        assert len(calls) == 1
 
 
 class TestAuditRecord:
