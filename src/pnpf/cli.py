@@ -27,7 +27,7 @@ import numpy as np
 from . import decay as decay_mod
 from . import snapshot, varcheck
 from .dynamics import StepAbort, StepperConfig
-from .fields import PhysParams, PositivityError, State
+from .fields import POSITIVITY_FLOOR, PhysParams, PositivityError, State
 from .grid import GridSpec, ScalarField
 from .poisson import NonNeutralSource
 from .thermo_audit import audit_run
@@ -44,7 +44,7 @@ DEFAULTS = {
         "dt": 1e-3,
         "t_end": 0.1,
         "dealias": True,
-        "positivity_floor": 1e-8,
+        "positivity_floor": POSITIVITY_FLOOR,
     },
     "initial_condition": {
         "type": "equilibrium",

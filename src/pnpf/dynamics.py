@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poisson
-from .fields import PhysParams, State, darcy_arrays
+from .fields import POSITIVITY_FLOOR, PhysParams, State, darcy_arrays
 from .grid import GridSpec, ScalarField
 
 _RK4_REAL_AXIS = 2.785  # |lambda| dt limit on the negative real axis
@@ -90,13 +90,20 @@ class StepperConfig:
     dt: float = 1e-3
     t_end: float = 1.0
     dealias: bool = True
-    positivity_floor: float = 1e-8
+    positivity_floor: float = POSITIVITY_FLOOR
 
     def __post_init__(self) -> None:
         if self.scheme not in ("RK4", "IMEX1"):
             raise ValueError(f"scheme must be RK4 or IMEX1, got {self.scheme!r}")
         if not (self.dt > 0 and self.t_end > 0):
             raise ValueError("dt and t_end must be positive")
+        # every State enforces fields.POSITIVITY_FLOOR; a lower stage floor
+        # would let a breach pass the stepper and fail in a State build
+        if not (self.positivity_floor >= POSITIVITY_FLOOR):
+            raise ValueError(
+                f"positivity_floor {self.positivity_floor!r} is below the State "
+                f"floor {POSITIVITY_FLOOR:.0e}"
+            )
 
     @property
     def n_steps(self) -> int:

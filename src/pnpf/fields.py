@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poisson
-from .grid import GridSpec, ScalarField, VectorField, grad_arrays, divergence_arrays
+from .grid import GridSpec, ScalarField, VectorField, grad_arrays
 
 POSITIVITY_FLOOR = 1e-8
 
@@ -148,12 +148,32 @@ def darcy_arrays(grid: GridSpec, n, p, th, params: PhysParams):
 def exchange_arrays(grid: GridSpec, phi, gphi, j_p, j_n):
     """(phi_t, exchange flux): the potential rate solving
     Delta(phi_t) = div(j_p - j_n) and the electrostatic exchange flux
-    (phi_t grad(phi) - phi grad(phi_t))/2 of the energy balance."""
-    phi_t = poisson.solve_array(
-        grid, divergence_arrays(grid, [j_p[i] - j_n[i] for i in range(grid.dim)])
-    )
-    gphi_t = grad_arrays(grid, phi_t)
-    return phi_t, [0.5 * (phi_t * gphi[i] - phi * gphi_t[i]) for i in range(grid.dim)]
+    (phi_t grad(phi) - phi grad(phi_t))/2 of the energy balance.
+
+    phi_t and grad(phi_t) come from the one spectrum
+    -div(j_p - j_n)^/|k|^2: one batched forward transform of the dim
+    components of j_p - j_n and one batched inverse transform of
+    (phi_t, grad phi_t), filled into a single preallocated spectral array.
+    The exchange flux overwrites grad(phi_t) in the inverse transform's
+    output, so phi_t and the flux are views into that one array.
+    """
+    d = grid.dim
+    jh = grid.fft(np.stack([j_p[i] - j_n[i] for i in range(d)]))
+    spec = np.empty((d + 1,) + grid.spectral_shape, dtype=complex)
+    np.multiply(grid.grad_mult[0], jh[0], out=spec[0])
+    for i in range(1, d):
+        spec[0] += grid.grad_mult[i] * jh[i]
+    del jh  # keep it out of the inverse transform's peak
+    spec[0] *= -grid.inv_k2
+    for i, m in enumerate(grid.grad_mult):
+        np.multiply(m, spec[0], out=spec[1 + i])
+    out = grid.ifft(spec)
+    phi_t, exchange = out[0], list(out[1:])
+    for i, ex in enumerate(exchange):
+        np.multiply(phi, ex, out=ex)
+        np.subtract(phi_t * gphi[i], ex, out=ex)
+        ex *= 0.5
+    return phi_t, exchange
 
 
 def energy_weights(th, phi, params: PhysParams):

@@ -35,6 +35,7 @@ from .fields import PhysParams, State
 from .grid import GridSpec, ScalarField
 
 MAGIC = b"PNPF"
+FORMAT = "pnpf-field-snapshot"
 VERSION = 1
 HEADER_SIZE = 64
 
@@ -63,7 +64,7 @@ def write_snapshot(path, grid: GridSpec, fields: dict) -> None:
                 raise SnapshotFormatError(f"field {name!r} shape {vals.shape} != grid")
             fh.write(np.ascontiguousarray(vals, dtype="<f8").tobytes())
     sidecar = {
-        "format": "pnpf-field-snapshot",
+        "format": FORMAT,
         "version": VERSION,
         "fields": names,
         "dim": grid.dim,
@@ -76,7 +77,11 @@ def write_snapshot(path, grid: GridSpec, fields: dict) -> None:
 
 
 def read_snapshot(path) -> tuple[GridSpec, dict]:
-    """Read a snapshot; returns (grid, {name: array})."""
+    """Read a snapshot; returns (grid, {name: array}).
+
+    Raises SnapshotFormatError unless the file is exactly the header plus
+    one block per sidecar field, and the sidecar's format, version, dim,
+    n and length agree with the header."""
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     if not sidecar_path.exists():
@@ -92,8 +97,13 @@ def read_snapshot(path) -> tuple[GridSpec, dict]:
             raise SnapshotFormatError(f"unsupported snapshot version {version}")
         dim_f, n_f, length = struct.unpack("<ddd", head[8:32])
         dim, n = int(dim_f), int(n_f)
-        if dim != sidecar["dim"] or n != sidecar["n"]:
-            raise SnapshotFormatError("sidecar and header disagree")
+        if sidecar.get("format") != FORMAT:
+            raise SnapshotFormatError(f"sidecar format {sidecar.get('format')!r}")
+        for key, value in (("version", version), ("dim", dim), ("n", n), ("length", length)):
+            if sidecar.get(key) != value:
+                raise SnapshotFormatError(
+                    f"sidecar {key} {sidecar.get(key)!r} disagrees with header {value!r}"
+                )
         grid = GridSpec(dim=dim, n=n, length=length)
         count = n**dim
         out = {}
@@ -102,6 +112,8 @@ def read_snapshot(path) -> tuple[GridSpec, dict]:
             if len(raw) != count * 8:
                 raise SnapshotFormatError(f"truncated data for field {name!r}")
             out[name] = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy()
+        if fh.read(1):
+            raise SnapshotFormatError("trailing bytes after the last field")
     return grid, out
 
 

@@ -29,6 +29,19 @@ Inserting the Darcy/Fourier constitutive fluxes makes conservative and
 dissipative forces coincide identically; force_balance_residual measures
 the discrete remainder of that identity.
 
+The eliminated heat flux
+
+    q = j_e - a j_p - b j_n - X(j_p - j_n),   a, b = energy weights,
+
+is linear in the flux triple: a, b and grad(phi) are fixed by the state,
+and the exchange flux X(w) = (phi_t grad(phi) - phi grad(phi_t))/2 with
+phi_t = Delta^{-1} div(w) is linear in w.  So the dissipative scan
+eliminates q twice, q0 for the base fluxes j0 and q1 for the probe dJ,
+and evaluates the functional at (j0 + eps dJ, q0 + eps q1).  This split
+is exact, not an approximation: q0 + eps q1 and the elimination of
+j0 + eps dJ are the same discrete quantity and differ only in rounding,
+and the functional is then evaluated by the same quadratic density.
+
 Sign bookkeeping, fixed once and unit-tested: the published closed-form
 forces pair as  sum_flows <f, dJ> = d/d_eps S(perturbed)  (equivalently
 they are the derivatives of +S along the flow maps); this is the unique
@@ -151,41 +164,56 @@ def conservative_force_closed(s: State, params: PhysParams) -> ForceSet:
 # -- entropy production functional and dissipative forces ---------------------
 
 
-def _eliminate_heat_flux(s: State, params: PhysParams, j_p, j_n, j_e):
+def _eliminate_heat_flux(s: State, params: PhysParams, j_p, j_n, j_e, gphi=None):
     """q from (j_e, j_p, j_n) by the energy-flux bookkeeping, with the
-    potential rate solved from the continuity equations."""
+    potential rate solved from the continuity equations; grad(phi) is
+    built here when not given."""
     g = s.grid
     th, phi = s.theta.values, s.phi.values
     a, b = energy_weights(th, phi, params)
-    _, exchange = exchange_arrays(g, phi, grad_arrays(g, phi), j_p, j_n)
+    if gphi is None:
+        gphi = grad_arrays(g, phi)
+    _, exchange = exchange_arrays(g, phi, gphi, j_p, j_n)
     q = [j_e[i] - a * j_p[i] - b * j_n[i] - exchange[i] for i in range(g.dim)]
     return q, a, b
+
+
+def _dissipation(s: State, params: PhysParams, j_p, j_n, q) -> float:
+    """The quadratic entropy production of (j_p, j_n) and the heat flux q."""
+    th = s.theta.values
+    dens = sum(c**2 for c in j_p) / (params.D_p * s.p.values * th)
+    dens += sum(c**2 for c in j_n) / (params.D_n * s.n.values * th)
+    dens += sum(c**2 for c in q) / (params.k * th**2)
+    return float(dens.sum() * s.grid.cell_volume)
 
 
 def dissipation_functional(s: State, params: PhysParams, j_p, j_n, j_e) -> float:
     """The quadratic entropy production of arbitrary fluxes, with q
     eliminated through the energy-flux relation."""
-    g = s.grid
     q, _, _ = _eliminate_heat_flux(s, params, j_p, j_n, j_e)
-    th = s.theta.values
-    dens = sum(c**2 for c in j_p) / (params.D_p * s.p.values * th)
-    dens += sum(c**2 for c in j_n) / (params.D_n * s.n.values * th)
-    dens += sum(c**2 for c in q) / (params.k * th**2)
-    return float(dens.sum() * g.cell_volume)
+    return _dissipation(s, params, j_p, j_n, q)
 
 
-def dissipative_force_closed(s: State, fl, params: PhysParams) -> ForceSet:
-    """Closed-form half-derivatives of the entropy production with respect
-    to (j_p, j_n, j_e); linear in the fluxes.  fl provides (j_p, j_n, j_e)
-    (a FluxSet or any object with those attributes)."""
+@dataclass(frozen=True)
+class _DissipativeClosedForm:
+    """The dissipative forces of one flux triple, with what a
+    central-difference scan around that triple reuses: the triple itself,
+    grad(phi) and the eliminated heat flux q."""
+
+    j_p: tuple
+    j_n: tuple
+    gphi: list
+    q: list
+    forces: ForceSet
+
+
+def _dissipative_closed_form(s: State, fl, params: PhysParams) -> _DissipativeClosedForm:
     g = s.grid
-    j_p = [c for c in fl.j_p.components]
-    j_n = [c for c in fl.j_n.components]
-    j_e = [c for c in fl.j_e.components]
-    q, a, b = _eliminate_heat_flux(s, params, j_p, j_n, j_e)
+    j_p, j_n = fl.j_p.components, fl.j_n.components
     th, phi = s.theta.values, s.phi.values
-    R = [q[i] / (params.k * th**2) for i in range(g.dim)]
     gphi = grad_arrays(g, phi)
+    q, a, b = _eliminate_heat_flux(s, params, j_p, j_n, fl.j_e.components, gphi)
+    R = [q[i] / (params.k * th**2) for i in range(g.dim)]
     r_dot_gphi = sum(R[i] * gphi[i] for i in range(g.dim))
     div_phi_r = divergence_arrays(g, [phi * R[i] for i in range(g.dim)])
     kernel = grad_arrays(g, solve_array(g, div_phi_r + r_dot_gphi))
@@ -198,19 +226,30 @@ def dissipative_force_closed(s: State, fl, params: PhysParams) -> ForceSet:
         j_n[i] / (params.D_n * s.n.values * th) - b * R[i] - 0.5 * kernel[i]
         for i in range(g.dim)
     ]
-    return ForceSet(
+    forces = ForceSet(
         VectorField(g, tuple(f_p)), VectorField(g, tuple(f_n)), VectorField(g, tuple(R))
     )
+    return _DissipativeClosedForm(j_p, j_n, gphi, q, forces)
 
 
-def force_balance_residual(s: State, params: PhysParams, fl=None) -> float:
+def dissipative_force_closed(s: State, fl, params: PhysParams) -> ForceSet:
+    """Closed-form half-derivatives of the entropy production with respect
+    to (j_p, j_n, j_e); linear in the fluxes.  fl provides (j_p, j_n, j_e)
+    (a FluxSet or any object with those attributes)."""
+    return _dissipative_closed_form(s, fl, params).forces
+
+
+def force_balance_residual(s: State, params: PhysParams, fl=None,
+                           con: ForceSet | None = None, dis: ForceSet | None = None) -> float:
     """Max relative deviation between conservative and dissipative closed
-    forms with the constitutive fluxes fl (built here when not given)
-    inserted; zero at equilibrium."""
-    if fl is None:
-        fl = constitutive_fluxes(s, params)
-    con = conservative_force_closed(s, params)
-    dis = dissipative_force_closed(s, fl, params)
+    forms with the constitutive fluxes fl inserted; zero at equilibrium.
+    The conservative forces con and the dissipative forces dis of fl are
+    built here when not given (fl too)."""
+    if con is None:
+        con = conservative_force_closed(s, params)
+    if dis is None:
+        dis = dissipative_force_closed(s, constitutive_fluxes(s, params) if fl is None else fl,
+                                       params)
     dev, scale = 0.0, 0.0
     for fc, fd in ((con.f_p, dis.f_p), (con.f_n, dis.f_n), (con.f_e, dis.f_e)):
         for cc, cd in zip(fc.components, fd.components):
@@ -252,11 +291,14 @@ def _scan_result(pairing: float, rows: list) -> dict:
     }
 
 
-def check_conservative(s: State, params: PhysParams, probe: FlowMapProbe) -> dict:
+def check_conservative(s: State, params: PhysParams, probe: FlowMapProbe,
+                       forces: ForceSet | None = None) -> dict:
     """Central differences of the entropy functional along the probe
-    against the closed-form pairing, over the eps scan."""
+    against the closed-form pairing, over the eps scan.  The conservative
+    forces are built here when not given."""
     g = s.grid
-    forces = conservative_force_closed(s, params)
+    if forces is None:
+        forces = conservative_force_closed(s, params)
     pairing = (
         _pair(g, forces.f_p, probe.dJ_p)
         + _pair(g, forces.f_n, probe.dJ_n)
@@ -283,28 +325,34 @@ def check_conservative(s: State, params: PhysParams, probe: FlowMapProbe) -> dic
 
 
 def check_dissipative(s: State, params: PhysParams, probe: FlowMapProbe,
-                      fl=None) -> dict:
+                      fl=None, closed: _DissipativeClosedForm | None = None) -> dict:
     """Half central differences of the entropy-production functional along
     the probe against the closed-form pairing (linear-response factor
-    one-half included)."""
+    one-half included).  closed, the dissipative closed form of fl, is
+    built here when not given (fl too).
+
+    q is linear in the fluxes, so the scan eliminates the heat flux twice,
+    q0 for fl and q1 for the probe, and evaluates the functional at
+    (j0 + eps*dJ, q0 + eps*q1) for every eps."""
     g = s.grid
-    if fl is None:
-        fl = constitutive_fluxes(s, params)
-    forces = dissipative_force_closed(s, fl, params)
+    if closed is None:
+        closed = _dissipative_closed_form(
+            s, constitutive_fluxes(s, params) if fl is None else fl, params
+        )
+    forces = closed.forces
     pairing = (
         _pair(g, forces.f_p, probe.dJ_p)
         + _pair(g, forces.f_n, probe.dJ_n)
         + _pair(g, forces.f_e, probe.dJ_e)
     )
-    jp0 = [c for c in fl.j_p.components]
-    jn0 = [c for c in fl.j_n.components]
-    je0 = [c for c in fl.j_e.components]
+    dJ_p, dJ_n = probe.dJ_p.components, probe.dJ_n.components
+    q1, _, _ = _eliminate_heat_flux(s, params, dJ_p, dJ_n, probe.dJ_e.components, closed.gphi)
 
     def D_at(eps: float) -> float:
-        jp = [jp0[i] + eps * probe.dJ_p.components[i] for i in range(g.dim)]
-        jn = [jn0[i] + eps * probe.dJ_n.components[i] for i in range(g.dim)]
-        je = [je0[i] + eps * probe.dJ_e.components[i] for i in range(g.dim)]
-        return dissipation_functional(s, params, jp, jn, je)
+        jp = [closed.j_p[i] + eps * dJ_p[i] for i in range(g.dim)]
+        jn = [closed.j_n[i] + eps * dJ_n[i] for i in range(g.dim)]
+        q = [closed.q[i] + eps * q1[i] for i in range(g.dim)]
+        return _dissipation(s, params, jp, jn, q)
 
     rows = []
     for eps in probe.eps_scan:
@@ -324,12 +372,17 @@ def varcheck_report(
     probe_kmax: int = 2,
 ) -> dict:
     """Run both functional-derivative checks and the force balance on one
-    state; the report carries the full eps-scan tables and verdicts."""
+    state; the report carries the full eps-scan tables and verdicts.  Each
+    closed-form force set is built once and serves its check and the
+    balance."""
     probe = random_probe(s.grid, seed=seed, kmax=probe_kmax)
-    con = check_conservative(s, params, probe)
-    fl = constitutive_fluxes(s, params)
-    dis = check_dissipative(s, params, probe, fl)
-    balance = force_balance_residual(s, params, fl)
+    closed = _dissipative_closed_form(s, constitutive_fluxes(s, params), params)
+    dis = check_dissipative(s, params, probe, closed=closed)
+    dis_forces = closed.forces
+    del closed  # the scan's inputs are spent; only the forces serve the balance
+    con_forces = conservative_force_closed(s, params)
+    con = check_conservative(s, params, probe, con_forces)
+    balance = force_balance_residual(s, params, con=con_forces, dis=dis_forces)
     passed = (
         con["best_rel_err"] <= fd_tol
         and dis["best_rel_err"] <= fd_tol

@@ -33,6 +33,22 @@ class TestConfig:
                 cli.load_config(None, [f"{key}=1"])
 
 
+    def test_floor_below_the_state_floor_is_a_config_error(self, tmp_path, capsys):
+        # a State rejects anything below fields.POSITIVITY_FLOOR, so a lower
+        # stepper floor is refused up front (exit 2) instead of surfacing as
+        # a PositivityError mid-run
+        code = cli.main([
+            "run",
+            "--set", "grid.dim=1",
+            "--set", "grid.n=8",
+            "--set", "stepper.positivity_floor=1e-12",
+            "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "positivity_floor" in capsys.readouterr().err
+        assert not (tmp_path / "audit.csv").exists()
+
+
 def read_audit_csv(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")

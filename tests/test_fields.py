@@ -118,6 +118,27 @@ class TestConstitutiveFluxes:
             for a, b in zip(got.components, used):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_potential_rate_solves_its_poisson_equation(self, dim):
+        # phi_t and grad(phi_t) come from one spectrum; Delta(phi_t) equals
+        # div(j_p - j_n) mode by mode and the exchange flux is built from
+        # the spectral gradient of that phi_t
+        grid = GridSpec(dim=dim, n=16, length=2 * np.pi)
+        s = perturbed_state(grid, seed=31 + dim, amplitude=1e-2)
+        fl = constitutive_fluxes(s, PhysParams())
+        phi_t = fl.phi_t.values
+        div = divergence(VectorField(grid, tuple(
+            a - b for a, b in zip(fl.j_p.components, fl.j_n.components)
+        ))).values
+        lhs, rhs = -grid.k2 * grid.fft(phi_t), grid.fft(div)
+        assert np.abs(lhs - rhs).max() <= 1e-13 * np.abs(rhs).max()
+        assert abs(phi_t.mean()) <= 1e-16
+        gphi, gphi_t = gradient(s.phi), gradient(fl.phi_t)
+        for ex, a, b in zip(fl.exchange.components, gphi.components, gphi_t.components):
+            # scale: the two products, which nearly cancel
+            scale = np.abs(phi_t).max() * np.abs(a).max() + np.abs(s.phi.values * b).max()
+            assert np.abs(ex - 0.5 * (phi_t * a - s.phi.values * b)).max() <= 1e-13 * scale
+
     def test_q_is_fourier_by_construction(self, grid3d, params):
         s = perturbed_state(grid3d, seed=23)
         fl = constitutive_fluxes(s, params)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pnpf.fields import PhysParams, PositivityError, State, constitutive_fluxes, energy_density
+from pnpf import varcheck
 from pnpf.grid import GridSpec, ScalarField, VectorField, gradient
 from pnpf.varcheck import (
     FlowMapProbe,
@@ -239,6 +240,86 @@ class TestSymbolicIdentities:
         )
         for got, ref in zip(q, fl.q.components):
             assert np.abs(got - ref).max() <= 1e-13
+
+
+class TestSharedWork:
+    """varcheck_report builds each force set and each heat-flux elimination
+    once; the linear split of the dissipative scan is the functional."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Real fields through GridSpec.fft/ifft (batch elements count one
+        each) and calls of the heat-flux elimination."""
+        counts = {"fields": 0, "eliminations": 0}
+        for name in ("fft", "ifft"):
+            orig = getattr(GridSpec, name)
+
+            def counting(grid, arr, _orig=orig):
+                counts["fields"] += int(np.prod(arr.shape[: arr.ndim - grid.dim]))
+                return _orig(grid, arr)
+
+            monkeypatch.setattr(GridSpec, name, counting)
+        orig_elim = varcheck._eliminate_heat_flux
+
+        def eliminate(*args, **kwargs):
+            counts["eliminations"] += 1
+            return orig_elim(*args, **kwargs)
+
+        monkeypatch.setattr(varcheck, "_eliminate_heat_flux", eliminate)
+        return counts
+
+    def test_report_cost(self, params, counted):
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
+        counted["fields"] = 0
+        rep = varcheck_report(s, params, seed=1)
+        assert rep["pass"]
+        # probe 18, conservative forces 14 and scan 24 (6 entropy
+        # evaluations at 2 each plus the probe divergences 12), constitutive
+        # fluxes 25, grad(phi) 4, the two eliminations 7 each, the
+        # dissipative kernel 10; the balance reuses both force sets
+        assert counted["fields"] == 109
+        assert counted["eliminations"] == 2
+
+    def test_split_scan_is_the_functional(self, params, monkeypatch):
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        s = perturbed_state(grid, seed=14, amplitude=1e-3, kmax=1)
+        fl = constitutive_fluxes(s, params)
+        probe = random_probe(grid, seed=2, kmax=1)
+        seen = []
+        orig = varcheck._dissipation
+
+        def record(*args):
+            seen.append(orig(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(varcheck, "_dissipation", record)
+        check_dissipative(s, params, probe, fl=fl)
+        monkeypatch.setattr(varcheck, "_dissipation", orig)
+        signed = [sign * eps for eps in probe.eps_scan for sign in (1.0, -1.0)]
+        assert len(seen) == len(signed)
+        for eps, got in zip(signed, seen):
+            moved = [
+                [a + eps * b for a, b in zip(j.components, dj.components)]
+                for j, dj in ((fl.j_p, probe.dJ_p), (fl.j_n, probe.dJ_n), (fl.j_e, probe.dJ_e))
+            ]
+            want = dissipation_functional(s, params, *moved)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_precomputed_inputs_change_nothing(self, params):
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        s = perturbed_state(grid, seed=15, amplitude=1e-3, kmax=1)
+        probe = random_probe(grid, seed=3, kmax=1)
+        fl = constitutive_fluxes(s, params)
+        con = conservative_force_closed(s, params)
+        closed = varcheck._dissipative_closed_form(s, fl, params)
+        assert check_conservative(s, params, probe, con) == check_conservative(s, params, probe)
+        assert check_dissipative(s, params, probe, closed=closed) == check_dissipative(
+            s, params, probe
+        )
+        assert force_balance_residual(s, params, con=con, dis=closed.forces) == (
+            force_balance_residual(s, params)
+        )
 
 
 class TestReport:
