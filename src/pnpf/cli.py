@@ -8,7 +8,8 @@ repeated --set dotted.key=json-value flags.  The default output root is
 $PNPF_OUT, else the current directory.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 runtime abort
-(positivity breach, non-finite values).  Runs are deterministic: the same
+(positivity breach, non-finite values, an audited entropy production
+below the roundoff floor).  Runs are deterministic: the same
 config and seed produce bit-identical CSV artifacts on one platform
 (counter-based Philox streams, fixed 17-significant-digit formatting).
 """
@@ -30,7 +31,7 @@ from .dynamics import StepAbort, StepperConfig
 from .fields import POSITIVITY_FLOOR, PhysParams, PositivityError, State
 from .grid import GridSpec, ScalarField
 from .poisson import NonNeutralSource
-from .thermo_audit import audit_run
+from .thermo_audit import EntropyProductionError, audit_run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -313,10 +314,11 @@ def cmd_decay(config: dict) -> int:
     decay_mod.write_summary_json(result, outdir / "decay-summary.json")
     if exp.outside_smallness_regime:
         print("decay: flagged outside smallness regime (delta0 > 0.1)")
-    flagged = [k for k in ("monotonicity_verdict", "rate_ordering_verdict", "scaling_verdict")
-               if result.get(k) == "flagged"]
-    if flagged:
-        print(f"decay: flagged verdicts: {', '.join(flagged)}")
+    verdicts = ("monotonicity_verdict", "rate_ordering_verdict", "scaling_verdict")
+    for kind in ("flagged", "inconclusive"):
+        named = [k for k in verdicts if result.get(k) == kind]
+        if named:
+            print(f"decay: {kind} verdicts: {', '.join(named)}")
     print(f"decay: monotonicity {result['monotonicity_verdict']}, "
           f"artifacts in {outdir}")
     if not series.completed:
@@ -402,12 +404,14 @@ def main(argv=None) -> int:
             return cmd_decay(config)
         if args.command == "plotdata":
             return cmd_plotdata(config, args.run_dir)
+    except (EntropyProductionError, StepAbort) as exc:
+        # ahead of ValueError: an EntropyProductionError is one, but it is a
+        # failure of the run, not of the config
+        print(f"runtime abort: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except (ConfigError, NonNeutralSource, PositivityError, ValueError) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StepAbort as exc:
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     raise AssertionError("unreachable")
 
 

@@ -243,12 +243,20 @@ def write_series_csv(series: DecaySeries, path) -> None:
 def summary(exp: DecayExperiment, series: DecaySeries,
             scaling_ratio: float | None = None) -> dict:
     """Machine-readable verdicts: monotonicity, rate ordering, optional
-    terminal-amplitude scaling (from a companion half-delta0 run)."""
+    terminal-amplitude scaling (from a companion half-delta0 run).
+
+    The rate ordering ("v and grad(phi) decay faster than u_tilde") is
+    inconclusive when the fitted u_l2 rate is not positive: a u_tilde that
+    is not decaying (the single_mode profile starts it at 0) satisfies the
+    ordering trivially."""
     mono = series.monotone()
-    ordering = (
-        series.fitted_rates["v_l2"] > series.fitted_rates["u_l2"]
-        and series.fitted_rates["grad_phi_l2"] > series.fitted_rates["u_l2"]
-    )
+    rates = series.fitted_rates
+    if rates["u_l2"] <= 0:
+        ordering = "inconclusive"
+    elif rates["v_l2"] > rates["u_l2"] and rates["grad_phi_l2"] > rates["u_l2"]:
+        ordering = "pass"
+    else:
+        ordering = "flagged"
     out = {
         "delta0": exp.delta0,
         "mode_profile": exp.mode_profile,
@@ -258,7 +266,7 @@ def summary(exp: DecayExperiment, series: DecaySeries,
         "outside_smallness_regime": exp.outside_smallness_regime,
         "fitted_rates": series.fitted_rates,
         "monotonicity_verdict": "pass" if mono else "flagged",
-        "rate_ordering_verdict": "pass" if ordering else "flagged",
+        "rate_ordering_verdict": ordering,
         "terminal_lyapunov": float(series.lyapunov[-1]) if len(series.lyapunov) else None,
     }
     if scaling_ratio is not None:

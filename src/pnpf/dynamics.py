@@ -14,12 +14,21 @@ Discretization choices that the audits rely on:
   discretization); for 2/3-dealiased states this makes the semi-discrete
   total energy exactly conserved and makes the two formulations agree to
   rounding;
-* the gradients and Darcy fluxes come from fields.darcy_arrays, the
+* the gradients and Darcy fluxes come from fields.darcy_axes, the
   kernel the audits and variational checks also use, so the audited
-  fluxes are the stepped fluxes bit for bit;
+  fluxes are the stepped fluxes bit for bit.  It yields one axis at a
+  time (one 4-field inverse transform each); the RHS adds that axis's
+  dot products to running sums in axis order, writes j_p, j_n and then
+  dtheta into the one buffer its outer forward transform reads, and
+  builds the three Laplacians only after the axis loop;
 * the electric potential is never integrated: each right-hand-side
   evaluation re-solves Delta(phi) = n - p (equivalently Delta(phi) = v),
   so phi stays slaved to the charge density at every substage.
+
+RK4 keeps one accumulator, k1 + 2 k2 + 2 k3 + k4 summed in that order,
+instead of the four stage derivatives, so besides it only the current
+stage and its derivative are alive; the result has the bits of
+y + dt/6 (k1 + 2 k2 + 2 k3 + k4).
 
 Sign convention, fixed once: with v = n - p the potential satisfies
 Delta(phi) = v, which is the choice that makes
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poisson
-from .fields import POSITIVITY_FLOOR, PhysParams, State, darcy_arrays
+from .fields import POSITIVITY_FLOOR, PhysParams, State, darcy_axes
 from .grid import GridSpec, ScalarField
 
 _RK4_REAL_AXIS = 2.785  # |lambda| dt limit on the negative real axis
@@ -136,35 +145,54 @@ def convert_back(ps: PerturbationState) -> State:
 # -- raw-array right-hand sides ----------------------------------------------
 
 
-def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=True):
-    """(dn, dp, dtheta) raw arrays; see the module docstring for the scheme."""
+def _fluxes_and_heat_rate(grid: GridSpec, n, p, th, params: PhysParams, out):
+    """Fill out with (j_p, j_n, dtheta): the Darcy fluxes and the pointwise
+    temperature rate.  Its temporaries die on return, before the outer
+    transform."""
     d = grid.dim
-    gn, gp, gth, gphi, lap_n, lap_p, lap_th, j_p, j_n = darcy_arrays(grid, n, p, th, params)
     Dp, Dn, kh = params.D_p, params.D_n, params.k
-    rho = n - p  # equals Delta(phi) exactly for the slaved potential
+    spec = grid.fft(np.stack([n, p, th]))
 
-    # div(j) expanded with derivatives on primitive fields only
-    gp_gth = sum(gp[i] * gth[i] for i in range(d))
-    gn_gth = sum(gn[i] * gth[i] for i in range(d))
-    gp_gphi = sum(gp[i] * gphi[i] for i in range(d))
-    gn_gphi = sum(gn[i] * gphi[i] for i in range(d))
+    # dot products as running sums over the axes, added in axis order; every
+    # derivative acts on a primitive field, so div(j) expands with the
+    # Laplacians built after the loop
+    dots = np.zeros((9,) + grid.shape)
+    gp_gth, gn_gth, gp_gphi, gn_gphi, jp2, jn2, jp_gp, jn_gn, jheat_gth = dots
+    for gn, gp, gth, gphi, jp, jn in darcy_axes(grid, spec, n, p, th, params, out):
+        gp_gth += gp * gth
+        gn_gth += gn * gth
+        gp_gphi += gp * gphi
+        gn_gphi += gn * gphi
+        jp2 += jp**2
+        jn2 += jn**2
+        jp_gp += jp * gp
+        jn_gn += jn * gn
+        jheat_gth += (params.c_p * jp + params.c_n * jn) * gth
+        del gn, gp, gth, gphi  # lets the kernel free this axis's transform
+
+    spec *= -grid.k2
+    lap_n, lap_p, lap_th = grid.ifft(spec)
+    del spec
+    rho = n - p  # equals Delta(phi) exactly for the slaved potential
     div_jp = -Dp * (p * lap_th + 2.0 * gp_gth + th * lap_p + gp_gphi + p * rho)
     div_jn = -Dn * (n * lap_th + 2.0 * gn_gth + th * lap_n - gn_gphi - n * rho)
-
-    jp2 = sum(c**2 for c in j_p)
-    jn2 = sum(c**2 for c in j_n)
-    jp_gp = sum(j_p[i] * gp[i] for i in range(d))
-    jn_gn = sum(j_n[i] * gn[i] for i in range(d))
-    jheat_gth = sum((params.c_p * j_p[i] + params.c_n * j_n[i]) * gth[i] for i in range(d))
 
     heat = kh * lap_th + jp2 / (Dp * p) + jn2 / (Dn * n)
     heat -= th * div_jp - (th / p) * jp_gp
     heat -= th * div_jn - (th / n) * jn_gn
     heat -= jheat_gth
-    dth = heat / (params.c_p * p + params.c_n * n)
+    np.divide(heat, params.c_p * p + params.c_n * n, out=out[2 * d])
+
+
+def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=True):
+    """(dn, dp, dtheta) raw arrays; see the module docstring for the scheme."""
+    d = grid.dim
+    out = np.empty((2 * d + 1,) + grid.shape)
+    _fluxes_and_heat_rate(grid, n, p, th, params, out)
 
     # continuity equations in divergence form (spectral outer divergence)
-    spec_j = grid.fft(np.stack(j_p + j_n + [dth]))
+    spec_j = grid.fft(out)
+    del out
     dp_hat = -sum(grid.grad_mult[i] * spec_j[i] for i in range(d))
     dn_hat = -sum(grid.grad_mult[i] * spec_j[d + i] for i in range(d))
     dth_hat = spec_j[2 * d]
@@ -312,20 +340,19 @@ def _check_stage(names, arrays, floor, shifts):
 
 
 def _rk4(ys, rhs, dt, check):
-    k1 = rhs(ys)
-    y2 = [y + 0.5 * dt * k for y, k in zip(ys, k1)]
-    check(y2)
-    k2 = rhs(y2)
-    y3 = [y + 0.5 * dt * k for y, k in zip(ys, k2)]
-    check(y3)
-    k3 = rhs(y3)
-    y4 = [y + dt * k for y, k in zip(ys, k3)]
-    check(y4)
-    k4 = rhs(y4)
-    out = [
-        y + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for y, a, b, c, d in zip(ys, k1, k2, k3, k4)
-    ]
+    # acc sums k1 + 2 k2 + 2 k3 + k4 in that order (see the module docstring)
+    acc = rhs(ys)
+    k = acc
+    for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        stage = [y + c * dt * ki for y, ki in zip(ys, k)]
+        del k
+        check(stage)
+        k = rhs(stage)
+        del stage
+        for a, ki in zip(acc, k):
+            a += w * ki
+    del k
+    out = [y + (dt / 6.0) * a for y, a in zip(ys, acc)]
     check(out)
     return out
 

@@ -9,7 +9,7 @@ relating fluxes to gradients of mu/theta and 1/theta, with the reciprocal
 symmetries built in, plus the reconstruction residual the audits use.
 
 Gradients and fluxes are built in one place, the raw-array helpers
-darcy_arrays, exchange_arrays and energy_weights.  The ion fluxes are
+darcy_axes, exchange_arrays and energy_weights.  The ion fluxes are
 assembled in expanded form
 
     j_p = -D_p (theta*grad p + p*grad theta + p*grad phi)
@@ -19,6 +19,13 @@ n - p) and all products pointwise.  The time stepper, the audits and the
 variational checks share these helpers, so the stepper's fluxes are the
 audited fluxes bit for bit; that is what makes the discrete energy audit
 an identity rather than an approximation.
+
+darcy_axes streams the gradients one axis at a time: per axis one 4-field
+inverse transform gives d_i n, d_i p, d_i theta and d_i phi, and the
+consumer uses them before the next axis is built, so only one axis's
+gradients are alive at once.  The Laplacians are not part of the kernel:
+only the primitive RHS needs them, and it builds them after its axis loop
+from the same forward transform.
 """
 
 from __future__ import annotations
@@ -117,32 +124,30 @@ class State:
         return cls(one, one, ScalarField.constant(grid, 1.0), ScalarField.constant(grid, 0.0))
 
 
-def darcy_arrays(grid: GridSpec, n, p, th, params: PhysParams):
+def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j):
     """
-    Gradients, Laplacians and Darcy ion fluxes of raw (n, p, theta) arrays,
-    with phi slaved to n - p (phi_hat = -(n_hat - p_hat)/|k|^2).
+    Gradients and Darcy ion fluxes of raw (n, p, theta) arrays, one axis
+    at a time, with phi slaved to n - p (phi_hat = -(n_hat - p_hat)/|k|^2).
 
-    One batched forward transform of (n, p, theta) and one batched inverse
-    transform of the 4*dim gradient components and three Laplacians,
-    filled into a single preallocated spectral array.  Returns
-    (grad n, grad p, grad theta, grad phi, lap n, lap p, lap theta, j_p, j_n):
-    each gradient is a (dim, ...) view into the inverse transform's output,
-    each flux a list of dim arrays.
+    spec is the batched forward transform of (n, p, theta).  For each axis
+    i in turn the generator makes one 4-field inverse transform, writes
+    j_p,i into j[i] and j_n,i into j[dim + i], and yields
+    (d_i n, d_i p, d_i theta, d_i phi, j[i], j[dim + i]).  The gradients
+    are views into that axis's inverse transform, so a consumer that drops
+    them before asking for the next axis holds one axis's gradients at a
+    time.
     """
     d = grid.dim
-    spec3 = grid.fft(np.stack([n, p, th]))
-    phih = -grid.inv_k2 * (spec3[0] - spec3[1])
-    spec = np.empty((4 * d + 3,) + grid.spectral_shape, dtype=complex)
-    for j, fh in enumerate((spec3[0], spec3[1], spec3[2], phih)):
-        for i, m in enumerate(grid.grad_mult):
-            np.multiply(m, fh, out=spec[j * d + i])
-    for j in range(3):
-        np.multiply(-grid.k2, spec3[j], out=spec[4 * d + j])
-    out = grid.ifft(spec)
-    gn, gp, gth, gphi = out[0:d], out[d : 2 * d], out[2 * d : 3 * d], out[3 * d : 4 * d]
-    j_p = [-params.D_p * (th * gp[i] + p * gth[i] + p * gphi[i]) for i in range(d)]
-    j_n = [-params.D_n * (th * gn[i] + n * gth[i] - n * gphi[i]) for i in range(d)]
-    return gn, gp, gth, gphi, out[4 * d], out[4 * d + 1], out[4 * d + 2], j_p, j_n
+    phih = -grid.inv_k2 * (spec[0] - spec[1])
+    four = np.empty((4,) + grid.spectral_shape, dtype=complex)
+    for i, m in enumerate(grid.grad_mult):
+        for row, fh in zip(four, (spec[0], spec[1], spec[2], phih)):
+            np.multiply(m, fh, out=row)
+        gn, gp, gth, gphi = grid.ifft(four)
+        np.multiply(-params.D_p, th * gp + p * gth + p * gphi, out=j[i])
+        np.multiply(-params.D_n, th * gn + n * gth - n * gphi, out=j[d + i])
+        yield gn, gp, gth, gphi, j[i], j[d + i]
+        del gn, gp, gth, gphi  # before the next axis's transform
 
 
 def exchange_arrays(grid: GridSpec, phi, gphi, j_p, j_n):
@@ -208,13 +213,19 @@ def constitutive_fluxes(s: State, params: PhysParams) -> FluxSet:
         j_e = [(c_p+1) theta + phi] j_p + [(c_n+1) theta - phi] j_n
               + (phi_t grad(phi) - phi grad(phi_t))/2 + q
     """
-    g = s.grid
-    th, phi = s.theta.values, s.phi.values
-    _, _, gth, gphi, _, _, _, j_p, j_n = darcy_arrays(g, s.n.values, s.p.values, th, params)
+    g, d = s.grid, s.grid.dim
+    n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
+    j, q, gphi = np.empty((2 * d,) + g.shape), [], []
+    spec = g.fft(np.stack([n, p, th]))
+    for axis in darcy_axes(g, spec, n, p, th, params, j):
+        q.append(-params.k * axis[2])
+        gphi.append(axis[3].copy())
+        del axis  # lets the kernel free this axis's transform
+    del spec
+    j_p, j_n = list(j[:d]), list(j[d:])
     phi_t, exchange = exchange_arrays(g, phi, gphi, j_p, j_n)
     a, b = energy_weights(th, phi, params)
-    q = [-params.k * gth[i] for i in range(g.dim)]
-    j_e = [a * j_p[i] + b * j_n[i] + exchange[i] + q[i] for i in range(g.dim)]
+    j_e = [a * j_p[i] + b * j_n[i] + exchange[i] + q[i] for i in range(d)]
     vec = lambda comps: VectorField(g, tuple(comps))
     return FluxSet(
         j_p=vec(j_p), j_n=vec(j_n), q=vec(q), j_e=vec(j_e), exchange=vec(exchange),

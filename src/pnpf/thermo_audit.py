@@ -48,6 +48,12 @@ from .grid import integrate as quad
 DELTA_FLOOR = -1e-14
 
 
+class EntropyProductionError(ValueError):
+    """An audited state's entropy production is below the roundoff floor:
+    the run broke the second law, a runtime failure rather than a bad
+    config."""
+
+
 @dataclass(frozen=True)
 class AuditRecord:
     """One audit sample.  dSdt_minus_Delta is the raw centered-difference
@@ -67,7 +73,7 @@ class AuditRecord:
 
     def __post_init__(self) -> None:
         if self.Delta < DELTA_FLOOR:
-            raise ValueError(
+            raise EntropyProductionError(
                 f"entropy production {self.Delta:.3e} below the roundoff floor"
             )
         for f in dataclass_fields(self):
@@ -185,10 +191,12 @@ class AuditWriter:
         self._fh.flush()
 
     def close(self) -> None:
-        if self._pending is not None:
-            self._write(self._pending)
-            self._pending = None
-        self._fh.close()
+        try:
+            if self._pending is not None:
+                row, self._pending = self._pending, None
+                self._write(row)
+        finally:
+            self._fh.close()
 
 
 def audit_run(

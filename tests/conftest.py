@@ -7,6 +7,8 @@ products of two such fields are alias-free under the 2/3 rule whenever
 kmax <= N/3.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ def perturbation_state(grid: GridSpec, seed: int, amplitude: float = 1e-3,
     v = ScalarField(grid, band_limited(grid, seed + 1, kmax, amplitude))
     tt = ScalarField(grid, band_limited(grid, seed + 2, kmax, amplitude))
     return PerturbationState.from_fields(ut, v, tt)
+
+
+def peak_grids(fn, grid: GridSpec) -> float:
+    """tracemalloc peak of one call of fn above the memory held at its
+    entry, in full-grid float64 arrays."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8 * grid.n**grid.dim)
 
 
 @pytest.fixture

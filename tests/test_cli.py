@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from pnpf import cli, snapshot
+from pnpf import cli, snapshot, thermo_audit
 from pnpf.dynamics import stability_bound
 from pnpf.fields import PhysParams
 from pnpf.grid import GridSpec
@@ -89,3 +89,54 @@ class TestRun:
         state, _ = snapshot.read_checkpoint(tmp_path / "final")
         mass_n, _, E, S, _ = totals(state, PhysParams(**meta["params"]))
         assert (mass_n, E, S) == (rows[-1]["mass_n"], rows[-1]["E"], rows[-1]["S"])
+
+    def test_negative_entropy_production_is_a_runtime_abort(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # from the third audit sample on the production reads negative; the
+        # writer holds each row back one sample, so the failure surfaces
+        # while writing the third row and the first two stay in audit.csv
+        real_totals = thermo_audit.totals
+        calls = []
+
+        def totals(*args, **kwargs):
+            calls.append(None)
+            mass_n, mass_p, E, S, Delta = real_totals(*args, **kwargs)
+            return mass_n, mass_p, E, S, (Delta if len(calls) < 3 else -1e-10)
+
+        monkeypatch.setattr(thermo_audit, "totals", totals)
+        dt = 1e-3
+        code = cli.main([
+            "run",
+            "--set", "grid.dim=1",
+            "--set", "grid.n=16",
+            "--set", "initial_condition.type=random_band",
+            "--set", f"stepper.dt={dt!r}",
+            "--set", f"stepper.t_end={6 * dt!r}",
+            "--set", "audit_every=1",
+            "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_RUNTIME
+        assert "entropy production" in capsys.readouterr().err
+        rows = read_audit_csv(tmp_path / "audit.csv")
+        assert [row["t"] for row in rows] == [0.0, dt]
+        assert all(row["Delta"] >= 0.0 for row in rows)
+
+
+class TestDecay:
+    def test_inconclusive_verdict_is_named(self, tmp_path, capsys):
+        # the default single_mode profile starts u_tilde at 0: its rate is
+        # not positive, so the rate ordering is inconclusive, not a pass
+        code = cli.main([
+            "decay",
+            "--set", "grid.dim=2",
+            "--set", "grid.n=8",
+            "--set", "grid.length=1.0",
+            "--set", "stepper.dt=5e-4",
+            "--set", "stepper.t_end=0.05",
+            "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        assert "inconclusive verdicts: rate_ordering_verdict" in capsys.readouterr().out
+        result = json.loads((tmp_path / "decay-summary.json").read_text())
+        assert result["rate_ordering_verdict"] == "inconclusive"

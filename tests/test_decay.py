@@ -2,6 +2,7 @@
 monotone decay, screening-rate ordering, amplitude scaling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,3 +159,38 @@ class TestRun:
         assert out["monotonicity_verdict"] == "pass"
         assert out["scaling_verdict"] == "pass"
         assert not out["outside_smallness_regime"]
+
+
+class TestRateOrderingVerdict:
+    """The ordering "v and grad(phi) decay faster than u_tilde" is only
+    tested when u_tilde decays."""
+
+    @staticmethod
+    def short_run(params, profile, seed=0):
+        grid = GridSpec(dim=2, n=8, length=1.0)
+        cfg = StepperConfig(scheme="RK4", dt=5e-4, t_end=0.05)
+        exp = DecayExperiment(
+            delta0=1e-2, seed=seed, mode_profile=profile, cfg=cfg, sample_every=10
+        )
+        return exp, run(exp, grid, params)
+
+    def test_growing_u_is_inconclusive(self, params):
+        # single_mode starts u_tilde at 0, so it grows and the ordering
+        # would hold trivially
+        exp, series = self.short_run(params, "single_mode")
+        assert series.fitted_rates["u_l2"] <= 0
+        assert summary(exp, series)["rate_ordering_verdict"] == "inconclusive"
+
+    def test_decaying_u_keeps_the_verdict(self, params):
+        exp, series = self.short_run(params, "random_band", seed=21)
+        rates = series.fitted_rates
+        assert rates["u_l2"] > 0
+        ordered = rates["v_l2"] > rates["u_l2"] and rates["grad_phi_l2"] > rates["u_l2"]
+        assert ordered  # the screening signature
+        assert summary(exp, series)["rate_ordering_verdict"] == "pass"
+
+    def test_faster_u_decay_is_flagged(self, params):
+        exp, series = self.short_run(params, "random_band", seed=21)
+        rates = dict(series.fitted_rates, u_l2=100.0)
+        out = summary(exp, replace(series, fitted_rates=rates))
+        assert out["rate_ordering_verdict"] == "flagged"

@@ -276,9 +276,9 @@ class TestSharedWork:
         assert rep["pass"]
         # probe 18, conservative forces 14 and scan 24 (6 entropy
         # evaluations at 2 each plus the probe divergences 12), constitutive
-        # fluxes 25, grad(phi) 4, the two eliminations 7 each, the
+        # fluxes 22, grad(phi) 4, the two eliminations 7 each, the
         # dissipative kernel 10; the balance reuses both force sets
-        assert counted["fields"] == 109
+        assert counted["fields"] == 106
         assert counted["eliminations"] == 2
 
     def test_split_scan_is_the_functional(self, params, monkeypatch):
