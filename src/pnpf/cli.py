@@ -21,6 +21,7 @@ import copy
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,19 @@ def _outputs_dir(config: dict) -> Path:
     return path
 
 
+def random_band_state(grid: GridSpec, seed: int, band: int, amplitude: float) -> State:
+    """State whose u_tilde, v and theta_tilde are three Philox(seed) draws
+    of decay.band_field on modes 1..band, each scaled to max-abs
+    amplitude."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    ut, v, tt = (decay_mod.band_field(grid, gen, band) * amplitude for _ in range(3))
+    return State.from_primitives(
+        ScalarField(grid, 1.0 + 0.5 * (ut + v)),
+        ScalarField(grid, 1.0 + 0.5 * (ut - v)),
+        ScalarField(grid, 1.0 + tt),
+    )
+
+
 def build_initial_state(config: dict, grid: GridSpec) -> State:
     """Initial State from the configured profile.  Neutrality and
     positivity are enforced by State construction; a profile that breaks
@@ -213,16 +227,9 @@ def build_initial_state(config: dict, grid: GridSpec) -> State:
         else:
             raise ConfigError(f"unknown single_mode field {field!r}")
     elif kind == "random_band":
-        seed = int(ic["seed"])
-        amp = float(ic["amplitude"])
-        band = int(ic["band"])
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        ut = decay_mod._band_field(grid, gen, band) * amp
-        v = decay_mod._band_field(grid, gen, band) * amp
-        tt = decay_mod._band_field(grid, gen, band) * amp
-        n = 1.0 + 0.5 * (ut + v)
-        p = 1.0 + 0.5 * (ut - v)
-        theta = 1.0 + tt
+        return random_band_state(
+            grid, int(ic["seed"]), int(ic["band"]), float(ic["amplitude"])
+        )
     else:
         raise ConfigError(f"unknown initial_condition type {kind!r}")
     return State.from_primitives(
@@ -261,16 +268,7 @@ def cmd_varcheck(config: dict) -> int:
     if amp == 0.0:
         state = State.equilibrium(grid)
     else:
-        gen = np.random.Generator(np.random.Philox(key=int(vc["seed"])))
-        kmax = int(vc["kmax"])
-        ut = decay_mod._band_field(grid, gen, kmax) * amp
-        v = decay_mod._band_field(grid, gen, kmax) * amp
-        tt = decay_mod._band_field(grid, gen, kmax) * amp
-        state = State.from_primitives(
-            ScalarField(grid, 1 + 0.5 * (ut + v)),
-            ScalarField(grid, 1 + 0.5 * (ut - v)),
-            ScalarField(grid, 1 + tt),
-        )
+        state = random_band_state(grid, int(vc["seed"]), int(vc["kmax"]), amp)
     report = varcheck.varcheck_report(
         state, params,
         seed=int(vc["seed"]),
@@ -305,8 +303,6 @@ def cmd_decay(config: dict) -> int:
     decay_mod.write_series_csv(series, outdir / "decay.csv")
     scaling_ratio = None
     if dc.get("scaling_check") and exp.delta0 > 0:
-        from dataclasses import replace
-
         half = decay_mod.run(replace(exp, delta0=0.5 * exp.delta0), grid, params)
         if len(half.lyapunov) and half.lyapunov[-1] > 0:
             scaling_ratio = float(series.lyapunov[-1] / half.lyapunov[-1])

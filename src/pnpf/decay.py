@@ -79,14 +79,19 @@ def _h2_sq(grid: GridSpec, spec) -> float:
     return grid.spectral_l2_sum(spec, w)
 
 
-def lyapunov(ps: PerturbationState, params: PhysParams) -> float:
-    """Lambda(ps); spectral H^2 norms, 2c weight on the temperature part."""
+def spectra(ps: PerturbationState) -> np.ndarray:
+    """Batched forward transform of (u_tilde, v, theta_tilde, phi)."""
+    return ps.grid.fft(
+        np.stack([ps.u_tilde.values, ps.v.values, ps.theta_tilde.values, ps.phi.values])
+    )
+
+
+def lyapunov(ps: PerturbationState, params: PhysParams, spec=None) -> float:
+    """Lambda(ps); spectral H^2 norms, 2c weight on the temperature part.
+    spec is spectra(ps), computed here when not given."""
     c = params.c
     g = ps.grid
-    su = g.fft(ps.u_tilde.values)
-    sv = g.fft(ps.v.values)
-    st = g.fft(ps.theta_tilde.values)
-    sphi = g.fft(ps.phi.values)
+    su, sv, st, sphi = spectra(ps) if spec is None else spec
     out = _h2_sq(g, su) + _h2_sq(g, sv) + 2.0 * c * _h2_sq(g, st)
     out += g.spectral_l2_sum(sphi, g.h1_weight)  # ||grad phi||_L2^2
     return float(out)
@@ -125,7 +130,9 @@ def smallness_size(ps: PerturbationState) -> float:
     )
 
 
-def _band_field(grid: GridSpec, gen, kmax: int) -> np.ndarray:
+def band_field(grid: GridSpec, gen, kmax: int) -> np.ndarray:
+    """One draw of gen's white noise truncated to mode indices
+    |m_i| <= kmax, mean removed, scaled to max-abs 1."""
     white = gen.standard_normal(grid.shape)
     spec = np.where(grid.band_mask(kmax), grid.fft(white), 0.0)
     spec[(0,) * grid.dim] = 0.0
@@ -151,9 +158,9 @@ def initial_condition(
         v = np.sin(2.0 * np.pi * x / grid.length)
     else:
         gen = np.random.Generator(np.random.Philox(key=exp.seed))
-        ut = _band_field(grid, gen, band)
-        v = _band_field(grid, gen, band)
-        tt = _band_field(grid, gen, band)
+        ut = band_field(grid, gen, band)
+        v = band_field(grid, gen, band)
+        tt = band_field(grid, gen, band)
     scale = exp.delta0 / _smallness_from_arrays(grid, ut, v, tt)
     return PerturbationState.from_fields(
         ScalarField(grid, ut * scale),
@@ -184,16 +191,17 @@ def run(exp: DecayExperiment, grid: GridSpec, params: PhysParams) -> DecaySeries
 
     def sample(t, state):
         g = state.grid
-        su = g.fft(state.u_tilde.values)
+        spec = spectra(state)  # shared with lyapunov: one transform call per sample
+        su, sv, st, sphi = spec
         rows.append(
             (
                 t,
-                lyapunov(state, params),
-                math.sqrt(g.spectral_l2_sum(g.fft(state.v.values))),
-                math.sqrt(g.spectral_l2_sum(g.fft(state.phi.values), g.h1_weight)),
+                lyapunov(state, params, spec),
+                math.sqrt(g.spectral_l2_sum(sv)),
+                math.sqrt(g.spectral_l2_sum(sphi, g.h1_weight)),
                 math.sqrt(g.spectral_l2_sum(su)),
                 math.sqrt(_h2_sq(g, su)),
-                math.sqrt(_h2_sq(g, g.fft(state.theta_tilde.values))),
+                math.sqrt(_h2_sq(g, st)),
             )
         )
 

@@ -25,6 +25,21 @@ Discretization choices that the audits rely on:
   evaluation re-solves Delta(phi) = n - p (equivalently Delta(phi) = v),
   so phi stays slaved to the charge density at every substage.
 
+Each right-hand side is a spectral core with a thin wrapper around it.
+The core (_rhs_primitive_core, _rhs_perturbation_core) takes the forward
+transform of its input plus the input fields and returns the (dealiased)
+spectrum of the time derivatives, leaving the input spectrum as it was.
+The array wrapper (_rhs_primitive_arrays, _rhs_perturbation_arrays) adds
+the forward transform in front and the inverse transform behind; RK4
+calls the wrappers, which keep the bits the RHS had before the split.
+The IMEX1 steppers call the cores on the spectrum of the current state
+that their implicit solve needs anyway, so the RHS output is never
+transformed back and forth and the state is transformed once per step.
+At dim 3 a primitive IMEX1 step costs 30 transforms: the forward
+transform of (n, p, theta) 3, the core 22, the inverse transform of the
+update 3 and the Poisson solve of the new State 2.  The array RHS costs
+28 and an RK4 step 114.
+
 RK4 keeps one accumulator, k1 + 2 k2 + 2 k3 + k4 summed in that order,
 instead of the four stage derivatives, so besides it only the current
 stage and its derivative are alive; the result has the bits of
@@ -145,13 +160,13 @@ def convert_back(ps: PerturbationState) -> State:
 # -- raw-array right-hand sides ----------------------------------------------
 
 
-def _fluxes_and_heat_rate(grid: GridSpec, n, p, th, params: PhysParams, out):
+def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, out):
     """Fill out with (j_p, j_n, dtheta): the Darcy fluxes and the pointwise
-    temperature rate.  Its temporaries die on return, before the outer
+    temperature rate.  spec is the forward transform of (n, p, th) and is
+    left as it was.  Its temporaries die on return, before the outer
     transform."""
     d = grid.dim
     Dp, Dn, kh = params.D_p, params.D_n, params.k
-    spec = grid.fft(np.stack([n, p, th]))
 
     # dot products as running sums over the axes, added in axis order; every
     # derivative acts on a primitive field, so div(j) expands with the
@@ -168,11 +183,9 @@ def _fluxes_and_heat_rate(grid: GridSpec, n, p, th, params: PhysParams, out):
         jp_gp += jp * gp
         jn_gn += jn * gn
         jheat_gth += (params.c_p * jp + params.c_n * jn) * gth
-        del gn, gp, gth, gphi  # lets the kernel free this axis's transform
+        del gn, gp, gth, gphi  # frees this axis's transform
 
-    spec *= -grid.k2
-    lap_n, lap_p, lap_th = grid.ifft(spec)
-    del spec
+    lap_n, lap_p, lap_th = grid.ifft(-grid.k2 * spec)
     rho = n - p  # equals Delta(phi) exactly for the slaved potential
     div_jp = -Dp * (p * lap_th + 2.0 * gp_gth + th * lap_p + gp_gphi + p * rho)
     div_jn = -Dn * (n * lap_th + 2.0 * gn_gth + th * lap_n - gn_gphi - n * rho)
@@ -184,11 +197,13 @@ def _fluxes_and_heat_rate(grid: GridSpec, n, p, th, params: PhysParams, out):
     np.divide(heat, params.c_p * p + params.c_n * n, out=out[2 * d])
 
 
-def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=True):
-    """(dn, dp, dtheta) raw arrays; see the module docstring for the scheme."""
+def _rhs_primitive_core(grid: GridSpec, spec, n, p, th, params: PhysParams, dealias=True):
+    """Spectrum of (dn, dp, dtheta), shape (3,) + spectral_shape, from the
+    forward transform spec of (n, p, th) and the fields themselves; spec
+    is left as it was."""
     d = grid.dim
     out = np.empty((2 * d + 1,) + grid.shape)
-    _fluxes_and_heat_rate(grid, n, p, th, params, out)
+    _fluxes_and_heat_rate(grid, spec, n, p, th, params, out)
 
     # continuity equations in divergence form (spectral outer divergence)
     spec_j = grid.fft(out)
@@ -199,15 +214,21 @@ def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=
     if dealias:
         mask = grid.dealias_mask
         dn_hat, dp_hat, dth_hat = mask * dn_hat, mask * dp_hat, mask * dth_hat
-    res = grid.ifft(np.stack([dn_hat, dp_hat, dth_hat]))
+    return np.stack([dn_hat, dp_hat, dth_hat])
+
+
+def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=True):
+    """(dn, dp, dtheta) raw arrays; see the module docstring for the scheme."""
+    spec = grid.fft(np.stack([n, p, th]))
+    res = grid.ifft(_rhs_primitive_core(grid, spec, n, p, th, params, dealias))
     return res[0], res[1], res[2]
 
 
-def _rhs_perturbation_arrays(grid: GridSpec, ut, v, tt, params: PhysParams, dealias=True):
-    """(du_tilde, dv, dtheta_tilde) raw arrays, literal perturbation system."""
+def _perturbation_rates(grid: GridSpec, spec3, ut, v, tt, params: PhysParams):
+    """(du_tilde, dv, dtheta_tilde) pointwise, before dealiasing, from the
+    forward transform spec3 of (ut, v, tt) and the fields themselves."""
     c = params.c
     d = grid.dim
-    spec3 = grid.fft(np.stack([ut, v, tt]))
     uth, vh, tth = spec3[0], spec3[1], spec3[2]
     phih = -grid.inv_k2 * vh
 
@@ -242,12 +263,25 @@ def _rhs_perturbation_arrays(grid: GridSpec, ut, v, tt, params: PhysParams, deal
     dtt -= (1.0 + tt) * v * v / w
     dtt += gphi2
     dtt /= c
-
-    if dealias:
-        spec = grid.dealias_mask * grid.fft(np.stack([du, dv, dtt]))
-        res = grid.ifft(spec)
-        return res[0], res[1], res[2]
     return du, dv, dtt
+
+
+def _rhs_perturbation_core(grid: GridSpec, spec3, ut, v, tt, params: PhysParams, dealias=True):
+    """Spectrum of (du_tilde, dv, dtheta_tilde), shape (3,) +
+    spectral_shape, from the forward transform spec3 of (ut, v, tt) and the
+    fields themselves; spec3 is left as it was."""
+    spec = grid.fft(np.stack(_perturbation_rates(grid, spec3, ut, v, tt, params)))
+    return grid.dealias_mask * spec if dealias else spec
+
+
+def _rhs_perturbation_arrays(grid: GridSpec, ut, v, tt, params: PhysParams, dealias=True):
+    """(du_tilde, dv, dtheta_tilde) raw arrays, literal perturbation system.
+    Without dealiasing the pointwise rates are returned as they are."""
+    spec3 = grid.fft(np.stack([ut, v, tt]))
+    if not dealias:
+        return _perturbation_rates(grid, spec3, ut, v, tt, params)
+    res = grid.ifft(_rhs_perturbation_core(grid, spec3, ut, v, tt, params))
+    return res[0], res[1], res[2]
 
 
 def _require_perturbation_params(params: PhysParams) -> None:
@@ -375,13 +409,13 @@ def _step_primitive(s: State, cfg: StepperConfig, params: PhysParams) -> State:
     names = ("n", "p", "theta")
     shifts = (0.0, 0.0, 0.0)
     check = lambda ys: _check_stage(names, ys, cfg.positivity_floor, shifts)
-    rhs = lambda ys: _rhs_primitive_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias)
     ys = [s.n.values, s.p.values, s.theta.values]
     check(ys)
     if cfg.scheme == "RK4":
+        rhs = lambda ys: _rhs_primitive_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias)
         out = _rk4(ys, rhs, cfg.dt, check)
     else:
-        out = _imex1_primitive(g, ys, cfg, params, rhs)
+        out = _imex1_primitive(g, ys, cfg, params)
         check(out)
     n, p, th = (ScalarField(g, a) for a in out)
     return State.from_primitives(n, p, th)
@@ -405,31 +439,30 @@ def _step_perturbation(
                     f"{float(arr.min()) + shift:.3e} < {cfg.positivity_floor:.0e}"
                 )
 
-    rhs = lambda ys: _rhs_perturbation_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias)
     ys = [ps.u_tilde.values, ps.v.values, ps.theta_tilde.values]
     check(ys)
     if cfg.scheme == "RK4":
+        rhs = lambda ys: _rhs_perturbation_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias)
         out = _rk4(ys, rhs, cfg.dt, check)
     else:
-        out = _imex1_perturbation(g, ys, cfg, params, rhs)
+        out = _imex1_perturbation(g, ys, cfg, params)
         check(out)
     ut, v, tt = (ScalarField(g, a) for a in out)
     return PerturbationState.from_fields(ut, v, tt)
 
 
-def _imex1_perturbation(grid, ys, cfg, params, rhs):
+def _imex1_perturbation(grid, ys, cfg, params):
     """Backward Euler on the constant-coefficient Laplacian block
     (coupling u_tilde and theta_tilde, v decoupled), explicit remainder."""
     c = params.c_p
     dt, k2 = cfg.dt, grid.k2
-    full = rhs(ys)
     spec_y = grid.fft(np.stack(ys))
+    spec_f = _rhs_perturbation_core(grid, spec_y, ys[0], ys[1], ys[2], params, cfg.dealias)
     uh, vh, th = spec_y[0], spec_y[1], spec_y[2]
     # linear block applied to the current state
     lin_u = -k2 * (uh + 2.0 * th)
     lin_v = -k2 * vh
     lin_t = -(k2 / (2.0 * c)) * (uh + 3.0 * th)
-    spec_f = grid.fft(np.stack(full))
     bu = uh + dt * (spec_f[0] - lin_u)
     bv = vh + dt * (spec_f[1] - lin_v)
     bt = th + dt * (spec_f[2] - lin_t)
@@ -450,19 +483,18 @@ def _imex1_perturbation(grid, ys, cfg, params, rhs):
     return [out[0], out[1], out[2]]
 
 
-def _imex1_primitive(grid, ys, cfg, params, rhs):
+def _imex1_primitive(grid, ys, cfg, params):
     """Backward Euler on the equilibrium-linearized diffusion block of the
     primitive system, explicit remainder."""
     dt, k2 = cfg.dt, grid.k2
     cs = params.c_p + params.c_n
     kh = (params.k + params.D_p + params.D_n) / cs
-    full = rhs(ys)
     spec_y = grid.fft(np.stack(ys))
+    spec_f = _rhs_primitive_core(grid, spec_y, ys[0], ys[1], ys[2], params, cfg.dealias)
     nh, ph, th = spec_y[0], spec_y[1], spec_y[2]
     lin_n = -k2 * params.D_n * (nh + th)
     lin_p = -k2 * params.D_p * (ph + th)
     lin_t = -k2 * (params.D_n * nh + params.D_p * ph) / cs - k2 * kh * th
-    spec_f = grid.fft(np.stack(full))
     bn = nh + dt * (spec_f[0] - lin_n)
     bp = ph + dt * (spec_f[1] - lin_p)
     bt = th + dt * (spec_f[2] - lin_t)

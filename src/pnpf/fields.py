@@ -26,16 +26,25 @@ consumer uses them before the next axis is built, so only one axis's
 gradients are alive at once.  The Laplacians are not part of the kernel:
 only the primitive RHS needs them, and it builds them after its axis loop
 from the same forward transform.
+
+flux_audit is the audit's pass over the same axes.  It takes from each
+axis what a sample reads (|j_p|^2, |j_n|^2, |q|^2 and the j_p and j_n
+rows of the reconstruction residual) and builds nothing else.  The
+definitions stay as they are: constitutive_fluxes (used by varcheck),
+entropy_production_density, reconstruct_fluxes and
+flux_reconstruction_residual.  The residual, reconstruct_fluxes and
+flux_audit rebuild an ion flux with one row formula, _ion_row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import poisson
-from .grid import GridSpec, ScalarField, VectorField, grad_arrays
+from .grid import GridSpec, ScalarField, VectorField
 
 POSITIVITY_FLOOR = 1e-8
 
@@ -124,30 +133,35 @@ class State:
         return cls(one, one, ScalarField.constant(grid, 1.0), ScalarField.constant(grid, 0.0))
 
 
-def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j):
+def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j=None):
     """
     Gradients and Darcy ion fluxes of raw (n, p, theta) arrays, one axis
     at a time, with phi slaved to n - p (phi_hat = -(n_hat - p_hat)/|k|^2).
 
     spec is the batched forward transform of (n, p, theta).  For each axis
-    i in turn the generator makes one 4-field inverse transform, writes
-    j_p,i into j[i] and j_n,i into j[dim + i], and yields
-    (d_i n, d_i p, d_i theta, d_i phi, j[i], j[dim + i]).  The gradients
-    are views into that axis's inverse transform, so a consumer that drops
-    them before asking for the next axis holds one axis's gradients at a
-    time.
+    i in turn the generator makes one 4-field inverse transform and yields
+    (d_i n, d_i p, d_i theta, d_i phi, j_p,i, j_n,i).  With a (2*dim)-field
+    buffer j the fluxes are written into j[i] and j[dim + i]; with
+    j=None each axis's pair is a fresh array.  The gradients are views into
+    that axis's inverse transform and the generator keeps no reference to
+    them, so a consumer that drops them frees that transform at once, and
+    holds one axis's gradients at a time.
     """
-    d = grid.dim
     phih = -grid.inv_k2 * (spec[0] - spec[1])
     four = np.empty((4,) + grid.spectral_shape, dtype=complex)
     for i, m in enumerate(grid.grad_mult):
         for row, fh in zip(four, (spec[0], spec[1], spec[2], phih)):
             np.multiply(m, fh, out=row)
-        gn, gp, gth, gphi = grid.ifft(four)
-        np.multiply(-params.D_p, th * gp + p * gth + p * gphi, out=j[i])
-        np.multiply(-params.D_n, th * gn + n * gth - n * gphi, out=j[d + i])
-        yield gn, gp, gth, gphi, j[i], j[d + i]
-        del gn, gp, gth, gphi  # before the next axis's transform
+        yield _darcy_axis(grid, four, n, p, th, params, j, i)
+
+
+def _darcy_axis(grid: GridSpec, four, n, p, th, params: PhysParams, j, i):
+    gn, gp, gth, gphi = grid.ifft(four)
+    jp = None if j is None else j[i]
+    jn = None if j is None else j[grid.dim + i]
+    jp = np.multiply(-params.D_p, th * gp + p * gth + p * gphi, out=jp)
+    jn = np.multiply(-params.D_n, th * gn + n * gth - n * gphi, out=jn)
+    return gn, gp, gth, gphi, jp, jn
 
 
 def exchange_arrays(grid: GridSpec, phi, gphi, j_p, j_n):
@@ -256,10 +270,13 @@ def entropy_production_density(fl: FluxSet, s: State, params: PhysParams) -> Sca
 
     Nonnegative by construction for every admissible state and flux set.
     """
+    sq = lambda v: sum(c**2 for c in v.components)
+    return _production_density(s, params, sq(fl.j_p), sq(fl.j_n), sq(fl.q))
+
+
+def _production_density(s: State, params: PhysParams, jp2, jn2, q2) -> ScalarField:
+    """The production density from the squared magnitudes |j_p|^2, |j_n|^2, |q|^2."""
     th = s.theta.values
-    jp2 = sum(c**2 for c in fl.j_p.components)
-    jn2 = sum(c**2 for c in fl.j_n.components)
-    q2 = sum(c**2 for c in fl.q.components)
     out = jp2 / (params.D_p * s.p.values * th)
     out += jn2 / (params.D_n * s.n.values * th)
     out += q2 / (params.k * th**2)
@@ -286,6 +303,21 @@ class OnsagerBlock:
     mu_n: ScalarField
 
 
+def _ion_coefficients(s: State, params: PhysParams):
+    """(L_pp, L_nn, L_ptheta, L_ntheta, mu_p, mu_n) of onsager_block as raw
+    arrays: everything but L_thetatheta."""
+    n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
+    L_pp = params.D_p * p * th
+    L_nn = params.D_n * n * th
+    a, b = energy_weights(th, phi, params)
+    logth = np.log(th)
+    return (
+        L_pp, L_nn, L_pp * a, L_nn * b,
+        th * (np.log(p) - params.c_p * logth) + phi,
+        th * (np.log(n) - params.c_n * logth) - phi,
+    )
+
+
 def onsager_block(s: State, params: PhysParams) -> OnsagerBlock:
     """
     Coefficients of the flux form
@@ -309,19 +341,33 @@ def onsager_block(s: State, params: PhysParams) -> OnsagerBlock:
     Chemical potentials: mu_p = theta (log p - c_p log theta) + phi and
     mu_n = theta (log n - c_n log theta) - phi.
     """
-    g = s.grid
-    n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
-    L_pp = params.D_p * p * th
-    L_nn = params.D_n * n * th
-    a, b = energy_weights(th, phi, params)
-    logth = np.log(th)
+    g, th = s.grid, s.theta.values
+    L_pp, L_nn, L_pth, L_nth, mu_p, mu_n = _ion_coefficients(s, params)
+    a, b = energy_weights(th, s.phi.values, params)
     f = lambda v: ScalarField(g, v)
     return OnsagerBlock(
-        L_pp=f(L_pp), L_nn=f(L_nn), L_ptheta=f(L_pp * a), L_ntheta=f(L_nn * b),
+        L_pp=f(L_pp), L_nn=f(L_nn), L_ptheta=f(L_pth), L_ntheta=f(L_nth),
         L_thetatheta=f(L_pp * a**2 + L_nn * b**2 + params.k * th**2),
-        mu_p=f(th * (np.log(p) - params.c_p * logth) + phi),
-        mu_n=f(th * (np.log(n) - params.c_n * logth) - phi),
+        mu_p=f(mu_p), mu_n=f(mu_n),
     )
+
+
+def _quotient_spectrum(grid: GridSpec, th, mu_p, mu_n):
+    """Batched forward transform of (mu_p/theta, mu_n/theta, 1/theta): the
+    potentials whose gradients the flux form takes.  Axis i's gradients
+    are one 3-field inverse transform of grad_mult[i] times it."""
+    return grid.fft(np.stack([mu_p / th, mu_n / th, 1.0 / th]))
+
+
+def _ion_row(L, L_theta, g_mu, g_inv):
+    """Component i of an ion flux rebuilt from the coefficient block:
+    -L d_i(mu/theta) + L_theta d_i(1/theta)."""
+    return -L * g_mu + L_theta * g_inv
+
+
+def _deviation(dev: float, scale: float, rec, ref) -> tuple[float, float]:
+    """The residual's running maxima of |rec - ref| and |ref|."""
+    return max(dev, float(np.abs(rec - ref).max())), max(scale, float(np.abs(ref).max()))
 
 
 def reconstruct_fluxes(
@@ -339,44 +385,80 @@ def reconstruct_fluxes(
         block = onsager_block(s, params)
     if fl is None:
         fl = constitutive_fluxes(s, params)
-    th = s.theta.values
-    gmp = grad_arrays(g, block.mu_p.values / th)
-    gmn = grad_arrays(g, block.mu_n.values / th)
-    ginv = grad_arrays(g, 1.0 / th)
+    L_pp, L_nn = block.L_pp.values, block.L_nn.values
     L_pth, L_nth = block.L_ptheta.values, block.L_ntheta.values
-
-    j_p = [-block.L_pp.values * gmp[i] + L_pth * ginv[i] for i in range(g.dim)]
-    j_n = [-block.L_nn.values * gmn[i] + L_nth * ginv[i] for i in range(g.dim)]
-    j_e = [
-        -L_pth * gmp[i] - L_nth * gmn[i] + block.L_thetatheta.values * ginv[i]
-        + fl.exchange.components[i]
-        for i in range(g.dim)
-    ]
-    return (
-        VectorField(g, tuple(j_p)),
-        VectorField(g, tuple(j_n)),
-        VectorField(g, tuple(j_e)),
-    )
+    spec = _quotient_spectrum(g, s.theta.values, block.mu_p.values, block.mu_n.values)
+    j_p, j_n, j_e = [], [], []
+    for m, ex in zip(g.grad_mult, fl.exchange.components):
+        gmp, gmn, ginv = g.ifft(m * spec)
+        j_p.append(_ion_row(L_pp, L_pth, gmp, ginv))
+        j_n.append(_ion_row(L_nn, L_nth, gmn, ginv))
+        j_e.append(-L_pth * gmp - L_nth * gmn + block.L_thetatheta.values * ginv + ex)
+    vec = lambda comps: VectorField(g, tuple(comps))
+    return vec(j_p), vec(j_n), vec(j_e)
 
 
 def flux_reconstruction_residual(
-    s: State, params: PhysParams, block: OnsagerBlock | None = None,
-    fl: FluxSet | None = None,
+    s: State, params: PhysParams, block: OnsagerBlock | None = None
 ) -> float:
     """
     Max absolute deviation between the Darcy fluxes and their
     linear-response reconstruction (j_p plus j_n), normalized by the
-    largest flux magnitude; returns 0 when all fluxes vanish.
+    largest flux magnitude; returns 0 when all fluxes vanish.  block
+    replaces onsager_block(s) (fault injection).  This is the definition;
+    flux_audit computes the same number in its streamed pass.
     """
-    if fl is None:
-        fl = constitutive_fluxes(s, params)
+    fl = constitutive_fluxes(s, params)
     j_p_rec, j_n_rec, _ = reconstruct_fluxes(s, params, block, fl)
-    dev = 0.0
-    scale = 0.0
+    dev = scale = 0.0
     for rec, ref in ((j_p_rec, fl.j_p), (j_n_rec, fl.j_n)):
         for cr, cf in zip(rec.components, ref.components):
-            dev = max(dev, float(np.abs(cr - cf).max()))
-            scale = max(scale, float(np.abs(cf).max()))
-    if scale == 0.0:
-        return 0.0
-    return dev / scale
+            dev, scale = _deviation(dev, scale, cr, cf)
+    return dev / scale if scale else 0.0
+
+
+class FluxAudit(NamedTuple):
+    """What one audit sample needs of the fluxes."""
+
+    production: ScalarField  # entropy_production_density of the state
+    residual: float  # flux_reconstruction_residual of the state
+
+
+def flux_audit(s: State, params: PhysParams) -> FluxAudit:
+    """
+    The entropy production density and the flux-reconstruction residual
+    of s in one pass over the axes, bit for bit equal to
+    entropy_production_density(constitutive_fluxes(s)) and
+    flux_reconstruction_residual(s).
+
+    Per axis it makes the 4-field inverse transform of darcy_axes and a
+    3-field inverse of the batched spectrum of (mu_p/theta, mu_n/theta,
+    1/theta), adds |j_p|^2, |j_n|^2 and |q|^2 to sums kept in axis order,
+    and takes the residual's maxima over that axis's j_p and j_n rows.  It
+    builds no phi_t, exchange flux, j_e or L_thetatheta and holds no
+    FluxSet: 6 + 7*dim transforms (27 at dim 3).
+    """
+    g = s.grid
+    n, p, th = s.n.values, s.p.values, s.theta.values
+    spec = g.fft(np.stack([n, p, th]))
+    L_pp, L_nn, L_pth, L_nth, mu_p, mu_n = _ion_coefficients(s, params)
+    qspec = _quotient_spectrum(g, th, mu_p, mu_n)
+    del mu_p, mu_n
+    jp2, jn2, q2 = np.zeros((3,) + g.shape)
+    dev = scale = 0.0
+    # next() rather than zip: zip's reused result tuple would keep this
+    # axis's gradients alive past the del below
+    axes = darcy_axes(g, spec, n, p, th, params)
+    for m in g.grad_mult:
+        gn, gp, gth, gphi, jp, jn = next(axes)
+        jp2 += jp**2
+        jn2 += jn**2
+        q2 += (-params.k * gth) ** 2
+        del gn, gp, gth, gphi  # frees this axis's Darcy transform
+        gmp, gmn, ginv = g.ifft(m * qspec)
+        dev, scale = _deviation(dev, scale, _ion_row(L_pp, L_pth, gmp, ginv), jp)
+        dev, scale = _deviation(dev, scale, _ion_row(L_nn, L_nth, gmn, ginv), jn)
+        del gmp, gmn, ginv, jp, jn  # before the next axis's transforms
+    return FluxAudit(
+        _production_density(s, params, jp2, jn2, q2), dev / scale if scale else 0.0
+    )

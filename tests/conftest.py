@@ -76,6 +76,21 @@ def peak_grids(fn, grid: GridSpec) -> float:
     return (peak - base) / (8 * grid.n**grid.dim)
 
 
+def count_transforms(monkeypatch) -> list[int]:
+    """Count the real fields GridSpec.fft/ifft transform from now on (batch
+    elements count one each); the count is the returned list's element."""
+    counted = [0]
+    for name in ("fft", "ifft"):
+        orig = getattr(GridSpec, name)
+
+        def counting(grid, arr, _orig=orig):
+            counted[0] += int(np.prod(arr.shape[: arr.ndim - grid.dim]))
+            return _orig(grid, arr)
+
+        monkeypatch.setattr(GridSpec, name, counting)
+    return counted
+
+
 @pytest.fixture
 def grid1d() -> GridSpec:
     return GridSpec(dim=1, n=16, length=1.0)

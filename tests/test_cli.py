@@ -140,3 +140,53 @@ class TestDecay:
         assert "inconclusive verdicts: rate_ordering_verdict" in capsys.readouterr().out
         result = json.loads((tmp_path / "decay-summary.json").read_text())
         assert result["rate_ordering_verdict"] == "inconclusive"
+
+
+class TestDeterminism:
+    """The same config run twice writes byte-identical artifacts."""
+
+    @staticmethod
+    def artifacts(outdir, names):
+        return {p.name: p.read_bytes() for p in sorted(outdir.iterdir()) if p.name in names}
+
+    @pytest.mark.parametrize("scheme", ["RK4", "IMEX1"])
+    def test_run_twice(self, tmp_path, scheme):
+        names = {"audit.csv", "final.snap", "final.snap.json", "final.meta.json"}
+        got = []
+        for k in range(2):
+            out = tmp_path / str(k)
+            code = cli.main([
+                "run",
+                "--set", "grid.dim=2",
+                "--set", "grid.n=16",
+                "--set", "initial_condition.type=random_band",
+                "--set", "initial_condition.seed=4",
+                "--set", f"stepper.scheme={scheme}",
+                "--set", "stepper.t_end=0.006",
+                "--set", "audit_every=2",
+                "--outputs", str(out),
+            ])
+            assert code == cli.EXIT_OK
+            got.append(self.artifacts(out, names))
+        assert {"audit.csv", "final.snap", "final.meta.json"} <= set(got[0])
+        assert got[0] == got[1]
+
+    def test_decay_twice(self, tmp_path):
+        got = []
+        for k in range(2):
+            out = tmp_path / str(k)
+            code = cli.main([
+                "decay",
+                "--set", "grid.dim=2",
+                "--set", "grid.n=16",
+                "--set", "decay.mode_profile=random_band",
+                "--set", "decay.seed=4",
+                "--set", "decay.sample_every=2",
+                "--set", "stepper.dt=2e-4",
+                "--set", "stepper.t_end=0.004",
+                "--outputs", str(out),
+            ])
+            assert code == cli.EXIT_OK
+            got.append(self.artifacts(out, {"decay.csv", "decay-summary.json"}))
+        assert set(got[0]) == {"decay.csv", "decay-summary.json"}
+        assert got[0] == got[1]

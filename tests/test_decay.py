@@ -9,11 +9,13 @@ import pytest
 
 from pnpf.decay import (
     DecayExperiment,
+    _h2_sq,
     dissipation_ledger,
     initial_condition,
     lyapunov,
     run,
     smallness_size,
+    spectra,
     summary,
 )
 from pnpf.dynamics import PerturbationState, StepperConfig
@@ -55,6 +57,18 @@ class TestLyapunov:
             )
         )
         assert abs(got - want) <= 1e-10 * max(1.0, want)
+
+
+    @pytest.mark.parametrize("dim, n", [(2, 64), (3, 16)])
+    def test_batched_spectra_are_the_single_transforms(self, params, dim, n):
+        # run() samples the norms and the functional from one batched
+        # transform; its rows keep the bits of one transform per field
+        grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+        ps = perturbation_state(grid, seed=5, amplitude=1e-2)
+        spec = spectra(ps)
+        for row, f in zip(spec, (ps.u_tilde, ps.v, ps.theta_tilde, ps.phi)):
+            assert np.array_equal(row, grid.fft(f.values))
+        assert lyapunov(ps, params, spec) == lyapunov(ps, params)
 
 
 class TestDissipationLedger:
@@ -125,6 +139,24 @@ class TestRun:
         assert series.completed
         assert np.abs(series.lyapunov).max() == 0.0
         assert series.monotone()
+
+    def test_first_sample_is_the_initial_state(self, params):
+        # each column from its own single-field transform of the initial data
+        grid = GridSpec(dim=2, n=16, length=2 * np.pi)
+        cfg = StepperConfig(scheme="RK4", dt=1e-4, t_end=1e-4)
+        exp = DecayExperiment(delta0=1e-2, seed=2, mode_profile="random_band", cfg=cfg)
+        series = run(exp, grid, params)
+        ps = initial_condition(exp, grid, params)
+        spec = lambda f: grid.fft(f.values)
+        h2 = lambda f: math.sqrt(_h2_sq(grid, spec(f)))
+        assert series.lyapunov[0] == lyapunov(ps, params)
+        assert series.v_l2[0] == math.sqrt(grid.spectral_l2_sum(spec(ps.v)))
+        assert series.grad_phi_l2[0] == math.sqrt(
+            grid.spectral_l2_sum(spec(ps.phi), grid.h1_weight)
+        )
+        assert series.u_l2[0] == math.sqrt(grid.spectral_l2_sum(spec(ps.u_tilde)))
+        assert series.u_h2[0] == h2(ps.u_tilde)
+        assert series.theta_h2[0] == h2(ps.theta_tilde)
 
     def test_single_v_mode_monotone_and_ordered(self, params):
         grid = GridSpec(dim=2, n=16, length=1.0)

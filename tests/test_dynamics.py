@@ -11,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from pnpf.dynamics import (
     PerturbationState,
+    _rhs_perturbation_arrays,
+    _rhs_perturbation_core,
     _rhs_primitive_arrays,
+    _rhs_primitive_core,
     StepAbort,
     StepperConfig,
     convert,
@@ -25,7 +28,9 @@ from pnpf.fields import PhysParams, State
 from pnpf.grid import GridSpec, ScalarField, gradient, inner, laplacian, norm
 from pnpf.poisson import solve
 
-from .conftest import band_limited, peak_grids, perturbation_state, perturbed_state
+from .conftest import (
+    band_limited, count_transforms, peak_grids, perturbation_state, perturbed_state,
+)
 
 
 class TestSignReconciliation:
@@ -347,6 +352,56 @@ class TestStreamedKernels:
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
         cfg = StepperConfig(scheme="RK4", dt=1e-4)
         assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 43.0
+
+
+class TestSpectralCore:
+    """The RHS cores take and return spectra; the array RHS is the forward
+    transform, the core and the inverse transform, and IMEX1 calls the
+    core on the spectrum it already holds."""
+
+    PARAMS = PhysParams(c_p=1.3, c_n=1.7, D_p=0.8, D_n=1.2, k=0.9)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8)])
+    def test_core_keeps_its_input_spectrum(self, dim, n, dealias):
+        grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+        s = perturbed_state(grid, seed=9, amplitude=5e-2)
+        ys = [s.n.values, s.p.values, s.theta.values]
+        spec = grid.fft(np.stack(ys))
+        kept = spec.copy()
+        out = grid.ifft(_rhs_primitive_core(grid, spec, *ys, self.PARAMS, dealias))
+        assert np.array_equal(spec, kept)
+        for a, b in zip(out, _rhs_primitive_arrays(grid, *ys, self.PARAMS, dealias)):
+            assert np.array_equal(a, b)
+
+        ps = convert(s)
+        ys = [ps.u_tilde.values, ps.v.values, ps.theta_tilde.values]
+        spec = grid.fft(np.stack(ys))
+        kept = spec.copy()
+        got = _rhs_perturbation_core(grid, spec, *ys, PhysParams(), dealias)
+        assert np.array_equal(spec, kept)
+        want = _rhs_perturbation_arrays(grid, *ys, PhysParams(), dealias)
+        if dealias:
+            assert all(np.array_equal(a, b) for a, b in zip(grid.ifft(got), want))
+        else:
+            assert np.array_equal(got, grid.fft(np.stack(want)))
+
+    def test_imex1_step_cost(self, monkeypatch):
+        # forward transform of (n, p, theta) 3, the core 22 (the RHS's 28
+        # less its own forward and inverse transforms), the update's inverse
+        # 3 and the Poisson solve of the new State 2
+        grid = GridSpec(dim=3, n=8, length=2 * np.pi)
+        s = perturbed_state(grid, seed=9, amplitude=5e-2)
+        counted = count_transforms(monkeypatch)
+        step(s, StepperConfig(scheme="IMEX1", dt=1e-3), self.PARAMS)
+        assert counted[0] == 30
+
+    # 30.5 full grids at 32^3, as the RHS alone
+    def test_imex1_step_peak_memory(self):
+        grid = GridSpec(dim=3, n=32, length=2 * np.pi)
+        s = perturbed_state(grid, seed=5, amplitude=5e-2)
+        cfg = StepperConfig(scheme="IMEX1", dt=1e-3)
+        assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 31.0
 
 
 class TestStabilityBound:

@@ -18,6 +18,7 @@ from pnpf.fields import (
     energy_density,
     entropy_density,
     entropy_production_density,
+    flux_audit,
     flux_reconstruction_residual,
     onsager_block,
     reconstruct_fluxes,
@@ -347,3 +348,24 @@ class TestFluxReconstruction:
         )
         assert flux_reconstruction_residual(s, params, block) <= 1e-10
         assert flux_reconstruction_residual(s, params, corrupted) > 1e-3
+
+
+class TestFluxAudit:
+    """flux_audit streams what an audit sample needs of the fluxes and
+    equals the definitions bit for bit."""
+
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8)])
+    def test_is_the_definition(self, dim, n):
+        params = PhysParams(c_p=1.3, c_n=1.7, D_p=0.8, D_n=1.2, k=0.9)
+        grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+        s = perturbed_state(grid, seed=21, amplitude=5e-2)
+        production, residual = flux_audit(s, params)
+        want = entropy_production_density(constitutive_fluxes(s, params), s, params)
+        assert np.array_equal(production.values, want.values)
+        assert residual == flux_reconstruction_residual(s, params)
+        assert residual > 0.0
+
+    def test_equilibrium(self, grid3d, params):
+        production, residual = flux_audit(State.equilibrium(grid3d), params)
+        assert residual == 0.0
+        assert not production.values.any()

@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from pnpf import fields
-from pnpf.dynamics import StepperConfig, integrate
+from pnpf import decay, fields
+from pnpf.dynamics import StepperConfig, convert, integrate
 from pnpf.fields import PhysParams, State, onsager_block
 from pnpf.grid import GridSpec, ScalarField
 from pnpf.thermo_audit import (
@@ -21,7 +21,7 @@ from pnpf.thermo_audit import (
     totals,
 )
 
-from .conftest import perturbed_state
+from .conftest import count_transforms, peak_grids, perturbed_state
 
 
 def short_trajectory(grid, params, dt=1e-3, steps=30, sample_every=5, amplitude=1e-2):
@@ -161,24 +161,69 @@ class TestOnsagerResidual:
 
 class TestAuditSample:
     def test_observe_builds_one_flux_set(self, tmp_path, params, monkeypatch):
-        # totals and the reciprocity residual share one FluxSet per sample
-        calls = []
-        real = fields.constitutive_fluxes
+        # totals and the reciprocity residual share one pass over the axes
+        # per sample, which builds no exchange flux (so no FluxSet)
+        calls = {"darcy_axes": 0, "exchange_arrays": 0}
+        for kernel in calls:
+            real = getattr(fields, kernel)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+            def counting(*args, _name=kernel, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("pnpf") and getattr(mod, "constitutive_fluxes", None) is real:
-                monkeypatch.setattr(mod, "constitutive_fluxes", counting)
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("pnpf") and getattr(mod, kernel, None) is real:
+                    monkeypatch.setattr(mod, kernel, counting)
         grid = GridSpec(dim=2, n=8, length=2 * np.pi)
         writer = AuditWriter(tmp_path / "audit.csv", params)
         try:
             writer.observe(0.0, perturbed_state(grid, seed=3, amplitude=1e-2))
         finally:
             writer.close()
-        assert len(calls) == 1
+        assert calls == {"darcy_axes": 1, "exchange_arrays": 0}
+
+    @pytest.mark.parametrize("dim, n, c_n", [(2, 16, 1.5), (3, 16, 1.5), (3, 8, 1.7)])
+    def test_columns_equal_their_definitions(self, tmp_path, dim, n, c_n):
+        params = PhysParams(c_p=1.5, c_n=c_n, D_p=0.8, D_n=1.2, k=0.9)
+        grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+        s = perturbed_state(grid, seed=11, amplitude=5e-2)
+        writer = AuditWriter(tmp_path / "audit.csv", params)
+        try:
+            writer.observe(0.0, s)
+        finally:
+            writer.close()
+        (rec,) = writer.records
+        got = (rec.mass_n, rec.mass_p, rec.E, rec.S, rec.Delta)
+        assert got == totals(s, params)  # Delta through constitutive_fluxes
+        assert rec.onsager_residual == onsager_residual(s, params)
+        if c_n == params.c_p:
+            assert rec.lyapunov == decay.lyapunov(convert(s), params)
+        else:
+            assert math.isnan(rec.lyapunov)
+
+    def test_sample_cost(self, tmp_path, params, monkeypatch):
+        # the flux pass 3 + 3 forward and 4 + 3 inverse per axis, the
+        # Lyapunov functional 4: at most one RHS evaluation (28)
+        grid = GridSpec(dim=3, n=8, length=2 * np.pi)
+        s = perturbed_state(grid, seed=3, amplitude=1e-2)
+        writer = AuditWriter(tmp_path / "audit.csv", params)
+        counted = count_transforms(monkeypatch)
+        try:
+            writer.observe(0.0, s)
+        finally:
+            writer.close()
+        assert counted[0] == 31
+
+    # 26.9 full grids at 32^3; a sample that builds a FluxSet and then the
+    # full reconstruction next to it peaks at 42.0
+    def test_sample_peak_memory(self, tmp_path, params):
+        grid = GridSpec(dim=3, n=32, length=2 * np.pi)
+        s = perturbed_state(grid, seed=3, amplitude=1e-2)
+        writer = AuditWriter(tmp_path / "audit.csv", params)
+        try:
+            assert peak_grids(lambda: writer.observe(0.0, s), grid) <= 30.0
+        finally:
+            writer.close()
 
 
 class TestAuditRecord:

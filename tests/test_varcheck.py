@@ -53,6 +53,19 @@ class TestEntropyFunctional:
         want = float(entropy_density(s2, params).values.sum() * grid3d.cell_volume)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
+    def test_buffer_fsum_is_the_list_fsum(self, params):
+        # fsum is correctly rounded, so summing the array's buffer gives the
+        # bits of summing its list of floats
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        s = perturbed_state(grid, seed=5, amplitude=1e-2)
+        e = energy_density(s, params)
+        theta, _ = derived_temperature(s.p, s.n, e, params)
+        logth = np.log(theta)
+        eta = -s.p.values * (np.log(s.p.values) - params.c_p * logth)
+        eta -= s.n.values * (np.log(s.n.values) - params.c_n * logth)
+        want = math.fsum(eta.ravel().tolist()) * grid.cell_volume
+        assert entropy_functional(s.p, s.n, e, params) == want
+
     def test_rejects_nonpositive_derived_theta(self, grid3d, params):
         one = ScalarField.constant(grid3d, 1.0)
         e = ScalarField.constant(grid3d, -1.0)
