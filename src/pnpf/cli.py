@@ -7,9 +7,10 @@ print it); individual values can be overridden on the command line with
 repeated --set dotted.key=json-value flags.  The default output root is
 $PNPF_OUT, else the current directory.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 runtime abort
-(positivity breach, non-finite values, an audited entropy production
-below the roundoff floor).  Runs are deterministic: the same
+Exit codes: 0 success, 1 a failed varcheck verdict, 2 configuration/
+validation error (a config value of the wrong type included), 3 runtime
+abort (positivity breach, non-finite values, an audited entropy
+production below the roundoff floor).  Runs are deterministic: the same
 config and seed produce bit-identical CSV artifacts on one platform
 (counter-based Philox streams, fixed 17-significant-digit formatting).
 """
@@ -160,6 +161,23 @@ def load_config(path: str | None, sets: list[str]) -> dict:
     for assignment in sets:
         _apply_set(config, assignment)
     return config
+
+
+def _check_types(config: dict, defaults: dict = DEFAULTS, schema: dict = CONFIG_SCHEMA,
+                 prefix: str = "") -> None:
+    """ConfigError naming the key unless every value has the JSON type of
+    its default: an object for a section, a number (an integer too) for a
+    float, a string or null for outputs."""
+    for key, default in defaults.items():
+        name, val = prefix + key, config[key]
+        allowed = {float: (int, float), type(None): (str, type(None))}.get(
+            type(default), (type(default),)
+        )
+        if type(val) not in allowed:
+            expected = "an object" if isinstance(default, dict) else schema[key]
+            raise ConfigError(f"config key {name!r} is {json.dumps(val)}, expected {expected}")
+        if isinstance(default, dict):
+            _check_types(val, default, schema[key], name + ".")
 
 
 def _build_objects(config: dict):
@@ -362,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("run", "integrate and write audit.csv, checkpoints, final snapshot"),
+        ("run", "integrate and write audit.csv and the final checkpoint final.*"),
         ("varcheck", "variational-identity checks -> varcheck-report.json"),
         ("decay", "small-perturbation decay experiment -> decay.csv + summary"),
         ("plotdata", "tidy run CSVs into long-format plotdata.csv"),
@@ -392,6 +410,7 @@ def main(argv=None) -> int:
         config = load_config(args.config, args.set)
         if args.outputs:
             config["outputs"] = args.outputs
+        _check_types(config)
         if args.command == "run":
             return cmd_run(config)
         if args.command == "varcheck":

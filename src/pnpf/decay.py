@@ -97,20 +97,6 @@ def lyapunov(ps: PerturbationState, params: PhysParams, spec=None) -> float:
     return float(out)
 
 
-def dissipation_ledger(ps: PerturbationState, params: PhysParams):
-    """The three dissipation functionals driving the decay estimate:
-    (sum of ||grad f||_H2^2 over f in (u_tilde, v, theta_tilde),
-    ||v||_H2^2, ||grad phi||_L2^2)."""
-    g = ps.grid
-    w_grad_h2 = g.k2 * (1.0 + g.h1_weight + g.h2_weight)
-    d1 = 0.0
-    for f in (ps.u_tilde, ps.v, ps.theta_tilde):
-        d1 += g.spectral_l2_sum(g.fft(f.values), w_grad_h2)
-    d2 = _h2_sq(g, g.fft(ps.v.values))
-    d3 = g.spectral_l2_sum(g.fft(ps.phi.values), g.h1_weight)
-    return d1, d2, d3
-
-
 def _smallness_from_arrays(grid: GridSpec, ut, v, tt) -> float:
     n1 = 0.5 * (ut + v)
     p1 = 0.5 * (ut - v)

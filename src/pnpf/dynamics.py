@@ -363,6 +363,8 @@ def stability_bound(
 
 
 def _check_stage(names, arrays, floor, shifts):
+    """StepAbort unless every array is finite and min(array) + shift is at
+    least the floor; a shift of math.inf checks finiteness only."""
     for name, arr, shift in zip(names, arrays, shifts):
         low = float(arr.min()) + shift
         if not np.all(np.isfinite(arr)):
@@ -404,19 +406,25 @@ def step(state, cfg: StepperConfig, params: PhysParams):
     raise TypeError(f"cannot step object of type {type(state).__name__}")
 
 
-def _step_primitive(s: State, cfg: StepperConfig, params: PhysParams) -> State:
-    g = s.grid
-    names = ("n", "p", "theta")
-    shifts = (0.0, 0.0, 0.0)
+def _advance(g, ys, cfg, params, names, shifts, rhs_arrays, imex1):
+    """One RK4 or IMEX1 step of the arrays ys; every stage is checked
+    against the floor after adding its shift (see _check_stage)."""
     check = lambda ys: _check_stage(names, ys, cfg.positivity_floor, shifts)
-    ys = [s.n.values, s.p.values, s.theta.values]
     check(ys)
     if cfg.scheme == "RK4":
-        rhs = lambda ys: _rhs_primitive_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias)
-        out = _rk4(ys, rhs, cfg.dt, check)
-    else:
-        out = _imex1_primitive(g, ys, cfg, params)
-        check(out)
+        rhs = lambda ys: rhs_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias)
+        return _rk4(ys, rhs, cfg.dt, check)
+    out = imex1(g, ys, cfg, params)
+    check(out)
+    return out
+
+
+def _step_primitive(s: State, cfg: StepperConfig, params: PhysParams) -> State:
+    g = s.grid
+    out = _advance(
+        g, [s.n.values, s.p.values, s.theta.values], cfg, params,
+        ("n", "p", "theta"), (0.0, 0.0, 0.0), _rhs_primitive_arrays, _imex1_primitive,
+    )
     n, p, th = (ScalarField(g, a) for a in out)
     return State.from_primitives(n, p, th)
 
@@ -426,27 +434,12 @@ def _step_perturbation(
 ) -> PerturbationState:
     _require_perturbation_params(params)
     g = ps.grid
-    names = ("2 + u_tilde", "v", "1 + theta_tilde")
-    shifts = (2.0, math.inf, 1.0)  # v is unconstrained
-
-    def check(ys):
-        for name, arr, shift in zip(names, ys, shifts):
-            if not np.all(np.isfinite(arr)):
-                raise StepAbort(f"non-finite values in {name}")
-            if shift != math.inf and float(arr.min()) + shift < cfg.positivity_floor:
-                raise StepAbort(
-                    f"positivity floor breached in {name}: "
-                    f"{float(arr.min()) + shift:.3e} < {cfg.positivity_floor:.0e}"
-                )
-
-    ys = [ps.u_tilde.values, ps.v.values, ps.theta_tilde.values]
-    check(ys)
-    if cfg.scheme == "RK4":
-        rhs = lambda ys: _rhs_perturbation_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias)
-        out = _rk4(ys, rhs, cfg.dt, check)
-    else:
-        out = _imex1_perturbation(g, ys, cfg, params)
-        check(out)
+    out = _advance(
+        g, [ps.u_tilde.values, ps.v.values, ps.theta_tilde.values], cfg, params,
+        ("2 + u_tilde", "v", "1 + theta_tilde"),
+        (2.0, math.inf, 1.0),  # v is unconstrained
+        _rhs_perturbation_arrays, _imex1_perturbation,
+    )
     ut, v, tt = (ScalarField(g, a) for a in out)
     return PerturbationState.from_fields(ut, v, tt)
 

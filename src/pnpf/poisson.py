@@ -8,9 +8,11 @@ independent).  The solvability condition is neutrality, mean(v) = 0; a
 violation signals an initial-condition bug and is reported, never
 repaired.
 
-greens_apply realizes the torus Green's function of -Delta including its
-constant-mode filter; it accepts sources with nonzero mean (the mean is
-annihilated, matching the zero-mean-gauge kernel) and is self-adjoint.
+greens_apply is the one inverse Laplacian, (-Delta)^{-1}: the torus
+Green's function of -Delta including its constant-mode filter.  It
+accepts sources with nonzero mean (the mean is annihilated, matching the
+zero-mean-gauge kernel) and is self-adjoint; on a neutral source it is
+-solve.
 """
 
 from __future__ import annotations
@@ -64,22 +66,6 @@ def solve(v: ScalarField) -> PoissonSolution:
             "the periodic problem requires a neutral source"
         )
     return PoissonSolution(ScalarField(g, solve_array(g, v.values)), v)
-
-
-def inverse_laplacian(gfield: ScalarField) -> ScalarField:
-    """
-    Apply (-Delta)^{-1} with the zero-mean gauge: -laplacian(result) equals
-    g - mean(g), and the result has zero mean.  Requires a neutral input,
-    like solve.
-    """
-    g = gfield.grid
-    m = float(gfield.values.mean())
-    if abs(m) > NEUTRALITY_TOL:
-        raise NonNeutralSource(
-            f"inverse_laplacian source has mean {m:.3e} "
-            f"(tolerance {NEUTRALITY_TOL:.0e})"
-        )
-    return ScalarField(g, -solve_array(g, gfield.values))
 
 
 def greens_apply(grid: GridSpec, values: np.ndarray) -> np.ndarray:

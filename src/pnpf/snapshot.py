@@ -79,15 +79,22 @@ def write_snapshot(path, grid: GridSpec, fields: dict) -> None:
 def read_snapshot(path) -> tuple[GridSpec, dict]:
     """Read a snapshot; returns (grid, {name: array}).
 
-    Raises SnapshotFormatError unless the file is exactly the header plus
-    one block per sidecar field, and the sidecar's format, version, dim,
-    n and length agree with the header."""
+    Raises SnapshotFormatError unless the sidecar is a JSON object whose
+    fields are a list of names, the header's dim and n are integers, the
+    file is exactly the header plus one block per sidecar field, and the
+    sidecar's format, version, dim, n and length agree with the header.
+    A malformed file raises no other exception than ValueError."""
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     if not sidecar_path.exists():
         raise SnapshotFormatError(f"missing sidecar {sidecar_path}")
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
+    if not isinstance(sidecar, dict):
+        raise SnapshotFormatError("sidecar is not a JSON object")
+    names = sidecar.get("fields")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise SnapshotFormatError(f"sidecar fields {names!r} is not a list of names")
     with open(path, "rb") as fh:
         head = fh.read(HEADER_SIZE)
         if len(head) < HEADER_SIZE or head[:4] != MAGIC:
@@ -96,6 +103,8 @@ def read_snapshot(path) -> tuple[GridSpec, dict]:
         if version != VERSION:
             raise SnapshotFormatError(f"unsupported snapshot version {version}")
         dim_f, n_f, length = struct.unpack("<ddd", head[8:32])
+        if not (dim_f.is_integer() and n_f.is_integer()):
+            raise SnapshotFormatError(f"header dim {dim_f!r} or n {n_f!r} is not an integer")
         dim, n = int(dim_f), int(n_f)
         if sidecar.get("format") != FORMAT:
             raise SnapshotFormatError(f"sidecar format {sidecar.get('format')!r}")
@@ -107,7 +116,7 @@ def read_snapshot(path) -> tuple[GridSpec, dict]:
         grid = GridSpec(dim=dim, n=n, length=length)
         count = n**dim
         out = {}
-        for name in sidecar["fields"]:
+        for name in names:
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise SnapshotFormatError(f"truncated data for field {name!r}")

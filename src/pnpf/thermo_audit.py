@@ -6,17 +6,20 @@ On the boundaryless box the ion masses and the total energy are constant
 in time, the total entropy S satisfies dS/dt = Delta >= 0 (the integrated
 second law: the transport terms are perfect divergences and drop out),
 and the Darcy fluxes are exactly reconstructible from the linear-response
-block.  Each audit measures how well the *numerical* trajectory honors
-the corresponding identity:
+block.  Each audit is one column of AuditRecord, which AuditWriter fills
+in and nothing else recomputes; it measures how well the *numerical*
+trajectory honors the corresponding identity:
 
-* mass/energy drifts are pure time-integration error (the spatial
-  semi-discretization conserves both exactly for dealiased states),
-* the entropy law is tested by a centered time difference of sampled S
-  against the instantaneous entropy production, so the residual shrinks
-  quadratically with the sampling interval,
-* the reciprocity residual is the flux-reconstruction deviation; the
-  coefficient symmetry itself holds by construction (each reciprocal pair
-  of the Onsager block is one array), so it is not measured.
+* mass/energy drifts (mass_n, mass_p, energy_drift_rel) are pure
+  time-integration error (the spatial semi-discretization conserves both
+  exactly for dealiased states),
+* the entropy law (dSdt_minus_Delta) is tested by a centered time
+  difference of sampled S against the instantaneous entropy production,
+  so the residual shrinks quadratically with the sampling interval,
+* the reciprocity residual (onsager_residual) is the flux-reconstruction
+  deviation; the coefficient symmetry itself holds by construction (each
+  reciprocal pair of the Onsager block is one array), so it is not
+  measured.
 
 One sample (AuditWriter.observe) costs about one RHS evaluation.
 fields.flux_audit makes one pass over the axes for the entropy production
@@ -41,8 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 
-import numpy as np
-
 from . import decay
 from .dynamics import StepAbort, StepperConfig, convert, integrate
 from .fields import (
@@ -53,8 +54,6 @@ from .fields import (
     entropy_density,
     entropy_production_density,
     flux_audit,
-    # the audit's reciprocity residual, under the name of its CSV column
-    flux_reconstruction_residual as onsager_residual,
 )
 from .grid import integrate as quad
 
@@ -111,35 +110,6 @@ def totals(s: State, params: PhysParams, production=None):
         quad(entropy_density(s, params)),
         quad(production),
     )
-
-
-def clausius_duhem_residual(traj, params: PhysParams) -> np.ndarray:
-    """
-    For uniformly spaced samples (t_j, State_j): centered-difference dS/dt
-    minus Delta at the interior samples, normalized by max(|Delta|, eps).
-    Requires at least 3 samples.
-    """
-    if len(traj) < 3:
-        raise ValueError("clausius_duhem_residual needs at least 3 samples")
-    ts = np.array([t for t, _ in traj])
-    dts = np.diff(ts)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("trajectory samples must be uniformly spaced")
-    S = np.empty(len(traj))
-    D = np.empty(len(traj))
-    for j, (_, s) in enumerate(traj):
-        S[j] = quad(entropy_density(s, params))
-        D[j] = quad(entropy_production_density(constitutive_fluxes(s, params), s, params))
-    dt = dts[0]
-    dSdt = (S[2:] - S[:-2]) / (2.0 * dt)
-    denom = max(float(np.abs(D).max()), np.finfo(float).eps)
-    return (dSdt - D[1:-1]) / denom
-
-
-def energy_conservation_residual(traj, params: PhysParams) -> np.ndarray:
-    """|E(t) - E(0)| / |E(0)| at every sample."""
-    E = np.array([quad(energy_density(s, params)) for _, s in traj])
-    return np.abs(E - E[0]) / abs(E[0])
 
 
 class AuditWriter:

@@ -27,7 +27,9 @@ size all the way down to rounding.
 
 Inserting the Darcy/Fourier constitutive fluxes makes conservative and
 dissipative forces coincide identically; force_balance_residual measures
-the discrete remainder of that identity.
+the discrete remainder of that identity.  The checks and the balance take
+the closed-form forces as inputs: varcheck_report builds each force set
+once, and it serves both its check and the balance.
 
 The eliminated heat flux
 
@@ -63,12 +65,14 @@ from .fields import (
     PhysParams,
     PositivityError,
     State,
+    _deviation,
+    _production_density,
     constitutive_fluxes,
     energy_density,
     energy_weights,
     exchange_arrays,
 )
-from .grid import GridSpec, ScalarField, VectorField, divergence_arrays, grad_arrays
+from .grid import GridSpec, ScalarField, VectorField, divergence_arrays, grad_arrays, integrate
 from .poisson import greens_apply, solve_array
 
 DEFAULT_EPS_SCAN = (1e-3, 1e-4, 1e-5)
@@ -181,11 +185,8 @@ def _eliminate_heat_flux(s: State, params: PhysParams, j_p, j_n, j_e, gphi=None)
 
 def _dissipation(s: State, params: PhysParams, j_p, j_n, q) -> float:
     """The quadratic entropy production of (j_p, j_n) and the heat flux q."""
-    th = s.theta.values
-    dens = sum(c**2 for c in j_p) / (params.D_p * s.p.values * th)
-    dens += sum(c**2 for c in j_n) / (params.D_n * s.n.values * th)
-    dens += sum(c**2 for c in q) / (params.k * th**2)
-    return float(dens.sum() * s.grid.cell_volume)
+    sq = lambda comps: sum(c**2 for c in comps)
+    return integrate(_production_density(s, params, sq(j_p), sq(j_n), sq(q)))
 
 
 def dissipation_functional(s: State, params: PhysParams, j_p, j_n, j_e) -> float:
@@ -196,7 +197,7 @@ def dissipation_functional(s: State, params: PhysParams, j_p, j_n, j_e) -> float
 
 
 @dataclass(frozen=True)
-class _DissipativeClosedForm:
+class DissipativeClosedForm:
     """The dissipative forces of one flux triple, with what a
     central-difference scan around that triple reuses: the triple itself,
     grad(phi) and the eliminated heat flux q."""
@@ -208,7 +209,10 @@ class _DissipativeClosedForm:
     forces: ForceSet
 
 
-def _dissipative_closed_form(s: State, fl, params: PhysParams) -> _DissipativeClosedForm:
+def dissipative_closed_form(s: State, fl, params: PhysParams) -> DissipativeClosedForm:
+    """Closed-form half-derivatives of the entropy production with respect
+    to (j_p, j_n, j_e), in .forces; linear in the fluxes.  fl provides
+    (j_p, j_n, j_e) (a FluxSet or any object with those attributes)."""
     g = s.grid
     j_p, j_n = fl.j_p.components, fl.j_n.components
     th, phi = s.theta.values, s.phi.values
@@ -230,35 +234,19 @@ def _dissipative_closed_form(s: State, fl, params: PhysParams) -> _DissipativeCl
     forces = ForceSet(
         VectorField(g, tuple(f_p)), VectorField(g, tuple(f_n)), VectorField(g, tuple(R))
     )
-    return _DissipativeClosedForm(j_p, j_n, gphi, q, forces)
+    return DissipativeClosedForm(j_p, j_n, gphi, q, forces)
 
 
-def dissipative_force_closed(s: State, fl, params: PhysParams) -> ForceSet:
-    """Closed-form half-derivatives of the entropy production with respect
-    to (j_p, j_n, j_e); linear in the fluxes.  fl provides (j_p, j_n, j_e)
-    (a FluxSet or any object with those attributes)."""
-    return _dissipative_closed_form(s, fl, params).forces
-
-
-def force_balance_residual(s: State, params: PhysParams, fl=None,
-                           con: ForceSet | None = None, dis: ForceSet | None = None) -> float:
-    """Max relative deviation between conservative and dissipative closed
-    forms with the constitutive fluxes fl inserted; zero at equilibrium.
-    The conservative forces con and the dissipative forces dis of fl are
-    built here when not given (fl too)."""
-    if con is None:
-        con = conservative_force_closed(s, params)
-    if dis is None:
-        dis = dissipative_force_closed(s, constitutive_fluxes(s, params) if fl is None else fl,
-                                       params)
-    dev, scale = 0.0, 0.0
+def force_balance_residual(con: ForceSet, dis: ForceSet) -> float:
+    """Max deviation between the conservative forces con and the
+    dissipative forces dis, relative to the largest conservative force;
+    zero at equilibrium.  With the constitutive fluxes inserted into dis
+    the two coincide identically, so this is the discrete remainder."""
+    dev = scale = 0.0
     for fc, fd in ((con.f_p, dis.f_p), (con.f_n, dis.f_n), (con.f_e, dis.f_e)):
         for cc, cd in zip(fc.components, fd.components):
-            dev = max(dev, float(np.abs(cc - cd).max()))
-            scale = max(scale, float(np.abs(cc).max()))
-    if scale == 0.0:
-        return 0.0
-    return dev / scale
+            dev, scale = _deviation(dev, scale, cd, cc)
+    return dev / scale if scale else 0.0
 
 
 # -- central-difference functional-derivative checks --------------------------
@@ -271,7 +259,21 @@ def _pair(grid: GridSpec, force: VectorField, probe: VectorField) -> float:
     )
 
 
-def _scan_result(pairing: float, rows: list) -> dict:
+def _scan_result(g: GridSpec, forces: ForceSet, probe: FlowMapProbe, fd_at) -> dict:
+    """The scan table of the central differences fd_at(eps) over the eps
+    scan of the probe against its pairing with the closed-form forces,
+    with the best error and the convergence order."""
+    pairing = (
+        _pair(g, forces.f_p, probe.dJ_p)
+        + _pair(g, forces.f_n, probe.dJ_n)
+        + _pair(g, forces.f_e, probe.dJ_e)
+    )
+    rows = []
+    for eps in probe.eps_scan:
+        fd = fd_at(eps)
+        rows.append(
+            {"eps": eps, "fd": fd, "rel_err": abs(fd - pairing) / max(abs(pairing), 1e-300)}
+        )
     errs = [r["rel_err"] for r in rows]
     # a quadratic functional is differentiated exactly by central
     # differences; every scan entry then sits at the rounding floor and a
@@ -293,18 +295,11 @@ def _scan_result(pairing: float, rows: list) -> dict:
 
 
 def check_conservative(s: State, params: PhysParams, probe: FlowMapProbe,
-                       forces: ForceSet | None = None) -> dict:
+                       forces: ForceSet) -> dict:
     """Central differences of the entropy functional along the probe
-    against the closed-form pairing, over the eps scan.  The conservative
-    forces are built here when not given."""
+    against the pairing of the conservative forces of s, over the eps
+    scan."""
     g = s.grid
-    if forces is None:
-        forces = conservative_force_closed(s, params)
-    pairing = (
-        _pair(g, forces.f_p, probe.dJ_p)
-        + _pair(g, forces.f_n, probe.dJ_n)
-        + _pair(g, forces.f_e, probe.dJ_e)
-    )
     e0 = energy_density(s, params)
     div_p = divergence_arrays(g, probe.dJ_p.components)
     div_n = divergence_arrays(g, probe.dJ_n.components)
@@ -316,36 +311,19 @@ def check_conservative(s: State, params: PhysParams, probe: FlowMapProbe,
         e = ScalarField(g, e0.values - eps * div_e)
         return entropy_functional(p, n, e, params)
 
-    rows = []
-    for eps in probe.eps_scan:
-        fd = (S_at(eps) - S_at(-eps)) / (2.0 * eps)
-        rows.append(
-            {"eps": eps, "fd": fd, "rel_err": abs(fd - pairing) / max(abs(pairing), 1e-300)}
-        )
-    return _scan_result(pairing, rows)
+    return _scan_result(g, forces, probe, lambda eps: (S_at(eps) - S_at(-eps)) / (2.0 * eps))
 
 
 def check_dissipative(s: State, params: PhysParams, probe: FlowMapProbe,
-                      fl=None, closed: _DissipativeClosedForm | None = None) -> dict:
+                      closed: DissipativeClosedForm) -> dict:
     """Half central differences of the entropy-production functional along
-    the probe against the closed-form pairing (linear-response factor
-    one-half included).  closed, the dissipative closed form of fl, is
-    built here when not given (fl too).
+    the probe, around the fluxes j0 of closed, against the pairing of its
+    forces (linear-response factor one-half included).
 
     q is linear in the fluxes, so the scan eliminates the heat flux twice,
-    q0 for fl and q1 for the probe, and evaluates the functional at
-    (j0 + eps*dJ, q0 + eps*q1) for every eps."""
+    q0 for j0 (closed.q) and q1 for the probe, and evaluates the
+    functional at (j0 + eps*dJ, q0 + eps*q1) for every eps."""
     g = s.grid
-    if closed is None:
-        closed = _dissipative_closed_form(
-            s, constitutive_fluxes(s, params) if fl is None else fl, params
-        )
-    forces = closed.forces
-    pairing = (
-        _pair(g, forces.f_p, probe.dJ_p)
-        + _pair(g, forces.f_n, probe.dJ_n)
-        + _pair(g, forces.f_e, probe.dJ_e)
-    )
     dJ_p, dJ_n = probe.dJ_p.components, probe.dJ_n.components
     q1, _, _ = _eliminate_heat_flux(s, params, dJ_p, dJ_n, probe.dJ_e.components, closed.gphi)
 
@@ -355,13 +333,9 @@ def check_dissipative(s: State, params: PhysParams, probe: FlowMapProbe,
         q = [closed.q[i] + eps * q1[i] for i in range(g.dim)]
         return _dissipation(s, params, jp, jn, q)
 
-    rows = []
-    for eps in probe.eps_scan:
-        fd = 0.5 * (D_at(eps) - D_at(-eps)) / (2.0 * eps)
-        rows.append(
-            {"eps": eps, "fd": fd, "rel_err": abs(fd - pairing) / max(abs(pairing), 1e-300)}
-        )
-    return _scan_result(pairing, rows)
+    return _scan_result(
+        g, closed.forces, probe, lambda eps: 0.5 * (D_at(eps) - D_at(-eps)) / (2.0 * eps)
+    )
 
 
 def varcheck_report(
@@ -377,13 +351,13 @@ def varcheck_report(
     closed-form force set is built once and serves its check and the
     balance."""
     probe = random_probe(s.grid, seed=seed, kmax=probe_kmax)
-    closed = _dissipative_closed_form(s, constitutive_fluxes(s, params), params)
-    dis = check_dissipative(s, params, probe, closed=closed)
+    closed = dissipative_closed_form(s, constitutive_fluxes(s, params), params)
+    dis = check_dissipative(s, params, probe, closed)
     dis_forces = closed.forces
     del closed  # the scan's inputs are spent; only the forces serve the balance
     con_forces = conservative_force_closed(s, params)
     con = check_conservative(s, params, probe, con_forces)
-    balance = force_balance_residual(s, params, con=con_forces, dis=dis_forces)
+    balance = force_balance_residual(con_forces, dis_forces)
     passed = (
         con["best_rel_err"] <= fd_tol
         and dis["best_rel_err"] <= fd_tol

@@ -49,6 +49,30 @@ class TestConfig:
         assert not (tmp_path / "audit.csv").exists()
 
 
+class TestConfigTypes:
+    """A config value of the wrong JSON type exits 2 and names its key; no
+    value of any type lets an exception escape main."""
+
+    BASE = ["--set", "grid.dim=1", "--set", "grid.n=8", "--set", "stepper.t_end=2e-3",
+            "--set", "initial_condition.type=random_band"]
+
+    @pytest.mark.parametrize("value", ["null", "[1]", '{"a": 1}', '"x"'])
+    @pytest.mark.parametrize("key", sorted(leaf_keys(cli.CONFIG_SCHEMA)))
+    def test_every_key_and_type(self, tmp_path, monkeypatch, capsys, key, value):
+        # outputs is left to the config: "." is tmp_path
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PNPF_OUT", raising=False)
+        section = key.partition(".")[0]
+        command = section if section in ("decay", "varcheck") else "run"
+        code = cli.main([command, *self.BASE, "--set", f"{key}={value}"])
+        assert code in (0, 1, 2, 3)
+        # null, [1] and {"a": 1} have the wrong type for every key but a null
+        # outputs; "x" has the right one for the string keys
+        if value != '"x"' and (key, value) != ("outputs", "null"):
+            assert code == cli.EXIT_CONFIG
+            assert repr(key) in capsys.readouterr().err
+
+
 def read_audit_csv(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")

@@ -1,5 +1,6 @@
-"""Decay harness: Lyapunov functional values, dissipation ledger,
-monotone decay, screening-rate ordering, amplitude scaling."""
+"""Decay harness: Lyapunov functional values (the screening term through
+the Poisson equation included), monotone decay, screening-rate ordering,
+amplitude scaling."""
 
 import math
 from dataclasses import replace
@@ -10,7 +11,6 @@ import pytest
 from pnpf.decay import (
     DecayExperiment,
     _h2_sq,
-    dissipation_ledger,
     initial_condition,
     lyapunov,
     run,
@@ -43,6 +43,23 @@ class TestLyapunov:
         want = a**2 * (1 + (2 * np.pi) ** 2 + (2 * np.pi) ** 4) / 2
         assert abs(lyapunov(ps, params) - want) <= 1e-10 * want
 
+    def test_single_v_mode_poisson_algebra(self, params):
+        # pure v mode a sin(k x): ||v||_H2^2 = (a^2/2)(1 + k^2 + k^4) and,
+        # through the Poisson equation, ||grad phi||^2 = ||v||^2 / k^2
+        grid = GridSpec(dim=3, n=16, length=1.0)
+        a = 1e-2
+        k = 2 * np.pi / grid.length
+        x = grid.axes_coordinates()[0]
+        zero = ScalarField.constant(grid, 0.0)
+        ps = PerturbationState.from_fields(
+            zero, ScalarField(grid, a * np.sin(k * x)), zero
+        )
+        v_l2_sq = a**2 / 2
+        v_h2_sq = v_l2_sq * (1 + k**2 + k**4)
+        got = lyapunov(ps, params)
+        assert abs(got - (v_h2_sq + v_l2_sq / k**2)) <= 1e-10 * got
+        assert abs((got - v_h2_sq) - v_l2_sq / k**2) <= 1e-12 * v_l2_sq
+
     def test_matches_term_by_term_oracle(self, params):
         grid = GridSpec(dim=2, n=8, length=1.0)
         ps = perturbation_state(grid, seed=3, amplitude=1e-2)
@@ -72,37 +89,41 @@ class TestLyapunov:
 
 
 class TestDissipationLedger:
-    def test_zero(self, grid3d, params):
-        assert dissipation_ledger(PerturbationState.zero(grid3d), params) == (0, 0, 0)
+    """The component norms each decay sample records next to Lambda:
+    ||v||_L2, ||grad phi||_L2, ||u_tilde||_L2 and the H^2 norms of u_tilde
+    and theta_tilde."""
 
-    def test_single_v_mode_poisson_algebra(self, params):
-        # pure v mode: d3 = ||grad phi||^2 = ||v||^2 / k^2
-        grid = GridSpec(dim=3, n=16, length=1.0)
-        a = 1e-2
-        k = 2 * np.pi / grid.length
-        x = grid.axes_coordinates()[0]
-        zero = ScalarField.constant(grid, 0.0)
-        ps = PerturbationState.from_fields(
-            zero, ScalarField(grid, a * np.sin(k * x)), zero
-        )
-        d1, d2, d3 = dissipation_ledger(ps, params)
-        v_l2_sq = a**2 / 2
-        assert d2 > 0 and d3 > 0
-        assert abs(d3 - v_l2_sq / k**2) <= 1e-12 * v_l2_sq
-        assert abs(d2 - v_l2_sq * (1 + k**2 + k**4)) <= 1e-10 * d2
+    columns = ("v_l2", "grad_phi_l2", "u_l2", "u_h2", "theta_h2")
+
+    def test_zero(self, params):
+        grid = GridSpec(dim=2, n=8, length=1.0)
+        cfg = StepperConfig(scheme="RK4", dt=1e-4, t_end=2e-4)
+        series = run(DecayExperiment(delta0=0.0, cfg=cfg, sample_every=1), grid, params)
+        assert len(series.t) == 3
+        for name in self.columns:
+            assert np.abs(getattr(series, name)).max() == 0.0, name
 
     def test_matches_norm_oracle(self, params):
         grid = GridSpec(dim=2, n=8, length=1.0)
-        ps = perturbation_state(grid, seed=5, amplitude=1e-2)
-        d1, d2, d3 = dissipation_ledger(ps, params)
-        want_d2 = oracles.dense_hk_norm(grid, ps.v.values, 2) ** 2
-        assert abs(d2 - want_d2) <= 1e-10 * max(1.0, want_d2)
-        want_d1 = 0.0
-        for f in (ps.u_tilde.values, ps.v.values, ps.theta_tilde.values):
-            for ax in range(grid.dim):
-                g = oracles.dense_gradient(grid, f)[ax]
-                want_d1 += oracles.dense_hk_norm(grid, g, 2) ** 2
-        assert abs(d1 - want_d1) <= 1e-10 * max(1.0, want_d1)
+        cfg = StepperConfig(scheme="RK4", dt=1e-4, t_end=1e-4)
+        exp = DecayExperiment(delta0=1e-2, seed=5, mode_profile="random_band", cfg=cfg)
+        series = run(exp, grid, params)
+        ps = initial_condition(exp, grid, params)
+        grad_phi_sq = sum(
+            oracles.fsum_integral(grid, g**2)
+            for g in oracles.dense_gradient(grid, ps.phi.values)
+        )
+        want = {
+            "v_l2": oracles.dense_hk_norm(grid, ps.v.values, 0),
+            "grad_phi_l2": math.sqrt(grad_phi_sq),
+            "u_l2": oracles.dense_hk_norm(grid, ps.u_tilde.values, 0),
+            "u_h2": oracles.dense_hk_norm(grid, ps.u_tilde.values, 2),
+            "theta_h2": oracles.dense_hk_norm(grid, ps.theta_tilde.values, 2),
+        }
+        for name in self.columns:
+            got = getattr(series, name)[0]
+            assert got > 0, name
+            assert abs(got - want[name]) <= 1e-10 * max(1.0, want[name]), name
 
 
 class TestInitialCondition:

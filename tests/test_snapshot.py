@@ -1,10 +1,15 @@
-"""The binary snapshot container: a bit-exact round trip, and one rejected
-file per way the container and its sidecar can disagree."""
+"""The binary snapshot container: a bit-exact round trip, one rejected
+file per way the container and its sidecar can disagree, and fuzzed
+headers and sidecars that raise nothing but ValueError."""
 
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pnpf.grid import GridSpec
 from pnpf.snapshot import SnapshotFormatError, read_snapshot, write_snapshot
@@ -64,3 +69,74 @@ def test_sidecar_disagreeing_with_header_rejected(written, key, value):
     edit_sidecar(path, **{key: value})
     with pytest.raises(SnapshotFormatError, match=key):
         read_snapshot(path)
+
+
+# -- fuzzing: a malformed file raises ValueError and nothing else ----------------
+
+SIDECAR_KEYS = ["format", "version", "fields", "dim", "n", "length"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+header_edits = (
+    st.tuples(st.just("byte"), st.integers(0, 63), st.integers(0, 255))
+    # dim, n or length replaced by any double, non-finite ones included
+    | st.tuples(st.just("slot"), st.integers(0, 2), st.floats())
+)
+sidecar_edits = (
+    st.tuples(st.just("replace"), st.none(), json_values)
+    | st.tuples(st.just("set"), st.sampled_from(SIDECAR_KEYS), json_values)
+    | st.tuples(st.just("drop"), st.sampled_from(SIDECAR_KEYS), st.none())
+)
+
+
+def read_mutated(header_edit=None, sidecar_edit=None):
+    """Write a valid snapshot, apply one edit, and read it back; only a
+    ValueError may escape."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.snap"
+        grid = GridSpec(dim=2, n=8, length=2 * np.pi)
+        write_snapshot(path, grid, {"a": np.ones(grid.shape), "b": np.zeros(grid.shape)})
+        if header_edit is not None:
+            kind, where, value = header_edit
+            data = bytearray(path.read_bytes())
+            if kind == "byte":
+                data[where] = value
+            else:
+                data[8 + 8 * where:16 + 8 * where] = struct.pack("<d", value)
+            path.write_bytes(bytes(data))
+        if sidecar_edit is not None:
+            kind, key, value = sidecar_edit
+            side = path.with_suffix(".snap.json")
+            doc = json.loads(side.read_text())
+            if kind == "replace":
+                doc = value
+            elif kind == "set":
+                doc[key] = value
+            else:
+                del doc[key]
+            side.write_text(json.dumps(doc))
+        try:
+            read_snapshot(path)
+        except ValueError:
+            pass
+
+
+@given(edit=header_edits)
+@example(edit=("slot", 0, float("inf")))
+@example(edit=("slot", 1, float("nan")))
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_header_raises_only_value_error(edit):
+    read_mutated(header_edit=edit)
+
+
+@given(edit=sidecar_edits)
+@example(edit=("replace", None, []))
+@example(edit=("drop", "fields", None))
+@example(edit=("set", "fields", 3))
+@example(edit=("set", "fields", [["a"]]))
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_sidecar_raises_only_value_error(edit):
+    read_mutated(sidecar_edit=edit)

@@ -1,37 +1,26 @@
-"""Trajectory audits: totals against fsum quadrature, entropy law,
-energy conservation order, reciprocity residual and fault injection."""
+"""Trajectory audits: totals against fsum quadrature, the entropy-law,
+energy-drift and reciprocity columns of audit_run, fault injection, the
+columns and cost of one audit sample, and the run contract."""
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pnpf import decay, fields
 from pnpf.dynamics import StepperConfig, convert, integrate
-from pnpf.fields import PhysParams, State, onsager_block
+from pnpf.fields import PhysParams, State
 from pnpf.grid import GridSpec, ScalarField
 from pnpf.thermo_audit import (
     AuditRecord,
     AuditWriter,
     audit_run,
-    clausius_duhem_residual,
-    energy_conservation_residual,
-    onsager_residual,
     totals,
 )
 
 from .conftest import count_transforms, peak_grids, perturbed_state
-
-
-def short_trajectory(grid, params, dt=1e-3, steps=30, sample_every=5, amplitude=1e-2):
-    s0 = perturbed_state(grid, seed=7, amplitude=amplitude)
-    cfg = StepperConfig(scheme="RK4", dt=dt, t_end=dt * steps)
-    traj = []
-    for i, t, s in integrate(s0, cfg, params, n_steps=steps):
-        if i % sample_every == 0:
-            traj.append((t, s))
-    return traj
 
 
 class TestTotals:
@@ -70,93 +59,109 @@ class TestTotals:
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def relative_residuals(records):
+    """The interior dSdt_minus_Delta rows over max(|Delta|, eps) of the run."""
+    denom = max(max(abs(rec.Delta) for rec in records), np.finfo(float).eps)
+    return np.array([rec.dSdt_minus_Delta for rec in records[1:-1]]) / denom
+
+
+def audited(tmp_path, params, s0, scheme, dt, steps, audit_every):
+    cfg = StepperConfig(scheme=scheme, dt=dt, t_end=dt * steps)
+    path = tmp_path / f"audit-{scheme}-{dt!r}-{audit_every}.csv"
+    final, records, reason = audit_run(s0, cfg, params, path, audit_every=audit_every)
+    assert reason is None
+    assert round(records[-1].t / dt) == steps
+    return records
+
+
 class TestEntropyLaw:
-    def test_equilibrium_residual_zero(self, grid3d, params):
-        s = State.equilibrium(grid3d)
-        traj = [(0.0, s), (0.1, s), (0.2, s)]
-        res = clausius_duhem_residual(traj, params)
+    """The dSdt_minus_Delta column of audit_run: the centered difference of
+    the sampled S against the sampled entropy production."""
+
+    grid = GridSpec(dim=2, n=16, length=2 * np.pi)
+
+    def test_equilibrium_residual_zero(self, tmp_path, grid3d, params):
+        records = audited(tmp_path, params, State.equilibrium(grid3d), "RK4", 1e-3, 4, 1)
+        res = relative_residuals(records)
+        assert len(res) == 3
         assert np.abs(res).max() <= 1e-12
 
-    def test_needs_three_samples(self, grid3d, params):
-        s = State.equilibrium(grid3d)
-        with pytest.raises(ValueError, match="3 samples"):
-            clausius_duhem_residual([(0.0, s), (0.1, s)], params)
+    def test_needs_three_samples(self, tmp_path, grid3d, params):
+        # two samples leave no interior row: both residuals are NaN
+        records = audited(tmp_path, params, State.equilibrium(grid3d), "RK4", 1e-3, 1, 1)
+        assert len(records) == 2
+        assert all(math.isnan(rec.dSdt_minus_Delta) for rec in records)
 
-    def test_small_perturbation_residual(self, params):
-        grid = GridSpec(dim=2, n=16, length=2 * np.pi)
-        traj = short_trajectory(grid, params, dt=1e-3, steps=60, sample_every=5)
-        res = clausius_duhem_residual(traj, params)
-        assert np.abs(res).max() <= 0.01
+    def test_small_perturbation_residual(self, tmp_path, params):
+        s0 = perturbed_state(self.grid, seed=7, amplitude=1e-2)
+        records = audited(tmp_path, params, s0, "RK4", 1e-3, 60, 5)
+        assert len(records) == 13
+        assert np.abs(relative_residuals(records)).max() <= 0.01
 
-    def test_residual_shrinks_quadratically(self, params):
-        # subsample one resolved run at two spacings: the centered
-        # difference error scales with the square of the sample interval
-        grid = GridSpec(dim=2, n=16, length=2 * np.pi)
-        traj = short_trajectory(grid, params, dt=5e-4, steps=240, sample_every=5)
-        res_fine = clausius_duhem_residual(traj, params)
-        res_coarse = clausius_duhem_residual(traj[::2], params)
+    def test_residual_shrinks_quadratically(self, tmp_path, params):
+        # one resolved run audited at two spacings: the centered difference
+        # error scales with the square of the sample interval
+        s0 = perturbed_state(self.grid, seed=7, amplitude=1e-2)
+        res_fine = relative_residuals(audited(tmp_path, params, s0, "RK4", 5e-4, 240, 5))
+        res_coarse = relative_residuals(audited(tmp_path, params, s0, "RK4", 5e-4, 240, 10))
         # compare at the shared interior samples (every other fine sample)
         ratio = np.abs(res_coarse[1:-1]).max() / np.abs(res_fine).max()
         assert 2.5 <= ratio <= 6.0
 
 
 class TestEnergyConservation:
-    def test_equilibrium(self, grid3d, params):
-        s = State.equilibrium(grid3d)
-        res = energy_conservation_residual([(0.0, s), (1.0, s)], params)
-        assert np.abs(res).max() == 0.0
+    """The energy_drift_rel column of audit_run: |E(t) - E(0)| / |E(0)|."""
 
-    def test_rk4_drift_order(self, params):
-        grid = GridSpec(dim=2, n=16, length=2 * np.pi)
+    grid = GridSpec(dim=2, n=16, length=2 * np.pi)
 
-        def drift(dt):
-            traj = short_trajectory(
-                grid, params, dt=dt, steps=int(round(0.4 / dt)), sample_every=max(1, int(round(0.4 / dt)))
-            )
-            return energy_conservation_residual(traj, params)[-1]
+    def drift(self, tmp_path, params, s0, scheme, dt, t_end=0.4):
+        steps = int(round(t_end / dt))
+        return audited(tmp_path, params, s0, scheme, dt, steps, steps)[-1].energy_drift_rel
 
-        d_coarse, d_fine = drift(0.02), drift(0.01)
+    def test_equilibrium(self, tmp_path, grid3d, params):
+        assert self.drift(tmp_path, params, State.equilibrium(grid3d), "RK4", 0.1) == 0.0
+
+    def test_rk4_drift_order(self, tmp_path, params):
+        s0 = perturbed_state(self.grid, seed=7, amplitude=1e-2)
+        d_coarse = self.drift(tmp_path, params, s0, "RK4", 0.02)
+        d_fine = self.drift(tmp_path, params, s0, "RK4", 0.01)
         order = math.log2(d_coarse / d_fine)
         assert order >= 3.5
 
-    def test_imex_drift_order(self, params):
-        grid = GridSpec(dim=2, n=16, length=2 * np.pi)
-        s0 = perturbed_state(grid, seed=7, amplitude=1e-2)
-
-        def drift(dt):
-            steps = int(round(0.4 / dt))
-            cfg = StepperConfig(scheme="IMEX1", dt=dt, t_end=0.4)
-            traj = []
-            for i, t, s in integrate(s0, cfg, params, n_steps=steps):
-                traj.append((t, s))
-            return energy_conservation_residual([traj[0], traj[-1]], params)[-1]
-
-        d_coarse, d_fine = drift(0.02), drift(0.01)
+    def test_imex_drift_order(self, tmp_path, params):
+        s0 = perturbed_state(self.grid, seed=7, amplitude=1e-2)
+        d_coarse = self.drift(tmp_path, params, s0, "IMEX1", 0.02)
+        d_fine = self.drift(tmp_path, params, s0, "IMEX1", 0.01)
         order = math.log2(d_coarse / d_fine)
         assert 0.8 <= order <= 1.6
 
 
 class TestOnsagerResidual:
-    def test_equilibrium_zero(self, grid3d, params):
-        assert onsager_residual(State.equilibrium(grid3d), params) == 0.0
+    """The onsager_residual column of an audit sample, and fault injection
+    on its definition fields.flux_reconstruction_residual."""
 
-    def test_random_state_small(self, params):
-        grid = GridSpec(dim=3, n=16, length=1.0)
-        s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
-        assert onsager_residual(s, params) <= 1e-10
+    grid = GridSpec(dim=3, n=16, length=1.0)
+
+    def test_equilibrium_zero(self, tmp_path, grid3d, params):
+        records = audited(tmp_path, params, State.equilibrium(grid3d), "RK4", 1e-3, 1, 1)
+        assert all(rec.onsager_residual == 0.0 for rec in records)
+
+    def test_random_state_small(self, tmp_path, params):
+        s = perturbed_state(self.grid, seed=13, amplitude=1e-3, kmax=1)
+        writer = AuditWriter(tmp_path / "audit.csv", params)
+        writer.observe(0.0, s)
+        writer.close()
+        assert writer.records[0].onsager_residual <= 1e-10
 
     def test_fault_injection_detected(self, params):
         # on the resolved state above, where the clean block reads rounding
-        from dataclasses import replace
-
-        grid = GridSpec(dim=3, n=16, length=1.0)
-        s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
-        block = onsager_block(s, params)
+        s = perturbed_state(self.grid, seed=13, amplitude=1e-3, kmax=1)
+        block = fields.onsager_block(s, params)
         corrupted = replace(
-            block, L_ptheta=ScalarField(grid, block.L_ptheta.values * (1 + 5e-3))
+            block, L_ptheta=ScalarField(self.grid, block.L_ptheta.values * (1 + 5e-3))
         )
-        assert onsager_residual(s, params, block) <= 1e-10
-        assert onsager_residual(s, params, corrupted) > 1e-3
+        assert fields.flux_reconstruction_residual(s, params, block) <= 1e-10
+        assert fields.flux_reconstruction_residual(s, params, corrupted) > 1e-3
 
 
 class TestAuditSample:
@@ -195,7 +200,7 @@ class TestAuditSample:
         (rec,) = writer.records
         got = (rec.mass_n, rec.mass_p, rec.E, rec.S, rec.Delta)
         assert got == totals(s, params)  # Delta through constitutive_fluxes
-        assert rec.onsager_residual == onsager_residual(s, params)
+        assert rec.onsager_residual == fields.flux_reconstruction_residual(s, params)
         if c_n == params.c_p:
             assert rec.lyapunov == decay.lyapunov(convert(s), params)
         else:

@@ -17,7 +17,7 @@ from pnpf.varcheck import (
     conservative_force_closed,
     derived_temperature,
     dissipation_functional,
-    dissipative_force_closed,
+    dissipative_closed_form,
     entropy_functional,
     force_balance_residual,
     random_probe,
@@ -25,6 +25,12 @@ from pnpf.varcheck import (
 )
 
 from .conftest import band_limited, perturbed_state
+
+
+def balance(s, params):
+    """The force balance of s with both closed forms built from s."""
+    dis = dissipative_closed_form(s, constitutive_fluxes(s, params), params)
+    return force_balance_residual(conservative_force_closed(s, params), dis.forces)
 
 
 class TestEntropyFunctional:
@@ -100,7 +106,7 @@ class TestConservativeForce:
     def test_fd_pairing(self, grid3d, params):
         s = perturbed_state(grid3d, seed=6, amplitude=1e-3, kmax=1)
         probe = random_probe(grid3d, seed=2)
-        res = check_conservative(s, params, probe)
+        res = check_conservative(s, params, probe, conservative_force_closed(s, params))
         assert res["best_rel_err"] <= 1e-6
         assert 1.6 <= res["order_estimate"] <= 2.4
 
@@ -109,7 +115,7 @@ class TestDissipativeForce:
     def test_zero_fluxes_zero_forces(self, grid3d, params):
         s = State.equilibrium(grid3d)
         fl = constitutive_fluxes(s, params)
-        fs = dissipative_force_closed(s, fl, params)
+        fs = dissipative_closed_form(s, fl, params).forces
         for vf in (fs.f_p, fs.f_n, fs.f_e):
             for c in vf.components:
                 assert np.abs(c).max() <= 1e-14
@@ -128,7 +134,7 @@ class TestDissipativeForce:
         class Fl:
             j_p, j_n, j_e = zero, zero, e1
 
-        fs = dissipative_force_closed(s, Fl, params)
+        fs = dissipative_closed_form(s, Fl, params).forces
         assert np.abs(fs.f_e.components[0] - 1.0).max() <= 1e-14
         for c in fs.f_e.components[1:]:
             assert np.abs(c).max() <= 1e-14
@@ -143,7 +149,7 @@ class TestDissipativeForce:
             j_p, j_n, j_e = base.dJ_p, base.dJ_n, base.dJ_e
 
         probe = random_probe(grid3d, seed=4)
-        res = check_dissipative(s, params, probe, fl=Fl)
+        res = check_dissipative(s, params, probe, dissipative_closed_form(s, Fl, params))
         assert res["best_rel_err"] <= 1e-6
         assert res["quadratic_exact"] or 1.6 <= res["order_estimate"] <= 2.4
 
@@ -156,7 +162,7 @@ class TestDissipativeForce:
             class Fl:
                 j_p, j_n, j_e = jp, jn, je
 
-            return dissipative_force_closed(s, Fl, params)
+            return dissipative_closed_form(s, Fl, params).forces
 
         fa = forces(a.dJ_p, a.dJ_n, a.dJ_e)
         fb = forces(b.dJ_p, b.dJ_n, b.dJ_e)
@@ -178,7 +184,7 @@ class TestDissipativeForce:
 
 class TestForceBalance:
     def test_equilibrium(self, grid3d, params):
-        assert force_balance_residual(State.equilibrium(grid3d), params) == 0.0
+        assert balance(State.equilibrium(grid3d), params) == 0.0
 
     def test_isothermal_single_point_anchor(self, params):
         # theta-only single mode: both closed forms reduce analytically to
@@ -192,7 +198,7 @@ class TestForceBalance:
         s = State.from_primitives(one, one, theta)
         want = params.c * b * np.cos(x) / (1.0 + b * np.sin(x))
         con = conservative_force_closed(s, params)
-        dis = dissipative_force_closed(s, constitutive_fluxes(s, params), params)
+        dis = dissipative_closed_form(s, constitutive_fluxes(s, params), params).forces
         assert np.abs(con.f_p.components[0] - want).max() <= 1e-10 * b
         assert np.abs(dis.f_p.components[0] - want).max() <= 1e-10 * b
 
@@ -202,12 +208,12 @@ class TestForceBalance:
         one = ScalarField.constant(grid, 1.0)
         theta = ScalarField(grid, 1.0 + 1e-3 * np.sin(2 * np.pi * x))
         s = State.from_primitives(one, one, theta)
-        assert force_balance_residual(s, params) <= 1e-8
+        assert balance(s, params) <= 1e-8
 
     def test_random_small_perturbation_16(self, params):
         grid = GridSpec(dim=3, n=16, length=1.0, max_points=2**24)
         s = perturbed_state(grid, seed=9, amplitude=1e-3, kmax=1)
-        assert force_balance_residual(s, params) <= 1e-8
+        assert balance(s, params) <= 1e-8
 
 
 class TestSymbolicIdentities:
@@ -298,6 +304,7 @@ class TestSharedWork:
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
         s = perturbed_state(grid, seed=14, amplitude=1e-3, kmax=1)
         fl = constitutive_fluxes(s, params)
+        closed = dissipative_closed_form(s, fl, params)
         probe = random_probe(grid, seed=2, kmax=1)
         seen = []
         orig = varcheck._dissipation
@@ -307,7 +314,7 @@ class TestSharedWork:
             return seen[-1]
 
         monkeypatch.setattr(varcheck, "_dissipation", record)
-        check_dissipative(s, params, probe, fl=fl)
+        check_dissipative(s, params, probe, closed)
         monkeypatch.setattr(varcheck, "_dissipation", orig)
         signed = [sign * eps for eps in probe.eps_scan for sign in (1.0, -1.0)]
         assert len(seen) == len(signed)
@@ -318,21 +325,6 @@ class TestSharedWork:
             ]
             want = dissipation_functional(s, params, *moved)
             assert abs(got - want) <= 1e-13 * abs(want)
-
-    def test_precomputed_inputs_change_nothing(self, params):
-        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
-        s = perturbed_state(grid, seed=15, amplitude=1e-3, kmax=1)
-        probe = random_probe(grid, seed=3, kmax=1)
-        fl = constitutive_fluxes(s, params)
-        con = conservative_force_closed(s, params)
-        closed = varcheck._dissipative_closed_form(s, fl, params)
-        assert check_conservative(s, params, probe, con) == check_conservative(s, params, probe)
-        assert check_dissipative(s, params, probe, closed=closed) == check_dissipative(
-            s, params, probe
-        )
-        assert force_balance_residual(s, params, con=con, dis=closed.forces) == (
-            force_balance_residual(s, params)
-        )
 
 
 class TestReport:
