@@ -226,18 +226,25 @@ def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=
 
 def _perturbation_rates(grid: GridSpec, spec3, ut, v, tt, params: PhysParams):
     """(du_tilde, dv, dtheta_tilde) pointwise, before dealiasing, from the
-    forward transform spec3 of (ut, v, tt) and the fields themselves."""
+    forward transform spec3 of (ut, v, tt) and the fields themselves.
+
+    The gradients of (ut, v, tt, phi) and the Laplacians of (ut, v, tt)
+    come from one inverse transform of a (4*dim+3)-field spectral array,
+    filled in place and freed once the transform returns."""
     c = params.c
     d = grid.dim
     uth, vh, tth = spec3[0], spec3[1], spec3[2]
     phih = -grid.inv_k2 * vh
 
-    stack = [m * uth for m in grid.grad_mult]
-    stack += [m * vh for m in grid.grad_mult]
-    stack += [m * tth for m in grid.grad_mult]
-    stack += [m * phih for m in grid.grad_mult]
-    stack += [-grid.k2 * uth, -grid.k2 * vh, -grid.k2 * tth]
-    out = grid.ifft(np.stack(stack))
+    stack = np.empty((4 * d + 3,) + grid.spectral_shape, dtype=complex)
+    for j, fh in enumerate((uth, vh, tth, phih)):
+        for i, m in enumerate(grid.grad_mult):
+            np.multiply(m, fh, out=stack[j * d + i])
+    del phih
+    for j, fh in enumerate((uth, vh, tth)):
+        np.multiply(-grid.k2, fh, out=stack[4 * d + j])
+    out = grid.ifft(stack)
+    del stack
     gu, gv, gt, gphi = out[0:d], out[d : 2 * d], out[2 * d : 3 * d], out[3 * d : 4 * d]
     lap_u, lap_v, lap_t = out[4 * d], out[4 * d + 1], out[4 * d + 2]
 

@@ -149,8 +149,14 @@ def write_checkpoint(
 
 
 def read_checkpoint(prefix) -> tuple[State, dict]:
+    """The State and metadata written by write_checkpoint.  Raises
+    SnapshotFormatError, naming them, if the snapshot lacks any of the
+    fields n, p, theta, phi."""
     prefix = Path(prefix)
     grid, fields = read_snapshot(prefix.with_suffix(".snap"))
+    missing = [name for name in ("n", "p", "theta", "phi") if name not in fields]
+    if missing:
+        raise SnapshotFormatError(f"checkpoint snapshot lacks fields {missing}")
     with open(prefix.with_suffix(".meta.json")) as fh:
         meta = json.load(fh)
     state = State(

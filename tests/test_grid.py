@@ -2,11 +2,14 @@
 Parseval consistency, norm definitions."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+from pnpf import grid as grid_mod
 from pnpf.grid import (
     GridSpec,
     ScalarField,
@@ -208,3 +211,69 @@ class TestQuadrature:
     def test_inner_symmetry(self, grid3d):
         f, g = scalar(grid3d, 41), scalar(grid3d, 42)
         assert abs(inner(f, g) - inner(g, f)) <= 1e-15
+
+
+# the (dim, n, batch) shapes the package transforms: the perturbation RHS
+# at 64^2 inverts 11 fields, the 3-D kernels batch up to 7
+TRANSFORM_SHAPES = (
+    [(2, 64, b) for b in (1, 3, 4, 11)]
+    + [(3, 32, b) for b in (1, 3, 4, 7)]
+    + [(3, 64, b) for b in (1, 3, 4, 7)]
+)
+
+
+def round_trip(dim, n, batch):
+    """(forward, inverse) transforms of a seeded batch on the grid."""
+    grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+    x = np.random.default_rng(batch).standard_normal((batch,) + grid.shape)
+    spec = grid.fft(x)
+    return spec, grid.ifft(spec)
+
+
+class TestTransformThreads:
+    """Transforms below FFT_SPLIT_POINTS run on one thread, larger ones on
+    _WORKERS, and the thread count never changes the bits."""
+
+    @pytest.mark.parametrize("dim, n, batch", TRANSFORM_SHAPES)
+    def test_bits_do_not_depend_on_the_thread_count(self, monkeypatch, dim, n, batch):
+        policy = round_trip(dim, n, batch)
+        monkeypatch.setattr(grid_mod, "_WORKERS", 1)
+        one = round_trip(dim, n, batch)
+        monkeypatch.setattr(grid_mod, "_WORKERS", 2)
+        monkeypatch.setattr(grid_mod, "FFT_SPLIT_POINTS", 0)
+        two = round_trip(dim, n, batch)
+        for a, b, c in zip(policy, one, two):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    @staticmethod
+    def recorded_workers(monkeypatch, dim, n, batch):
+        calls = []
+        for name in ("rfftn", "irfftn"):
+            orig = getattr(scipy.fft, name)
+
+            def recording(*args, _orig=orig, **kwargs):
+                calls.append(kwargs["workers"])
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, recording)
+        round_trip(dim, n, batch)
+        return calls
+
+    @pytest.mark.parametrize("dim, n, batch", TRANSFORM_SHAPES)
+    def test_only_64_cubed_transforms_are_split(self, monkeypatch, dim, n, batch):
+        want = grid_mod._WORKERS if (dim, n) == (3, 64) else 1
+        assert self.recorded_workers(monkeypatch, dim, n, batch) == [want, want]
+
+    @pytest.mark.parametrize("dim, n, batch", [(2, 64, 11), (3, 64, 1), (3, 64, 7)])
+    def test_one_worker_cap_holds_everywhere(self, monkeypatch, dim, n, batch):
+        monkeypatch.setattr(grid_mod, "_WORKERS", 1)
+        assert self.recorded_workers(monkeypatch, dim, n, batch) == [1, 1]
+
+    def test_usable_cpus_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert grid_mod._usable_cpus() == 1
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert grid_mod._usable_cpus() == 3

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pnpf.grid import GridSpec
-from pnpf.snapshot import SnapshotFormatError, read_snapshot, write_snapshot
+from pnpf.snapshot import SnapshotFormatError, read_checkpoint, read_snapshot, write_snapshot
 
 
 @pytest.fixture
@@ -39,6 +39,14 @@ def test_round_trip_is_bit_exact(written):
     assert list(got) == list(fields)
     for name, vals in fields.items():
         assert got[name].tobytes() == vals.tobytes()
+
+
+def test_checkpoint_without_the_primitive_fields_rejected(tmp_path):
+    grid = GridSpec(dim=1, n=8, length=1.0)
+    write_snapshot(tmp_path / "final.snap", grid, {"n": np.ones(grid.shape)})
+    (tmp_path / "final.meta.json").write_text("{}")
+    with pytest.raises(SnapshotFormatError, match=r"\['p', 'theta', 'phi'\]"):
+        read_checkpoint(tmp_path / "final")
 
 
 def test_trailing_bytes_rejected(written):
