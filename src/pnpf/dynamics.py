@@ -40,6 +40,17 @@ transform of (n, p, theta) 3, the core 22, the inverse transform of the
 update 3 and the Poisson solve of the new State 2.  The array RHS costs
 28 and an RK4 step 114.
 
+step can feed an audit sample (a fields.AuditSink of its input State)
+from its first RHS evaluation, k1 of RK4 or the IMEX1 core: the Darcy
+pass is the sample's, the |q|^2 sum and the production density ride on
+its axis loop, and the reconstruction residual runs after that loop on
+the flux rows of the buffer the outer forward transform reads.  The
+sample adds 3 + 3*dim transforms to the step (12 at dim 3: an IMEX1 step
+42, an RK4 step 126) where a standalone fields.flux_audit costs
+6 + 7*dim (27).  Its coefficient arrays are built only after the axis
+loop, so the step's peak memory grows by at most the one grid of the
+|q|^2 sum or of the production density.
+
 RK4 keeps one accumulator, k1 + 2 k2 + 2 k3 + k4 summed in that order,
 instead of the four stage derivatives, so besides it only the current
 stage and its derivative are alive; the result has the bits of
@@ -160,11 +171,12 @@ def convert_back(ps: PerturbationState) -> State:
 # -- raw-array right-hand sides ----------------------------------------------
 
 
-def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, out):
+def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, out, sink=None):
     """Fill out with (j_p, j_n, dtheta): the Darcy fluxes and the pointwise
     temperature rate.  spec is the forward transform of (n, p, th) and is
     left as it was.  Its temporaries die on return, before the outer
-    transform."""
+    transform.  An audit sink takes each axis's d_i theta and, after the
+    loop, the |j_p|^2 and |j_n|^2 sums."""
     d = grid.dim
     Dp, Dn, kh = params.D_p, params.D_n, params.k
 
@@ -183,7 +195,11 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, ou
         jp_gp += jp * gp
         jn_gn += jn * gn
         jheat_gth += (params.c_p * jp + params.c_n * jn) * gth
+        if sink is not None:
+            sink.axis(gth)
         del gn, gp, gth, gphi  # frees this axis's transform
+    if sink is not None:
+        sink.production(jp2, jn2)
 
     lap_n, lap_p, lap_th = grid.ifft(-grid.k2 * spec)
     rho = n - p  # equals Delta(phi) exactly for the slaved potential
@@ -197,13 +213,18 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, ou
     np.divide(heat, params.c_p * p + params.c_n * n, out=out[2 * d])
 
 
-def _rhs_primitive_core(grid: GridSpec, spec, n, p, th, params: PhysParams, dealias=True):
+def _rhs_primitive_core(
+    grid: GridSpec, spec, n, p, th, params: PhysParams, dealias=True, sink=None
+):
     """Spectrum of (dn, dp, dtheta), shape (3,) + spectral_shape, from the
     forward transform spec of (n, p, th) and the fields themselves; spec
-    is left as it was."""
+    is left as it was.  A fields.AuditSink of the state (n, p, th) is fed
+    by the flux pass and takes its residual over the flux rows of out."""
     d = grid.dim
     out = np.empty((2 * d + 1,) + grid.shape)
-    _fluxes_and_heat_rate(grid, spec, n, p, th, params, out)
+    _fluxes_and_heat_rate(grid, spec, n, p, th, params, out, sink)
+    if sink is not None:
+        sink.residual(out)
 
     # continuity equations in divergence form (spectral outer divergence)
     spec_j = grid.fft(out)
@@ -217,10 +238,10 @@ def _rhs_primitive_core(grid: GridSpec, spec, n, p, th, params: PhysParams, deal
     return np.stack([dn_hat, dp_hat, dth_hat])
 
 
-def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=True):
+def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=True, sink=None):
     """(dn, dp, dtheta) raw arrays; see the module docstring for the scheme."""
     spec = grid.fft(np.stack([n, p, th]))
-    res = grid.ifft(_rhs_primitive_core(grid, spec, n, p, th, params, dealias))
+    res = grid.ifft(_rhs_primitive_core(grid, spec, n, p, th, params, dealias, sink))
     return res[0], res[1], res[2]
 
 
@@ -378,13 +399,14 @@ def _check_stage(names, arrays, floor, shifts):
             raise StepAbort(f"non-finite values in {name}")
         if low < floor:
             raise StepAbort(
-                f"positivity floor breached: min({name}) = {low:.3e} < {floor:.0e}"
+                f"positivity floor breached: min({name}) = {low:.3e} < {floor!r}"
             )
 
 
-def _rk4(ys, rhs, dt, check):
-    # acc sums k1 + 2 k2 + 2 k3 + k4 in that order (see the module docstring)
-    acc = rhs(ys)
+def _rk4(ys, rhs, dt, check, fed=()):
+    # acc sums k1 + 2 k2 + 2 k3 + k4 in that order (see the module docstring);
+    # fed goes to the k1 evaluation only
+    acc = rhs(ys, *fed)
     k = acc
     for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
         stage = [y + c * dt * ki for y, ki in zip(ys, k)]
@@ -400,37 +422,46 @@ def _rk4(ys, rhs, dt, check):
     return out
 
 
-def step(state, cfg: StepperConfig, params: PhysParams):
+def step(state, cfg: StepperConfig, params: PhysParams, sink=None):
     """
     Advance one time step; returns the same type it receives (State or
     PerturbationState).  Any substage that breaches the positivity floor
     or produces non-finite values raises StepAbort; nothing is clamped.
+
+    sink, a fields.AuditSink of a State, is fed by the step's first RHS
+    evaluation (k1 of RK4, the core of IMEX1): after it, sink.audit is
+    the FluxAudit of state.  A step that aborts before that evaluation
+    leaves sink.audit None.
     """
     if isinstance(state, State):
-        return _step_primitive(state, cfg, params)
+        return _step_primitive(state, cfg, params, sink)
     if isinstance(state, PerturbationState):
+        if sink is not None:
+            raise TypeError("an audit sink needs a State")
         return _step_perturbation(state, cfg, params)
     raise TypeError(f"cannot step object of type {type(state).__name__}")
 
 
-def _advance(g, ys, cfg, params, names, shifts, rhs_arrays, imex1):
+def _advance(g, ys, cfg, params, names, shifts, rhs_arrays, imex1, sink=None):
     """One RK4 or IMEX1 step of the arrays ys; every stage is checked
-    against the floor after adding its shift (see _check_stage)."""
+    against the floor after adding its shift (see _check_stage).  A sink
+    goes to the first RHS evaluation only."""
     check = lambda ys: _check_stage(names, ys, cfg.positivity_floor, shifts)
     check(ys)
+    fed = () if sink is None else (sink,)  # the perturbation kernels take no sink
     if cfg.scheme == "RK4":
-        rhs = lambda ys: rhs_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias)
-        return _rk4(ys, rhs, cfg.dt, check)
-    out = imex1(g, ys, cfg, params)
+        rhs = lambda ys, *fed: rhs_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias, *fed)
+        return _rk4(ys, rhs, cfg.dt, check, fed)
+    out = imex1(g, ys, cfg, params, *fed)
     check(out)
     return out
 
 
-def _step_primitive(s: State, cfg: StepperConfig, params: PhysParams) -> State:
+def _step_primitive(s: State, cfg: StepperConfig, params: PhysParams, sink=None) -> State:
     g = s.grid
     out = _advance(
         g, [s.n.values, s.p.values, s.theta.values], cfg, params,
-        ("n", "p", "theta"), (0.0, 0.0, 0.0), _rhs_primitive_arrays, _imex1_primitive,
+        ("n", "p", "theta"), (0.0, 0.0, 0.0), _rhs_primitive_arrays, _imex1_primitive, sink,
     )
     n, p, th = (ScalarField(g, a) for a in out)
     return State.from_primitives(n, p, th)
@@ -483,14 +514,14 @@ def _imex1_perturbation(grid, ys, cfg, params):
     return [out[0], out[1], out[2]]
 
 
-def _imex1_primitive(grid, ys, cfg, params):
+def _imex1_primitive(grid, ys, cfg, params, sink=None):
     """Backward Euler on the equilibrium-linearized diffusion block of the
     primitive system, explicit remainder."""
     dt, k2 = cfg.dt, grid.k2
     cs = params.c_p + params.c_n
     kh = (params.k + params.D_p + params.D_n) / cs
     spec_y = grid.fft(np.stack(ys))
-    spec_f = _rhs_primitive_core(grid, spec_y, ys[0], ys[1], ys[2], params, cfg.dealias)
+    spec_f = _rhs_primitive_core(grid, spec_y, ys[0], ys[1], ys[2], params, cfg.dealias, sink)
     nh, ph, th = spec_y[0], spec_y[1], spec_y[2]
     lin_n = -k2 * params.D_n * (nh + th)
     lin_p = -k2 * params.D_p * (ph + th)

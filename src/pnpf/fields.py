@@ -23,17 +23,23 @@ an identity rather than an approximation.
 darcy_axes streams the gradients one axis at a time: per axis one 4-field
 inverse transform gives d_i n, d_i p, d_i theta and d_i phi, and the
 consumer uses them before the next axis is built, so only one axis's
-gradients are alive at once.  The Laplacians are not part of the kernel:
-only the primitive RHS needs them, and it builds them after its axis loop
-from the same forward transform.
+gradients are alive at once, and none of the kernel's spectral arrays
+while the consumer runs.  The Laplacians are not part of the kernel:
+only the primitive RHS needs them, and it builds them after its axis
+loop from the same forward transform.
 
-flux_audit is the audit's pass over the same axes.  It takes from each
-axis what a sample reads (|j_p|^2, |j_n|^2, |q|^2 and the j_p and j_n
-rows of the reconstruction residual) and builds nothing else.  The
-definitions stay as they are: constitutive_fluxes (used by varcheck),
+AuditSink is the body of one audit sample, in three parts that any pass
+over darcy_axes can feed: the |q|^2 sum per axis, the production density
+from the pass's |j_p|^2 and |j_n|^2 sums, and the reconstruction residual
+over the pass's j_p and j_n rows after the axis loop.  A step fed a sink
+makes its first RHS evaluation that pass, and the sample adds 3 + 3*dim
+transforms (12 at dim 3) to the step; flux_audit makes the pass itself,
+6 + 7*dim transforms (27 at dim 3).  Either way the sample takes from the
+axes only what it reads and builds nothing else.  The definitions stay
+as they are: constitutive_fluxes (used by varcheck),
 entropy_production_density, reconstruct_fluxes and
 flux_reconstruction_residual.  The residual, reconstruct_fluxes and
-flux_audit rebuild an ion flux with one row formula, _ion_row.
+AuditSink rebuild an ion flux with one row formula, _ion_row.
 """
 
 from __future__ import annotations
@@ -133,34 +139,45 @@ class State:
         return cls(one, one, ScalarField.constant(grid, 1.0), ScalarField.constant(grid, 0.0))
 
 
-def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j=None):
+def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j):
     """
     Gradients and Darcy ion fluxes of raw (n, p, theta) arrays, one axis
     at a time, with phi slaved to n - p (phi_hat = -(n_hat - p_hat)/|k|^2).
 
-    spec is the batched forward transform of (n, p, theta).  For each axis
-    i in turn the generator makes one 4-field inverse transform and yields
-    (d_i n, d_i p, d_i theta, d_i phi, j_p,i, j_n,i).  With a (2*dim)-field
-    buffer j the fluxes are written into j[i] and j[dim + i]; with
-    j=None each axis's pair is a fresh array.  The gradients are views into
-    that axis's inverse transform and the generator keeps no reference to
-    them, so a consumer that drops them frees that transform at once, and
-    holds one axis's gradients at a time.
+    spec is the batched forward transform of (n, p, theta) and j a
+    (2*dim)-field buffer.  For each axis i in turn the generator makes one
+    4-field inverse transform and yields (d_i n, d_i p, d_i theta,
+    d_i phi, j_p,i, j_n,i), with the fluxes written into j[i] and
+    j[dim + i].  Each axis fills a fresh spectral array and drops it once
+    its inverse transform returns, and phi_hat is rebuilt in that array's
+    last row, so while the consumer runs only that axis's gradients are
+    alive.  The gradients are views into the inverse transform and the
+    generator keeps no reference to them, so a consumer that drops them
+    frees that transform at once.
     """
-    phih = -grid.inv_k2 * (spec[0] - spec[1])
-    four = np.empty((4,) + grid.spectral_shape, dtype=complex)
+    neg_inv_k2 = -grid.inv_k2
     for i, m in enumerate(grid.grad_mult):
-        for row, fh in zip(four, (spec[0], spec[1], spec[2], phih)):
-            np.multiply(m, fh, out=row)
-        yield _darcy_axis(grid, four, n, p, th, params, j, i)
+        yield _darcy_axis(grid, _axis_spectrum(spec, m, neg_inv_k2), n, p, th, params, j, i)
+
+
+def _axis_spectrum(spec, m, neg_inv_k2):
+    """The spectra of (d_i n, d_i p, d_i theta, d_i phi) for the gradient
+    multiplier m of axis i, filled into one fresh array."""
+    four = np.empty((4,) + spec.shape[1:], dtype=complex)
+    for k in range(3):
+        np.multiply(m, spec[k], out=four[k])
+    phih = four[3]
+    np.subtract(spec[0], spec[1], out=phih)
+    np.multiply(neg_inv_k2, phih, out=phih)
+    np.multiply(m, phih, out=phih)
+    return four
 
 
 def _darcy_axis(grid: GridSpec, four, n, p, th, params: PhysParams, j, i):
     gn, gp, gth, gphi = grid.ifft(four)
-    jp = None if j is None else j[i]
-    jn = None if j is None else j[grid.dim + i]
-    jp = np.multiply(-params.D_p, th * gp + p * gth + p * gphi, out=jp)
-    jn = np.multiply(-params.D_n, th * gn + n * gth - n * gphi, out=jn)
+    del four  # the only reference: frees the spectra before the fluxes
+    jp = np.multiply(-params.D_p, th * gp + p * gth + p * gphi, out=j[i])
+    jn = np.multiply(-params.D_n, th * gn + n * gth - n * gphi, out=j[grid.dim + i])
     return gn, gp, gth, gphi, jp, jn
 
 
@@ -424,41 +441,83 @@ class FluxAudit(NamedTuple):
     residual: float  # flux_reconstruction_residual of the state
 
 
+class AuditSink:
+    """
+    The FluxAudit of one state s, fed by a pass over darcy_axes of s:
+    flux_audit's own pass, or the first RHS evaluation of a step from s.
+    The body has three parts, called in this order:
+
+    * axis(d_i theta) for each axis i in order adds |q_i|^2 =
+      (-k d_i theta)^2 to a running sum;
+    * production(jp2, jn2) builds the production density from the pass's
+      |j_p|^2 and |j_n|^2 running sums (summed in axis order, jp**2 then
+      jn**2) and that |q|^2 sum, after the axis loop;
+    * residual(j) takes the reconstruction residual over the (2*dim)-row
+      flux buffer j (the j_p rows, then the j_n rows) and completes the
+      sample in audit.
+
+    The residual builds the coefficient block and the batched spectrum of
+    (mu_p/theta, mu_n/theta, 1/theta) only when it runs, so no array of
+    it is alive during the pass's axis loop: 3 + 3*dim transforms (12 at
+    dim 3).  It builds no phi_t, exchange flux, j_e or L_thetatheta.
+    """
+
+    def __init__(self, s: State, params: PhysParams):
+        self.state, self.params = s, params
+        self.audit: FluxAudit | None = None
+        self._q2 = self._production = None
+
+    def axis(self, gth) -> None:
+        if self._q2 is None:
+            self._q2 = np.zeros(gth.shape)
+        self._q2 += (-self.params.k * gth) ** 2
+
+    def production(self, jp2, jn2) -> None:
+        self._production = _production_density(self.state, self.params, jp2, jn2, self._q2)
+        self._q2 = None
+
+    def residual(self, j) -> None:
+        s, g = self.state, self.state.grid
+        L_pp, L_nn, L_pth, L_nth, mu_p, mu_n = _ion_coefficients(s, self.params)
+        qspec = _quotient_spectrum(g, s.theta.values, mu_p, mu_n)
+        del mu_p, mu_n
+        dev = scale = 0.0
+        for i, m in enumerate(g.grad_mult):
+            gmp, gmn, ginv = g.ifft(m * qspec)
+            dev, scale = _deviation(dev, scale, _ion_row(L_pp, L_pth, gmp, ginv), j[i])
+            dev, scale = _deviation(dev, scale, _ion_row(L_nn, L_nth, gmn, ginv), j[g.dim + i])
+            del gmp, gmn, ginv  # before the next axis's transform
+        self.audit = FluxAudit(self._production, dev / scale if scale else 0.0)
+
+
 def flux_audit(s: State, params: PhysParams) -> FluxAudit:
     """
     The entropy production density and the flux-reconstruction residual
-    of s in one pass over the axes, bit for bit equal to
+    of s, bit for bit equal to
     entropy_production_density(constitutive_fluxes(s)) and
-    flux_reconstruction_residual(s).
+    flux_reconstruction_residual(s): the AuditSink body fed by its own
+    pass over darcy_axes, which writes the fluxes into one (2*dim)-row
+    buffer and adds |j_p|^2 and |j_n|^2 to sums kept in axis order.
 
-    Per axis it makes the 4-field inverse transform of darcy_axes and a
-    3-field inverse of the batched spectrum of (mu_p/theta, mu_n/theta,
-    1/theta), adds |j_p|^2, |j_n|^2 and |q|^2 to sums kept in axis order,
-    and takes the residual's maxima over that axis's j_p and j_n rows.  It
-    builds no phi_t, exchange flux, j_e or L_thetatheta and holds no
-    FluxSet: 6 + 7*dim transforms (27 at dim 3).
+    This is the standalone sample, 6 + 7*dim transforms (27 at dim 3):
+    the forward transform of (n, p, theta) and one 4-field inverse per
+    axis for the pass, 3 + 3*dim for the residual.  A step fed the sink
+    shares its first RHS evaluation's pass instead, so the sample adds
+    only the residual's 3 + 3*dim (12 at dim 3) to the step.
     """
     g = s.grid
     n, p, th = s.n.values, s.p.values, s.theta.values
+    sink = AuditSink(s, params)
+    j = np.empty((2 * g.dim,) + g.shape)
+    jp2, jn2 = np.zeros((2,) + g.shape)
     spec = g.fft(np.stack([n, p, th]))
-    L_pp, L_nn, L_pth, L_nth, mu_p, mu_n = _ion_coefficients(s, params)
-    qspec = _quotient_spectrum(g, th, mu_p, mu_n)
-    del mu_p, mu_n
-    jp2, jn2, q2 = np.zeros((3,) + g.shape)
-    dev = scale = 0.0
-    # next() rather than zip: zip's reused result tuple would keep this
-    # axis's gradients alive past the del below
-    axes = darcy_axes(g, spec, n, p, th, params)
-    for m in g.grad_mult:
-        gn, gp, gth, gphi, jp, jn = next(axes)
+    for gn, gp, gth, gphi, jp, jn in darcy_axes(g, spec, n, p, th, params, j):
         jp2 += jp**2
         jn2 += jn**2
-        q2 += (-params.k * gth) ** 2
+        sink.axis(gth)
         del gn, gp, gth, gphi  # frees this axis's Darcy transform
-        gmp, gmn, ginv = g.ifft(m * qspec)
-        dev, scale = _deviation(dev, scale, _ion_row(L_pp, L_pth, gmp, ginv), jp)
-        dev, scale = _deviation(dev, scale, _ion_row(L_nn, L_nth, gmn, ginv), jn)
-        del gmp, gmn, ginv, jp, jn  # before the next axis's transforms
-    return FluxAudit(
-        _production_density(s, params, jp2, jn2, q2), dev / scale if scale else 0.0
-    )
+    del spec
+    sink.production(jp2, jn2)
+    del jp2, jn2
+    sink.residual(j)
+    return sink.audit

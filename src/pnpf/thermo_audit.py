@@ -21,17 +21,24 @@ trajectory honors the corresponding identity:
   reciprocal pair of the Onsager block is one array), so it is not
   measured.
 
-One sample (AuditWriter.observe) costs about one RHS evaluation.
-fields.flux_audit makes one pass over the axes for the entropy production
-density and the reciprocity residual: the forward transforms of
-(n, p, theta) and of (mu_p/theta, mu_n/theta, 1/theta), then per axis a
-4-field and a 3-field inverse transform.  It builds no FluxSet, phi_t,
-exchange flux or j_e.  totals integrates the densities, and the Lyapunov
-functional takes one batched forward transform of the converted state.
-At dim 3 that is 3 + 3 + 3*(4 + 3) + 4 = 31 transforms, against 28 for
-one primitive RHS.  Every column equals its definition bit for bit:
-totals through constitutive_fluxes, flux_reconstruction_residual and
-decay.lyapunov of the converted state.
+One sample (AuditWriter.observe) costs less than one RHS evaluation.
+The entropy production density and the reciprocity residual come from a
+fields.AuditSink, whose body reads one pass over the axes (per axis the
+4-field inverse transform of darcy_axes) and adds the residual's forward
+transform of (mu_p/theta, mu_n/theta, 1/theta) and one 3-field inverse
+transform per axis.  It builds no FluxSet, phi_t, exchange flux or j_e.
+totals integrates the densities, and the Lyapunov functional takes one
+batched forward transform of the converted state.  audit_run hands the
+sink of each audited state that is stepped further to that step, whose
+first RHS evaluation makes the pass: at dim 3 the sample then adds
+3 + 3*3 = 12 transforms to the step and observe takes 4, so an audited
+IMEX1 step and its sample cost 30 + 12 + 4 = 46 transforms.  The final
+state, and a state whose step aborts before its first RHS, are audited
+by fields.flux_audit, which makes the pass itself: 3 + 3*4 + 12 + 4 = 31
+transforms, against 28 for one primitive RHS.  Either way every column
+equals its definition bit for bit: totals of the
+entropy_production_density of constitutive_fluxes, the
+flux_reconstruction_residual and decay.lyapunov of the converted state.
 
 Audit rows stream to CSV as they are produced (one-sample lag for the
 centered difference) so aborted runs retain their trail.  The final state
@@ -45,14 +52,15 @@ import math
 from dataclasses import dataclass, fields as dataclass_fields
 
 from . import decay
-from .dynamics import StepAbort, StepperConfig, convert, integrate
+from .dynamics import StepAbort, StepperConfig, convert, step
 from .fields import (
+    AuditSink,
+    FluxAudit,
     PhysParams,
     State,
-    constitutive_fluxes,
+    constitutive_fluxes,  # noqa: F401  (perfbench's tracer test looks it up here)
     energy_density,
     entropy_density,
-    entropy_production_density,
     flux_audit,
 )
 from .grid import integrate as quad
@@ -97,12 +105,10 @@ class AuditRecord:
 CSV_HEADER = ",".join(f.name for f in dataclass_fields(AuditRecord))
 
 
-def totals(s: State, params: PhysParams, production=None):
+def totals(s: State, params: PhysParams, production):
     """(mass_n, mass_p, E, S, Delta) by exact spectral quadrature.
-    production is the state's entropy production density; when not given
-    it is built from constitutive_fluxes, its definition."""
-    if production is None:
-        production = entropy_production_density(constitutive_fluxes(s, params), s, params)
+    production is the state's entropy production density, as
+    fields.flux_audit builds it."""
     return (
         quad(s.n),
         quad(s.p),
@@ -131,9 +137,12 @@ class AuditWriter:
         self._E0 = None
         self.records: list[AuditRecord] = []
 
-    def observe(self, t: float, s: State) -> None:
+    def observe(self, t: float, s: State, flux: FluxAudit | None = None) -> None:
+        """Add the sample of s at time t.  flux is the FluxAudit of s when
+        a step has already built it (AuditSink.audit); None builds it here
+        with fields.flux_audit."""
         params = self._params
-        production, residual = flux_audit(s, params)
+        production, residual = flux_audit(s, params) if flux is None else flux
         mass_n, mass_p, E, S, Delta = totals(s, params, production)
         if self._E0 is None:
             self._E0 = E
@@ -196,21 +205,30 @@ def audit_run(
     step is a multiple of audit_every), after a normal end and after a
     StepAbort, where it is the last good state.  Returns
     (final_state, records, aborted_reason): records[-1].t is the time of
-    final_state, and aborted_reason is None unless the run aborted."""
+    final_state, and aborted_reason is None unless the run aborted.
+
+    The steps are those of dynamics.integrate, state i at time i*dt.  An
+    audited state that is stepped further is observed once its step
+    returns or raises, from the AuditSink the step's first RHS fed (or by
+    flux_audit if the step stopped before it), so its row is in csv_path
+    whatever the step raised."""
     writer = AuditWriter(csv_path, params)
-    final, t_final, audited = state, 0.0, False
-    reason = None
+    total = cfg.n_steps if n_steps is None else n_steps
+    s, i, sink, reason = state, 0, None, None
     try:
-        try:
-            for i, t, s in integrate(state, cfg, params, n_steps):
-                final, t_final = s, t
-                audited = i % audit_every == 0
-                if audited:
-                    writer.observe(t, s)
-        except StepAbort as exc:
-            reason = str(exc)
-        if not audited:
-            writer.observe(t_final, final)
+        while i < total:
+            sink = AuditSink(s, params) if i % audit_every == 0 else None
+            try:
+                nxt = step(s, cfg, params, sink)
+            except StepAbort as exc:
+                reason = str(exc)
+                break
+            finally:
+                if sink is not None:
+                    writer.observe(i * cfg.dt, s, sink.audit)
+            s, i = nxt, i + 1
+        if reason is None or sink is None:
+            writer.observe(i * cfg.dt, s)
     finally:
         writer.close()
-    return final, writer.records, reason
+    return s, writer.records, reason

@@ -8,7 +8,7 @@ import pytest
 
 from pnpf import cli, snapshot, thermo_audit
 from pnpf.dynamics import stability_bound
-from pnpf.fields import PhysParams
+from pnpf.fields import PhysParams, constitutive_fluxes, entropy_production_density
 from pnpf.grid import GridSpec
 from pnpf.thermo_audit import totals
 
@@ -111,8 +111,29 @@ class TestRun:
             assert 0 < meta["step"] < steps
         # the checkpointed state is the one the last row audits
         state, _ = snapshot.read_checkpoint(tmp_path / "final")
-        mass_n, _, E, S, _ = totals(state, PhysParams(**meta["params"]))
+        params = PhysParams(**meta["params"])
+        mass_n, _, E, S, _ = totals(
+            state, params,
+            entropy_production_density(constitutive_fluxes(state, params), state, params),
+        )
         assert (mass_n, E, S) == (rows[-1]["mass_n"], rows[-1]["E"], rows[-1]["S"])
+
+    def test_floor_above_the_state_is_a_runtime_abort(self, tmp_path, capsys):
+        # the initial state lies below a stage floor of 1.5: the first step
+        # aborts before its first RHS, the message names the configured
+        # floor as given, and the state's one audit row is written
+        code = cli.main([
+            "run",
+            "--set", "grid.dim=2",
+            "--set", "grid.n=16",
+            "--set", "initial_condition.type=random_band",
+            "--set", "stepper.positivity_floor=1.5",
+            "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "< 1.5" in err and "2e+00" not in err
+        assert [row["t"] for row in read_audit_csv(tmp_path / "audit.csv")] == [0.0]
 
     def test_negative_entropy_production_is_a_runtime_abort(
         self, tmp_path, monkeypatch, capsys

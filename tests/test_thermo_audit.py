@@ -10,8 +10,13 @@ import numpy as np
 import pytest
 
 from pnpf import decay, fields
-from pnpf.dynamics import StepperConfig, convert, integrate
-from pnpf.fields import PhysParams, State
+from pnpf.dynamics import StepperConfig, convert, integrate, step
+from pnpf.fields import (
+    PhysParams,
+    State,
+    constitutive_fluxes,
+    entropy_production_density,
+)
 from pnpf.grid import GridSpec, ScalarField
 from pnpf.thermo_audit import (
     AuditRecord,
@@ -26,7 +31,10 @@ from .conftest import count_transforms, peak_grids, perturbed_state
 class TestTotals:
     def test_equilibrium(self, grid3d):
         params = PhysParams(c_p=1.5, c_n=1.5)
-        mass_n, mass_p, E, S, D = totals(State.equilibrium(grid3d), params)
+        s = State.equilibrium(grid3d)
+        mass_n, mass_p, E, S, D = totals(
+            s, params, entropy_production_density(constitutive_fluxes(s, params), s, params)
+        )
         V = grid3d.volume
         assert abs(mass_n - V) <= 1e-14
         assert abs(mass_p - V) <= 1e-14
@@ -36,15 +44,12 @@ class TestTotals:
 
     def test_matches_fsum_oracle(self, grid3d, params):
         from . import oracles
-        from pnpf.fields import (
-            constitutive_fluxes,
-            energy_density,
-            entropy_density,
-            entropy_production_density,
-        )
+        from pnpf.fields import energy_density, entropy_density
 
         s = perturbed_state(grid3d, seed=11, amplitude=1e-2)
-        mass_n, mass_p, E, S, D = totals(s, params)
+        mass_n, mass_p, E, S, D = totals(
+            s, params, entropy_production_density(constitutive_fluxes(s, params), s, params)
+        )
         fl = constitutive_fluxes(s, params)
         want = [
             oracles.fsum_integral(grid3d, s.n.values),
@@ -199,7 +204,9 @@ class TestAuditSample:
             writer.close()
         (rec,) = writer.records
         got = (rec.mass_n, rec.mass_p, rec.E, rec.S, rec.Delta)
-        assert got == totals(s, params)  # Delta through constitutive_fluxes
+        assert got == totals(
+            s, params, entropy_production_density(constitutive_fluxes(s, params), s, params)
+        )
         assert rec.onsager_residual == fields.flux_reconstruction_residual(s, params)
         if c_n == params.c_p:
             assert rec.lyapunov == decay.lyapunov(convert(s), params)
@@ -304,7 +311,10 @@ class TestAuditRun:
         assert records[-1].t == steps * dt
         assert audit_times(records, dt) == rows
         assert len(path.read_text().strip().split("\n")) == len(records) + 1
-        mass_n, mass_p, E, S, Delta = totals(final, params)
+        mass_n, mass_p, E, S, Delta = totals(
+            final, params,
+            entropy_production_density(constitutive_fluxes(final, params), final, params),
+        )
         assert (records[-1].mass_n, records[-1].E, records[-1].S) == (mass_n, E, S)
         assert records[-1].Delta == Delta
 
@@ -344,7 +354,10 @@ class TestAuditRun:
         assert reason is not None and "positivity" in reason
         np.testing.assert_array_equal(final.n.values, last.n.values)
         assert records[-1].t == last_i * dt
-        assert records[-1].S == totals(final, params)[3]
+        assert records[-1].S == totals(
+            final, params,
+            entropy_production_density(constitutive_fluxes(final, params), final, params),
+        )[3]
         times = audit_times(records, dt)
         assert times[:-1] == list(range(0, last_i, 3))
         assert times[-1] == last_i
@@ -352,3 +365,142 @@ class TestAuditRun:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == len(records) + 1
         assert [float(line.split(",")[0]) for line in lines[1:]] == [r.t for r in records]
+
+
+class TestFusedSample:
+    """An audited state that is stepped further takes its sample from the
+    step's first RHS evaluation (fields.AuditSink); the step and the
+    sample keep the bits of an unaudited step and of fields.flux_audit."""
+
+    PARAMS = PhysParams(c_p=1.3, c_n=1.7, D_p=0.8, D_n=1.2, k=0.9)
+
+    @pytest.mark.parametrize("scheme", ["RK4", "IMEX1"])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8)])
+    def test_step_and_sample_keep_their_bits(self, scheme, dealias, dim, n):
+        grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+        s = perturbed_state(grid, seed=9, amplitude=5e-2)
+        cfg = StepperConfig(scheme=scheme, dt=1e-3, dealias=dealias)
+        sink = fields.AuditSink(s, self.PARAMS)
+        got = step(s, cfg, self.PARAMS, sink)
+        want = step(s, cfg, self.PARAMS)
+        for name in ("n", "p", "theta", "phi"):
+            assert np.array_equal(getattr(got, name).values, getattr(want, name).values)
+        ref = fields.flux_audit(s, self.PARAMS)
+        assert np.array_equal(sink.audit.production.values, ref.production.values)
+        assert sink.audit.residual == ref.residual
+
+    def test_perturbation_step_refuses_a_sink(self):
+        grid = GridSpec(dim=2, n=8, length=2 * np.pi)
+        s = perturbed_state(grid, seed=9, amplitude=5e-2)
+        with pytest.raises(TypeError, match="State"):
+            step(convert(s), StepperConfig(), PhysParams(), fields.AuditSink(s, PhysParams()))
+
+    def test_audited_imex1_step_cost(self, monkeypatch):
+        # the step 30, the residual's forward transform of (mu_p/theta,
+        # mu_n/theta, 1/theta) 3 and its 3-field inverse per axis 9; the
+        # Darcy pass is the core's
+        grid = GridSpec(dim=3, n=8, length=2 * np.pi)
+        s = perturbed_state(grid, seed=9, amplitude=5e-2)
+        sink = fields.AuditSink(s, self.PARAMS)
+        counted = count_transforms(monkeypatch)
+        step(s, StepperConfig(scheme="IMEX1", dt=1e-3), self.PARAMS, sink)
+        assert counted[0] == 30 + 3 + 9
+
+    def test_audit_run_cost(self, tmp_path, monkeypatch):
+        # four audited IMEX1 steps of 42 with their samples' Lyapunov 4
+        # (c_p == c_n), and the final state's standalone sample 31;
+        # observing each state on its own costs 4 * (30 + 31) + 31 = 275
+        grid = GridSpec(dim=3, n=8, length=2 * np.pi)
+        s = perturbed_state(grid, seed=9, amplitude=5e-2)
+        cfg = StepperConfig(scheme="IMEX1", dt=1e-3, t_end=4e-3)
+        counted = count_transforms(monkeypatch)
+        audit_run(s, cfg, PhysParams(), tmp_path / "audit.csv", audit_every=1)
+        assert counted[0] == 4 * (42 + 4) + 31
+
+    # at 32^3 the audited steps peak at 38.2 (RK4) and 29.2 (IMEX1) full
+    # grids, held to the unaudited steps' 39.5 and 31.0 of before the
+    # sample rode on the step; coefficient arrays built before the RHS
+    # axis loop would add their grids to the loop's peak
+    @pytest.mark.parametrize("scheme, dt, bound", [("RK4", 1e-4, 39.5), ("IMEX1", 1e-3, 31.0)])
+    def test_audited_step_peak_memory(self, scheme, dt, bound):
+        grid = GridSpec(dim=3, n=32, length=2 * np.pi)
+        s = perturbed_state(grid, seed=5, amplitude=5e-2)
+        cfg = StepperConfig(scheme=scheme, dt=dt)
+        audited = lambda: step(s, cfg, self.PARAMS, fields.AuditSink(s, self.PARAMS))
+        assert peak_grids(audited, grid) <= bound
+
+    @pytest.mark.parametrize("scheme", ["RK4", "IMEX1"])
+    def test_csv_equals_the_standalone_samples(self, tmp_path, scheme):
+        # audit_run against the same trajectory sampled by hand, every
+        # sample through fields.flux_audit
+        grid = GridSpec(dim=2, n=16, length=2 * np.pi)
+        s0 = perturbed_state(grid, seed=7, amplitude=1e-2)
+        cfg = StepperConfig(scheme=scheme, dt=1e-3, t_end=7e-3)
+        fused = tmp_path / "fused.csv"
+        audit_run(s0, cfg, self.PARAMS, fused, audit_every=2)
+        alone = tmp_path / "alone.csv"
+        writer = AuditWriter(alone, self.PARAMS)
+        try:
+            for i, t, s in integrate(s0, cfg, self.PARAMS):
+                if i % 2 == 0 or i == cfg.n_steps:
+                    writer.observe(t, s)
+        finally:
+            writer.close()
+        assert fused.read_bytes() == alone.read_bytes()
+
+
+class TestAuditTrail:
+    """The row of an audited state survives however its step ends."""
+
+    grid = GridSpec(dim=2, n=16, length=2 * np.pi)
+
+    def test_abort_before_the_first_rhs_uses_the_standalone_sample(
+        self, tmp_path, params, monkeypatch
+    ):
+        # a stage floor above the state's minimum aborts before any RHS
+        s0 = perturbed_state(self.grid, seed=7, amplitude=1e-2)
+        cfg = StepperConfig(scheme="IMEX1", dt=1e-3, t_end=5e-3, positivity_floor=1.5)
+        from pnpf import thermo_audit
+
+        calls = []
+        real = thermo_audit.flux_audit
+        monkeypatch.setattr(
+            thermo_audit, "flux_audit", lambda *args: calls.append(None) or real(*args)
+        )
+        path = tmp_path / "audit.csv"
+        final, records, reason = audit_run(s0, cfg, params, path, audit_every=1)
+        assert "positivity" in reason and "1.5" in reason
+        assert final is s0
+        assert len(calls) == 1
+        assert [rec.t for rec in records] == [0.0]
+        assert len(path.read_text().strip().split("\n")) == 2
+        assert records[0].Delta == totals(s0, params, real(s0, params).production)[4]
+
+    def test_other_exceptions_keep_the_row(self, tmp_path, params, monkeypatch):
+        # the third step fails after its first RHS with something that is
+        # not a StepAbort: the row of the state it started from is written
+        from pnpf import dynamics, thermo_audit
+
+        s0 = perturbed_state(self.grid, seed=7, amplitude=1e-2)
+        dt = 1e-3
+        cfg = StepperConfig(scheme="RK4", dt=dt, t_end=6 * dt)
+        calls = []
+
+        def failing(state, cfg, params, sink=None):
+            calls.append(state)
+            nxt = dynamics.step(state, cfg, params, sink)
+            if len(calls) == 3:
+                raise MemoryError("out of memory in step 3")
+            return nxt
+
+        monkeypatch.setattr(thermo_audit, "step", failing)
+        path = tmp_path / "audit.csv"
+        with pytest.raises(MemoryError):
+            audit_run(s0, cfg, params, path, audit_every=1)
+        rows = [[float(x) for x in line.split(",")] for line in path.read_text().split("\n")[1:-1]]
+        assert [row[0] for row in rows] == [0.0, dt, 2 * dt]
+        s2 = calls[2]
+        production = entropy_production_density(constitutive_fluxes(s2, params), s2, params)
+        assert rows[-1][1:6] == list(totals(s2, params, production))
+        assert rows[-1][8] == fields.flux_reconstruction_residual(s2, params)
