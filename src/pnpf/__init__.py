@@ -5,7 +5,7 @@ force identities, Lyapunov decay)."""
 
 from .grid import GridSpec, ScalarField, VectorField
 from .fields import PhysParams, State, FluxSet, OnsagerBlock, PositivityError
-from .poisson import NonNeutralSource, PoissonSolution
+from .poisson import NonNeutralSource
 from .dynamics import PerturbationState, StepperConfig, StepAbort
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "OnsagerBlock",
     "PositivityError",
     "NonNeutralSource",
-    "PoissonSolution",
     "PerturbationState",
     "StepperConfig",
     "StepAbort",

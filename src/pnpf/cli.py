@@ -99,7 +99,7 @@ CONFIG_SCHEMA = {
     "varcheck": {
         "seed": "int",
         "amplitude": "float",
-        "kmax": "int",
+        "kmax": "int >= 1",
         "fd_rel_tol": "float",
         "balance_tol": "float",
     },
@@ -167,13 +167,16 @@ def _check_types(config: dict, defaults: dict = DEFAULTS, schema: dict = CONFIG_
                  prefix: str = "") -> None:
     """ConfigError naming the key unless every value has the JSON type of
     its default: an object for a section, a number (an integer too) for a
-    float, a string or null for outputs."""
+    float, a string or null for outputs; and unless every key whose schema
+    reads "int >= 1" holds at least 1."""
     for key, default in defaults.items():
         name, val = prefix + key, config[key]
         allowed = {float: (int, float), type(None): (str, type(None))}.get(
             type(default), (type(default),)
         )
-        if type(val) not in allowed:
+        if type(val) not in allowed or (
+            type(default) is int and schema[key].startswith("int >= 1") and val < 1
+        ):
             expected = "an object" if isinstance(default, dict) else schema[key]
             raise ConfigError(f"config key {name!r} is {json.dumps(val)}, expected {expected}")
         if isinstance(default, dict):
@@ -259,8 +262,6 @@ def cmd_run(config: dict) -> int:
     grid, params, cfg = _build_objects(config)
     outdir = _outputs_dir(config)
     audit_every = int(config["audit_every"])
-    if audit_every < 1:
-        raise ConfigError("audit_every must be >= 1")
     state = build_initial_state(config, grid)
     final, records, abort_reason = audit_run(
         state, cfg, params, outdir / "audit.csv", audit_every=audit_every

@@ -97,7 +97,10 @@ def lyapunov(ps: PerturbationState, params: PhysParams, spec=None) -> float:
     return float(out)
 
 
-def _smallness_from_arrays(grid: GridSpec, ut, v, tt) -> float:
+def smallness_size(grid: GridSpec, ut, v, tt) -> float:
+    """||(n-1, p-1, theta-1)||_H2 + ||grad phi||_L2 of the raw perturbation
+    arrays (u_tilde, v, theta_tilde), the quantity the smallness
+    assumption bounds."""
     n1 = 0.5 * (ut + v)
     p1 = 0.5 * (ut - v)
     total = 0.0
@@ -106,14 +109,6 @@ def _smallness_from_arrays(grid: GridSpec, ut, v, tt) -> float:
     phi = -grid.inv_k2 * grid.fft(v)
     grad_phi = math.sqrt(grid.spectral_l2_sum(phi, grid.h1_weight))
     return math.sqrt(total) + grad_phi
-
-
-def smallness_size(ps: PerturbationState) -> float:
-    """||(n-1, p-1, theta-1)||_H2 + ||grad phi||_L2, the quantity the
-    smallness assumption bounds."""
-    return _smallness_from_arrays(
-        ps.grid, ps.u_tilde.values, ps.v.values, ps.theta_tilde.values
-    )
 
 
 def band_field(grid: GridSpec, gen, kmax: int) -> np.ndarray:
@@ -147,7 +142,7 @@ def initial_condition(
         ut = band_field(grid, gen, band)
         v = band_field(grid, gen, band)
         tt = band_field(grid, gen, band)
-    scale = exp.delta0 / _smallness_from_arrays(grid, ut, v, tt)
+    scale = exp.delta0 / smallness_size(grid, ut, v, tt)
     return PerturbationState.from_fields(
         ScalarField(grid, ut * scale),
         ScalarField(grid, v * scale),

@@ -35,21 +35,19 @@ calls the wrappers, which keep the bits the RHS had before the split.
 The IMEX1 steppers call the cores on the spectrum of the current state
 that their implicit solve needs anyway, so the RHS output is never
 transformed back and forth and the state is transformed once per step.
-At dim 3 a primitive IMEX1 step costs 30 transforms: the forward
-transform of (n, p, theta) 3, the core 22, the inverse transform of the
-update 3 and the Poisson solve of the new State 2.  The array RHS costs
-28 and an RK4 step 114.
+tests/test_dynamics.py pins the transform counts of the array RHS and of
+both steps (TestSpectralCore::test_imex1_step_cost, ::test_transform_count).
 
 step can feed an audit sample (a fields.AuditSink of its input State)
 from its first RHS evaluation, k1 of RK4 or the IMEX1 core: the Darcy
 pass is the sample's, the |q|^2 sum and the production density ride on
 its axis loop, and the reconstruction residual runs after that loop on
 the flux rows of the buffer the outer forward transform reads.  The
-sample adds 3 + 3*dim transforms to the step (12 at dim 3: an IMEX1 step
-42, an RK4 step 126) where a standalone fields.flux_audit costs
-6 + 7*dim (27).  Its coefficient arrays are built only after the axis
-loop, so the step's peak memory grows by at most the one grid of the
-|q|^2 sum or of the production density.
+sample adds 3 + 3*dim transforms to the step where a standalone
+fields.flux_audit costs 6 + 7*dim (pinned at dim 3 by
+TestSpectralCore::test_transform_count).  Its coefficient arrays are
+built only after the axis loop, so the step's peak memory grows by at
+most the one grid of the |q|^2 sum or of the production density.
 
 RK4 keeps one accumulator, k1 + 2 k2 + 2 k3 + k4 summed in that order,
 instead of the four stage derivatives, so besides it only the current
@@ -110,13 +108,7 @@ class PerturbationState:
     def from_fields(
         cls, u_tilde: ScalarField, v: ScalarField, theta_tilde: ScalarField
     ) -> "PerturbationState":
-        phi = poisson.solve(v).phi
-        return cls(u_tilde, v, theta_tilde, phi)
-
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "PerturbationState":
-        z = ScalarField.constant(grid, 0.0)
-        return cls(z, z, z, z)
+        return cls(u_tilde, v, theta_tilde, poisson.solve(v))
 
 
 @dataclass(frozen=True)

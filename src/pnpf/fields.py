@@ -33,8 +33,9 @@ over darcy_axes can feed: the |q|^2 sum per axis, the production density
 from the pass's |j_p|^2 and |j_n|^2 sums, and the reconstruction residual
 over the pass's j_p and j_n rows after the axis loop.  A step fed a sink
 makes its first RHS evaluation that pass, and the sample adds 3 + 3*dim
-transforms (12 at dim 3) to the step; flux_audit makes the pass itself,
-6 + 7*dim transforms (27 at dim 3).  Either way the sample takes from the
+transforms to the step; flux_audit makes the pass itself, 6 + 7*dim
+transforms (tests/test_dynamics.py TestSpectralCore::test_transform_count
+pins both at dim 3).  Either way the sample takes from the
 axes only what it reads and builds nothing else.  The definitions stay
 as they are: constitutive_fluxes (used by varcheck),
 entropy_production_density, reconstruct_fluxes and
@@ -130,8 +131,7 @@ class State:
         _check_positive("p", p.values)
         _check_positive("theta", theta.values)
         rho = ScalarField(n.grid, n.values - p.values)
-        sol = poisson.solve(rho)
-        return cls(n, p, theta, sol.phi)
+        return cls(n, p, theta, poisson.solve(rho))
 
     @classmethod
     def equilibrium(cls, grid: GridSpec) -> "State":
@@ -458,8 +458,8 @@ class AuditSink:
 
     The residual builds the coefficient block and the batched spectrum of
     (mu_p/theta, mu_n/theta, 1/theta) only when it runs, so no array of
-    it is alive during the pass's axis loop: 3 + 3*dim transforms (12 at
-    dim 3).  It builds no phi_t, exchange flux, j_e or L_thetatheta.
+    it is alive during the pass's axis loop: 3 + 3*dim transforms.  It
+    builds no phi_t, exchange flux, j_e or L_thetatheta.
     """
 
     def __init__(self, s: State, params: PhysParams):
@@ -499,11 +499,11 @@ def flux_audit(s: State, params: PhysParams) -> FluxAudit:
     pass over darcy_axes, which writes the fluxes into one (2*dim)-row
     buffer and adds |j_p|^2 and |j_n|^2 to sums kept in axis order.
 
-    This is the standalone sample, 6 + 7*dim transforms (27 at dim 3):
+    This is the standalone sample, 6 + 7*dim transforms:
     the forward transform of (n, p, theta) and one 4-field inverse per
     axis for the pass, 3 + 3*dim for the residual.  A step fed the sink
     shares its first RHS evaluation's pass instead, so the sample adds
-    only the residual's 3 + 3*dim (12 at dim 3) to the step.
+    only the residual's 3 + 3*dim to the step.
     """
     g = s.grid
     n, p, th = s.n.values, s.p.values, s.theta.values

@@ -9,12 +9,14 @@ exact integral of the trigonometric interpolant.
 Conventions fixed here and relied on everywhere else:
 
 * wavenumbers k_i = 2*pi*m_i/L with mode indices m_i from fftfreq,
-* first-derivative multipliers zero the Nyquist mode so d/dx maps real
-  fields to real fields and is skew-adjoint,
-* the Laplacian multiplier is -|k|^2 with the Nyquist mode included, so
-  divergence(gradient(f)) == laplacian(f) holds exactly only for fields
-  with no Nyquist content (all dealiased fields qualify),
-* dealiasing keeps mode indices |m_i| <= floor(N/3) per axis (2/3 rule).
+* first-derivative multipliers (grad_mult) zero the Nyquist mode so d/dx
+  maps real fields to real fields and is skew-adjoint,
+* the Laplacian multiplier is -k2 = -|k|^2 with the Nyquist mode
+  included, so the divergence of the gradient equals the Laplacian
+  exactly only for fields with no Nyquist content (all dealiased fields
+  qualify),
+* dealiasing (dealias_mask) keeps mode indices |m_i| <= floor(N/3) per
+  axis (2/3 rule).
 
 Everything in this module is a pure function of its inputs; grids are
 frozen after construction and safe to share across threads.
@@ -41,7 +43,6 @@ threads.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -65,7 +66,8 @@ _WORKERS = min(_usable_cpus(), 4)
 # transforms reading fewer real numbers than this run on one thread
 FFT_SPLIT_POINTS = 2**18
 
-DEFAULT_MAX_POINTS = 2**24
+# memory guard: a grid may hold at most this many points
+MAX_POINTS = 2**24
 
 
 def _workers(points: int) -> int:
@@ -87,11 +89,9 @@ class GridSpec:
     dim : int
         Spatial dimension.
     n : int
-        Points per axis; power of two, >= 8.
+        Points per axis; power of two, >= 8, with n**dim at most MAX_POINTS.
     length : float
         Box side L (> 0), same along every axis.
-    max_points : int
-        Memory guard: n**dim may not exceed this.
 
     Spectral tables (wavenumbers, inverse Laplacian multipliers, dealias
     mask, Sobolev weights) are precomputed once and immutable.
@@ -100,7 +100,6 @@ class GridSpec:
     dim: int
     n: int
     length: float
-    max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
@@ -109,16 +108,13 @@ class GridSpec:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         if not (self.length > 0):
             raise ValueError(f"length must be positive, got {self.length}")
-        if self.n**self.dim > self.max_points:
-            raise ValueError(
-                f"{self.n}^{self.dim} points exceed max_points={self.max_points}"
-            )
+        if self.n**self.dim > MAX_POINTS:
+            raise ValueError(f"{self.n}^{self.dim} points exceed MAX_POINTS={MAX_POINTS}")
 
         n, L, d = self.n, float(self.length), self.dim
         object.__setattr__(self, "shape", (n,) * d)
         object.__setattr__(self, "spectral_shape", (n,) * (d - 1) + (n // 2 + 1,))
         object.__setattr__(self, "cell_volume", (L / n) ** d)
-        object.__setattr__(self, "volume", L**d)
 
         k_full = 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
         k_half = 2.0 * np.pi * np.fft.rfftfreq(n, d=L / n)
@@ -129,7 +125,6 @@ class GridSpec:
             shape = [1] * d
             shape[ax] = k1.size
             ks.append(k1.reshape(shape))
-        object.__setattr__(self, "k", tuple(ks))
 
         k2 = sum(ki**2 for ki in ks)
         k2 = np.broadcast_to(k2, self.spectral_shape).copy()
@@ -250,12 +245,8 @@ class VectorField:
                 raise ValueError("VectorField components must be finite")
         object.__setattr__(self, "components", comps)
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "VectorField":
-        return cls(grid, tuple(np.zeros(grid.shape) for _ in range(grid.dim)))
 
-
-# -- spectral calculus (array-level kernels + field-level wrappers) ----------
+# -- spectral calculus on raw arrays, and quadrature ----------------------
 
 
 def grad_arrays(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
@@ -265,75 +256,12 @@ def grad_arrays(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
     return list(grid.ifft(stack))
 
 
-def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return grid.ifft(-grid.k2 * grid.fft(values))
-
-
 def divergence_arrays(grid: GridSpec, comps) -> np.ndarray:
     spec = grid.fft(np.stack(comps))
     out = sum(m * spec[i] for i, m in enumerate(grid.grad_mult))
     return grid.ifft(out)
 
 
-def dealias_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return grid.ifft(grid.dealias_mask * grid.fft(values))
-
-
-def gradient(f: ScalarField) -> VectorField:
-    """Spectral gradient of f; each component has exactly zero mean."""
-    return VectorField(f.grid, tuple(grad_arrays(f.grid, f.values)))
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    """Spectral Laplacian (multiplier -|k|^2, Nyquist included)."""
-    return ScalarField(f.grid, laplacian_array(f.grid, f.values))
-
-
-def divergence(v: VectorField) -> ScalarField:
-    """Spectral divergence; output mean is exactly zero (torus)."""
-    return ScalarField(v.grid, divergence_arrays(v.grid, v.components))
-
-
-def dealias(f: ScalarField) -> ScalarField:
-    """2/3-rule truncation: zero all modes with any |m_i| > floor(N/3)."""
-    return ScalarField(f.grid, dealias_array(f.grid, f.values))
-
-
 def integrate(f: ScalarField) -> float:
     """integral of f over the box: cell sum times (L/N)^dim."""
     return float(f.values.sum() * f.grid.cell_volume)
-
-
-def mean(f: ScalarField) -> float:
-    return float(f.values.mean())
-
-
-def inner(f: ScalarField, g: ScalarField) -> float:
-    """L2 inner product <f, g> with the cell-volume weight."""
-    return float((f.values * g.values).sum() * f.grid.cell_volume)
-
-
-def norm(f: ScalarField, kind: str = "L2", p: float | None = None) -> float:
-    """
-    Discrete norm of a scalar field.
-
-    kind is one of "L2", "Lp" (requires p >= 1), "H1", "H2".  Sobolev norms
-    use spectral derivatives and count every multi-index |alpha| <= k once:
-
-        ||f||_Hk^2 = sum_{|alpha| <= k} ||d^alpha f||_L2^2.
-    """
-    g = f.grid
-    if kind == "L2":
-        return math.sqrt(float((f.values**2).sum() * g.cell_volume))
-    if kind == "Lp":
-        if p is None or p < 1:
-            raise ValueError(f"Lp norm needs p >= 1, got {p}")
-        return float((np.abs(f.values) ** p).sum() * g.cell_volume) ** (1.0 / p)
-    if kind in ("H1", "H2"):
-        spec = g.fft(f.values)
-        total = g.spectral_l2_sum(spec)
-        total += g.spectral_l2_sum(spec, g.h1_weight)
-        if kind == "H2":
-            total += g.spectral_l2_sum(spec, g.h2_weight)
-        return math.sqrt(total)
-    raise ValueError(f"unknown norm kind {kind!r}")

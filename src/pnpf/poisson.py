@@ -17,9 +17,6 @@ zero-mean-gauge kernel) and is self-adjoint; on a neutral source it is
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import GridSpec, ScalarField
@@ -31,27 +28,14 @@ class NonNeutralSource(ValueError):
     """Poisson source with |mean| above tolerance: no periodic solution."""
 
 
-@dataclass(frozen=True)
-class PoissonSolution:
-    phi: ScalarField
-    source: ScalarField
-
-    @property
-    def residual_norm(self) -> float:
-        """||Delta(phi) - source||_L2, computed spectrally on access."""
-        g = self.phi.grid
-        res = (-g.k2) * g.fft(self.phi.values) - g.fft(self.source.values)
-        return math.sqrt(g.spectral_l2_sum(res))
-
-
 def solve_array(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     """phi_hat = -v_hat/|k|^2 for k != 0, phi_hat(0) = 0 (raw arrays)."""
     return grid.ifft(-grid.inv_k2 * grid.fft(v))
 
 
-def solve(v: ScalarField) -> PoissonSolution:
+def solve(v: ScalarField) -> ScalarField:
     """
-    Solve Delta(phi) = v on the torus, zero-mean gauge.
+    The potential phi solving Delta(phi) = v on the torus, zero-mean gauge.
 
     Raises
     ------
@@ -65,7 +49,7 @@ def solve(v: ScalarField) -> PoissonSolution:
             f"Poisson source has mean {m:.3e} (tolerance {NEUTRALITY_TOL:.0e}); "
             "the periodic problem requires a neutral source"
         )
-    return PoissonSolution(ScalarField(g, solve_array(g, v.values)), v)
+    return ScalarField(g, solve_array(g, v.values))
 
 
 def greens_apply(grid: GridSpec, values: np.ndarray) -> np.ndarray:

@@ -30,12 +30,14 @@ transform per axis.  It builds no FluxSet, phi_t, exchange flux or j_e.
 totals integrates the densities, and the Lyapunov functional takes one
 batched forward transform of the converted state.  audit_run hands the
 sink of each audited state that is stepped further to that step, whose
-first RHS evaluation makes the pass: at dim 3 the sample then adds
-3 + 3*3 = 12 transforms to the step and observe takes 4, so an audited
-IMEX1 step and its sample cost 30 + 12 + 4 = 46 transforms.  The final
-state, and a state whose step aborts before its first RHS, are audited
-by fields.flux_audit, which makes the pass itself: 3 + 3*4 + 12 + 4 = 31
-transforms, against 28 for one primitive RHS.  Either way every column
+first RHS evaluation makes the pass, so the sample adds only the
+residual's transforms to the step and observe only the Lyapunov
+functional's.  The final state, and a state whose step aborts before its
+first RHS, are audited by fields.flux_audit, which makes the pass itself.
+tests/test_thermo_audit.py pins these counts
+(TestAuditSample::test_sample_cost,
+TestFusedSample::test_audited_imex1_step_cost, ::test_audit_run_cost).
+Either way every column
 equals its definition bit for bit: totals of the
 entropy_production_density of constitutive_fluxes, the
 flux_reconstruction_residual and decay.lyapunov of the converted state.

@@ -169,15 +169,13 @@ def conservative_force_closed(s: State, params: PhysParams) -> ForceSet:
 # -- entropy production functional and dissipative forces ---------------------
 
 
-def _eliminate_heat_flux(s: State, params: PhysParams, j_p, j_n, j_e, gphi=None):
+def _eliminate_heat_flux(s: State, params: PhysParams, j_p, j_n, j_e, gphi):
     """q from (j_e, j_p, j_n) by the energy-flux bookkeeping, with the
-    potential rate solved from the continuity equations; grad(phi) is
-    built here when not given."""
+    potential rate solved from the continuity equations; gphi is
+    grad(phi) of s."""
     g = s.grid
     th, phi = s.theta.values, s.phi.values
     a, b = energy_weights(th, phi, params)
-    if gphi is None:
-        gphi = grad_arrays(g, phi)
     _, exchange = exchange_arrays(g, phi, gphi, j_p, j_n)
     q = [j_e[i] - a * j_p[i] - b * j_n[i] - exchange[i] for i in range(g.dim)]
     return q, a, b
@@ -187,13 +185,6 @@ def _dissipation(s: State, params: PhysParams, j_p, j_n, q) -> float:
     """The quadratic entropy production of (j_p, j_n) and the heat flux q."""
     sq = lambda comps: sum(c**2 for c in comps)
     return integrate(_production_density(s, params, sq(j_p), sq(j_n), sq(q)))
-
-
-def dissipation_functional(s: State, params: PhysParams, j_p, j_n, j_e) -> float:
-    """The quadratic entropy production of arbitrary fluxes, with q
-    eliminated through the energy-flux relation."""
-    q, _, _ = _eliminate_heat_flux(s, params, j_p, j_n, j_e)
-    return _dissipation(s, params, j_p, j_n, q)
 
 
 @dataclass(frozen=True)

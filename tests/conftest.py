@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pnpf.grid import GridSpec, ScalarField
+from pnpf.grid import GridSpec, ScalarField, integrate
 from pnpf.fields import PhysParams, State
 from pnpf.dynamics import PerturbationState
 
@@ -37,10 +37,6 @@ def band_limited(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 1.
     return vals
 
 
-def scalar(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 1.0) -> ScalarField:
-    return ScalarField(grid, band_limited(grid, seed, kmax, amplitude))
-
-
 def perturbed_state(grid: GridSpec, seed: int, amplitude: float = 1e-3,
                     kmax: int = 2) -> State:
     """Random admissible State near equilibrium: neutral, positive,
@@ -60,6 +56,22 @@ def perturbation_state(grid: GridSpec, seed: int, amplitude: float = 1e-3,
     v = ScalarField(grid, band_limited(grid, seed + 1, kmax, amplitude))
     tt = ScalarField(grid, band_limited(grid, seed + 2, kmax, amplitude))
     return PerturbationState.from_fields(ut, v, tt)
+
+
+def laplacian(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """The Laplacian as the steppers build it: the -k2 multiplier on the
+    forward spectrum."""
+    return grid.ifft(-grid.k2 * grid.fft(values))
+
+
+def dealiased(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """values truncated by the steppers' dealias_mask."""
+    return grid.ifft(grid.dealias_mask * grid.fft(values))
+
+
+def inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:
+    """L2 inner product <f, g>: grid.integrate of the product."""
+    return integrate(ScalarField(grid, f * g))
 
 
 def peak_grids(fn, grid: GridSpec) -> float:

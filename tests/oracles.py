@@ -1,9 +1,10 @@
-"""Independent dense oracles used to freeze expected values.
+"""Independent dense oracles used to freeze expected values, and the
+reference definitions that production shortcuts are compared against.
 
-These deliberately avoid the library's FFT code path: differentiation
-matrices are assembled from explicitly constructed DFT matrices, the
-constrained Poisson solve goes through a dense KKT system, and
-quadratures use math.fsum over plain Python loops.
+The dense oracles deliberately avoid the library's FFT code path:
+differentiation matrices are assembled from explicitly constructed DFT
+matrices, the constrained Poisson solve goes through a dense KKT system,
+and quadratures use math.fsum over plain Python loops.
 """
 
 import itertools
@@ -11,7 +12,8 @@ import math
 
 import numpy as np
 
-from pnpf.grid import GridSpec
+from pnpf import varcheck
+from pnpf.grid import GridSpec, grad_arrays
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -108,3 +110,12 @@ def dense_poisson_solve(grid: GridSpec, source: np.ndarray) -> np.ndarray:
 def fsum_integral(grid: GridSpec, values: np.ndarray) -> float:
     """Quadrature via math.fsum over a plain Python loop."""
     return math.fsum(float(x) for x in values.ravel()) * grid.cell_volume
+
+
+def dissipation_functional(s, params, j_p, j_n, j_e) -> float:
+    """The quadratic entropy production of arbitrary fluxes, with q
+    eliminated through the energy-flux relation (grad(phi) built here):
+    the definition that varcheck's linearly split scan evaluates."""
+    gphi = grad_arrays(s.grid, s.phi.values)
+    q, _, _ = varcheck._eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
+    return varcheck._dissipation(s, params, j_p, j_n, q)

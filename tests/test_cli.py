@@ -48,6 +48,33 @@ class TestConfig:
         assert "positivity_floor" in capsys.readouterr().err
         assert not (tmp_path / "audit.csv").exists()
 
+    @pytest.mark.parametrize("band", [0, -3])
+    def test_band_below_one_is_a_config_error(self, tmp_path, capsys, band):
+        # a band below 1 keeps no mode: the run would be the exact equilibrium
+        code = cli.main([
+            "run",
+            "--set", "grid.dim=1",
+            "--set", "grid.n=8",
+            "--set", "initial_condition.type=random_band",
+            "--set", f"initial_condition.band={band}",
+            "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "'initial_condition.band'" in capsys.readouterr().err
+        assert not (tmp_path / "audit.csv").exists()
+
+    def test_kmax_below_one_is_a_config_error(self, tmp_path, capsys):
+        # a zero probe pairs to 0 against every force: a vacuous pass
+        code = cli.main([
+            "varcheck",
+            "--set", "grid.n=8",
+            "--set", "varcheck.kmax=0",
+            "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "'varcheck.kmax'" in capsys.readouterr().err
+        assert not (tmp_path / "varcheck-report.json").exists()
+
 
 class TestConfigTypes:
     """A config value of the wrong JSON type exits 2 and names its key; no

@@ -18,8 +18,8 @@ from pnpf.decay import (
     spectra,
     summary,
 )
-from pnpf.dynamics import PerturbationState, StepperConfig
-from pnpf.fields import PhysParams
+from pnpf.dynamics import PerturbationState, StepperConfig, convert
+from pnpf.fields import PhysParams, State
 from pnpf.grid import GridSpec, ScalarField
 
 from .conftest import perturbation_state
@@ -28,7 +28,7 @@ from . import oracles
 
 class TestLyapunov:
     def test_zero_perturbation(self, grid3d, params):
-        assert lyapunov(PerturbationState.zero(grid3d), params) == 0.0
+        assert lyapunov(convert(State.equilibrium(grid3d)), params) == 0.0
 
     def test_single_mode_analytic(self, params):
         # u_tilde = a sin(2 pi x), unit box, 3D:
@@ -137,7 +137,8 @@ class TestInitialCondition:
         for profile in ("single_mode", "random_band"):
             exp = DecayExperiment(delta0=1e-2, seed=4, mode_profile=profile)
             ps = initial_condition(exp, grid, params)
-            assert abs(smallness_size(ps) - 1e-2) <= 1e-12
+            size = smallness_size(grid, ps.u_tilde.values, ps.v.values, ps.theta_tilde.values)
+            assert abs(size - 1e-2) <= 1e-12
 
     def test_smallness_flag(self):
         assert DecayExperiment(delta0=0.5).outside_smallness_regime

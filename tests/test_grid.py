@@ -1,5 +1,5 @@
 """Spectral calculus: exactness on resolved modes, dense-matrix oracles,
-Parseval consistency, norm definitions."""
+Parseval consistency, and the spectral norms the decay harness takes."""
 
 import math
 import os
@@ -10,20 +10,17 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from pnpf import grid as grid_mod
+from pnpf.decay import _h2_sq
 from pnpf.grid import (
     GridSpec,
     ScalarField,
     VectorField,
-    dealias,
-    divergence,
-    gradient,
-    inner,
+    divergence_arrays,
+    grad_arrays,
     integrate,
-    laplacian,
-    norm,
 )
 
-from .conftest import band_limited, scalar
+from .conftest import band_limited, dealiased, inner, laplacian
 from . import oracles
 
 
@@ -45,8 +42,11 @@ class TestGridSpec:
             GridSpec(dim=2, n=8, length=0.0)
 
     def test_memory_cap(self):
-        with pytest.raises(ValueError, match="max_points"):
-            GridSpec(dim=3, n=64, length=1.0, max_points=1000)
+        with pytest.raises(ValueError, match="MAX_POINTS"):
+            GridSpec(dim=3, n=512, length=1.0)
+        # the cap is the module's, not a per-grid setting
+        with pytest.raises(TypeError):
+            GridSpec(dim=3, n=64, length=1.0, max_points=2**30)
 
     def test_immutability(self):
         g = GridSpec(dim=1, n=8, length=1.0)
@@ -72,102 +72,104 @@ class TestScalarField:
 
 class TestGradient:
     def test_constant_gives_zero(self, grid3d):
-        g = gradient(ScalarField.constant(grid3d, 3.7))
-        for c in g.components:
+        for c in grad_arrays(grid3d, np.full(grid3d.shape, 3.7)):
             assert np.abs(c).max() <= 1e-14
 
     @pytest.mark.parametrize("n,L", [(16, 1.0), (16, 2.5)])
     def test_single_mode_analytic(self, n, L):
         grid = GridSpec(dim=1, n=n, length=L)
         (x,) = grid.axes_coordinates()
-        f = ScalarField(grid, np.sin(2 * np.pi * x / L))
-        g = gradient(f)
+        (g,) = grad_arrays(grid, np.sin(2 * np.pi * x / L))
         expected = (2 * np.pi / L) * np.cos(2 * np.pi * x / L)
-        assert np.abs(g.components[0] - expected).max() <= 1e-12
+        assert np.abs(g - expected).max() <= 1e-12
 
     def test_matches_dense_matrix_oracle(self, grid3d):
         f = band_limited(grid3d, seed=11, kmax=2)
-        g = gradient(ScalarField(grid3d, f))
         dg = oracles.dense_gradient(grid3d, f)
-        for got, want in zip(g.components, dg):
+        for got, want in zip(grad_arrays(grid3d, f), dg):
             assert np.abs(got - want).max() <= 1e-10
 
     def test_components_have_zero_mean(self, grid3d):
-        g = gradient(scalar(grid3d, seed=3))
-        for c in g.components:
+        for c in grad_arrays(grid3d, band_limited(grid3d, seed=3)):
             assert abs(c.mean()) <= 1e-14
 
     def test_shift_invariance(self, grid3d):
         f = band_limited(grid3d, seed=5)
-        g1 = gradient(ScalarField(grid3d, f))
-        g2 = gradient(ScalarField(grid3d, f + 4.2))
-        for a, b in zip(g1.components, g2.components):
+        g1 = grad_arrays(grid3d, f)
+        g2 = grad_arrays(grid3d, f + 4.2)
+        for a, b in zip(g1, g2):
             assert np.abs(a - b).max() <= 1e-13
 
 
 class TestLaplacian:
     def test_constant(self, grid3d):
-        out = laplacian(ScalarField.constant(grid3d, 2.0))
-        assert np.abs(out.values).max() <= 1e-13
+        out = laplacian(grid3d, np.full(grid3d.shape, 2.0))
+        assert np.abs(out).max() <= 1e-13
 
     def test_eigenfunction(self):
         grid = GridSpec(dim=1, n=32, length=3.0)
         (x,) = grid.axes_coordinates()
         k = 2 * np.pi / grid.length
-        f = ScalarField(grid, np.sin(k * x))
-        out = laplacian(f)
-        assert np.abs(out.values + k**2 * f.values).max() <= 1e-11
+        f = np.sin(k * x)
+        out = laplacian(grid, f)
+        assert np.abs(out + k**2 * f).max() <= 1e-11
 
     def test_equals_div_grad(self, grid3d):
-        f = scalar(grid3d, seed=7)
-        lhs = laplacian(f).values
-        rhs = divergence(gradient(f)).values
+        f = band_limited(grid3d, seed=7)
+        lhs = laplacian(grid3d, f)
+        rhs = divergence_arrays(grid3d, grad_arrays(grid3d, f))
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 class TestDivergence:
     def test_constant_vector(self, grid3d):
-        v = VectorField(grid3d, tuple(np.full(grid3d.shape, c) for c in (1.0, -2.0, 0.5)))
-        assert np.abs(divergence(v).values).max() <= 1e-13
+        v = [np.full(grid3d.shape, c) for c in (1.0, -2.0, 0.5)]
+        assert np.abs(divergence_arrays(grid3d, v)).max() <= 1e-13
 
     def test_zero_mean_output(self, grid3d):
-        v = VectorField(grid3d, tuple(band_limited(grid3d, seed=20 + i) for i in range(3)))
-        out = divergence(v)
-        assert abs(out.values.mean()) <= 1e-14
+        v = [band_limited(grid3d, seed=20 + i) for i in range(3)]
+        out = divergence_arrays(grid3d, v)
+        assert abs(out.mean()) <= 1e-14
+
+
+def l2_norm(grid: GridSpec, f: np.ndarray) -> float:
+    return math.sqrt(grid.spectral_l2_sum(grid.fft(f)))
+
+
+def h1_norm(grid: GridSpec, f: np.ndarray) -> float:
+    """The H^1 norm with the combined Sobolev weight, as decay._h2_sq
+    takes the H^2 norm."""
+    return math.sqrt(grid.spectral_l2_sum(grid.fft(f), 1.0 + grid.h1_weight))
+
+
+def h2_norm(grid: GridSpec, f: np.ndarray) -> float:
+    return math.sqrt(_h2_sq(grid, grid.fft(f)))
 
 
 class TestNorms:
+    """The spectral L2, H1 and H2 norms: spectral_l2_sum with the
+    h1_weight and h2_weight multipliers, the sums decay._h2_sq and the
+    Lyapunov functional take."""
+
     def test_zero_field(self, grid3d):
-        z = ScalarField.constant(grid3d, 0.0)
-        for kind in ("L2", "H1", "H2"):
-            assert norm(z, kind) == 0.0
-        assert norm(z, "Lp", p=3) == 0.0
+        z = np.zeros(grid3d.shape)
+        for norm in (l2_norm, h1_norm, h2_norm):
+            assert norm(grid3d, z) == 0.0
 
     def test_sine_l2_3d(self):
         grid = GridSpec(dim=3, n=16, length=1.0)
         x = grid.axes_coordinates()[0]
-        f = ScalarField(grid, np.sin(2 * np.pi * x))
-        assert abs(norm(f, "L2") - math.sqrt(0.5)) <= 1e-12
-
-    def test_lp_rejects_p_below_one(self, grid3d):
-        f = scalar(grid3d, seed=1)
-        with pytest.raises(ValueError, match="p >= 1"):
-            norm(f, "Lp", p=0.5)
-
-    def test_lp_on_constant(self, grid3d):
-        f = ScalarField.constant(grid3d, 2.0)
-        # integral of 2^3 over the unit box, cube root
-        assert abs(norm(f, "Lp", p=3) - 2.0) <= 1e-13
+        assert abs(l2_norm(grid, np.sin(2 * np.pi * x)) - math.sqrt(0.5)) <= 1e-12
 
     def test_h2_matches_dense_oracle(self, grid3d):
         f = band_limited(grid3d, seed=13, kmax=2)
-        got = norm(ScalarField(grid3d, f), "H2")
+        got = h2_norm(grid3d, f)
         want = oracles.dense_hk_norm(grid3d, f, 2)
         assert abs(got - want) <= 1e-10 * max(1.0, want)
 
     def test_h1_matches_dense_oracle(self, grid3d):
         f = band_limited(grid3d, seed=14, kmax=2)
-        got = norm(ScalarField(grid3d, f), "H1")
+        got = h1_norm(grid3d, f)
         want = oracles.dense_hk_norm(grid3d, f, 1)
         assert abs(got - want) <= 1e-10 * max(1.0, want)
 
@@ -184,21 +186,21 @@ class TestNorms:
 class TestDealias:
     def test_preserves_low_modes(self, grid3d):
         f = band_limited(grid3d, seed=2, kmax=2)  # within N/3 for n=8
-        out = dealias(ScalarField(grid3d, f))
-        assert np.abs(out.values - f).max() <= 1e-13
+        out = dealiased(grid3d, f)
+        assert np.abs(out - f).max() <= 1e-13
 
     def test_removes_high_modes(self):
         grid = GridSpec(dim=1, n=16, length=1.0)
         (x,) = grid.axes_coordinates()
         high = np.cos(2 * np.pi * 7 * x)  # mode 7 > 16/3
-        out = dealias(ScalarField(grid, high))
-        assert np.abs(out.values).max() <= 1e-13
+        out = dealiased(grid, high)
+        assert np.abs(out).max() <= 1e-13
 
     def test_idempotent(self, grid3d):
-        f = scalar(grid3d, seed=9, kmax=3)
-        once = dealias(f)
-        twice = dealias(once)
-        assert np.abs(once.values - twice.values).max() <= 1e-14
+        f = band_limited(grid3d, seed=9, kmax=3)
+        once = dealiased(grid3d, f)
+        twice = dealiased(grid3d, once)
+        assert np.abs(once - twice).max() <= 1e-14
 
 
 class TestQuadrature:
@@ -209,8 +211,8 @@ class TestQuadrature:
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_inner_symmetry(self, grid3d):
-        f, g = scalar(grid3d, 41), scalar(grid3d, 42)
-        assert abs(inner(f, g) - inner(g, f)) <= 1e-15
+        f, g = band_limited(grid3d, 41), band_limited(grid3d, 42)
+        assert abs(inner(grid3d, f, g) - inner(grid3d, g, f)) <= 1e-15
 
 
 # the (dim, n, batch) shapes the package transforms: the perturbation RHS
