@@ -28,6 +28,7 @@ from .grid import GridSpec, ScalarField
 
 MONOTONE_TOL = 1e-10
 SMALLNESS_FLAG = 0.1
+RANDOM_BAND = 2  # random_band excites mode indices |m_i| <= RANDOM_BAND
 
 
 @dataclass(frozen=True)
@@ -123,12 +124,14 @@ def band_field(grid: GridSpec, gen, kmax: int) -> np.ndarray:
 
 
 def initial_condition(
-    exp: DecayExperiment, grid: GridSpec, params: PhysParams, band: int = 2
+    exp: DecayExperiment, grid: GridSpec, params: PhysParams
 ) -> PerturbationState:
     """Neutral, positive initial data scaled so the smallness size equals
     delta0.  single_mode puts everything in one v mode (the profile with
     the cleanest screening signature); random_band excites u_tilde, v and
-    theta_tilde on modes 1..band with Philox(seed) draws."""
+    theta_tilde on modes 1..RANDOM_BAND with Philox(seed) draws.  params
+    is not read; it stays in the signature because callers outside the
+    package (the benchmark's workloads) pass it positionally."""
     zero = np.zeros(grid.shape)
     if exp.delta0 == 0.0:
         z = ScalarField(grid, zero)
@@ -139,9 +142,9 @@ def initial_condition(
         v = np.sin(2.0 * np.pi * x / grid.length)
     else:
         gen = np.random.Generator(np.random.Philox(key=exp.seed))
-        ut = band_field(grid, gen, band)
-        v = band_field(grid, gen, band)
-        tt = band_field(grid, gen, band)
+        ut = band_field(grid, gen, RANDOM_BAND)
+        v = band_field(grid, gen, RANDOM_BAND)
+        tt = band_field(grid, gen, RANDOM_BAND)
     scale = exp.delta0 / smallness_size(grid, ut, v, tt)
     return PerturbationState.from_fields(
         ScalarField(grid, ut * scale),

@@ -18,9 +18,11 @@ Discretization choices that the audits rely on:
   kernel the audits and variational checks also use, so the audited
   fluxes are the stepped fluxes bit for bit.  It yields one axis at a
   time (one 4-field inverse transform each); the RHS adds that axis's
-  dot products to running sums in axis order, writes j_p, j_n and then
-  dtheta into the one buffer its outer forward transform reads, and
-  builds the three Laplacians only after the axis loop;
+  terms to three running sums in axis order (the Joule terms fold into
+  -j_p.(grad theta + grad phi) and -j_n.(grad theta - grad phi); see
+  _fluxes_and_heat_rate), writes j_p, j_n and then dtheta into the one
+  buffer its outer forward transform reads, and builds the three
+  Laplacians only after the axis loop;
 * the electric potential is never integrated: each right-hand-side
   evaluation re-solves Delta(phi) = n - p (equivalently Delta(phi) = v),
   so phi stays slaved to the charge density at every substage.
@@ -40,14 +42,15 @@ both steps (TestSpectralCore::test_imex1_step_cost, ::test_transform_count).
 
 step can feed an audit sample (a fields.AuditSink of its input State)
 from its first RHS evaluation, k1 of RK4 or the IMEX1 core: the Darcy
-pass is the sample's, the |q|^2 sum and the production density ride on
-its axis loop, and the reconstruction residual runs after that loop on
-the flux rows of the buffer the outer forward transform reads.  The
-sample adds 3 + 3*dim transforms to the step where a standalone
-fields.flux_audit costs 6 + 7*dim (pinned at dim 3 by
-TestSpectralCore::test_transform_count).  Its coefficient arrays are
-built only after the axis loop, so the step's peak memory grows by at
-most the one grid of the |q|^2 sum or of the production density.
+pass is the sample's, the |q|^2, |j_p|^2 and |j_n|^2 sums and the
+production density ride on its axis loop, and the reconstruction
+residual runs after that loop on the flux rows of the buffer the outer
+forward transform reads.  The sample adds 3 + 3*dim transforms to the
+step where a standalone fields.flux_audit costs 6 + 7*dim (pinned at
+dim 3 by TestSpectralCore::test_transform_count).  Its coefficient
+arrays are built only after the axis loop, and its three sums live only
+in that loop, below the RHS's peak, so the step's peak memory grows by
+the one grid of the production density.
 
 RK4 keeps one accumulator, k1 + 2 k2 + 2 k3 + k4 summed in that order,
 instead of the four stage derivatives, so besides it only the current
@@ -167,41 +170,46 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, ou
     """Fill out with (j_p, j_n, dtheta): the Darcy fluxes and the pointwise
     temperature rate.  spec is the forward transform of (n, p, th) and is
     left as it was.  Its temporaries die on return, before the outer
-    transform.  An audit sink takes each axis's d_i theta and, after the
-    loop, the |j_p|^2 and |j_n|^2 sums."""
+    transform.  An audit sink takes each axis's d_i theta, j_p,i and j_n,i.
+
+    The rate is the paper's
+
+        (c_p p + c_n n) dtheta = k Delta(theta) + |j_p|^2/(D_p p)
+            + |j_n|^2/(D_n n) - theta div(j_p) + (theta/p) j_p.grad(p)
+            - theta div(j_n) + (theta/n) j_n.grad(n)
+            - (c_p j_p + c_n j_n).grad(theta),
+
+    whose Joule terms fold by j_p = -D_p (theta grad p + p grad theta
+    + p grad phi) into |j_p|^2/(D_p p) + (theta/p) j_p.grad(p) =
+    -j_p.(grad theta + grad phi), and likewise for n with -grad phi.  So
+    three running sums carry it: a_p = grad p.(2 grad theta + grad phi),
+    a_n = grad n.(2 grad theta - grad phi) and b = j_p.((c_p+1) grad theta
+    + grad phi) + j_n.((c_n+1) grad theta - grad phi)."""
     d = grid.dim
     Dp, Dn, kh = params.D_p, params.D_n, params.k
+    wp, wn = params.c_p + 1.0, params.c_n + 1.0
 
-    # dot products as running sums over the axes, added in axis order; every
-    # derivative acts on a primitive field, so div(j) expands with the
-    # Laplacians built after the loop
-    dots = np.zeros((9,) + grid.shape)
-    gp_gth, gn_gth, gp_gphi, gn_gphi, jp2, jn2, jp_gp, jn_gn, jheat_gth = dots
+    # the three sums over the axes, added in axis order; every derivative
+    # acts on a primitive field, so div(j) expands with the Laplacians
+    # built after the loop
+    a_p, a_n, b = np.zeros((3,) + grid.shape)
     for gn, gp, gth, gphi, jp, jn in darcy_axes(grid, spec, n, p, th, params, out):
-        gp_gth += gp * gth
-        gn_gth += gn * gth
-        gp_gphi += gp * gphi
-        gn_gphi += gn * gphi
-        jp2 += jp**2
-        jn2 += jn**2
-        jp_gp += jp * gp
-        jn_gn += jn * gn
-        jheat_gth += (params.c_p * jp + params.c_n * jn) * gth
+        a_p += gp * (2.0 * gth + gphi)
+        a_n += gn * (2.0 * gth - gphi)
+        b += jp * (wp * gth + gphi) + jn * (wn * gth - gphi)
         if sink is not None:
-            sink.axis(gth)
+            sink.axis(gth, jp, jn)
         del gn, gp, gth, gphi  # frees this axis's transform
     if sink is not None:
-        sink.production(jp2, jn2)
+        sink.production()
 
     lap_n, lap_p, lap_th = grid.ifft(-grid.k2 * spec)
     rho = n - p  # equals Delta(phi) exactly for the slaved potential
-    div_jp = -Dp * (p * lap_th + 2.0 * gp_gth + th * lap_p + gp_gphi + p * rho)
-    div_jn = -Dn * (n * lap_th + 2.0 * gn_gth + th * lap_n - gn_gphi - n * rho)
-
-    heat = kh * lap_th + jp2 / (Dp * p) + jn2 / (Dn * n)
-    heat -= th * div_jp - (th / p) * jp_gp
-    heat -= th * div_jn - (th / n) * jn_gn
-    heat -= jheat_gth
+    heat = Dp * (p * lap_th + th * lap_p + p * rho + a_p)
+    heat += Dn * (n * lap_th + th * lap_n - n * rho + a_n)
+    heat *= th
+    heat += kh * lap_th
+    heat -= b
     np.divide(heat, params.c_p * p + params.c_n * n, out=out[2 * d])
 
 

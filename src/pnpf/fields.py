@@ -29,8 +29,8 @@ only the primitive RHS needs them, and it builds them after its axis
 loop from the same forward transform.
 
 AuditSink is the body of one audit sample, in three parts that any pass
-over darcy_axes can feed: the |q|^2 sum per axis, the production density
-from the pass's |j_p|^2 and |j_n|^2 sums, and the reconstruction residual
+over darcy_axes can feed: the |q|^2, |j_p|^2 and |j_n|^2 sums per axis,
+the production density from them, and the reconstruction residual
 over the pass's j_p and j_n rows after the axis loop.  A step fed a sink
 makes its first RHS evaluation that pass, and the sample adds 3 + 3*dim
 transforms to the step; flux_audit makes the pass itself, 6 + 7*dim
@@ -447,34 +447,42 @@ class AuditSink:
     flux_audit's own pass, or the first RHS evaluation of a step from s.
     The body has three parts, called in this order:
 
-    * axis(d_i theta) for each axis i in order adds |q_i|^2 =
-      (-k d_i theta)^2 to a running sum;
-    * production(jp2, jn2) builds the production density from the pass's
-      |j_p|^2 and |j_n|^2 running sums (summed in axis order, jp**2 then
-      jn**2) and that |q|^2 sum, after the axis loop;
+    * axis(d_i theta, j_p,i, j_n,i) for each axis i in order adds
+      |q_i|^2 = (-k d_i theta)^2, j_p,i^2 and j_n,i^2 to three running
+      sums;
+    * production() builds the production density from those sums after
+      the axis loop;
     * residual(j) takes the reconstruction residual over the (2*dim)-row
       flux buffer j (the j_p rows, then the j_n rows) and completes the
       sample in audit.
 
-    The residual builds the coefficient block and the batched spectrum of
-    (mu_p/theta, mu_n/theta, 1/theta) only when it runs, so no array of
-    it is alive during the pass's axis loop: 3 + 3*dim transforms.  It
-    builds no phi_t, exchange flux, j_e or L_thetatheta.
+    The sample keeps the |j_p|^2 and |j_n|^2 sums itself: the RHS's heat
+    rate folds its Joule terms into -j_p.(grad theta + grad phi) and
+    -j_n.(grad theta - grad phi) (see dynamics._fluxes_and_heat_rate), so
+    only the production density reads the squares.  The residual builds
+    the coefficient block and the batched spectrum of (mu_p/theta,
+    mu_n/theta, 1/theta) only when it runs, so no array of it is alive
+    during the pass's axis loop: 3 + 3*dim transforms.  It builds no phi_t,
+    exchange flux, j_e or L_thetatheta.
     """
 
     def __init__(self, s: State, params: PhysParams):
         self.state, self.params = s, params
         self.audit: FluxAudit | None = None
-        self._q2 = self._production = None
+        self._sums = self._production = None
 
-    def axis(self, gth) -> None:
-        if self._q2 is None:
-            self._q2 = np.zeros(gth.shape)
-        self._q2 += (-self.params.k * gth) ** 2
+    def axis(self, gth, jp, jn) -> None:
+        if self._sums is None:
+            self._sums = np.zeros((3,) + gth.shape)
+        q2, jp2, jn2 = self._sums
+        q2 += (-self.params.k * gth) ** 2
+        jp2 += jp**2
+        jn2 += jn**2
 
-    def production(self, jp2, jn2) -> None:
-        self._production = _production_density(self.state, self.params, jp2, jn2, self._q2)
-        self._q2 = None
+    def production(self) -> None:
+        q2, jp2, jn2 = self._sums
+        self._production = _production_density(self.state, self.params, jp2, jn2, q2)
+        self._sums = None
 
     def residual(self, j) -> None:
         s, g = self.state, self.state.grid
@@ -497,7 +505,8 @@ def flux_audit(s: State, params: PhysParams) -> FluxAudit:
     entropy_production_density(constitutive_fluxes(s)) and
     flux_reconstruction_residual(s): the AuditSink body fed by its own
     pass over darcy_axes, which writes the fluxes into one (2*dim)-row
-    buffer and adds |j_p|^2 and |j_n|^2 to sums kept in axis order.
+    buffer; the sink keeps the |q|^2, |j_p|^2 and |j_n|^2 sums in axis
+    order, as it does when it rides on an RHS evaluation.
 
     This is the standalone sample, 6 + 7*dim transforms:
     the forward transform of (n, p, theta) and one 4-field inverse per
@@ -509,15 +518,11 @@ def flux_audit(s: State, params: PhysParams) -> FluxAudit:
     n, p, th = s.n.values, s.p.values, s.theta.values
     sink = AuditSink(s, params)
     j = np.empty((2 * g.dim,) + g.shape)
-    jp2, jn2 = np.zeros((2,) + g.shape)
     spec = g.fft(np.stack([n, p, th]))
     for gn, gp, gth, gphi, jp, jn in darcy_axes(g, spec, n, p, th, params, j):
-        jp2 += jp**2
-        jn2 += jn**2
-        sink.axis(gth)
+        sink.axis(gth, jp, jn)
         del gn, gp, gth, gphi  # frees this axis's Darcy transform
     del spec
-    sink.production(jp2, jn2)
-    del jp2, jn2
+    sink.production()
     sink.residual(j)
     return sink.audit

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from pnpf import varcheck
+from pnpf.fields import darcy_axes
 from pnpf.grid import GridSpec, grad_arrays
 
 
@@ -119,3 +120,53 @@ def dissipation_functional(s, params, j_p, j_n, j_e) -> float:
     gphi = grad_arrays(s.grid, s.phi.values)
     q, _, _ = varcheck._eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
     return varcheck._dissipation(s, params, j_p, j_n, q)
+
+
+def nine_sum_rhs(grid: GridSpec, n, p, th, params, dealias=True) -> np.ndarray:
+    """(dn, dp, dtheta) of the primitive system with the temperature rate
+    in its expanded form, nine dot products summed over the axes:
+
+        (c_p p + c_n n) dtheta = k Delta(theta) + |j_p|^2/(D_p p)
+            + |j_n|^2/(D_n n) - theta div(j_p) + (theta/p) j_p.grad(p)
+            - theta div(j_n) + (theta/n) j_n.grad(n)
+            - (c_p j_p + c_n j_n).grad(theta).
+
+    The fluxes, the outer divergence and the dealiasing are the RHS's, so
+    dn and dp have its bits; the folded three-sum heat rate of
+    dynamics._fluxes_and_heat_rate differs from this one by rounding."""
+    d = grid.dim
+    Dp, Dn = params.D_p, params.D_n
+    spec = grid.fft(np.stack([n, p, th]))
+    out = np.empty((2 * d + 1,) + grid.shape)
+    gp_gth, gn_gth, gp_gphi, gn_gphi, jp2, jn2, jp_gp, jn_gn, jheat_gth = np.zeros(
+        (9,) + grid.shape
+    )
+    for gn, gp, gth, gphi, jp, jn in darcy_axes(grid, spec, n, p, th, params, out):
+        gp_gth += gp * gth
+        gn_gth += gn * gth
+        gp_gphi += gp * gphi
+        gn_gphi += gn * gphi
+        jp2 += jp**2
+        jn2 += jn**2
+        jp_gp += jp * gp
+        jn_gn += jn * gn
+        jheat_gth += (params.c_p * jp + params.c_n * jn) * gth
+
+    lap_n, lap_p, lap_th = grid.ifft(-grid.k2 * spec)
+    rho = n - p
+    div_jp = -Dp * (p * lap_th + 2.0 * gp_gth + th * lap_p + gp_gphi + p * rho)
+    div_jn = -Dn * (n * lap_th + 2.0 * gn_gth + th * lap_n - gn_gphi - n * rho)
+    heat = params.k * lap_th + jp2 / (Dp * p) + jn2 / (Dn * n)
+    heat -= th * div_jp - (th / p) * jp_gp
+    heat -= th * div_jn - (th / n) * jn_gn
+    heat -= jheat_gth
+    np.divide(heat, params.c_p * p + params.c_n * n, out=out[2 * d])
+
+    spec_j = grid.fft(out)
+    dp_hat = -sum(grid.grad_mult[i] * spec_j[i] for i in range(d))
+    dn_hat = -sum(grid.grad_mult[i] * spec_j[d + i] for i in range(d))
+    dth_hat = spec_j[2 * d]
+    if dealias:
+        mask = grid.dealias_mask
+        dn_hat, dp_hat, dth_hat = mask * dn_hat, mask * dp_hat, mask * dth_hat
+    return grid.ifft(np.stack([dn_hat, dp_hat, dth_hat]))
