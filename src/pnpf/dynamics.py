@@ -17,12 +17,18 @@ Discretization choices that the audits rely on:
 * the gradients and Darcy fluxes come from fields.darcy_axes, the
   kernel the audits and variational checks also use, so the audited
   fluxes are the stepped fluxes bit for bit.  It yields one axis at a
-  time (one 4-field inverse transform each); the RHS adds that axis's
+  time (two 2-field inverse transforms each); the RHS adds that axis's
   terms to three running sums in axis order (the Joule terms fold into
   -j_p.(grad theta + grad phi) and -j_n.(grad theta - grad phi); see
-  _fluxes_and_heat_rate), writes j_p, j_n and then dtheta into the one
-  buffer its outer forward transform reads, and builds the three
-  Laplacians only after the axis loop;
+  _fluxes_and_heat_rate), then forward-transforms the axis's flux pair
+  (j_p,i, j_n,i) and adds its divergence into two spectral running sums,
+  so one 2-row flux scratch serves every axis.  The Laplacians come
+  after the axis loop, (theta, p) in one 2-field inverse and n in a
+  second, and dtheta gets its own forward transform.  Only the forward
+  transform of the input (n, p, theta) takes more than two fields, and
+  every lane is computed as in a batched transform, so the output has
+  the bits of one 4-field inverse per axis and one (2*dim+1)-row outer
+  forward transform (tests/oracles.batched_rhs_core);
 * the electric potential is never integrated: each right-hand-side
   evaluation re-solves Delta(phi) = n - p (equivalently Delta(phi) = v),
   so phi stays slaved to the charge density at every substage.
@@ -32,7 +38,8 @@ The core (_rhs_primitive_core, _rhs_perturbation_core) takes the forward
 transform of its input plus the input fields and returns the (dealiased)
 spectrum of the time derivatives, leaving the input spectrum as it was.
 The array wrapper (_rhs_primitive_arrays, _rhs_perturbation_arrays) adds
-the forward transform in front and the inverse transform behind; RK4
+the forward transform in front and the inverse transform behind (one
+field per call for the primitive form); RK4
 calls the wrappers, which keep the bits the RHS had before the split.
 The IMEX1 steppers call the cores on the spectrum of the current state
 that their implicit solve needs anyway, so the RHS output is never
@@ -44,8 +51,9 @@ step can feed an audit sample (a fields.AuditSink of its input State)
 from its first RHS evaluation, k1 of RK4 or the IMEX1 core: the Darcy
 pass is the sample's, the |q|^2, |j_p|^2 and |j_n|^2 sums and the
 production density ride on its axis loop, and the reconstruction
-residual runs after that loop on the flux rows of the buffer the outer
-forward transform reads.  The sample adds 3 + 3*dim transforms to the
+residual runs after the heat rate on the fluxes, which that evaluation
+keeps in one (dim, 2) block array and transforms pair by pair only
+after the residual.  The sample adds 3 + 3*dim transforms to the
 step where a standalone fields.flux_audit costs 6 + 7*dim (pinned at
 dim 3 by TestSpectralCore::test_transform_count).  Its coefficient
 arrays are built only after the axis loop, and its three sums live only
@@ -166,11 +174,24 @@ def convert_back(ps: PerturbationState) -> State:
 # -- raw-array right-hand sides ----------------------------------------------
 
 
-def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, out, sink=None):
-    """Fill out with (j_p, j_n, dtheta): the Darcy fluxes and the pointwise
-    temperature rate.  spec is the forward transform of (n, p, th) and is
-    left as it was.  Its temporaries die on return, before the outer
-    transform.  An audit sink takes each axis's d_i theta, j_p,i and j_n,i.
+def _axis_divergence(grid: GridSpec, div, i, pair) -> None:
+    """Add grad_mult[i] times the spectra of axis i's flux pair (j_p,i,
+    j_n,i) into the running sums div = (div j_n, div j_p)^: one 2-field
+    forward transform."""
+    jh = grid.fft(pair)
+    div[0] += grid.grad_mult[i] * jh[1]
+    div[1] += grid.grad_mult[i] * jh[0]
+
+
+def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, div=None, j=None,
+                          sink=None):
+    """The pointwise temperature rate dtheta of (n, p, th), from their
+    forward transform spec, which is left as it was.  Given div, every
+    axis writes its Darcy fluxes into one 2-row scratch and adds their
+    divergence into div as soon as its terms are summed (_axis_divergence),
+    and the scratch dies before the heat stage.  Given j instead, axis i's
+    fluxes stay in the block j[i] and their divergence is the caller's.
+    An audit sink takes each axis's d_i theta, j_p,i and j_n,i.
 
     The rate is the paper's
 
@@ -185,32 +206,48 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, ou
     three running sums carry it: a_p = grad p.(2 grad theta + grad phi),
     a_n = grad n.(2 grad theta - grad phi) and b = j_p.((c_p+1) grad theta
     + grad phi) + j_n.((c_n+1) grad theta - grad phi)."""
-    d = grid.dim
     Dp, Dn, kh = params.D_p, params.D_n, params.k
     wp, wn = params.c_p + 1.0, params.c_n + 1.0
 
     # the three sums over the axes, added in axis order; every derivative
     # acts on a primitive field, so div(j) expands with the Laplacians
-    # built after the loop
-    a_p, a_n, b = np.zeros((3,) + grid.shape)
-    for gn, gp, gth, gphi, jp, jn in darcy_axes(grid, spec, n, p, th, params, out):
+    # built after the loop.  A counter, not enumerate: enumerate would
+    # keep the last axis's gradients alive through the next axis.
+    a_p, a_n, b = (np.zeros(grid.shape) for _ in range(3))
+    if j is None:
+        j = [np.empty((2,) + grid.shape)] * grid.dim
+    i = 0
+    for gn, gp, gth, gphi, jp, jn in darcy_axes(grid, spec, n, p, th, params, j):
         a_p += gp * (2.0 * gth + gphi)
         a_n += gn * (2.0 * gth - gphi)
         b += jp * (wp * gth + gphi) + jn * (wn * gth - gphi)
         if sink is not None:
             sink.axis(gth, jp, jn)
-        del gn, gp, gth, gphi  # frees this axis's transform
+        del gn, gp, gth, gphi, jp, jn  # frees this axis's transforms
+        if div is not None:
+            _axis_divergence(grid, div, i, j[i])
+        i += 1
+    del j
     if sink is not None:
         sink.production()
 
-    lap_n, lap_p, lap_th = grid.ifft(-grid.k2 * spec)
+    # the Laplacians: theta and p for the D_p half of the rate, then n
+    neg_k2 = -grid.k2
+    lap = np.empty((2,) + grid.spectral_shape, dtype=complex)
+    np.multiply(neg_k2, spec[2], out=lap[0])
+    np.multiply(neg_k2, spec[1], out=lap[1])
+    lap_th, lap_p = grid.ifft(lap)
+    del lap
     rho = n - p  # equals Delta(phi) exactly for the slaved potential
     heat = Dp * (p * lap_th + th * lap_p + p * rho + a_p)
+    del lap_p, a_p
+    lap_n = grid.ifft(neg_k2 * spec[0])
     heat += Dn * (n * lap_th + th * lap_n - n * rho + a_n)
+    del lap_n, rho, a_n
     heat *= th
     heat += kh * lap_th
     heat -= b
-    np.divide(heat, params.c_p * p + params.c_n * n, out=out[2 * d])
+    return np.divide(heat, params.c_p * p + params.c_n * n, out=heat)
 
 
 def _rhs_primitive_core(
@@ -219,30 +256,40 @@ def _rhs_primitive_core(
     """Spectrum of (dn, dp, dtheta), shape (3,) + spectral_shape, from the
     forward transform spec of (n, p, th) and the fields themselves; spec
     is left as it was.  A fields.AuditSink of the state (n, p, th) is fed
-    by the flux pass and takes its residual over the flux rows of out."""
-    d = grid.dim
-    out = np.empty((2 * d + 1,) + grid.shape)
-    _fluxes_and_heat_rate(grid, spec, n, p, th, params, out, sink)
-    if sink is not None:
-        sink.residual(out)
-
-    # continuity equations in divergence form (spectral outer divergence)
-    spec_j = grid.fft(out)
-    del out
-    dp_hat = -sum(grid.grad_mult[i] * spec_j[i] for i in range(d))
-    dn_hat = -sum(grid.grad_mult[i] * spec_j[d + i] for i in range(d))
-    dth_hat = spec_j[2 * d]
+    by the flux pass and takes its residual over the pass's fluxes, which
+    are then kept for every axis, and the divergence waits for it."""
+    # continuity equations in divergence form (spectral outer divergence),
+    # summed from zeros so the sums have the bits of -sum(m_i j_hat_i)
+    div_shape = (2,) + grid.spectral_shape
+    if sink is None:
+        div = np.zeros(div_shape, dtype=complex)
+        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, div=div)
+    else:
+        # the residual reads every axis's fluxes; their divergence waits
+        # until it has run, so no spectral sum is alive next to it
+        j = np.empty((grid.dim, 2) + grid.shape)
+        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, j=j, sink=sink)
+        sink.residual(j)
+        div = np.zeros(div_shape, dtype=complex)
+        for i in range(grid.dim):
+            _axis_divergence(grid, div, i, j[i])
+        del j
+    out = np.empty((3,) + grid.spectral_shape, dtype=complex)
+    np.negative(div, out=out[:2])
+    del div
+    out[2] = grid.fft(dth)
+    del dth
     if dealias:
-        mask = grid.dealias_mask
-        dn_hat, dp_hat, dth_hat = mask * dn_hat, mask * dp_hat, mask * dth_hat
-    return np.stack([dn_hat, dp_hat, dth_hat])
+        np.multiply(grid.dealias_mask, out, out=out)
+    return out
 
 
 def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=True, sink=None):
     """(dn, dp, dtheta) raw arrays; see the module docstring for the scheme."""
     spec = grid.fft(np.stack([n, p, th]))
-    res = grid.ifft(_rhs_primitive_core(grid, spec, n, p, th, params, dealias, sink))
-    return res[0], res[1], res[2]
+    out = _rhs_primitive_core(grid, spec, n, p, th, params, dealias, sink)
+    del spec
+    return grid.ifft(out[0]), grid.ifft(out[1]), grid.ifft(out[2])
 
 
 def _perturbation_rates(grid: GridSpec, spec3, ut, v, tt, params: PhysParams):

@@ -20,13 +20,16 @@ variational checks share these helpers, so the stepper's fluxes are the
 audited fluxes bit for bit; that is what makes the discrete energy audit
 an identity rather than an approximation.
 
-darcy_axes streams the gradients one axis at a time: per axis one 4-field
-inverse transform gives d_i n, d_i p, d_i theta and d_i phi, and the
+darcy_axes streams the gradients one axis at a time: per axis two
+2-field inverse transforms give (d_i n, d_i p) and (d_i theta, d_i phi),
+the fluxes go into the axis's 2-row block (j_p,i, j_n,i), and the
 consumer uses them before the next axis is built, so only one axis's
 gradients are alive at once, and none of the kernel's spectral arrays
-while the consumer runs.  The Laplacians are not part of the kernel:
-only the primitive RHS needs them, and it builds them after its axis
-loop from the same forward transform.
+while the consumer runs.  A caller that keeps the fluxes passes one
+(dim, 2) block array; the primitive RHS, which transforms each axis's
+pair inside its loop, passes one block for every axis.  The Laplacians
+are not part of the kernel: only the primitive RHS needs them, and it
+builds them after its axis loop from the same forward transform.
 
 AuditSink is the body of one audit sample, in three parts that any pass
 over darcy_axes can feed: the |q|^2, |j_p|^2 and |j_n|^2 sums per axis,
@@ -144,40 +147,38 @@ def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j):
     Gradients and Darcy ion fluxes of raw (n, p, theta) arrays, one axis
     at a time, with phi slaved to n - p (phi_hat = -(n_hat - p_hat)/|k|^2).
 
-    spec is the batched forward transform of (n, p, theta) and j a
-    (2*dim)-field buffer.  For each axis i in turn the generator makes one
-    4-field inverse transform and yields (d_i n, d_i p, d_i theta,
-    d_i phi, j_p,i, j_n,i), with the fluxes written into j[i] and
-    j[dim + i].  Each axis fills a fresh spectral array and drops it once
-    its inverse transform returns, and phi_hat is rebuilt in that array's
-    last row, so while the consumer runs only that axis's gradients are
-    alive.  The gradients are views into the inverse transform and the
-    generator keeps no reference to them, so a consumer that drops them
-    frees that transform at once.
+    spec is the batched forward transform of (n, p, theta) and j[i] the
+    2-row block that takes (j_p,i, j_n,i); blocks may repeat, so a caller
+    that reads each axis's fluxes inside the loop can pass one block for
+    every axis.  For each axis i in turn the generator makes two 2-field
+    inverse transforms, of (d_i n, d_i p) and then of (d_i theta,
+    d_i phi), from one fresh 2-field spectral array that the second half
+    refills, rebuilding phi_hat in place, and yields (d_i n, d_i p,
+    d_i theta, d_i phi, j_p,i, j_n,i).  The spectral array dies before
+    the fluxes are built.  The gradients are views into the two inverse
+    transforms and the generator keeps no reference to them, so a consumer
+    that drops them frees those transforms at once; only that axis's
+    gradients are alive while the consumer runs.
     """
     neg_inv_k2 = -grid.inv_k2
     for i, m in enumerate(grid.grad_mult):
-        yield _darcy_axis(grid, _axis_spectrum(spec, m, neg_inv_k2), n, p, th, params, j, i)
+        yield _darcy_axis(grid, spec, m, neg_inv_k2, n, p, th, params, j[i])
 
 
-def _axis_spectrum(spec, m, neg_inv_k2):
-    """The spectra of (d_i n, d_i p, d_i theta, d_i phi) for the gradient
-    multiplier m of axis i, filled into one fresh array."""
-    four = np.empty((4,) + spec.shape[1:], dtype=complex)
-    for k in range(3):
-        np.multiply(m, spec[k], out=four[k])
-    phih = four[3]
+def _darcy_axis(grid: GridSpec, spec, m, neg_inv_k2, n, p, th, params: PhysParams, ji):
+    two = np.empty((2,) + spec.shape[1:], dtype=complex)
+    np.multiply(m, spec[0], out=two[0])
+    np.multiply(m, spec[1], out=two[1])
+    gn, gp = grid.ifft(two)
+    np.multiply(m, spec[2], out=two[0])
+    phih = two[1]
     np.subtract(spec[0], spec[1], out=phih)
     np.multiply(neg_inv_k2, phih, out=phih)
     np.multiply(m, phih, out=phih)
-    return four
-
-
-def _darcy_axis(grid: GridSpec, four, n, p, th, params: PhysParams, j, i):
-    gn, gp, gth, gphi = grid.ifft(four)
-    del four  # the only reference: frees the spectra before the fluxes
-    jp = np.multiply(-params.D_p, th * gp + p * gth + p * gphi, out=j[i])
-    jn = np.multiply(-params.D_n, th * gn + n * gth - n * gphi, out=j[grid.dim + i])
+    gth, gphi = grid.ifft(two)
+    del two, phih  # the only references: frees the spectra before the fluxes
+    jp = np.multiply(-params.D_p, th * gp + p * gth + p * gphi, out=ji[0])
+    jn = np.multiply(-params.D_n, th * gn + n * gth - n * gphi, out=ji[1])
     return gn, gp, gth, gphi, jp, jn
 
 
@@ -246,14 +247,14 @@ def constitutive_fluxes(s: State, params: PhysParams) -> FluxSet:
     """
     g, d = s.grid, s.grid.dim
     n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
-    j, q, gphi = np.empty((2 * d,) + g.shape), [], []
+    j, q, gphi = np.empty((d, 2) + g.shape), [], []
     spec = g.fft(np.stack([n, p, th]))
     for axis in darcy_axes(g, spec, n, p, th, params, j):
         q.append(-params.k * axis[2])
         gphi.append(axis[3].copy())
-        del axis  # lets the kernel free this axis's transform
+        del axis  # lets the kernel free this axis's transforms
     del spec
-    j_p, j_n = list(j[:d]), list(j[d:])
+    j_p, j_n = list(j[:, 0]), list(j[:, 1])
     phi_t, exchange = exchange_arrays(g, phi, gphi, j_p, j_n)
     a, b = energy_weights(th, phi, params)
     j_e = [a * j_p[i] + b * j_n[i] + exchange[i] + q[i] for i in range(d)]
@@ -452,9 +453,9 @@ class AuditSink:
       sums;
     * production() builds the production density from those sums after
       the axis loop;
-    * residual(j) takes the reconstruction residual over the (2*dim)-row
-      flux buffer j (the j_p rows, then the j_n rows) and completes the
-      sample in audit.
+    * residual(j) takes the reconstruction residual over the (dim, 2)
+      flux blocks j (j[i] = (j_p,i, j_n,i)) and completes the sample in
+      audit.
 
     The sample keeps the |j_p|^2 and |j_n|^2 sums itself: the RHS's heat
     rate folds its Joule terms into -j_p.(grad theta + grad phi) and
@@ -492,8 +493,8 @@ class AuditSink:
         dev = scale = 0.0
         for i, m in enumerate(g.grad_mult):
             gmp, gmn, ginv = g.ifft(m * qspec)
-            dev, scale = _deviation(dev, scale, _ion_row(L_pp, L_pth, gmp, ginv), j[i])
-            dev, scale = _deviation(dev, scale, _ion_row(L_nn, L_nth, gmn, ginv), j[g.dim + i])
+            dev, scale = _deviation(dev, scale, _ion_row(L_pp, L_pth, gmp, ginv), j[i, 0])
+            dev, scale = _deviation(dev, scale, _ion_row(L_nn, L_nth, gmn, ginv), j[i, 1])
             del gmp, gmn, ginv  # before the next axis's transform
         self.audit = FluxAudit(self._production, dev / scale if scale else 0.0)
 
@@ -504,12 +505,12 @@ def flux_audit(s: State, params: PhysParams) -> FluxAudit:
     of s, bit for bit equal to
     entropy_production_density(constitutive_fluxes(s)) and
     flux_reconstruction_residual(s): the AuditSink body fed by its own
-    pass over darcy_axes, which writes the fluxes into one (2*dim)-row
-    buffer; the sink keeps the |q|^2, |j_p|^2 and |j_n|^2 sums in axis
-    order, as it does when it rides on an RHS evaluation.
+    pass over darcy_axes, which writes the fluxes into one (dim, 2)
+    block array; the sink keeps the |q|^2, |j_p|^2 and |j_n|^2 sums in
+    axis order, as it does when it rides on an RHS evaluation.
 
     This is the standalone sample, 6 + 7*dim transforms:
-    the forward transform of (n, p, theta) and one 4-field inverse per
+    the forward transform of (n, p, theta) and two 2-field inverses per
     axis for the pass, 3 + 3*dim for the residual.  A step fed the sink
     shares its first RHS evaluation's pass instead, so the sample adds
     only the residual's 3 + 3*dim to the step.
@@ -517,11 +518,11 @@ def flux_audit(s: State, params: PhysParams) -> FluxAudit:
     g = s.grid
     n, p, th = s.n.values, s.p.values, s.theta.values
     sink = AuditSink(s, params)
-    j = np.empty((2 * g.dim,) + g.shape)
+    j = np.empty((g.dim, 2) + g.shape)
     spec = g.fft(np.stack([n, p, th]))
     for gn, gp, gth, gphi, jp, jn in darcy_axes(g, spec, n, p, th, params, j):
         sink.axis(gth, jp, jn)
-        del gn, gp, gth, gphi  # frees this axis's Darcy transform
+        del gn, gp, gth, gphi  # frees this axis's Darcy transforms
     del spec
     sink.production()
     sink.residual(j)

@@ -24,9 +24,9 @@ trajectory honors the corresponding identity:
 One sample (AuditWriter.observe) costs less than one RHS evaluation.
 The entropy production density and the reciprocity residual come from a
 fields.AuditSink, whose body reads one pass over the axes (per axis the
-4-field inverse transform of darcy_axes) and adds the residual's forward
-transform of (mu_p/theta, mu_n/theta, 1/theta) and one 3-field inverse
-transform per axis.  It builds no FluxSet, phi_t, exchange flux or j_e.
+two 2-field inverse transforms of darcy_axes) and adds the residual's
+forward transform of (mu_p/theta, mu_n/theta, 1/theta) and one 3-field
+inverse transform per axis.  It builds no FluxSet, phi_t, exchange flux or j_e.
 totals integrates the densities, and the Lyapunov functional takes one
 batched forward transform of the converted state.  audit_run hands the
 sink of each audited state that is stepped further to that step, whose

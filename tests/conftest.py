@@ -89,18 +89,19 @@ def peak_grids(fn, grid: GridSpec) -> float:
 
 
 def count_transforms(monkeypatch) -> list[int]:
-    """Count the real fields GridSpec.fft/ifft transform from now on (batch
-    elements count one each); the count is the returned list's element."""
-    counted = [0]
+    """Record, in call order, the real fields each GridSpec.fft/ifft call
+    transforms from now on (batch elements count one each); the returned
+    list's sum is the total."""
+    widths: list[int] = []
     for name in ("fft", "ifft"):
         orig = getattr(GridSpec, name)
 
         def counting(grid, arr, _orig=orig):
-            counted[0] += int(np.prod(arr.shape[: arr.ndim - grid.dim]))
+            widths.append(int(np.prod(arr.shape[: arr.ndim - grid.dim])))
             return _orig(grid, arr)
 
         monkeypatch.setattr(GridSpec, name, counting)
-    return counted
+    return widths
 
 
 @pytest.fixture

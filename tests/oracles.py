@@ -141,7 +141,7 @@ def nine_sum_rhs(grid: GridSpec, n, p, th, params, dealias=True) -> np.ndarray:
     gp_gth, gn_gth, gp_gphi, gn_gphi, jp2, jn2, jp_gp, jn_gn, jheat_gth = np.zeros(
         (9,) + grid.shape
     )
-    for gn, gp, gth, gphi, jp, jn in darcy_axes(grid, spec, n, p, th, params, out):
+    for gn, gp, gth, gphi, jp, jn in darcy_axes(grid, spec, n, p, th, params, _flux_blocks(out)):
         gp_gth += gp * gth
         gn_gth += gn * gth
         gp_gphi += gp * gphi
@@ -161,12 +161,78 @@ def nine_sum_rhs(grid: GridSpec, n, p, th, params, dealias=True) -> np.ndarray:
     heat -= th * div_jn - (th / n) * jn_gn
     heat -= jheat_gth
     np.divide(heat, params.c_p * p + params.c_n * n, out=out[2 * d])
+    return grid.ifft(_outer_divergence(grid, out, dealias))
 
+
+def _flux_blocks(out: np.ndarray) -> np.ndarray:
+    """The (dim, 2) flux blocks of a (2*dim+1)-row buffer, as a view: rows
+    2i and 2i+1 take (j_p,i, j_n,i), and the last row is left for
+    dtheta."""
+    d = (len(out) - 1) // 2
+    return out[: 2 * d].reshape((d, 2) + out.shape[1:])
+
+
+def _outer_divergence(grid: GridSpec, out, dealias) -> np.ndarray:
+    """Spectrum of (dn, dp, dtheta) from the (2*dim+1)-row buffer of
+    _flux_blocks and dtheta, in one forward transform of every row."""
+    d = grid.dim
     spec_j = grid.fft(out)
-    dp_hat = -sum(grid.grad_mult[i] * spec_j[i] for i in range(d))
-    dn_hat = -sum(grid.grad_mult[i] * spec_j[d + i] for i in range(d))
+    dp_hat = -sum(grid.grad_mult[i] * spec_j[2 * i] for i in range(d))
+    dn_hat = -sum(grid.grad_mult[i] * spec_j[2 * i + 1] for i in range(d))
     dth_hat = spec_j[2 * d]
     if dealias:
         mask = grid.dealias_mask
         dn_hat, dp_hat, dth_hat = mask * dn_hat, mask * dp_hat, mask * dth_hat
-    return grid.ifft(np.stack([dn_hat, dp_hat, dth_hat]))
+    return np.stack([dn_hat, dp_hat, dth_hat])
+
+
+def _batched_darcy_axes(grid: GridSpec, spec, n, p, th, params, j):
+    """fields.darcy_axes with one 4-field inverse transform per axis, of
+    (d_i n, d_i p, d_i theta, d_i phi)."""
+    neg_inv_k2 = -grid.inv_k2
+    for i, m in enumerate(grid.grad_mult):
+        four = np.empty((4,) + spec.shape[1:], dtype=complex)
+        for k in range(3):
+            np.multiply(m, spec[k], out=four[k])
+        phih = four[3]
+        np.subtract(spec[0], spec[1], out=phih)
+        np.multiply(neg_inv_k2, phih, out=phih)
+        np.multiply(m, phih, out=phih)
+        gn, gp, gth, gphi = grid.ifft(four)
+        jp = np.multiply(-params.D_p, th * gp + p * gth + p * gphi, out=j[i, 0])
+        jn = np.multiply(-params.D_n, th * gn + n * gth - n * gphi, out=j[i, 1])
+        yield gn, gp, gth, gphi, jp, jn
+
+
+def batched_rhs_core(grid: GridSpec, spec, n, p, th, params, dealias=True, sink=None):
+    """dynamics._rhs_primitive_core with its transforms batched: one
+    4-field inverse transform per axis, the three Laplacians in one, and
+    one forward transform of a (2*dim+1)-row buffer of the fluxes and
+    dtheta.  The arithmetic is the core's, so the output spectrum and an
+    AuditSink's sample are the core's bit for bit."""
+    d = grid.dim
+    Dp, Dn = params.D_p, params.D_n
+    wp, wn = params.c_p + 1.0, params.c_n + 1.0
+    out = np.empty((2 * d + 1,) + grid.shape)
+    j = _flux_blocks(out)
+    a_p, a_n, b = np.zeros((3,) + grid.shape)
+    for gn, gp, gth, gphi, jp, jn in _batched_darcy_axes(grid, spec, n, p, th, params, j):
+        a_p += gp * (2.0 * gth + gphi)
+        a_n += gn * (2.0 * gth - gphi)
+        b += jp * (wp * gth + gphi) + jn * (wn * gth - gphi)
+        if sink is not None:
+            sink.axis(gth, jp, jn)
+    if sink is not None:
+        sink.production()
+
+    lap_n, lap_p, lap_th = grid.ifft(-grid.k2 * spec)
+    rho = n - p
+    heat = Dp * (p * lap_th + th * lap_p + p * rho + a_p)
+    heat += Dn * (n * lap_th + th * lap_n - n * rho + a_n)
+    heat *= th
+    heat += params.k * lap_th
+    heat -= b
+    np.divide(heat, params.c_p * p + params.c_n * n, out=out[2 * d])
+    if sink is not None:
+        sink.residual(j)
+    return _outer_divergence(grid, out, dealias)
