@@ -4,8 +4,11 @@ Command-line interface.
 Subcommands: run, varcheck, decay, plotdata, defaults.  Configuration is
 a JSON file (see DEFAULTS for the full key set and `pnpf defaults` to
 print it); individual values can be overridden on the command line with
-repeated --set dotted.key=json-value flags.  The default output root is
-$PNPF_OUT, else the current directory.
+repeated --set dotted.key=json-value flags.  A file and a --set merge
+the same way: an object given for a section (`--set 'grid={"dim": 2}'`)
+merges into it key by key, so the section's other keys keep their
+values, and an unknown key anywhere is a configuration error.  The
+default output root is $PNPF_OUT, else the current directory.
 
 Exit codes: 0 success, 1 a failed varcheck verdict, 2 configuration/
 validation error (a config value of the wrong type included), 3 runtime
@@ -18,7 +21,6 @@ config and seed produce bit-identical CSV artifacts on one platform
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
@@ -39,77 +41,64 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-DEFAULTS = {
-    "grid": {"dim": 3, "n": 32, "length": 6.283185307179586},
-    "params": {"c_p": 1.5, "c_n": 1.5, "D_p": 1.0, "D_n": 1.0, "k": 1.0},
+# every config key with its (default, published schema text); DEFAULTS
+# and CONFIG_SCHEMA are the two halves of this one table
+_CONFIG = {
+    "grid": {
+        "dim": (3, "int in {1,2,3}"),
+        "n": (32, "power-of-two int >= 8"),
+        "length": (6.283185307179586, "float > 0"),
+    },
+    "params": {k: (v, "float > 0") for k, v in
+               (("c_p", 1.5), ("c_n", 1.5), ("D_p", 1.0), ("D_n", 1.0), ("k", 1.0))},
     "stepper": {
-        "scheme": "RK4",
-        "dt": 1e-3,
-        "t_end": 0.1,
-        "dealias": True,
-        "positivity_floor": POSITIVITY_FLOOR,
+        "scheme": ("RK4", "RK4 | IMEX1"),
+        "dt": (1e-3, "float > 0"),
+        "t_end": (0.1, "float > 0"),
+        "dealias": (True, "bool"),
+        "positivity_floor": (POSITIVITY_FLOOR, "float"),
     },
     "initial_condition": {
-        "type": "equilibrium",
-        "field": "theta",  # single_mode
-        "axis": 0,  # single_mode
-        "amplitude": 1e-2,  # single_mode, random_band
-        "seed": 0,  # random_band
-        "band": 2,  # random_band
+        "type": ("equilibrium", "equilibrium | single_mode | random_band"),
+        "field": ("theta", "theta | u | v | n | p (single_mode)"),
+        "axis": (0, "int (single_mode)"),
+        "amplitude": (1e-2, "float (single_mode, random_band)"),
+        "seed": (0, "int (random_band)"),
+        "band": (2, "int >= 1 (random_band)"),
     },
-    "outputs": None,  # default: $PNPF_OUT or "."
-    "audit_every": 10,
+    "outputs": (None, "directory path or null"),  # null: $PNPF_OUT or "."
+    "audit_every": (10, "int >= 1"),
     "varcheck": {
-        "seed": 0,
-        "amplitude": 1e-3,
-        "kmax": 1,
-        "fd_rel_tol": 1e-6,
-        "balance_tol": 1e-8,
+        "seed": (0, "int"),
+        "amplitude": (1e-3, "float"),
+        "kmax": (1, "int >= 1"),
+        "fd_rel_tol": (1e-6, "float"),
+        "balance_tol": (1e-8, "float"),
     },
     "decay": {
-        "delta0": 1e-2,
-        "seed": 0,
-        "mode_profile": "single_mode",
-        "sample_every": 10,
-        "scaling_check": False,
+        "delta0": (1e-2, "float >= 0"),
+        "seed": (0, "int"),
+        "mode_profile": ("single_mode", "single_mode | random_band"),
+        "sample_every": (10, "int >= 1"),
+        "scaling_check": (False, "bool"),
     },
 }
 
-# published shape of the config document; values show the expected types
-CONFIG_SCHEMA = {
-    "grid": {"dim": "int in {1,2,3}", "n": "power-of-two int >= 8", "length": "float > 0"},
-    "params": {k: "float > 0" for k in ("c_p", "c_n", "D_p", "D_n", "k")},
-    "stepper": {
-        "scheme": "RK4 | IMEX1",
-        "dt": "float > 0",
-        "t_end": "float > 0",
-        "dealias": "bool",
-        "positivity_floor": "float",
-    },
-    "initial_condition": {
-        "type": "equilibrium | single_mode | random_band",
-        "field": "theta | u | v | n | p (single_mode)",
-        "axis": "int (single_mode)",
-        "amplitude": "float (single_mode, random_band)",
-        "seed": "int (random_band)",
-        "band": "int >= 1 (random_band)",
-    },
-    "outputs": "directory path or null",
-    "audit_every": "int >= 1",
-    "varcheck": {
-        "seed": "int",
-        "amplitude": "float",
-        "kmax": "int >= 1",
-        "fd_rel_tol": "float",
-        "balance_tol": "float",
-    },
-    "decay": {
-        "delta0": "float >= 0",
-        "seed": "int",
-        "mode_profile": "single_mode | random_band",
-        "sample_every": "int >= 1",
-        "scaling_check": "bool",
-    },
+
+def _column(table: dict, i: int) -> dict:
+    return {k: _column(v, i) if isinstance(v, dict) else v[i] for k, v in table.items()}
+
+
+DEFAULTS = _column(_CONFIG, 0)
+CONFIG_SCHEMA = _column(_CONFIG, 1)  # published shape of the config document
+
+# single_mode: the weights of the wave in (n, p, theta) for each field
+_SINGLE_MODE = {
+    "theta": (0.0, 0.0, 1.0),
+    "u": (0.5, 0.5, 0.0),
+    "v": (0.5, -0.5, 0.0),
+    "n": (1.0, 0.0, 0.0),
+    "p": (0.0, 1.0, 0.0),
 }
 
 
@@ -117,43 +106,41 @@ class ConfigError(ValueError):
     pass
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
+def _deep_update(base: dict, extra: dict, prefix: str = "") -> None:
+    """Merge extra into base key by key: an object given for a section
+    merges into that section, any other value replaces the old one.  An
+    unknown key is a ConfigError naming its dotted path."""
     for key, val in extra.items():
         if key not in base:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {prefix + key!r}")
         if isinstance(base[key], dict) and isinstance(val, dict):
-            _deep_update(base[key], val)
+            _deep_update(base[key], val, f"{prefix}{key}.")
         else:
             base[key] = val
-    return base
 
 
 def _apply_set(config: dict, assignment: str) -> None:
+    """--set dotted.key=value: the value (JSON, else the raw string) nested
+    under its dotted key and merged as a config file would be."""
     if "=" not in assignment:
         raise ConfigError(f"--set expects dotted.key=value, got {assignment!r}")
     key, _, raw = assignment.partition("=")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         value = raw
-    node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config key {key!r}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError(f"unknown config key {key!r}")
-    node[parts[-1]] = value
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    _deep_update(config, value)
 
 
 def load_config(path: str | None, sets: list[str]) -> dict:
-    config = copy.deepcopy(DEFAULTS)
+    config = _column(_CONFIG, 0)
     if path is not None:
         try:
             with open(path) as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -168,9 +155,13 @@ def _check_types(config: dict, defaults: dict = DEFAULTS, schema: dict = CONFIG_
     """ConfigError naming the key unless every value has the JSON type of
     its default: an object for a section, a number (an integer too) for a
     float, a string or null for outputs; and unless every key whose schema
-    reads "int >= 1" holds at least 1."""
+    reads "int >= 1" holds at least 1.  A key missing from a section (one
+    that an earlier value replaced wholesale) is a ConfigError too."""
     for key, default in defaults.items():
-        name, val = prefix + key, config[key]
+        name = prefix + key
+        if key not in config:
+            raise ConfigError(f"config key {name!r} is missing")
+        val = config[key]
         allowed = {float: (int, float), type(None): (str, type(None))}.get(
             type(default), (type(default),)
         )
@@ -194,9 +185,11 @@ def _build_objects(config: dict):
 
 
 def _outputs_dir(config: dict) -> Path:
-    out = config.get("outputs") or os.environ.get("PNPF_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(config.get("outputs") or os.environ.get("PNPF_OUT") or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make outputs directory {path}: {exc}") from exc
     if not os.access(path, os.W_OK):
         raise ConfigError(f"outputs directory {path} is not writable")
     return path
@@ -221,41 +214,21 @@ def build_initial_state(config: dict, grid: GridSpec) -> State:
     them (an amplitude of 1 or more) is reported as a config error."""
     ic = config["initial_condition"]
     kind = ic["type"]
-    ones = np.ones(grid.shape)
-    n, p, theta = ones.copy(), ones.copy(), ones.copy()
     if kind == "equilibrium":
-        pass
-    elif kind == "single_mode":
-        field = ic["field"]
-        axis = int(ic["axis"])
-        amp = float(ic["amplitude"])
-        if not 0 <= axis < grid.dim:
-            raise ConfigError(f"single_mode axis {axis} out of range for dim {grid.dim}")
-        x = grid.axes_coordinates()[axis]
-        wave = amp * np.sin(2.0 * np.pi * x / grid.length)
-        if field == "theta":
-            theta += wave
-        elif field == "u":
-            n += 0.5 * wave
-            p += 0.5 * wave
-        elif field == "v":
-            n += 0.5 * wave
-            p -= 0.5 * wave
-        elif field == "n":
-            n += wave
-        elif field == "p":
-            p += wave
-        else:
-            raise ConfigError(f"unknown single_mode field {field!r}")
-    elif kind == "random_band":
-        return random_band_state(
-            grid, int(ic["seed"]), int(ic["band"]), float(ic["amplitude"])
-        )
-    else:
+        return State.equilibrium(grid)
+    if kind == "random_band":
+        return random_band_state(grid, int(ic["seed"]), int(ic["band"]), float(ic["amplitude"]))
+    if kind != "single_mode":
         raise ConfigError(f"unknown initial_condition type {kind!r}")
-    return State.from_primitives(
-        ScalarField(grid, n), ScalarField(grid, p), ScalarField(grid, theta)
-    )
+    field, axis = ic["field"], int(ic["axis"])
+    if not 0 <= axis < grid.dim:
+        raise ConfigError(f"single_mode axis {axis} out of range for dim {grid.dim}")
+    if field not in _SINGLE_MODE:
+        raise ConfigError(f"unknown single_mode field {field!r}")
+    x = grid.axes_coordinates()[axis]
+    wave = float(ic["amplitude"]) * np.sin(2.0 * np.pi * x / grid.length)
+    n, p, theta = (ScalarField(grid, 1.0 + w * wave) for w in _SINGLE_MODE[field])
+    return State.from_primitives(n, p, theta)
 
 
 def cmd_run(config: dict) -> int:

@@ -70,9 +70,13 @@ class DecaySeries:
     completed: bool = True
     abort_reason: str | None = None
 
-    def monotone(self, tol: float = MONOTONE_TOL) -> bool:
+    def monotone(self) -> bool:
         lam = self.lyapunov
-        return bool(np.all(lam[1:] <= lam[:-1] * (1.0 + tol)))
+        return bool(np.all(lam[1:] <= lam[:-1] * (1.0 + MONOTONE_TOL)))
+
+
+# the decay.csv columns: the array fields of DecaySeries, in order
+SERIES_COLUMNS = ("t", "lyapunov", "v_l2", "grad_phi_l2", "u_l2", "u_h2", "theta_h2")
 
 
 def _h2_sq(grid: GridSpec, spec) -> float:
@@ -178,7 +182,7 @@ def run(exp: DecayExperiment, grid: GridSpec, params: PhysParams) -> DecaySeries
         spec = spectra(state)  # shared with lyapunov: one transform call per sample
         su, sv, st, sphi = spec
         rows.append(
-            (
+            (  # in SERIES_COLUMNS order
                 t,
                 lyapunov(state, params, spec),
                 math.sqrt(g.spectral_l2_sum(sv)),
@@ -196,39 +200,16 @@ def run(exp: DecayExperiment, grid: GridSpec, params: PhysParams) -> DecaySeries
     except StepAbort as exc:
         completed, reason = False, str(exc)
 
-    arr = np.array(rows, dtype=float).reshape(-1, 7)
-    t = arr[:, 0]
-    rates = {
-        "lyapunov": _fit_rate(t, arr[:, 1]),
-        "v_l2": _fit_rate(t, arr[:, 2]),
-        "grad_phi_l2": _fit_rate(t, arr[:, 3]),
-        "u_l2": _fit_rate(t, arr[:, 4]),
-        "u_h2": _fit_rate(t, arr[:, 5]),
-        "theta_h2": _fit_rate(t, arr[:, 6]),
-    }
-    return DecaySeries(
-        t=t,
-        lyapunov=arr[:, 1],
-        v_l2=arr[:, 2],
-        grad_phi_l2=arr[:, 3],
-        u_l2=arr[:, 4],
-        u_h2=arr[:, 5],
-        theta_h2=arr[:, 6],
-        fitted_rates=rates,
-        completed=completed,
-        abort_reason=reason,
-    )
-
-
-SERIES_COLUMNS = ("t", "lyapunov", "v_l2", "grad_phi_l2", "u_l2", "u_h2", "theta_h2")
+    arr = np.array(rows, dtype=float).reshape(-1, len(SERIES_COLUMNS))
+    cols = dict(zip(SERIES_COLUMNS, arr.T))
+    rates = {name: _fit_rate(cols["t"], col) for name, col in cols.items() if name != "t"}
+    return DecaySeries(**cols, fitted_rates=rates, completed=completed, abort_reason=reason)
 
 
 def write_series_csv(series: DecaySeries, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(SERIES_COLUMNS) + "\n")
-        cols = [series.t, series.lyapunov, series.v_l2, series.grad_phi_l2,
-                series.u_l2, series.u_h2, series.theta_h2]
-        for row in zip(*cols):
+        for row in zip(*(getattr(series, name) for name in SERIES_COLUMNS)):
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 

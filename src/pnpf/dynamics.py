@@ -594,16 +594,15 @@ def _imex1_primitive(grid, ys, cfg, params, sink=None):
     return [out[0], out[1], out[2]]
 
 
-def integrate(state, cfg: StepperConfig, params: PhysParams, n_steps: int | None = None):
+def integrate(state, cfg: StepperConfig, params: PhysParams):
     """
     Generator driving `step`: yields (index, t, state) with index 0 being
     the initial state.  A StepAbort propagates to the caller after the
     already-yielded prefix (partial trajectories keep their audit trail).
     """
-    total = cfg.n_steps if n_steps is None else n_steps
     t = 0.0
     yield 0, t, state
-    for i in range(1, total + 1):
+    for i in range(1, cfg.n_steps + 1):
         state = step(state, cfg, params)
         t = i * cfg.dt
         yield i, t, state

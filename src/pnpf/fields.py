@@ -90,10 +90,10 @@ class PhysParams:
         return self.c_p
 
 
-def _check_positive(name: str, values: np.ndarray, floor: float = POSITIVITY_FLOOR):
+def _check_positive(name: str, values: np.ndarray):
     m = float(values.min())
-    if m < floor:
-        raise PositivityError(f"min({name}) = {m:.3e} below floor {floor:.0e}")
+    if m < POSITIVITY_FLOOR:
+        raise PositivityError(f"min({name}) = {m:.3e} below floor {POSITIVITY_FLOOR:.0e}")
 
 
 @dataclass(frozen=True)

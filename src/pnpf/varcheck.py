@@ -80,13 +80,12 @@ DEFAULT_EPS_SCAN = (1e-3, 1e-4, 1e-5)
 
 @dataclass(frozen=True)
 class FlowMapProbe:
-    """Perturbation directions for the three flow maps, plus the scan of
-    central-difference step sizes."""
+    """Perturbation directions for the three flow maps; the central
+    differences along them step by DEFAULT_EPS_SCAN."""
 
     dJ_p: VectorField
     dJ_n: VectorField
     dJ_e: VectorField
-    eps_scan: tuple = DEFAULT_EPS_SCAN
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,7 @@ class ForceSet:
     f_e: VectorField
 
 
-def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.1,
-                 eps_scan=DEFAULT_EPS_SCAN) -> FlowMapProbe:
+def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.1) -> FlowMapProbe:
     """Band-limited, dealiased probe directions from Philox(seed).  Each
     vector's components are drawn in one call, which gives the same
     numbers as drawing them one at a time, and filtered in one forward
@@ -117,7 +115,7 @@ def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.
                 vals *= amplitude / peak
         return VectorField(grid, tuple(comps))
 
-    return FlowMapProbe(vec(), vec(), vec(), tuple(eps_scan))
+    return FlowMapProbe(vec(), vec(), vec())
 
 
 # -- entropy functional and conservative forces -------------------------------
@@ -257,16 +255,16 @@ def _pair(grid: GridSpec, force: VectorField, probe: VectorField) -> float:
 
 
 def _scan_result(g: GridSpec, forces: ForceSet, probe: FlowMapProbe, fd_at) -> dict:
-    """The scan table of the central differences fd_at(eps) over the eps
-    scan of the probe against its pairing with the closed-form forces,
-    with the best error and the convergence order."""
+    """The scan table of the central differences fd_at(eps) over
+    DEFAULT_EPS_SCAN against the probe's pairing with the closed-form
+    forces, with the best error and the convergence order."""
     pairing = (
         _pair(g, forces.f_p, probe.dJ_p)
         + _pair(g, forces.f_n, probe.dJ_n)
         + _pair(g, forces.f_e, probe.dJ_e)
     )
     rows = []
-    for eps in probe.eps_scan:
+    for eps in DEFAULT_EPS_SCAN:
         fd = fd_at(eps)
         rows.append(
             {"eps": eps, "fd": fd, "rel_err": abs(fd - pairing) / max(abs(pairing), 1e-300)}

@@ -21,6 +21,10 @@ def leaf_keys(doc, prefix=""):
             yield prefix + key
 
 
+def artifacts(outdir):
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
 class TestConfig:
     def test_set_accepts_exactly_the_schema_keys(self):
         schema = set(leaf_keys(cli.CONFIG_SCHEMA))
@@ -32,6 +36,59 @@ class TestConfig:
             with pytest.raises(cli.ConfigError, match="unknown config key"):
                 cli.load_config(None, [f"{key}=1"])
 
+    @pytest.mark.parametrize("command", ["run", "varcheck"])
+    def test_set_section_merges_like_a_file(self, tmp_path, command):
+        # a section given by --set merges key by key, as in a file: grid.n
+        # set before it stays 8
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"grid": {"dim": 2}}))
+        got = []
+        for k, form in enumerate((["--config", str(path)], ["--set", 'grid={"dim": 2}'])):
+            out = tmp_path / str(k)
+            code = cli.main([
+                command,
+                "--set", "grid.n=8",
+                "--set", "stepper.t_end=2e-3",
+                "--set", "initial_condition.type=random_band",
+                *form,
+                "--outputs", str(out),
+            ])
+            got.append((code, artifacts(out)))
+        assert got[0][0] == cli.EXIT_OK
+        assert got[0][1]
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("form", ["set", "file"])
+    def test_unknown_key_in_a_section_value(self, tmp_path, capsys, form):
+        section = {"seed": 0, "extra": 3}
+        path = tmp_path / "varcheck.json"
+        path.write_text(json.dumps({"varcheck": section}))
+        args = (["--set", f"varcheck={json.dumps(section)}"] if form == "set"
+                else ["--config", str(path)])
+        out = tmp_path / "out"
+        code = cli.main(["varcheck", "--set", "grid.n=8", *args, "--outputs", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "unknown config key 'varcheck.extra'" in capsys.readouterr().err
+        assert not (out / "varcheck-report.json").exists()
+
+    def test_value_nested_past_the_json_parser_is_a_config_error(self, tmp_path, capsys):
+        # the parser's RecursionError: --set keeps the raw string, whose
+        # type is wrong, and a file is unreadable
+        deep = "[" * 100000 + "]" * 100000
+        path = tmp_path / "deep.json"
+        path.write_text(f'{{"audit_every": {deep}}}')
+        for form in (["--set", f"audit_every={deep}"], ["--config", str(path)]):
+            code = cli.main(["run", *form, "--outputs", str(tmp_path)])
+            assert code == cli.EXIT_CONFIG
+            assert "Traceback" not in capsys.readouterr().err
+
+    def test_outputs_that_cannot_be_made_is_a_config_error(self, tmp_path, capsys):
+        # a file in the way, and a name longer than a file system takes
+        (tmp_path / "file").write_text("")
+        for out in (tmp_path / "file", tmp_path / ("x" * 300)):
+            code = cli.main(["varcheck", "--set", "grid.n=8", "--set", f"outputs={out}"])
+            assert code == cli.EXIT_CONFIG
+            assert "outputs directory" in capsys.readouterr().err
 
     def test_floor_below_the_state_floor_is_a_config_error(self, tmp_path, capsys):
         # a State rejects anything below fields.POSITIVITY_FLOOR, so a lower
@@ -98,6 +155,66 @@ class TestConfigTypes:
         if value != '"x"' and (key, value) != ("outputs", "null"):
             assert code == cli.EXIT_CONFIG
             assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", sorted(k for k, v in cli.DEFAULTS.items()
+                                               if isinstance(v, dict)))
+    def test_section_value(self, tmp_path, capsys, section):
+        # a section value merges into the section key by key: {} changes
+        # nothing, and {"leaf": null} changes only that leaf, whose wrong
+        # type is named
+        command = section if section in ("decay", "varcheck") else "run"
+        got = []
+        for k, extra in enumerate(([], ["--set", f"{section}={{}}"])):
+            out = tmp_path / str(k)
+            code = cli.main([command, *self.BASE, *extra, "--outputs", str(out)])
+            got.append((code, artifacts(out)))
+        assert got[0][0] == cli.EXIT_OK
+        assert got[0][1]
+        assert got[0] == got[1]
+        for leaf in cli.DEFAULTS[section]:
+            code = cli.main([command, *self.BASE, "--set", f'{section}={{"{leaf}": null}}',
+                             "--outputs", str(tmp_path / "bad")])
+            assert code == cli.EXIT_CONFIG, leaf
+            assert repr(f"{section}.{leaf}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file_grid, sets, missing", [
+        (None, ["grid=5", "grid.n=8"], "grid.dim"),
+        (None, ["grid=5", 'grid={"dim": 2}'], "grid.n"),
+        ("null", ["grid.n=8"], "grid.dim"),
+    ])
+    def test_section_replaced_then_merged_into(self, tmp_path, capsys, file_grid, sets,
+                                               missing):
+        # a section replaced by a non-object and then given a partial object
+        # lacks its other keys: a config error naming one, not a KeyError
+        args = ["run", "--outputs", str(tmp_path / "out")]
+        if file_grid is not None:
+            path = tmp_path / "c.json"
+            path.write_text(f'{{"grid": {file_grid}}}')
+            args += ["--config", str(path)]
+        for s in sets:
+            args += ["--set", s]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert repr(missing) in capsys.readouterr().err
+
+
+class TestInitialState:
+    @pytest.mark.parametrize("field", ["theta", "u", "v", "n", "p"])
+    def test_single_mode_moves_its_field(self, field):
+        # u = n + p - 2 and v = n - p; the wave is a sin(2 pi x_1 / L)
+        grid = GridSpec(dim=2, n=8, length=2.0)
+        config = cli.load_config(None, [
+            "initial_condition.type=single_mode",
+            f"initial_condition.field={field}",
+            "initial_condition.axis=1",
+        ])
+        s = cli.build_initial_state(config, grid)
+        n, p, th = s.n.values - 1.0, s.p.values - 1.0, s.theta.values - 1.0
+        wave = 1e-2 * np.sin(np.pi * grid.axes_coordinates()[1])
+        moved = {"theta": th, "u": n + p, "v": n - p, "n": n, "p": p}[field]
+        still = {"theta": (n, p), "u": (th, n - p), "v": (th, n + p), "n": (p, th),
+                 "p": (n, th)}[field]
+        assert np.abs(moved - wave).max() <= 1e-15
+        assert all(np.abs(f).max() <= 1e-15 for f in still)
 
 
 def read_audit_csv(path):
@@ -217,13 +334,8 @@ class TestDecay:
 class TestDeterminism:
     """The same config run twice writes byte-identical artifacts."""
 
-    @staticmethod
-    def artifacts(outdir, names):
-        return {p.name: p.read_bytes() for p in sorted(outdir.iterdir()) if p.name in names}
-
     @pytest.mark.parametrize("scheme", ["RK4", "IMEX1"])
     def test_run_twice(self, tmp_path, scheme):
-        names = {"audit.csv", "final.snap", "final.snap.json", "final.meta.json"}
         got = []
         for k in range(2):
             out = tmp_path / str(k)
@@ -239,7 +351,7 @@ class TestDeterminism:
                 "--outputs", str(out),
             ])
             assert code == cli.EXIT_OK
-            got.append(self.artifacts(out, names))
+            got.append(artifacts(out))
         assert {"audit.csv", "final.snap", "final.meta.json"} <= set(got[0])
         assert got[0] == got[1]
 
@@ -259,6 +371,6 @@ class TestDeterminism:
                 "--outputs", str(out),
             ])
             assert code == cli.EXIT_OK
-            got.append(self.artifacts(out, {"decay.csv", "decay-summary.json"}))
+            got.append(artifacts(out))
         assert set(got[0]) == {"decay.csv", "decay-summary.json"}
         assert got[0] == got[1]

@@ -121,13 +121,13 @@ class TestConstitutiveFluxes:
                 assert np.array_equal(a, b)
 
     def test_peak_memory(self):
-        # at 32^3 above the call's entry, in full grids: measured 24.5; a
-        # kernel that builds every axis's gradients and three unused
-        # Laplacians in one inverse transform peaks at 42.2
+        # at 32^3 above the call's entry, in full grids: measured 22.02 on
+        # seeds 3, 5 and 7; a kernel that builds every axis's gradients and
+        # three unused Laplacians in one inverse transform peaks at 42.2
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
         params = PhysParams(c_p=1.3, c_n=1.7, D_p=0.8, D_n=1.2, k=0.9)
-        assert peak_grids(lambda: constitutive_fluxes(s, params), grid) <= 27.0
+        assert peak_grids(lambda: constitutive_fluxes(s, params), grid) <= 22.4
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_potential_rate_solves_its_poisson_equation(self, dim):

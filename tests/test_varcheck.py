@@ -317,7 +317,7 @@ class TestSharedWork:
         monkeypatch.setattr(varcheck, "_dissipation", record)
         check_dissipative(s, params, probe, closed)
         monkeypatch.setattr(varcheck, "_dissipation", orig)
-        signed = [sign * eps for eps in probe.eps_scan for sign in (1.0, -1.0)]
+        signed = [sign * eps for eps in varcheck.DEFAULT_EPS_SCAN for sign in (1.0, -1.0)]
         assert len(seen) == len(signed)
         for eps, got in zip(signed, seen):
             moved = [
