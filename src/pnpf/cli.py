@@ -169,7 +169,10 @@ def _check_types(config: dict, defaults: dict = DEFAULTS, schema: dict = CONFIG_
             type(default) is int and schema[key].startswith("int >= 1") and val < 1
         ):
             expected = "an object" if isinstance(default, dict) else schema[key]
-            raise ConfigError(f"config key {name!r} is {json.dumps(val)}, expected {expected}")
+            shown = json.dumps(val)
+            if len(shown) > 80:  # a value as long as the input would flood stderr
+                shown = shown[:80] + "…"
+            raise ConfigError(f"config key {name!r} is {shown}, expected {expected}")
         if isinstance(default, dict):
             _check_types(val, default, schema[key], name + ".")
 

@@ -41,9 +41,13 @@ The array wrapper (_rhs_primitive_arrays, _rhs_perturbation_arrays) adds
 the forward transform in front and the inverse transform behind (one
 field per call for the primitive form); RK4
 calls the wrappers, which keep the bits the RHS had before the split.
-The IMEX1 steppers call the cores on the spectrum of the current state
-that their implicit solve needs anyway, so the RHS output is never
-transformed back and forth and the state is transformed once per step.
+One IMEX1 update (_imex1) serves both forms: it calls the form's core on
+the spectrum of the current state that its implicit solve needs anyway,
+so the RHS output is never transformed back and forth and the state is
+transformed once per step.  Its implicit part is the form's
+constant-coefficient diffusion block -|k|^2 M, M = _linear_block (the
+linearization at (n, p, theta) = (1, 1, 1)), solved mode by mode; the
+spectral radius of the same M sets stability_bound.
 tests/test_dynamics.py pins the transform counts of the array RHS and of
 both steps (TestSpectralCore::test_imex1_step_cost, ::test_transform_count).
 
@@ -389,22 +393,24 @@ def rhs_perturbation(ps: PerturbationState, params: PhysParams, dealias: bool = 
 # -- stability estimate -------------------------------------------------------
 
 
-def _linear_rate_factor(params: PhysParams, primitive: bool) -> float:
-    """Spectral radius of the constant-coefficient diffusion block at
-    |k|^2 = 1 (the implicit block of the IMEX scheme)."""
+def _linear_block(params: PhysParams, primitive: bool) -> np.ndarray:
+    """The 3x3 matrix M of the constant-coefficient diffusion block: at
+    the equilibrium (n, p, theta) = (1, 1, 1) the linear rates of mode k
+    are -|k|^2 M y, for y = (n, p, theta) or (u_tilde, v, theta_tilde).
+    Both blocks have M[0,1] = M[1,0] = 0, and each pair M[i,2], M[2,i] is
+    zero or of positive product, so M is similar to a symmetric matrix;
+    its eigenvalues are real and positive (tested in TestImex1Update)."""
     if primitive:
         cs = params.c_p + params.c_n
-        m = np.array(
+        return np.array(
             [
                 [params.D_n, 0.0, params.D_n],
                 [0.0, params.D_p, params.D_p],
                 [params.D_n / cs, params.D_p / cs, (params.k + params.D_p + params.D_n) / cs],
             ]
         )
-    else:
-        c = params.c_p
-        m = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [1.0 / (2 * c), 0.0, 3.0 / (2 * c)]])
-    return float(np.abs(np.linalg.eigvals(m)).max())
+    c = params.c_p
+    return np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [1.0 / (2 * c), 0.0, 3.0 / (2 * c)]])
 
 
 def stability_bound(
@@ -420,13 +426,14 @@ def stability_bound(
 
     RK4: the stiffest retained mode has |k|^2 = dim*(2*pi*floor(N/3)/L)^2;
     the rate is theta_max * |k|^2 * rho with rho the linear block's
-    spectral radius, and dt_max = 2.785/rate.  IMEX1 treats that block
-    implicitly, so only the variable-coefficient remainder (size ~
-    `deviation`) limits the step, plus the order-one screening term.
+    spectral radius, the largest eigenvalue of M = _linear_block, and
+    dt_max = 2.785/rate.  IMEX1 solves -|k|^2 M implicitly (_imex1), so
+    only the variable-coefficient remainder (size ~ `deviation`) limits
+    the step, plus the order-one screening term.
     """
     m_cut = grid.n // 3
     k2max = grid.dim * (2.0 * math.pi * m_cut / grid.length) ** 2
-    rho = _linear_rate_factor(params, primitive)
+    rho = float(np.abs(np.linalg.eigvals(_linear_block(params, primitive))).max())
     if scheme == "RK4":
         return _RK4_REAL_AXIS / (theta_max * k2max * rho)
     if scheme == "IMEX1":
@@ -489,17 +496,18 @@ def step(state, cfg: StepperConfig, params: PhysParams, sink=None):
     raise TypeError(f"cannot step object of type {type(state).__name__}")
 
 
-def _advance(g, ys, cfg, params, names, shifts, rhs_arrays, imex1, sink=None):
-    """One RK4 or IMEX1 step of the arrays ys; every stage is checked
-    against the floor after adding its shift (see _check_stage).  A sink
-    goes to the first RHS evaluation only."""
+def _advance(g, ys, cfg, params, names, shifts, rhs_arrays, core, primitive, sink=None):
+    """One RK4 step on the array RHS or one IMEX1 step on the core and the
+    form's _linear_block, of the arrays ys; every stage is checked against
+    the floor after adding its shift (see _check_stage).  A sink goes to
+    the first RHS evaluation only."""
     check = lambda ys: _check_stage(names, ys, cfg.positivity_floor, shifts)
     check(ys)
     fed = () if sink is None else (sink,)  # the perturbation kernels take no sink
     if cfg.scheme == "RK4":
         rhs = lambda ys, *fed: rhs_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias, *fed)
         return _rk4(ys, rhs, cfg.dt, check, fed)
-    out = imex1(g, ys, cfg, params, *fed)
+    out = _imex1(g, ys, cfg, params, core, _linear_block(params, primitive), *fed)
     check(out)
     return out
 
@@ -508,7 +516,8 @@ def _step_primitive(s: State, cfg: StepperConfig, params: PhysParams, sink=None)
     g = s.grid
     out = _advance(
         g, [s.n.values, s.p.values, s.theta.values], cfg, params,
-        ("n", "p", "theta"), (0.0, 0.0, 0.0), _rhs_primitive_arrays, _imex1_primitive, sink,
+        ("n", "p", "theta"), (0.0, 0.0, 0.0), _rhs_primitive_arrays, _rhs_primitive_core,
+        True, sink,
     )
     n, p, th = (ScalarField(g, a) for a in out)
     return State.from_primitives(n, p, th)
@@ -523,74 +532,38 @@ def _step_perturbation(
         g, [ps.u_tilde.values, ps.v.values, ps.theta_tilde.values], cfg, params,
         ("2 + u_tilde", "v", "1 + theta_tilde"),
         (2.0, math.inf, 1.0),  # v is unconstrained
-        _rhs_perturbation_arrays, _imex1_perturbation,
+        _rhs_perturbation_arrays, _rhs_perturbation_core, False,
     )
     ut, v, tt = (ScalarField(g, a) for a in out)
     return PerturbationState.from_fields(ut, v, tt)
 
 
-def _imex1_perturbation(grid, ys, cfg, params):
-    """Backward Euler on the constant-coefficient Laplacian block
-    (coupling u_tilde and theta_tilde, v decoupled), explicit remainder."""
-    c = params.c_p
+def _imex1(grid, ys, cfg, params, core, m, *fed):
+    """Backward Euler on the linear block -|k|^2 m (_linear_block), the
+    rest of the core's rates f explicit: with a = dt |k|^2 each mode
+    solves (I + a m) y_new = y + dt (f + |k|^2 m y).  As m[0,1] = m[1,0]
+    = 0, rows 0 and 1 are eliminated into row 2, which is solved for
+    y_new[2] and back-substituted.  fed, () or (sink,), goes to the core."""
     dt, k2 = cfg.dt, grid.k2
     spec_y = grid.fft(np.stack(ys))
-    spec_f = _rhs_perturbation_core(grid, spec_y, ys[0], ys[1], ys[2], params, cfg.dealias)
-    uh, vh, th = spec_y[0], spec_y[1], spec_y[2]
-    # linear block applied to the current state
-    lin_u = -k2 * (uh + 2.0 * th)
-    lin_v = -k2 * vh
-    lin_t = -(k2 / (2.0 * c)) * (uh + 3.0 * th)
-    bu = uh + dt * (spec_f[0] - lin_u)
-    bv = vh + dt * (spec_f[1] - lin_v)
-    bt = th + dt * (spec_f[2] - lin_t)
-
+    spec_f = core(grid, spec_y, ys[0], ys[1], ys[2], params, cfg.dealias, *fed)
+    lin = [k2 * (row[0] * spec_y[0] + row[1] * spec_y[1] + row[2] * spec_y[2]) for row in m]
+    b = [y + dt * (f + l) for y, f, l in zip(spec_y, spec_f, lin)]
     a = dt * k2
-    new_v = bv / (1.0 + a)
-    a11 = 1.0 + a
-    a12 = 2.0 * a
-    a21 = a / (2.0 * c)
-    a22 = 1.0 + 3.0 * a / (2.0 * c)
-    det = a11 * a22 - a12 * a21
-    new_u = (a22 * bu - a12 * bt) / det
-    new_t = (a11 * bt - a21 * bu) / det
+    # the pivots' reciprocals: a complex row times a real array costs about
+    # a quarter of the complex row divided by it
+    r0, r1 = 1.0 / (1.0 + a * m[0, 0]), 1.0 / (1.0 + a * m[1, 1])
+    new_2 = (b[2] - (a * m[2, 0] * r0) * b[0] - (a * m[2, 1] * r1) * b[1]) * (
+        1.0 / (1.0 + a * m[2, 2] - a * a * (m[2, 0] * m[0, 2] * r0 + m[2, 1] * m[1, 2] * r1))
+    )
+    new = [(b[0] - (a * m[0, 2]) * new_2) * r0, (b[1] - (a * m[1, 2]) * new_2) * r1, new_2]
     if cfg.dealias:
-        mask = grid.dealias_mask
-        new_u, new_v, new_t = mask * new_u, mask * new_v, mask * new_t
-    out = grid.ifft(np.stack([new_u, new_v, new_t]))
-    return [out[0], out[1], out[2]]
-
-
-def _imex1_primitive(grid, ys, cfg, params, sink=None):
-    """Backward Euler on the equilibrium-linearized diffusion block of the
-    primitive system, explicit remainder."""
-    dt, k2 = cfg.dt, grid.k2
-    cs = params.c_p + params.c_n
-    kh = (params.k + params.D_p + params.D_n) / cs
-    spec_y = grid.fft(np.stack(ys))
-    spec_f = _rhs_primitive_core(grid, spec_y, ys[0], ys[1], ys[2], params, cfg.dealias, sink)
-    nh, ph, th = spec_y[0], spec_y[1], spec_y[2]
-    lin_n = -k2 * params.D_n * (nh + th)
-    lin_p = -k2 * params.D_p * (ph + th)
-    lin_t = -k2 * (params.D_n * nh + params.D_p * ph) / cs - k2 * kh * th
-    bn = nh + dt * (spec_f[0] - lin_n)
-    bp = ph + dt * (spec_f[1] - lin_p)
-    bt = th + dt * (spec_f[2] - lin_t)
-
-    an = dt * k2 * params.D_n
-    ap = dt * k2 * params.D_p
-    g = dt * k2 / cs
-    # eliminate n and p rows, solve for theta, back substitute
-    denom = 1.0 + dt * k2 * kh - g * params.D_n * an / (1.0 + an) - g * params.D_p * ap / (1.0 + ap)
-    rhs_t = bt - g * params.D_n * bn / (1.0 + an) - g * params.D_p * bp / (1.0 + ap)
-    new_t = rhs_t / denom
-    new_n = (bn - an * new_t) / (1.0 + an)
-    new_p = (bp - ap * new_t) / (1.0 + ap)
-    if cfg.dealias:
-        mask = grid.dealias_mask
         # the k = 0 mode is untouched by the mask's True entry there
-        new_n, new_p, new_t = mask * new_n, mask * new_p, mask * new_t
-    out = grid.ifft(np.stack([new_n, new_p, new_t]))
+        new = [grid.dealias_mask * x for x in new]
+    # lin, b and the unmasked rows stay alive through the transform: freed
+    # earlier, they lower the peak, but glibc then trims the heap top and
+    # the next core faults its temporaries back in
+    out = grid.ifft(np.stack(new))
     return [out[0], out[1], out[2]]
 
 

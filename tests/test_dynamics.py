@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from pnpf import fields
 from pnpf.dynamics import (
     PerturbationState,
+    _imex1,
+    _linear_block,
     _rhs_perturbation_arrays,
     _rhs_perturbation_core,
     _rhs_primitive_arrays,
@@ -386,10 +388,13 @@ class TestStep:
         l2 = lambda f: math.sqrt(inner(grid, f.values, f.values))
         assert l2(out.v) <= l2(ps.v)
 
-    def test_mass_conserved_over_steps(self, params):
+    # IMEX1 keeps the means too: a = dt |k|^2 vanishes at k = 0, so the
+    # update returns the mean rows of b = y + dt (f + 0) with mean(f) = 0
+    @pytest.mark.parametrize("scheme", ["RK4", "IMEX1"])
+    def test_mass_conserved_over_steps(self, params, scheme):
         grid = GridSpec(dim=2, n=16, length=2 * np.pi)
         s = perturbed_state(grid, seed=23, amplitude=1e-2)
-        cfg = StepperConfig(scheme="RK4", dt=2e-3, t_end=0.2)
+        cfg = StepperConfig(scheme=scheme, dt=2e-3, t_end=0.2)
         mass_n0 = s.n.values.sum() * grid.cell_volume
         out = s
         for _ in range(100):
@@ -566,12 +571,53 @@ class TestSpectralCore:
         assert counted[0] == 3 and max(counted[1:]) <= 2
         assert sum(counted) == 28
 
-    # 25.3 full grids at 32^3 (28.2 with the nine running sums)
+    # 24.8 full grids at 32^3 (28.2 with the nine running sums)
     def test_imex1_step_peak_memory(self):
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
         cfg = StepperConfig(scheme="IMEX1", dt=1e-3)
         assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 26.0
+
+
+class TestImex1Update:
+    """One IMEX1 update serves both forms: with a = dt |k|^2 each mode
+    solves (I + a M) y_new = y + dt (f + |k|^2 M y), M the form's
+    _linear_block, by eliminating rows 0 and 1 into row 2."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 3), seed=st.integers(0, 10_000), dealias=st.booleans(),
+        dt=st.sampled_from([1e-4, 1e-2, 1.0]), primitive=st.booleans(),
+        prim_params=PARAM_SETS, c=st.floats(1.1, 5.0),
+    )
+    def test_update_solves_the_linear_block(self, dim, seed, dealias, dt, primitive,
+                                            prim_params, c):
+        params = prim_params if primitive else PhysParams(c_p=c, c_n=c)
+        m = _linear_block(params, primitive)
+        # the elimination, stability_bound and ETDRK4 rely on these
+        assert m[0, 1] == 0.0 and m[1, 0] == 0.0
+        ev = np.linalg.eigvals(m)
+        assert np.abs(ev.imag).max() <= 1e-12 * np.abs(ev).max()
+        assert ev.real.min() > 0.0
+
+        grid = GridSpec(dim=dim, n=8, length=2 * np.pi)
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        ys = list(1.0 + 0.1 * gen.standard_normal((3,) + grid.shape))
+        f = grid.fft(gen.standard_normal((3,) + grid.shape))
+        stub_core = lambda *args: f.copy()  # the explicit rates, fixed
+        cfg = StepperConfig(scheme="IMEX1", dt=dt, dealias=dealias)
+        got = grid.fft(np.stack(_imex1(grid, ys, cfg, params, stub_core, m)))
+
+        # the same system solved mode by mode, modes along the first axis
+        k2 = grid.k2.reshape(-1, 1)
+        y = grid.fft(np.stack(ys)).reshape(3, -1).T
+        b = y + dt * (f.reshape(3, -1).T + k2 * (y @ m.T))
+        lhs = np.eye(3) + (dt * k2)[:, :, None] * m
+        want = np.linalg.solve(lhs, b[:, :, None])[:, :, 0]
+        if dealias:
+            want *= grid.dealias_mask.reshape(-1, 1)
+        want = want.T.reshape(got.shape)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestStabilityBound:

@@ -420,7 +420,7 @@ class TestFusedSample:
         audit_run(s, cfg, PhysParams(), tmp_path / "audit.csv", audit_every=1)
         assert sum(counted) == 4 * (42 + 4) + 31
 
-    # at 32^3 the audited steps peak at 25.0 (RK4) and 26.3 (IMEX1) full
+    # at 32^3 the audited steps peak at 25.0 (RK4) and 25.8 (IMEX1) full
     # grids, one grid above the unaudited steps (38.2 and 29.2 with the
     # nine running sums of the unfolded heat rate); the audited RHS keeps
     # every axis's fluxes for the residual and transforms them only after
