@@ -389,8 +389,7 @@ def _deviation(dev: float, scale: float, rec, ref) -> tuple[float, float]:
 
 
 def reconstruct_fluxes(
-    s: State, params: PhysParams, block: OnsagerBlock | None = None,
-    fl: FluxSet | None = None,
+    s: State, params: PhysParams, block: OnsagerBlock, fl: FluxSet
 ) -> tuple[VectorField, VectorField, VectorField]:
     """
     Rebuild (j_p, j_n, j_e) from the coefficient block and the gradients of
@@ -399,10 +398,6 @@ def reconstruct_fluxes(
     is not expressible through the local coefficient block.
     """
     g = s.grid
-    if block is None:
-        block = onsager_block(s, params)
-    if fl is None:
-        fl = constitutive_fluxes(s, params)
     L_pp, L_nn = block.L_pp.values, block.L_nn.values
     L_pth, L_nth = block.L_ptheta.values, block.L_ntheta.values
     spec = _quotient_spectrum(g, s.theta.values, block.mu_p.values, block.mu_n.values)
@@ -427,6 +422,8 @@ def flux_reconstruction_residual(
     flux_audit computes the same number in its streamed pass.
     """
     fl = constitutive_fluxes(s, params)
+    if block is None:
+        block = onsager_block(s, params)
     j_p_rec, j_n_rec, _ = reconstruct_fluxes(s, params, block, fl)
     dev = scale = 0.0
     for rec, ref in ((j_p_rec, fl.j_p), (j_n_rec, fl.j_n)):

@@ -51,7 +51,7 @@ ends in, also after an abort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 
 from . import decay
 from .dynamics import StepAbort, StepperConfig, convert, step
@@ -79,8 +79,11 @@ class EntropyProductionError(ValueError):
 @dataclass(frozen=True)
 class AuditRecord:
     """One audit sample.  dSdt_minus_Delta is the raw centered-difference
-    gap (NaN where a neighbor sample is missing); lyapunov is NaN when
-    c_p != c_n (the functional's weight needs a common heat capacity)."""
+    gap (NaN where a neighbor sample is missing, and in a sample still
+    pending in AuditWriter); lyapunov is NaN when c_p != c_n (the
+    functional's weight needs a common heat capacity).  The checks run on
+    construction, so AuditWriter.observe raises at the sample that fails
+    them."""
 
     t: float
     mass_n: float
@@ -123,19 +126,21 @@ def totals(s: State, params: PhysParams, production):
 class AuditWriter:
     """
     Streams AuditRecord rows to a CSV file with full float64 round-trip
-    precision (17 significant digits).  Rows are written with a one-sample
-    lag so the centered entropy difference can be filled in; close()
-    flushes the final row (its residual is NaN, like the first row's).
-    The difference is the three-point formula for the actual sample times,
-    so unevenly spaced samples (a short last interval) keep its accuracy.
+    precision (17 significant digits).  Each sample is an AuditRecord from
+    the moment observe takes it, so its checks run at that sample.  Rows
+    are written with a one-sample lag: the pending record gets its
+    centered entropy difference when its successor arrives, and close()
+    writes the final record as it is (its residual is NaN, like the first
+    row's).  The difference is the three-point formula for the actual
+    sample times, so unevenly spaced samples (a short last interval) keep
+    its accuracy.
     """
 
     def __init__(self, path, params: PhysParams):
         self._fh = open(path, "w")
         self._fh.write(CSV_HEADER + "\n")
         self._params = params
-        self._pending: dict | None = None  # newest row, awaiting its successor
-        self._prev: dict | None = None  # the last written row
+        self._pending: AuditRecord | None = None  # newest sample, awaiting its successor
         self._E0 = None
         self.records: list[AuditRecord] = []
 
@@ -151,33 +156,24 @@ class AuditWriter:
         lam = math.nan
         if params.c_p == params.c_n:
             lam = decay.lyapunov(convert(s), params)
-        row = {
-            "t": t,
-            "mass_n": mass_n,
-            "mass_p": mass_p,
-            "E": E,
-            "S": S,
-            "Delta": Delta,
-            "dSdt_minus_Delta": math.nan,
-            "energy_drift_rel": abs(E - self._E0) / abs(self._E0),
-            "onsager_residual": residual,
-            "lyapunov": lam,
-        }
-        mid, prev = self._pending, self._prev
+        rec = AuditRecord(
+            t, mass_n, mass_p, E, S, Delta, math.nan,
+            abs(E - self._E0) / abs(self._E0), residual, lam,
+        )
+        mid = self._pending
         if mid is not None:
-            if prev is not None:
-                h1 = mid["t"] - prev["t"]
-                h2 = t - mid["t"]
-                dSdt = (h1 * h1 * (S - mid["S"]) + h2 * h2 * (mid["S"] - prev["S"])) / (
+            if self.records:
+                prev = self.records[-1]
+                h1 = mid.t - prev.t
+                h2 = t - mid.t
+                dSdt = (h1 * h1 * (S - mid.S) + h2 * h2 * (mid.S - prev.S)) / (
                     h1 * h2 * (h1 + h2)
                 )
-                mid["dSdt_minus_Delta"] = dSdt - mid["Delta"]
+                mid = replace(mid, dSdt_minus_Delta=dSdt - mid.Delta)
             self._write(mid)
-            self._prev = mid
-        self._pending = row
+        self._pending = rec
 
-    def _write(self, row: dict) -> None:
-        rec = AuditRecord(**row)
+    def _write(self, rec: AuditRecord) -> None:
         self.records.append(rec)
         self._fh.write(
             ",".join(f"{getattr(rec, f.name):.17g}" for f in dataclass_fields(AuditRecord))
@@ -188,8 +184,8 @@ class AuditWriter:
     def close(self) -> None:
         try:
             if self._pending is not None:
-                row, self._pending = self._pending, None
-                self._write(row)
+                rec, self._pending = self._pending, None
+                self._write(rec)
         finally:
             self._fh.close()
 

@@ -328,7 +328,7 @@ class TestFluxReconstruction:
         grid = GridSpec(dim=3, n=8, length=1.0)
         s = perturbed_state(grid, seed=47, amplitude=1e-4, kmax=1)
         fl = constitutive_fluxes(s, params)
-        _, _, j_e_rec = reconstruct_fluxes(s, params)
+        _, _, j_e_rec = reconstruct_fluxes(s, params, onsager_block(s, params), fl)
         scale = max(np.abs(c).max() for c in fl.j_e.components)
         for rec, ref in zip(j_e_rec.components, fl.j_e.components):
             assert np.abs(rec - ref).max() <= 1e-10 * scale

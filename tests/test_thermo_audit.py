@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pnpf import decay, fields
+from pnpf import cli, decay, fields, thermo_audit
 from pnpf.dynamics import StepperConfig, convert, integrate, step
 from pnpf.fields import (
     PhysParams,
@@ -21,6 +21,7 @@ from pnpf.grid import GridSpec, ScalarField
 from pnpf.thermo_audit import (
     AuditRecord,
     AuditWriter,
+    EntropyProductionError,
     audit_run,
     totals,
 )
@@ -143,7 +144,7 @@ class TestEnergyConservation:
 
 class TestOnsagerResidual:
     """The onsager_residual column of an audit sample, and fault injection
-    on its definition fields.flux_reconstruction_residual."""
+    on the column and on its definition fields.flux_reconstruction_residual."""
 
     grid = GridSpec(dim=3, n=16, length=1.0)
 
@@ -167,6 +168,25 @@ class TestOnsagerResidual:
         )
         assert fields.flux_reconstruction_residual(s, params, block) <= 1e-10
         assert fields.flux_reconstruction_residual(s, params, corrupted) > 1e-3
+
+    @pytest.mark.parametrize("scale, ok", [(1.0, True), (1 + 5e-3, False)])
+    def test_fault_injection_reaches_the_column(
+        self, tmp_path, params, monkeypatch, scale, ok
+    ):
+        # L_ptheta scaled where the audit builds it: every row of a run
+        # flags it, the step-fed samples and the final standalone one alike
+        real = fields._ion_coefficients
+
+        def scaled(s, params):
+            L_pp, L_nn, L_pth, L_nth, mu_p, mu_n = real(s, params)
+            return L_pp, L_nn, L_pth * scale, L_nth, mu_p, mu_n
+
+        monkeypatch.setattr(fields, "_ion_coefficients", scaled)
+        s = perturbed_state(self.grid, seed=13, amplitude=1e-3, kmax=1)
+        records = audited(tmp_path, params, s, "RK4", 1e-5, 2, 1)
+        assert len(records) == 3
+        for rec in records:
+            assert (rec.onsager_residual <= 1e-10) if ok else (rec.onsager_residual > 1e-3)
 
 
 class TestAuditSample:
@@ -428,7 +448,7 @@ class TestFusedSample:
     # (2*dim+1)-row buffer; coefficient arrays built before the RHS axis
     # loop would add their grids to the loop's peak
     @pytest.mark.parametrize(
-        "scheme, dt, bound", [("RK4", 1e-4, 25.4), ("IMEX1", 1e-3, 27.0)], ids=["RK4", "IMEX1"]
+        "scheme, dt, bound", [("RK4", 1e-4, 25.4), ("IMEX1", 1e-3, 26.2)], ids=["RK4", "IMEX1"]
     )
     def test_audited_step_peak_memory(self, scheme, dt, bound):
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
@@ -511,3 +531,57 @@ class TestAuditTrail:
         production = entropy_production_density(constitutive_fluxes(s2, params), s2, params)
         assert rows[-1][1:6] == list(totals(s2, params, production))
         assert rows[-1][8] == fields.flux_reconstruction_residual(s2, params)
+
+
+class TestSecondLawBreach:
+    """A sample whose entropy production is below DELTA_FLOOR stops the run
+    at that sample: state 2 of an audit-every-step run is sampled after
+    step 3, so the run takes 3 steps and writes the rows of states 0 and 1."""
+
+    dt = 1e-3
+
+    @pytest.fixture
+    def breach(self, monkeypatch):
+        """Count the steps audit_run takes and make the third sample (of
+        state 2) read Delta = -1."""
+        steps, samples = [], []
+        real_step, real_totals = thermo_audit.step, thermo_audit.totals
+
+        def counted(*args):
+            steps.append(None)
+            return real_step(*args)
+
+        def breached(*args):
+            samples.append(None)
+            out = real_totals(*args)
+            return out[:4] + (-1.0,) if len(samples) == 3 else out
+
+        monkeypatch.setattr(thermo_audit, "step", counted)
+        monkeypatch.setattr(thermo_audit, "totals", breached)
+        return steps
+
+    def test_audit_run_stops_at_the_breaching_sample(self, tmp_path, params, breach):
+        s0 = State.equilibrium(GridSpec(dim=2, n=16, length=2 * np.pi))
+        cfg = StepperConfig(dt=self.dt, t_end=0.01)
+        path = tmp_path / "audit.csv"
+        with pytest.raises(EntropyProductionError, match="entropy production"):
+            audit_run(s0, cfg, params, path, audit_every=1)
+        assert len(breach) == 3
+        rows = [[float(x) for x in line.split(",")] for line in path.read_text().split("\n")[1:-1]]
+        assert [row[0] for row in rows] == [0.0, self.dt]
+
+    def test_cli_exits_3(self, tmp_path, capsys, breach):
+        code = cli.main([
+            "run",
+            "--set", "grid.dim=2",
+            "--set", "grid.n=16",
+            "--set", f"stepper.dt={self.dt}",
+            "--set", "stepper.t_end=0.01",
+            "--set", "audit_every=1",
+            "--outputs", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_RUNTIME == 3
+        assert "entropy production" in err
+        assert "Traceback" not in err
+        assert len(breach) == 3
