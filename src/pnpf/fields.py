@@ -189,13 +189,18 @@ def exchange_arrays(grid: GridSpec, phi, gphi, j_p, j_n):
 
     phi_t and grad(phi_t) come from the one spectrum
     -div(j_p - j_n)^/|k|^2: one batched forward transform of the dim
-    components of j_p - j_n and one batched inverse transform of
-    (phi_t, grad phi_t), filled into a single preallocated spectral array.
-    The exchange flux overwrites grad(phi_t) in the inverse transform's
-    output, so phi_t and the flux are views into that one array.
+    components of j_p - j_n, written in place into one preallocated
+    batch, and one batched inverse transform of (phi_t, grad phi_t),
+    filled into a single preallocated spectral array.  The exchange flux
+    overwrites grad(phi_t) in the inverse transform's output, so phi_t and
+    the flux are views into that one array.
     """
     d = grid.dim
-    jh = grid.fft(np.stack([j_p[i] - j_n[i] for i in range(d)]))
+    diff = np.empty((d,) + grid.shape)
+    for i in range(d):
+        np.subtract(j_p[i], j_n[i], out=diff[i])
+    jh = grid.fft(diff)
+    del diff
     spec = np.empty((d + 1,) + grid.spectral_shape, dtype=complex)
     np.multiply(grid.grad_mult[0], jh[0], out=spec[0])
     for i in range(1, d):

@@ -250,10 +250,16 @@ class VectorField:
 
 
 def grad_arrays(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
-    """Spectral gradient; one batched inverse transform for all components."""
+    """Spectral gradient: one forward transform, the dim derivative
+    spectra written in place into one preallocated batch, and one batched
+    inverse transform of it; the forward spectrum dies before that
+    transform."""
     spec = grid.fft(values)
-    stack = np.stack([m * spec for m in grid.grad_mult])
-    return list(grid.ifft(stack))
+    batch = np.empty((grid.dim,) + spec.shape, dtype=complex)
+    for i, m in enumerate(grid.grad_mult):
+        np.multiply(m, spec, out=batch[i])
+    del spec
+    return list(grid.ifft(batch))
 
 
 def divergence_arrays(grid: GridSpec, comps) -> np.ndarray:

@@ -27,9 +27,25 @@ size all the way down to rounding.
 
 Inserting the Darcy/Fourier constitutive fluxes makes conservative and
 dissipative forces coincide identically; force_balance_residual measures
-the discrete remainder of that identity.  The checks and the balance take
-the closed-form forces as inputs: varcheck_report builds each force set
-once, and it serves both its check and the balance.
+the discrete remainder of that identity.  check_conservative,
+check_dissipative and force_balance_residual take whole force sets and
+are thin wrappers over the scans, the pairing and the balance below.
+
+varcheck_report holds at most one closed-form force set at a time, next
+to the probe.  It keeps only the flux triple (j_p, j_n, j_e) of
+constitutive_fluxes; the flux set's q, exchange flux and phi_t die at
+once.  It eliminates q0 (j_e dies there) and runs the dissipative scan,
+which sums |j_p|^2, |j_n|^2 and |q|^2 one moved component at a time.  It
+then builds the dissipative forces from the scan's inputs j0, q0 and
+grad(phi), which die next, and takes the dissipative pairing.  The
+conservative forces come one flow at a time: each flow adds its pairing
+term and its balance maxima in the order of the wrappers, so the report
+has their bits, and dies before the next.  The conservative scan comes
+last.  The peak sits in the dissipative closed form: while f_n is built,
+the probe, j0, q0, grad(phi), R, the kernel gradient and f_p are alive,
+35.1 full grids above entry at 32^3 and at 64^3 (tracemalloc).  Building
+each force set whole, next to the flux set and the other force set, took
+49.0.
 
 The eliminated heat flux
 
@@ -87,12 +103,20 @@ class FlowMapProbe:
     dJ_n: VectorField
     dJ_e: VectorField
 
+    def flows(self):
+        """The components of dJ_p, dJ_n and dJ_e, in that order."""
+        return self.dJ_p.components, self.dJ_n.components, self.dJ_e.components
+
 
 @dataclass(frozen=True)
 class ForceSet:
     f_p: VectorField
     f_n: VectorField
     f_e: VectorField
+
+    def flows(self):
+        """The components of f_p, f_n and f_e, in that order."""
+        return self.f_p.components, self.f_n.components, self.f_e.components
 
 
 def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.1) -> FlowMapProbe:
@@ -121,29 +145,35 @@ def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.
 # -- entropy functional and conservative forces -------------------------------
 
 
+def _temperature(grid: GridSpec, p, n, e, rho, params: PhysParams):
+    """(theta, phi) of derived_temperature from raw arrays and rho = p - n."""
+    phi = greens_apply(grid, rho)
+    theta = (e - 0.5 * rho * phi) / (params.c_p * p + params.c_n * n)
+    return theta, phi
+
+
 def derived_temperature(p: ScalarField, n: ScalarField, e: ScalarField,
                         params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
     """(theta, phi) reconstructed from the extensive variables:
     phi = G(p - n), theta = (e - (p - n) phi/2)/(c_p p + c_n n)."""
-    grid = p.grid
-    phi = greens_apply(grid, p.values - n.values)
-    theta = (e.values - 0.5 * (p.values - n.values) * phi) / (
-        params.c_p * p.values + params.c_n * n.values
-    )
-    return theta, phi
+    return _temperature(p.grid, p.values, n.values, e.values, p.values - n.values, params)
 
 
 def entropy_functional(p: ScalarField, n: ScalarField, e: ScalarField,
                        params: PhysParams) -> float:
     """Total entropy with the temperature derived from (p, n, e); this
     hidden dependency is what makes the flow-map derivative nontrivial.
+    p - n is formed once and serves the neutrality guard and the derived
+    temperature.
 
     Raises PositivityError if the derived temperature is not positive.
     """
     grid = p.grid
-    if abs(float((p.values - n.values).mean())) > 1e-10:
+    rho = p.values - n.values
+    if abs(float(rho.mean())) > 1e-10:
         raise ValueError("entropy functional requires a neutral (p, n) pair")
-    theta, _ = derived_temperature(p, n, e, params)
+    theta, _ = _temperature(grid, p.values, n.values, e.values, rho, params)
+    del rho
     if float(theta.min()) <= 0.0:
         raise PositivityError(f"derived temperature min {theta.min():.3e} <= 0")
     logth = np.log(theta)
@@ -155,19 +185,30 @@ def entropy_functional(p: ScalarField, n: ScalarField, e: ScalarField,
     return math.fsum(memoryview(eta.ravel())) * grid.cell_volume
 
 
-def conservative_force_closed(s: State, params: PhysParams) -> ForceSet:
-    """Closed-form flow-map derivatives of the entropy functional."""
+def _conservative_flows(s: State, params: PhysParams):
+    """The closed-form conservative forces of s one flow at a time: the
+    component lists of f_p, f_n and f_e, in that order."""
     g = s.grid
     n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
     kernel = greens_apply(g, (p - n) / (2.0 * th))
-    base_p = np.log(p) - params.c_p * np.log(th) + phi / (2.0 * th) + kernel
-    base_n = np.log(n) - params.c_n * np.log(th) - phi / (2.0 * th) - kernel
-    f_p = [-c for c in grad_arrays(g, base_p)]
-    f_n = [-c for c in grad_arrays(g, base_n)]
-    f_e = grad_arrays(g, 1.0 / th)
-    return ForceSet(
-        VectorField(g, tuple(f_p)), VectorField(g, tuple(f_n)), VectorField(g, tuple(f_e))
-    )
+    yield _neg_grad(g, np.log(p) - params.c_p * np.log(th) + phi / (2.0 * th) + kernel)
+    yield _neg_grad(g, np.log(n) - params.c_n * np.log(th) - phi / (2.0 * th) - kernel)
+    del kernel
+    yield grad_arrays(g, 1.0 / th)
+
+
+def _neg_grad(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
+    """-grad(values), negated in place."""
+    comps = grad_arrays(grid, values)
+    for c in comps:
+        np.negative(c, out=c)
+    return comps
+
+
+def conservative_force_closed(s: State, params: PhysParams) -> ForceSet:
+    """Closed-form flow-map derivatives of the entropy functional."""
+    g = s.grid
+    return ForceSet(*(VectorField(g, tuple(f)) for f in _conservative_flows(s, params)))
 
 
 # -- entropy production functional and dissipative forces ---------------------
@@ -178,17 +219,49 @@ def _eliminate_heat_flux(s: State, params: PhysParams, j_p, j_n, j_e, gphi):
     potential rate solved from the continuity equations; gphi is
     grad(phi) of s."""
     g = s.grid
-    th, phi = s.theta.values, s.phi.values
-    a, b = energy_weights(th, phi, params)
-    _, exchange = exchange_arrays(g, phi, gphi, j_p, j_n)
-    q = [j_e[i] - a * j_p[i] - b * j_n[i] - exchange[i] for i in range(g.dim)]
-    return q, a, b
+    a, b = energy_weights(s.theta.values, s.phi.values, params)
+    _, exchange = exchange_arrays(g, s.phi.values, gphi, j_p, j_n)
+    return [j_e[i] - a * j_p[i] - b * j_n[i] - exchange[i] for i in range(g.dim)]
+
+
+def _sum_sq(comps):
+    """The bits of sum(c**2 for c in comps), accumulated in place: comps
+    may build its components lazily, and then one is alive at a time."""
+    comps = iter(comps)
+    acc = next(comps) ** 2
+    for c in comps:
+        acc += c**2
+    return acc
 
 
 def _dissipation(s: State, params: PhysParams, j_p, j_n, q) -> float:
-    """The quadratic entropy production of (j_p, j_n) and the heat flux q."""
-    sq = lambda comps: sum(c**2 for c in comps)
-    return integrate(_production_density(s, params, sq(j_p), sq(j_n), sq(q)))
+    """The quadratic entropy production of (j_p, j_n) and the heat flux q,
+    each an iterable of components."""
+    return integrate(_production_density(s, params, _sum_sq(j_p), _sum_sq(j_n), _sum_sq(q)))
+
+
+def _dissipative_forces(s: State, params: PhysParams, j_p, j_n, gphi, q) -> ForceSet:
+    """The closed-form dissipative forces of the fluxes (j_p, j_n) and the
+    eliminated heat flux q; gphi is grad(phi) of s."""
+    g = s.grid
+    th, phi = s.theta.values, s.phi.values
+    R = [q[i] / (params.k * th**2) for i in range(g.dim)]
+    r_dot_gphi = sum(R[i] * gphi[i] for i in range(g.dim))
+    div_phi_r = divergence_arrays(g, [phi * R[i] for i in range(g.dim)])
+    kernel = grad_arrays(g, solve_array(g, div_phi_r + r_dot_gphi))
+    del r_dot_gphi, div_phi_r
+    a, b = energy_weights(th, phi, params)
+    f_p = [
+        j_p[i] / (params.D_p * s.p.values * th) - a * R[i] + 0.5 * kernel[i]
+        for i in range(g.dim)
+    ]
+    del a  # out of f_n's peak
+    f_n = [
+        j_n[i] / (params.D_n * s.n.values * th) - b * R[i] - 0.5 * kernel[i]
+        for i in range(g.dim)
+    ]
+    vec = lambda comps: VectorField(g, tuple(comps))
+    return ForceSet(vec(f_p), vec(f_n), vec(R))
 
 
 @dataclass(frozen=True)
@@ -208,28 +281,23 @@ def dissipative_closed_form(s: State, fl, params: PhysParams) -> DissipativeClos
     """Closed-form half-derivatives of the entropy production with respect
     to (j_p, j_n, j_e), in .forces; linear in the fluxes.  fl provides
     (j_p, j_n, j_e) (a FluxSet or any object with those attributes)."""
-    g = s.grid
     j_p, j_n = fl.j_p.components, fl.j_n.components
-    th, phi = s.theta.values, s.phi.values
-    gphi = grad_arrays(g, phi)
-    q, a, b = _eliminate_heat_flux(s, params, j_p, j_n, fl.j_e.components, gphi)
-    R = [q[i] / (params.k * th**2) for i in range(g.dim)]
-    r_dot_gphi = sum(R[i] * gphi[i] for i in range(g.dim))
-    div_phi_r = divergence_arrays(g, [phi * R[i] for i in range(g.dim)])
-    kernel = grad_arrays(g, solve_array(g, div_phi_r + r_dot_gphi))
-
-    f_p = [
-        j_p[i] / (params.D_p * s.p.values * th) - a * R[i] + 0.5 * kernel[i]
-        for i in range(g.dim)
-    ]
-    f_n = [
-        j_n[i] / (params.D_n * s.n.values * th) - b * R[i] - 0.5 * kernel[i]
-        for i in range(g.dim)
-    ]
-    forces = ForceSet(
-        VectorField(g, tuple(f_p)), VectorField(g, tuple(f_n)), VectorField(g, tuple(R))
+    gphi = grad_arrays(s.grid, s.phi.values)
+    q = _eliminate_heat_flux(s, params, j_p, j_n, fl.j_e.components, gphi)
+    return DissipativeClosedForm(
+        j_p, j_n, gphi, q, _dissipative_forces(s, params, j_p, j_n, gphi, q)
     )
-    return DissipativeClosedForm(j_p, j_n, gphi, q, forces)
+
+
+def _balance(con_flows, dis_flows) -> float:
+    """Max deviation between the conservative and dissipative flows,
+    relative to the largest conservative component; con_flows may build
+    its flows lazily."""
+    dev = scale = 0.0
+    for fc, fd in zip(con_flows, dis_flows):
+        for cc, cd in zip(fc, fd):
+            dev, scale = _deviation(dev, scale, cd, cc)
+    return dev / scale if scale else 0.0
 
 
 def force_balance_residual(con: ForceSet, dis: ForceSet) -> float:
@@ -237,38 +305,30 @@ def force_balance_residual(con: ForceSet, dis: ForceSet) -> float:
     dissipative forces dis, relative to the largest conservative force;
     zero at equilibrium.  With the constitutive fluxes inserted into dis
     the two coincide identically, so this is the discrete remainder."""
-    dev = scale = 0.0
-    for fc, fd in ((con.f_p, dis.f_p), (con.f_n, dis.f_n), (con.f_e, dis.f_e)):
-        for cc, cd in zip(fc.components, fd.components):
-            dev, scale = _deviation(dev, scale, cd, cc)
-    return dev / scale if scale else 0.0
+    return _balance(con.flows(), dis.flows())
 
 
 # -- central-difference functional-derivative checks --------------------------
 
 
-def _pair(grid: GridSpec, force: VectorField, probe: VectorField) -> float:
-    return float(
-        sum((fc * pc).sum() for fc, pc in zip(force.components, probe.components))
-        * grid.cell_volume
-    )
+def _pair(grid: GridSpec, force, probe) -> float:
+    """<force, probe> of one flow, over its components."""
+    return float(sum((fc * pc).sum() for fc, pc in zip(force, probe)) * grid.cell_volume)
 
 
-def _scan_result(g: GridSpec, forces: ForceSet, probe: FlowMapProbe, fd_at) -> dict:
-    """The scan table of the central differences fd_at(eps) over
-    DEFAULT_EPS_SCAN against the probe's pairing with the closed-form
+def _pairing(grid: GridSpec, forces: ForceSet, probe: FlowMapProbe) -> float:
+    """sum over the flows of <f, dJ>: the closed-form side of a scan."""
+    return sum(_pair(grid, f, dJ) for f, dJ in zip(forces.flows(), probe.flows()))
+
+
+def _scan_result(pairing: float, fds) -> dict:
+    """The scan table of the central differences fds, one per entry of
+    DEFAULT_EPS_SCAN, against the probe's pairing with the closed-form
     forces, with the best error and the convergence order."""
-    pairing = (
-        _pair(g, forces.f_p, probe.dJ_p)
-        + _pair(g, forces.f_n, probe.dJ_n)
-        + _pair(g, forces.f_e, probe.dJ_e)
-    )
-    rows = []
-    for eps in DEFAULT_EPS_SCAN:
-        fd = fd_at(eps)
-        rows.append(
-            {"eps": eps, "fd": fd, "rel_err": abs(fd - pairing) / max(abs(pairing), 1e-300)}
-        )
+    rows = [
+        {"eps": eps, "fd": fd, "rel_err": abs(fd - pairing) / max(abs(pairing), 1e-300)}
+        for eps, fd in zip(DEFAULT_EPS_SCAN, fds)
+    ]
     errs = [r["rel_err"] for r in rows]
     # a quadratic functional is differentiated exactly by central
     # differences; every scan entry then sits at the rounding floor and a
@@ -289,16 +349,12 @@ def _scan_result(g: GridSpec, forces: ForceSet, probe: FlowMapProbe, fd_at) -> d
     }
 
 
-def check_conservative(s: State, params: PhysParams, probe: FlowMapProbe,
-                       forces: ForceSet) -> dict:
-    """Central differences of the entropy functional along the probe
-    against the pairing of the conservative forces of s, over the eps
-    scan."""
+def _conservative_scan(s: State, params: PhysParams, probe: FlowMapProbe) -> list[float]:
+    """Central differences of the entropy functional along the probe, one
+    per entry of DEFAULT_EPS_SCAN."""
     g = s.grid
     e0 = energy_density(s, params)
-    div_p = divergence_arrays(g, probe.dJ_p.components)
-    div_n = divergence_arrays(g, probe.dJ_n.components)
-    div_e = divergence_arrays(g, probe.dJ_e.components)
+    div_p, div_n, div_e = (divergence_arrays(g, dJ) for dJ in probe.flows())
 
     def S_at(eps: float) -> float:
         p = ScalarField(g, s.p.values - eps * div_p)
@@ -306,31 +362,44 @@ def check_conservative(s: State, params: PhysParams, probe: FlowMapProbe,
         e = ScalarField(g, e0.values - eps * div_e)
         return entropy_functional(p, n, e, params)
 
-    return _scan_result(g, forces, probe, lambda eps: (S_at(eps) - S_at(-eps)) / (2.0 * eps))
+    return [(S_at(eps) - S_at(-eps)) / (2.0 * eps) for eps in DEFAULT_EPS_SCAN]
+
+
+def _dissipative_scan(s: State, params: PhysParams, probe: FlowMapProbe,
+                      j_p, j_n, q0, gphi) -> list[float]:
+    """Half central differences of the entropy-production functional along
+    the probe around the fluxes (j_p, j_n) with eliminated heat flux q0,
+    one per entry of DEFAULT_EPS_SCAN.
+
+    q is linear in the fluxes, so the scan eliminates the heat flux of the
+    probe once, q1, and evaluates the functional at (j0 + eps*dJ,
+    q0 + eps*q1) for every eps, one moved component at a time."""
+    dJ_p, dJ_n, dJ_e = probe.flows()
+    q1 = _eliminate_heat_flux(s, params, dJ_p, dJ_n, dJ_e, gphi)
+
+    def D_at(eps: float) -> float:
+        moved = lambda base, step: (b + eps * d for b, d in zip(base, step))
+        return _dissipation(s, params, moved(j_p, dJ_p), moved(j_n, dJ_n), moved(q0, q1))
+
+    return [0.5 * (D_at(eps) - D_at(-eps)) / (2.0 * eps) for eps in DEFAULT_EPS_SCAN]
+
+
+def check_conservative(s: State, params: PhysParams, probe: FlowMapProbe,
+                       forces: ForceSet) -> dict:
+    """Central differences of the entropy functional along the probe
+    against the pairing of the conservative forces of s, over the eps
+    scan."""
+    return _scan_result(_pairing(s.grid, forces, probe), _conservative_scan(s, params, probe))
 
 
 def check_dissipative(s: State, params: PhysParams, probe: FlowMapProbe,
                       closed: DissipativeClosedForm) -> dict:
     """Half central differences of the entropy-production functional along
     the probe, around the fluxes j0 of closed, against the pairing of its
-    forces (linear-response factor one-half included).
-
-    q is linear in the fluxes, so the scan eliminates the heat flux twice,
-    q0 for j0 (closed.q) and q1 for the probe, and evaluates the
-    functional at (j0 + eps*dJ, q0 + eps*q1) for every eps."""
-    g = s.grid
-    dJ_p, dJ_n = probe.dJ_p.components, probe.dJ_n.components
-    q1, _, _ = _eliminate_heat_flux(s, params, dJ_p, dJ_n, probe.dJ_e.components, closed.gphi)
-
-    def D_at(eps: float) -> float:
-        jp = [closed.j_p[i] + eps * dJ_p[i] for i in range(g.dim)]
-        jn = [closed.j_n[i] + eps * dJ_n[i] for i in range(g.dim)]
-        q = [closed.q[i] + eps * q1[i] for i in range(g.dim)]
-        return _dissipation(s, params, jp, jn, q)
-
-    return _scan_result(
-        g, closed.forces, probe, lambda eps: 0.5 * (D_at(eps) - D_at(-eps)) / (2.0 * eps)
-    )
+    forces (linear-response factor one-half included); the scan reuses
+    closed.q as q0."""
+    fds = _dissipative_scan(s, params, probe, closed.j_p, closed.j_n, closed.q, closed.gphi)
+    return _scan_result(_pairing(s.grid, closed.forces, probe), fds)
 
 
 def varcheck_report(
@@ -342,17 +411,36 @@ def varcheck_report(
     probe_kmax: int = 2,
 ) -> dict:
     """Run both functional-derivative checks and the force balance on one
-    state; the report carries the full eps-scan tables and verdicts.  Each
-    closed-form force set is built once and serves its check and the
-    balance."""
-    probe = random_probe(s.grid, seed=seed, kmax=probe_kmax)
-    closed = dissipative_closed_form(s, constitutive_fluxes(s, params), params)
-    dis = check_dissipative(s, params, probe, closed)
-    dis_forces = closed.forces
-    del closed  # the scan's inputs are spent; only the forces serve the balance
-    con_forces = conservative_force_closed(s, params)
-    con = check_conservative(s, params, probe, con_forces)
-    balance = force_balance_residual(con_forces, dis_forces)
+    state; the report carries the full eps-scan tables and verdicts.  At
+    most one closed-form force set is alive at a time (see the module
+    docstring for the order)."""
+    g = s.grid
+    probe = random_probe(g, seed=seed, kmax=probe_kmax)
+    fl = constitutive_fluxes(s, params)
+    j_p, j_n, j_e = fl.j_p.components, fl.j_n.components, fl.j_e.components
+    del fl  # q, the exchange flux and phi_t: no check reads them
+    gphi = grad_arrays(g, s.phi.values)
+    q0 = _eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
+    del j_e  # spent on q0
+    # the scan runs before the forces exist: its q1 elimination and
+    # running sums would otherwise add to their grids
+    dis_fds = _dissipative_scan(s, params, probe, j_p, j_n, q0, gphi)
+    dis_forces = _dissipative_forces(s, params, j_p, j_n, gphi, q0)
+    del j_p, j_n, gphi, q0  # the scan and the forces are built
+    dis = _scan_result(_pairing(g, dis_forces, probe), dis_fds)
+
+    # each conservative flow is paired with the probe on its way into the
+    # balance, and dies before the next one is built
+    con_terms = []
+
+    def paired(flows):
+        for flow, dJ in zip(flows, probe.flows()):
+            con_terms.append(_pair(g, flow, dJ))
+            yield flow
+
+    balance = _balance(paired(_conservative_flows(s, params)), dis_forces.flows())
+    del dis_forces
+    con = _scan_result(sum(con_terms), _conservative_scan(s, params, probe))
     passed = (
         con["best_rel_err"] <= fd_tol
         and dis["best_rel_err"] <= fd_tol

@@ -118,7 +118,7 @@ def dissipation_functional(s, params, j_p, j_n, j_e) -> float:
     eliminated through the energy-flux relation (grad(phi) built here):
     the definition that varcheck's linearly split scan evaluates."""
     gphi = grad_arrays(s.grid, s.phi.values)
-    q, _, _ = varcheck._eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
+    q = varcheck._eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
     return varcheck._dissipation(s, params, j_p, j_n, q)
 
 
