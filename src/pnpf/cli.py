@@ -153,10 +153,12 @@ def load_config(path: str | None, sets: list[str]) -> dict:
 def _check_types(config: dict, defaults: dict = DEFAULTS, schema: dict = CONFIG_SCHEMA,
                  prefix: str = "") -> None:
     """ConfigError naming the key unless every value has the JSON type of
-    its default: an object for a section, a number (an integer too) for a
-    float, a string or null for outputs; and unless every key whose schema
-    reads "int >= 1" holds at least 1.  A key missing from a section (one
-    that an earlier value replaced wholesale) is a ConfigError too."""
+    its default: an object for a section, a finite number (an integer
+    too) for a float, a string or null for outputs; and unless every key
+    whose schema reads "int >= 1" holds at least 1.  A key missing from a
+    section (one that an earlier value replaced wholesale) is a
+    ConfigError too.  JSON's Infinity and NaN, and an integer past the
+    float range, are not finite numbers."""
     for key, default in defaults.items():
         name = prefix + key
         if key not in config:
@@ -167,7 +169,7 @@ def _check_types(config: dict, defaults: dict = DEFAULTS, schema: dict = CONFIG_
         )
         if type(val) not in allowed or (
             type(default) is int and schema[key].startswith("int >= 1") and val < 1
-        ):
+        ) or (type(default) is float and not abs(val) <= sys.float_info.max):
             expected = "an object" if isinstance(default, dict) else schema[key]
             shown = json.dumps(val)
             if len(shown) > 80:  # a value as long as the input would flood stderr

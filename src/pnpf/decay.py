@@ -221,8 +221,12 @@ def summary(exp: DecayExperiment, series: DecaySeries,
     The rate ordering ("v and grad(phi) decay faster than u_tilde") is
     inconclusive when the fitted u_l2 rate is not positive: a u_tilde that
     is not decaying (the single_mode profile starts it at 0) satisfies the
-    ordering trivially."""
-    mono = series.monotone()
+    ordering trivially.  With fewer than two samples the monotonicity and
+    scaling verdicts are inconclusive too: one sample is monotone by
+    construction, and the scaling ratio of two one-sample runs is 4 by
+    construction, Lambda being quadratic in delta0.  The ratio itself is
+    still reported."""
+    judged = len(series.lyapunov) >= 2
     rates = series.fitted_rates
     if rates["u_l2"] <= 0:
         ordering = "inconclusive"
@@ -238,14 +242,21 @@ def summary(exp: DecayExperiment, series: DecaySeries,
         "abort_reason": series.abort_reason,
         "outside_smallness_regime": exp.outside_smallness_regime,
         "fitted_rates": series.fitted_rates,
-        "monotonicity_verdict": "pass" if mono else "flagged",
+        "monotonicity_verdict": _verdict(judged, series.monotone()),
         "rate_ordering_verdict": ordering,
         "terminal_lyapunov": float(series.lyapunov[-1]) if len(series.lyapunov) else None,
     }
     if scaling_ratio is not None:
         out["terminal_scaling_ratio"] = scaling_ratio
-        out["scaling_verdict"] = "pass" if abs(scaling_ratio - 4.0) <= 0.8 else "flagged"
+        out["scaling_verdict"] = _verdict(judged, abs(scaling_ratio - 4.0) <= 0.8)
     return out
+
+
+def _verdict(judged: bool, ok: bool) -> str:
+    """pass or flagged, or inconclusive for a series too short to judge."""
+    if not judged:
+        return "inconclusive"
+    return "pass" if ok else "flagged"
 
 
 def write_summary_json(data: dict, path) -> None:

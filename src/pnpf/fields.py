@@ -40,10 +40,13 @@ transforms to the step; flux_audit makes the pass itself, 6 + 7*dim
 transforms (tests/test_dynamics.py TestSpectralCore::test_transform_count
 pins both at dim 3).  Either way the sample takes from the
 axes only what it reads and builds nothing else.  The definitions stay
-as they are: constitutive_fluxes (used by varcheck),
+as they are: constitutive_fluxes (varcheck's fluxes),
 entropy_production_density, reconstruct_fluxes and
-flux_reconstruction_residual.  The residual, reconstruct_fluxes and
-AuditSink rebuild an ion flux with one row formula, _ion_row.
+flux_reconstruction_residual.  The entropy density eta has one
+definition, _entropy_arrays on raw arrays: entropy_density (the audit's
+total entropy) and varcheck's entropy functional both evaluate it.  The
+residual, reconstruct_fluxes and AuditSink rebuild an ion flux with one
+row formula, _ion_row.
 """
 
 from __future__ import annotations
@@ -279,10 +282,15 @@ def energy_density(s: State, params: PhysParams) -> ScalarField:
 
 def entropy_density(s: State, params: PhysParams) -> ScalarField:
     """eta = -p (log p - c_p log theta) - n (log n - c_n log theta)."""
-    logth = np.log(s.theta.values)
-    eta = -s.p.values * (np.log(s.p.values) - params.c_p * logth)
-    eta -= s.n.values * (np.log(s.n.values) - params.c_n * logth)
-    return ScalarField(s.grid, eta)
+    return ScalarField(s.grid, _entropy_arrays(s.p.values, s.n.values, s.theta.values, params))
+
+
+def _entropy_arrays(p, n, theta, params: PhysParams) -> np.ndarray:
+    """The entropy density eta of the raw arrays p, n and theta."""
+    logth = np.log(theta)
+    eta = -p * (np.log(p) - params.c_p * logth)
+    eta -= n * (np.log(n) - params.c_n * logth)
+    return eta
 
 
 def entropy_production_density(fl: FluxSet, s: State, params: PhysParams) -> ScalarField:

@@ -26,10 +26,12 @@ central-difference checks converge to them at second order in the probe
 size all the way down to rounding.
 
 Inserting the Darcy/Fourier constitutive fluxes makes conservative and
-dissipative forces coincide identically; force_balance_residual measures
-the discrete remainder of that identity.  check_conservative,
-check_dissipative and force_balance_residual take whole force sets and
-are thin wrappers over the scans, the pairing and the balance below.
+dissipative forces coincide identically; the report's
+force_balance_residual measures the discrete remainder of that identity.
+A force set is the component lists of its three flows, in the probe's
+flow order (p, n, e): _conservative_flows yields them one at a time and
+_dissipative_forces returns (f_p, f_n, R); _pairing and _balance read
+either.
 
 varcheck_report holds at most one closed-form force set at a time, next
 to the probe.  It keeps only the flux triple (j_p, j_n, j_e) of
@@ -39,13 +41,13 @@ which sums |j_p|^2, |j_n|^2 and |q|^2 one moved component at a time.  It
 then builds the dissipative forces from the scan's inputs j0, q0 and
 grad(phi), which die next, and takes the dissipative pairing.  The
 conservative forces come one flow at a time: each flow adds its pairing
-term and its balance maxima in the order of the wrappers, so the report
-has their bits, and dies before the next.  The conservative scan comes
-last.  The peak sits in the dissipative closed form: while f_n is built,
-the probe, j0, q0, grad(phi), R, the kernel gradient and f_p are alive,
-35.1 full grids above entry at 32^3 and at 64^3 (tracemalloc).  Building
-each force set whole, next to the flux set and the other force set, took
-49.0.
+term and its balance maxima in flow order, the bits of _pairing and
+_balance over the whole set, and dies before the next.  The conservative
+scan comes last.  The peak sits in the dissipative closed form: while f_n
+is built, the probe, j0, q0, grad(phi), R, the kernel gradient and f_p
+are alive, 35.1 full grids above entry at 32^3 and at 64^3
+(tracemalloc).  Building each force set whole, next to the flux set and
+the other force set, took 49.0.
 
 The eliminated heat flux
 
@@ -82,6 +84,7 @@ from .fields import (
     PositivityError,
     State,
     _deviation,
+    _entropy_arrays,
     _production_density,
     constitutive_fluxes,
     energy_density,
@@ -106,17 +109,6 @@ class FlowMapProbe:
     def flows(self):
         """The components of dJ_p, dJ_n and dJ_e, in that order."""
         return self.dJ_p.components, self.dJ_n.components, self.dJ_e.components
-
-
-@dataclass(frozen=True)
-class ForceSet:
-    f_p: VectorField
-    f_n: VectorField
-    f_e: VectorField
-
-    def flows(self):
-        """The components of f_p, f_n and f_e, in that order."""
-        return self.f_p.components, self.f_n.components, self.f_e.components
 
 
 def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.1) -> FlowMapProbe:
@@ -146,17 +138,12 @@ def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.
 
 
 def _temperature(grid: GridSpec, p, n, e, rho, params: PhysParams):
-    """(theta, phi) of derived_temperature from raw arrays and rho = p - n."""
+    """(theta, phi) reconstructed from the raw arrays of the extensive
+    variables and rho = p - n: phi = G(rho),
+    theta = (e - rho phi/2)/(c_p p + c_n n)."""
     phi = greens_apply(grid, rho)
     theta = (e - 0.5 * rho * phi) / (params.c_p * p + params.c_n * n)
     return theta, phi
-
-
-def derived_temperature(p: ScalarField, n: ScalarField, e: ScalarField,
-                        params: PhysParams) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, phi) reconstructed from the extensive variables:
-    phi = G(p - n), theta = (e - (p - n) phi/2)/(c_p p + c_n n)."""
-    return _temperature(p.grid, p.values, n.values, e.values, p.values - n.values, params)
 
 
 def entropy_functional(p: ScalarField, n: ScalarField, e: ScalarField,
@@ -176,9 +163,7 @@ def entropy_functional(p: ScalarField, n: ScalarField, e: ScalarField,
     del rho
     if float(theta.min()) <= 0.0:
         raise PositivityError(f"derived temperature min {theta.min():.3e} <= 0")
-    logth = np.log(theta)
-    eta = -p.values * (np.log(p.values) - params.c_p * logth)
-    eta -= n.values * (np.log(n.values) - params.c_n * logth)
+    eta = _entropy_arrays(p.values, n.values, theta, params)
     # fsum: the central differences divide S by probe sizes down to 1e-5,
     # so accumulation error in the quadrature must stay at one ulp; it is
     # correctly rounded, so reading the buffer directly (no list) keeps the bits
@@ -203,12 +188,6 @@ def _neg_grad(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
     for c in comps:
         np.negative(c, out=c)
     return comps
-
-
-def conservative_force_closed(s: State, params: PhysParams) -> ForceSet:
-    """Closed-form flow-map derivatives of the entropy functional."""
-    g = s.grid
-    return ForceSet(*(VectorField(g, tuple(f)) for f in _conservative_flows(s, params)))
 
 
 # -- entropy production functional and dissipative forces ---------------------
@@ -240,9 +219,11 @@ def _dissipation(s: State, params: PhysParams, j_p, j_n, q) -> float:
     return integrate(_production_density(s, params, _sum_sq(j_p), _sum_sq(j_n), _sum_sq(q)))
 
 
-def _dissipative_forces(s: State, params: PhysParams, j_p, j_n, gphi, q) -> ForceSet:
-    """The closed-form dissipative forces of the fluxes (j_p, j_n) and the
-    eliminated heat flux q; gphi is grad(phi) of s."""
+def _dissipative_forces(s: State, params: PhysParams, j_p, j_n, gphi, q):
+    """The closed-form dissipative forces (f_p, f_n, R) of the fluxes
+    (j_p, j_n) and the eliminated heat flux q, as component lists: the
+    half-derivatives of the entropy production, linear in the fluxes.
+    gphi is grad(phi) of s."""
     g = s.grid
     th, phi = s.theta.values, s.phi.values
     R = [q[i] / (params.k * th**2) for i in range(g.dim)]
@@ -260,52 +241,20 @@ def _dissipative_forces(s: State, params: PhysParams, j_p, j_n, gphi, q) -> Forc
         j_n[i] / (params.D_n * s.n.values * th) - b * R[i] - 0.5 * kernel[i]
         for i in range(g.dim)
     ]
-    vec = lambda comps: VectorField(g, tuple(comps))
-    return ForceSet(vec(f_p), vec(f_n), vec(R))
-
-
-@dataclass(frozen=True)
-class DissipativeClosedForm:
-    """The dissipative forces of one flux triple, with what a
-    central-difference scan around that triple reuses: the triple itself,
-    grad(phi) and the eliminated heat flux q."""
-
-    j_p: tuple
-    j_n: tuple
-    gphi: list
-    q: list
-    forces: ForceSet
-
-
-def dissipative_closed_form(s: State, fl, params: PhysParams) -> DissipativeClosedForm:
-    """Closed-form half-derivatives of the entropy production with respect
-    to (j_p, j_n, j_e), in .forces; linear in the fluxes.  fl provides
-    (j_p, j_n, j_e) (a FluxSet or any object with those attributes)."""
-    j_p, j_n = fl.j_p.components, fl.j_n.components
-    gphi = grad_arrays(s.grid, s.phi.values)
-    q = _eliminate_heat_flux(s, params, j_p, j_n, fl.j_e.components, gphi)
-    return DissipativeClosedForm(
-        j_p, j_n, gphi, q, _dissipative_forces(s, params, j_p, j_n, gphi, q)
-    )
+    return f_p, f_n, R
 
 
 def _balance(con_flows, dis_flows) -> float:
     """Max deviation between the conservative and dissipative flows,
-    relative to the largest conservative component; con_flows may build
-    its flows lazily."""
+    relative to the largest conservative component; zero at equilibrium.
+    With the constitutive fluxes inserted into the dissipative forces the
+    two coincide identically, so this is the discrete remainder.  con_flows
+    may build its flows lazily."""
     dev = scale = 0.0
     for fc, fd in zip(con_flows, dis_flows):
         for cc, cd in zip(fc, fd):
             dev, scale = _deviation(dev, scale, cd, cc)
     return dev / scale if scale else 0.0
-
-
-def force_balance_residual(con: ForceSet, dis: ForceSet) -> float:
-    """Max deviation between the conservative forces con and the
-    dissipative forces dis, relative to the largest conservative force;
-    zero at equilibrium.  With the constitutive fluxes inserted into dis
-    the two coincide identically, so this is the discrete remainder."""
-    return _balance(con.flows(), dis.flows())
 
 
 # -- central-difference functional-derivative checks --------------------------
@@ -316,9 +265,10 @@ def _pair(grid: GridSpec, force, probe) -> float:
     return float(sum((fc * pc).sum() for fc, pc in zip(force, probe)) * grid.cell_volume)
 
 
-def _pairing(grid: GridSpec, forces: ForceSet, probe: FlowMapProbe) -> float:
-    """sum over the flows of <f, dJ>: the closed-form side of a scan."""
-    return sum(_pair(grid, f, dJ) for f, dJ in zip(forces.flows(), probe.flows()))
+def _pairing(grid: GridSpec, flows, probe: FlowMapProbe) -> float:
+    """sum over the flows of <f, dJ>: the closed-form side of a scan; flows
+    may build its flows lazily."""
+    return sum(_pair(grid, f, dJ) for f, dJ in zip(flows, probe.flows()))
 
 
 def _scan_result(pairing: float, fds) -> dict:
@@ -335,7 +285,7 @@ def _scan_result(pairing: float, fds) -> dict:
     # convergence order is not observable (nor needed)
     quadratic_exact = max(errs) < 1e-8
     order = None
-    if len(rows) >= 2 and not quadratic_exact:
+    if not quadratic_exact:
         e0, e1 = errs[0], errs[1]
         eps0, eps1 = rows[0]["eps"], rows[1]["eps"]
         if e0 > 0 and e1 > 0:
@@ -384,24 +334,6 @@ def _dissipative_scan(s: State, params: PhysParams, probe: FlowMapProbe,
     return [0.5 * (D_at(eps) - D_at(-eps)) / (2.0 * eps) for eps in DEFAULT_EPS_SCAN]
 
 
-def check_conservative(s: State, params: PhysParams, probe: FlowMapProbe,
-                       forces: ForceSet) -> dict:
-    """Central differences of the entropy functional along the probe
-    against the pairing of the conservative forces of s, over the eps
-    scan."""
-    return _scan_result(_pairing(s.grid, forces, probe), _conservative_scan(s, params, probe))
-
-
-def check_dissipative(s: State, params: PhysParams, probe: FlowMapProbe,
-                      closed: DissipativeClosedForm) -> dict:
-    """Half central differences of the entropy-production functional along
-    the probe, around the fluxes j0 of closed, against the pairing of its
-    forces (linear-response factor one-half included); the scan reuses
-    closed.q as q0."""
-    fds = _dissipative_scan(s, params, probe, closed.j_p, closed.j_n, closed.q, closed.gphi)
-    return _scan_result(_pairing(s.grid, closed.forces, probe), fds)
-
-
 def varcheck_report(
     s: State,
     params: PhysParams,
@@ -438,7 +370,7 @@ def varcheck_report(
             con_terms.append(_pair(g, flow, dJ))
             yield flow
 
-    balance = _balance(paired(_conservative_flows(s, params)), dis_forces.flows())
+    balance = _balance(paired(_conservative_flows(s, params)), dis_forces)
     del dis_forces
     con = _scan_result(sum(con_terms), _conservative_scan(s, params, probe))
     passed = (

@@ -145,7 +145,7 @@ class TestConfigTypes:
     BASE = ["--set", "grid.dim=1", "--set", "grid.n=8", "--set", "stepper.t_end=2e-3",
             "--set", "initial_condition.type=random_band"]
 
-    @pytest.mark.parametrize("value", ["null", "[1]", '{"a": 1}', '"x"'])
+    @pytest.mark.parametrize("value", ["null", "[1]", '{"a": 1}', '"x"', "Infinity", "NaN"])
     @pytest.mark.parametrize("key", sorted(leaf_keys(cli.CONFIG_SCHEMA)))
     def test_every_key_and_type(self, tmp_path, monkeypatch, capsys, key, value):
         # outputs is left to the config: "." is tmp_path
@@ -156,10 +156,19 @@ class TestConfigTypes:
         code = cli.main([command, *self.BASE, "--set", f"{key}={value}"])
         assert code in (0, 1, 2, 3)
         # null, [1] and {"a": 1} have the wrong type for every key but a null
-        # outputs; "x" has the right one for the string keys
+        # outputs; "x" has the right one for the string keys; Infinity and
+        # NaN are floats but not finite, so no key takes them
         if value != '"x"' and (key, value) != ("outputs", "null"):
             assert code == cli.EXIT_CONFIG
             assert repr(key) in capsys.readouterr().err
+
+    def test_integer_past_float_range(self, tmp_path, capsys):
+        # a JSON integer is a number for a float key, but one past the float
+        # range is not finite: a config error, not an OverflowError
+        code = cli.main(["run", *self.BASE, "--set", "stepper.t_end=1" + "0" * 400,
+                         "--outputs", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "'stepper.t_end'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", sorted(k for k, v in cli.DEFAULTS.items()
                                                if isinstance(v, dict)))

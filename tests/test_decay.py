@@ -214,6 +214,23 @@ class TestRun:
         assert out["scaling_verdict"] == "pass"
         assert not out["outside_smallness_regime"]
 
+    def test_one_sample_is_inconclusive(self, params):
+        # 4 steps with the default sample_every keep only the t = 0 sample:
+        # it is monotone, and its scaling ratio is 4, by construction
+        grid = GridSpec(dim=2, n=8, length=1.0)
+        cfg = StepperConfig(scheme="RK4", dt=5e-4, t_end=2e-3)
+        exp = DecayExperiment(delta0=1e-2, seed=3, mode_profile="random_band", cfg=cfg)
+        series = run(exp, grid, params)
+        half = run(replace(exp, delta0=5e-3), grid, params)
+        assert len(series.lyapunov) == len(half.lyapunov) == 1
+        ratio = float(series.lyapunov[-1] / half.lyapunov[-1])
+        assert abs(ratio - 4.0) <= 1e-12
+        out = summary(exp, series, scaling_ratio=ratio)
+        assert out["monotonicity_verdict"] == "inconclusive"
+        assert out["rate_ordering_verdict"] == "inconclusive"
+        assert out["scaling_verdict"] == "inconclusive"
+        assert out["terminal_scaling_ratio"] == ratio
+
 
 class TestRateOrderingVerdict:
     """The ordering "v and grad(phi) decay faster than u_tilde" is only

@@ -10,16 +10,18 @@ import pytest
 
 from pnpf.fields import PhysParams, PositivityError, State, constitutive_fluxes, energy_density
 from pnpf import varcheck
-from pnpf.grid import GridSpec, ScalarField, VectorField, grad_arrays
+from pnpf.grid import GridSpec, ScalarField, grad_arrays
 from pnpf.varcheck import (
-    FlowMapProbe,
-    check_conservative,
-    check_dissipative,
-    conservative_force_closed,
-    derived_temperature,
-    dissipative_closed_form,
+    _balance,
+    _conservative_flows,
+    _conservative_scan,
+    _dissipative_forces,
+    _dissipative_scan,
+    _eliminate_heat_flux,
+    _pairing,
+    _scan_result,
+    _temperature,
     entropy_functional,
-    force_balance_residual,
     random_probe,
     varcheck_report,
     write_report_json,
@@ -29,10 +31,25 @@ from .conftest import band_limited, peak_grids, perturbed_state
 from .oracles import dissipation_functional
 
 
+def fluxes(s, params):
+    """The component tuples of the constitutive (j_p, j_n, j_e) of s."""
+    fl = constitutive_fluxes(s, params)
+    return fl.j_p.components, fl.j_n.components, fl.j_e.components
+
+
+def dissipative(s, params, j_p, j_n, j_e):
+    """grad(phi) of s, the heat flux q eliminated from (j_p, j_n, j_e) and
+    the dissipative forces (f_p, f_n, R) of the fluxes, built as
+    varcheck_report builds them; each flux is a sequence of components."""
+    gphi = grad_arrays(s.grid, s.phi.values)
+    q = _eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
+    return gphi, q, _dissipative_forces(s, params, j_p, j_n, gphi, q)
+
+
 def balance(s, params):
     """The force balance of s with both closed forms built from s."""
-    dis = dissipative_closed_form(s, constitutive_fluxes(s, params), params)
-    return force_balance_residual(conservative_force_closed(s, params), dis.forces)
+    _, _, dis = dissipative(s, params, *fluxes(s, params))
+    return _balance(_conservative_flows(s, params), dis)
 
 
 class TestEntropyFunctional:
@@ -55,7 +72,8 @@ class TestEntropyFunctional:
         s = perturbed_state(grid3d, seed=3, amplitude=1e-2)
         e = energy_density(s, params)
         got = entropy_functional(s.p, s.n, e, params)
-        theta, phi = derived_temperature(s.p, s.n, e, params)
+        p, n = s.p.values, s.n.values
+        theta, phi = _temperature(grid3d, p, n, e.values, p - n, params)
         assert np.abs(theta - s.theta.values).max() <= 1e-13
         s2 = State(s.n, s.p, ScalarField(grid3d, theta), ScalarField(grid3d, phi))
         want = float(entropy_density(s2, params).values.sum() * grid3d.cell_volume)
@@ -67,10 +85,11 @@ class TestEntropyFunctional:
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=1e-2)
         e = energy_density(s, params)
-        theta, _ = derived_temperature(s.p, s.n, e, params)
+        p, n = s.p.values, s.n.values
+        theta, _ = _temperature(grid, p, n, e.values, p - n, params)
         logth = np.log(theta)
-        eta = -s.p.values * (np.log(s.p.values) - params.c_p * logth)
-        eta -= s.n.values * (np.log(s.n.values) - params.c_n * logth)
+        eta = -p * (np.log(p) - params.c_p * logth)
+        eta -= n * (np.log(n) - params.c_n * logth)
         want = math.fsum(eta.ravel().tolist()) * grid.cell_volume
         assert entropy_functional(s.p, s.n, e, params) == want
 
@@ -83,9 +102,8 @@ class TestEntropyFunctional:
 
 class TestConservativeForce:
     def test_equilibrium_zero(self, grid3d, params):
-        fs = conservative_force_closed(State.equilibrium(grid3d), params)
-        for vf in (fs.f_p, fs.f_n, fs.f_e):
-            for c in vf.components:
+        for flow in _conservative_flows(State.equilibrium(grid3d), params):
+            for c in flow:
                 assert np.abs(c).max() <= 1e-13
 
     def test_isothermal_neutral_reduces_to_entropic_force(self, grid3d, params):
@@ -93,22 +111,25 @@ class TestConservativeForce:
         # f_p = -grad(log p)
         p = ScalarField(grid3d, 1.0 + band_limited(grid3d, seed=4, kmax=1, amplitude=0.05))
         s = State.from_primitives(p, p, ScalarField.constant(grid3d, 1.0))
-        fs = conservative_force_closed(s, params)
+        f_p, _, _ = _conservative_flows(s, params)
         want = grad_arrays(grid3d, np.log(p.values))
-        for got, ref in zip(fs.f_p.components, want):
+        for got, ref in zip(f_p, want):
             assert np.abs(got + ref).max() <= 1e-12
 
     def test_energy_force_is_exact_gradient(self, grid3d, params):
         s = perturbed_state(grid3d, seed=5, amplitude=1e-2)
-        fs = conservative_force_closed(s, params)
+        _, _, f_e = _conservative_flows(s, params)
         want = grad_arrays(grid3d, 1.0 / s.theta.values)
-        for got, ref in zip(fs.f_e.components, want):
+        for got, ref in zip(f_e, want):
             assert np.array_equal(got, ref)
 
     def test_fd_pairing(self, grid3d, params):
         s = perturbed_state(grid3d, seed=6, amplitude=1e-3, kmax=1)
         probe = random_probe(grid3d, seed=2)
-        res = check_conservative(s, params, probe, conservative_force_closed(s, params))
+        res = _scan_result(
+            _pairing(grid3d, _conservative_flows(s, params), probe),
+            _conservative_scan(s, params, probe),
+        )
         assert res["best_rel_err"] <= 1e-6
         assert 1.6 <= res["order_estimate"] <= 2.4
 
@@ -116,10 +137,9 @@ class TestConservativeForce:
 class TestDissipativeForce:
     def test_zero_fluxes_zero_forces(self, grid3d, params):
         s = State.equilibrium(grid3d)
-        fl = constitutive_fluxes(s, params)
-        fs = dissipative_closed_form(s, fl, params).forces
-        for vf in (fs.f_p, fs.f_n, fs.f_e):
-            for c in vf.components:
+        _, _, fs = dissipative(s, params, *fluxes(s, params))
+        for flow in fs:
+            for c in flow:
                 assert np.abs(c).max() <= 1e-14
 
     def test_unit_energy_flux_substitution(self, grid3d):
@@ -127,31 +147,24 @@ class TestDissipativeForce:
         # the energy force equals e1
         params = PhysParams(k=1.0)
         s = State.equilibrium(grid3d)
-        zero = VectorField(grid3d, (np.zeros(grid3d.shape),) * 3)
-        e1 = VectorField(
-            grid3d,
-            (np.ones(grid3d.shape),) + tuple(np.zeros(grid3d.shape) for _ in range(2)),
-        )
-
-        class Fl:
-            j_p, j_n, j_e = zero, zero, e1
-
-        fs = dissipative_closed_form(s, Fl, params).forces
-        assert np.abs(fs.f_e.components[0] - 1.0).max() <= 1e-14
-        for c in fs.f_e.components[1:]:
+        zero = (np.zeros(grid3d.shape),) * 3
+        e1 = (np.ones(grid3d.shape),) + tuple(np.zeros(grid3d.shape) for _ in range(2))
+        _, _, (_, _, R) = dissipative(s, params, zero, zero, e1)
+        assert np.abs(R[0] - 1.0).max() <= 1e-14
+        for c in R[1:]:
             assert np.abs(c).max() <= 1e-14
 
     def test_fd_pairing_random_fluxes(self, grid3d, params):
         # arbitrary (non-constitutive) fluxes: the check is an identity of
         # the quadratic functional, exact to rounding
         s = perturbed_state(grid3d, seed=7, amplitude=1e-3)
-        base = random_probe(grid3d, seed=3, amplitude=0.5)
-
-        class Fl:
-            j_p, j_n, j_e = base.dJ_p, base.dJ_n, base.dJ_e
-
+        j_p, j_n, j_e = random_probe(grid3d, seed=3, amplitude=0.5).flows()
+        gphi, q0, forces = dissipative(s, params, j_p, j_n, j_e)
         probe = random_probe(grid3d, seed=4)
-        res = check_dissipative(s, params, probe, dissipative_closed_form(s, Fl, params))
+        res = _scan_result(
+            _pairing(grid3d, forces, probe),
+            _dissipative_scan(s, params, probe, j_p, j_n, q0, gphi),
+        )
         assert res["best_rel_err"] <= 1e-6
         assert res["quadratic_exact"] or 1.6 <= res["order_estimate"] <= 2.4
 
@@ -160,26 +173,14 @@ class TestDissipativeForce:
         a = random_probe(grid3d, seed=5, amplitude=0.3)
         b = random_probe(grid3d, seed=6, amplitude=0.3)
 
-        def forces(jp, jn, je):
-            class Fl:
-                j_p, j_n, j_e = jp, jn, je
-
-            return dissipative_closed_form(s, Fl, params).forces
-
-        fa = forces(a.dJ_p, a.dJ_n, a.dJ_e)
-        fb = forces(b.dJ_p, b.dJ_n, b.dJ_e)
-        g = grid3d
+        forces = lambda flows: dissipative(s, params, *flows)[2]
+        fa = forces(a.flows())
+        fb = forces(b.flows())
         summed = forces(
-            VectorField(g, tuple(x + y for x, y in zip(a.dJ_p.components, b.dJ_p.components))),
-            VectorField(g, tuple(x + y for x, y in zip(a.dJ_n.components, b.dJ_n.components))),
-            VectorField(g, tuple(x + y for x, y in zip(a.dJ_e.components, b.dJ_e.components))),
+            [x + y for x, y in zip(ja, jb)] for ja, jb in zip(a.flows(), b.flows())
         )
-        for fs_ab, fs_a, fs_b in (
-            (summed.f_p, fa.f_p, fb.f_p),
-            (summed.f_n, fa.f_n, fb.f_n),
-            (summed.f_e, fa.f_e, fb.f_e),
-        ):
-            for cab, ca, cb in zip(fs_ab.components, fs_a.components, fs_b.components):
+        for fs_ab, fs_a, fs_b in zip(summed, fa, fb):
+            for cab, ca, cb in zip(fs_ab, fs_a, fs_b):
                 scale = max(np.abs(cab).max(), 1e-300)
                 assert np.abs(cab - (ca + cb)).max() <= 1e-12 * scale
 
@@ -199,10 +200,10 @@ class TestForceBalance:
         theta = ScalarField(grid, 1.0 + b * np.sin(x))
         s = State.from_primitives(one, one, theta)
         want = params.c * b * np.cos(x) / (1.0 + b * np.sin(x))
-        con = conservative_force_closed(s, params)
-        dis = dissipative_closed_form(s, constitutive_fluxes(s, params), params).forces
-        assert np.abs(con.f_p.components[0] - want).max() <= 1e-10 * b
-        assert np.abs(dis.f_p.components[0] - want).max() <= 1e-10 * b
+        con_p, _, _ = _conservative_flows(s, params)
+        _, _, (dis_p, _, _) = dissipative(s, params, *fluxes(s, params))
+        assert np.abs(con_p[0] - want).max() <= 1e-10 * b
+        assert np.abs(dis_p[0] - want).max() <= 1e-10 * b
 
     def test_single_mode_theta_perturbation(self, params):
         grid = GridSpec(dim=3, n=16, length=1.0)
@@ -251,8 +252,6 @@ class TestSymbolicIdentities:
         # assembling j_e from (j_p, j_n, q) and eliminating must return q
         s = perturbed_state(grid3d, seed=10, amplitude=1e-2)
         fl = constitutive_fluxes(s, params)
-        from pnpf.varcheck import _eliminate_heat_flux
-
         q = _eliminate_heat_flux(
             s, params,
             [c for c in fl.j_p.components],
@@ -307,7 +306,8 @@ class TestSharedWork:
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
         s = perturbed_state(grid, seed=14, amplitude=1e-3, kmax=1)
         fl = constitutive_fluxes(s, params)
-        closed = dissipative_closed_form(s, fl, params)
+        j_p, j_n = fl.j_p.components, fl.j_n.components
+        gphi, q0, _ = dissipative(s, params, j_p, j_n, fl.j_e.components)
         probe = random_probe(grid, seed=2, kmax=1)
         seen = []
         orig = varcheck._dissipation
@@ -317,7 +317,7 @@ class TestSharedWork:
             return seen[-1]
 
         monkeypatch.setattr(varcheck, "_dissipation", record)
-        check_dissipative(s, params, probe, closed)
+        _dissipative_scan(s, params, probe, j_p, j_n, q0, gphi)
         monkeypatch.setattr(varcheck, "_dissipation", orig)
         signed = [sign * eps for eps in varcheck.DEFAULT_EPS_SCAN for sign in (1.0, -1.0)]
         assert len(seen) == len(signed)
@@ -355,6 +355,19 @@ class TestReport:
         write_report_json(varcheck_report(s, params, seed=1, probe_kmax=1), tmp_path / "r.json")
         want = Path(__file__).parent / "data" / "varcheck-report-16.json"
         assert (tmp_path / "r.json").read_bytes() == want.read_bytes()
+
+    def test_report_pairings_are_the_pieces_pairings(self, params):
+        # the report pairs each conservative flow on its way into the
+        # balance; both pairings are those of _pairing over the force sets
+        # built on their own, bit for bit
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
+        rep = varcheck_report(s, params, seed=1, probe_kmax=1)
+        probe = random_probe(grid, seed=1, kmax=1)
+        con = _pairing(grid, _conservative_flows(s, params), probe)
+        _, _, dis = dissipative(s, params, *fluxes(s, params))
+        assert rep["conservative"]["pairing"] == con
+        assert rep["dissipative"]["pairing"] == _pairing(grid, dis, probe)
 
     def test_report_peak_memory(self, params):
         # at 32^3 above the call's entry, in full grids: measured 35.06 on
