@@ -17,18 +17,18 @@ Discretization choices that the audits rely on:
 * the gradients and Darcy fluxes come from fields.darcy_axes, the
   kernel the audits and variational checks also use, so the audited
   fluxes are the stepped fluxes bit for bit.  It yields one axis at a
-  time (two 2-field inverse transforms each); the RHS adds that axis's
-  terms to three running sums in axis order (the Joule terms fold into
-  -j_p.(grad theta + grad phi) and -j_n.(grad theta - grad phi); see
-  _fluxes_and_heat_rate), then forward-transforms the axis's flux pair
-  (j_p,i, j_n,i) and adds its divergence into two spectral running sums,
-  so one 2-row flux scratch serves every axis.  The Laplacians come
-  after the axis loop, (theta, p) in one 2-field inverse and n in a
-  second, and dtheta gets its own forward transform.  Only the forward
-  transform of the input (n, p, theta) takes more than two fields, and
-  every lane is computed as in a batched transform, so the output has
-  the bits of one 4-field inverse per axis and one (2*dim+1)-row outer
-  forward transform (tests/oracles.batched_rhs_core);
+  time (four one-field inverse transforms each); the RHS adds that
+  axis's terms to three running sums in axis order (the Joule terms
+  fold into -j_p.(grad theta + grad phi) and -j_n.(grad theta -
+  grad phi); see _fluxes_and_heat_rate), then forward-transforms the
+  axis's fluxes j_p,i and j_n,i one at a time and adds their divergence
+  into two spectral running sums, so one 2-row flux scratch serves every
+  axis.  The Laplacians come after the axis loop, one field per inverse
+  transform, and dtheta gets its own forward transform.  Only the
+  forward transform of the input (n, p, theta) takes more than one
+  field, and every lane is computed as in a batched transform, so the
+  output has the bits of one 4-field inverse per axis and one
+  (2*dim+1)-row outer forward transform (tests/oracles.batched_rhs_core);
 * the electric potential is never integrated: each right-hand-side
   evaluation re-solves Delta(phi) = n - p (equivalently Delta(phi) = v),
   so phi stays slaved to the charge density at every substage.
@@ -64,6 +64,17 @@ arrays are built only after the axis loop, and its three sums live only
 in that loop, below the RHS's peak, so the step's peak memory grows by
 the one grid of the production density.
 
+The primitive kernels write their gradients, Laplacians and residual
+gradients, and every product of the flux and heat-rate arithmetic, into
+a fields.Slots (four real grids and one spectrum) in place, in the
+order of the expressions they replace, so the bits are those of the
+expressions.  integrate and thermo_audit.audit_run make one Slots for
+all their steps, which at 64^3 saves most of the page faults that
+freeing and reallocating those grids at every evaluation cost (glibc
+hands freed full-grid chunks back to the OS, and the next RHS faults
+them in again); a step, or an RHS, given none makes its own.  The Slots
+are never cached on the grid, so a run's buffers die with it.
+
 RK4 keeps one accumulator, k1 + 2 k2 + 2 k3 + k4 summed in that order,
 instead of the four stage derivatives, so besides it only the current
 stage and its derivative are alive; the result has the bits of
@@ -82,7 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poisson
-from .fields import POSITIVITY_FLOOR, PhysParams, State, darcy_axes
+from .fields import POSITIVITY_FLOOR, PhysParams, State, darcy_axes, new_slots
 from .grid import GridSpec, ScalarField
 
 _RK4_REAL_AXIS = 2.785  # |lambda| dt limit on the negative real axis
@@ -178,24 +189,27 @@ def convert_back(ps: PerturbationState) -> State:
 # -- raw-array right-hand sides ----------------------------------------------
 
 
-def _axis_divergence(grid: GridSpec, div, i, pair) -> None:
+def _axis_divergence(grid: GridSpec, div, i, pair, sp) -> None:
     """Add grad_mult[i] times the spectra of axis i's flux pair (j_p,i,
-    j_n,i) into the running sums div = (div j_n, div j_p)^: one 2-field
-    forward transform."""
-    jh = grid.fft(pair)
-    div[0] += grid.grad_mult[i] * jh[1]
-    div[1] += grid.grad_mult[i] * jh[0]
+    j_n,i) into the running sums div = (div j_n, div j_p)^: one one-field
+    forward transform per flux, whose product with grad_mult[i] goes into
+    the slots' spectrum sp."""
+    m = grid.grad_mult[i]
+    for k in (1, 0):
+        div[1 - k] += np.multiply(m, grid.fft(pair[k]), out=sp)
 
 
-def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, div=None, j=None,
-                          sink=None):
+def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, slots, div=None,
+                          j=None, sink=None):
     """The pointwise temperature rate dtheta of (n, p, th), from their
     forward transform spec, which is left as it was.  Given div, every
     axis writes its Darcy fluxes into one 2-row scratch and adds their
     divergence into div as soon as its terms are summed (_axis_divergence),
     and the scratch dies before the heat stage.  Given j instead, axis i's
     fluxes stay in the block j[i] and their divergence is the caller's.
-    An audit sink takes each axis's d_i theta, j_p,i and j_n,i.
+    An audit sink takes each axis's d_i theta, j_p,i and j_n,i.  The
+    gradients, the Laplacians and every product go into slots
+    (fields.Slots).
 
     The rate is the paper's
 
@@ -215,68 +229,99 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, di
 
     # the three sums over the axes, added in axis order; every derivative
     # acts on a primitive field, so div(j) expands with the Laplacians
-    # built after the loop.  A counter, not enumerate: enumerate would
-    # keep the last axis's gradients alive through the next axis.
+    # built after the loop
     a_p, a_n, b = (np.zeros(grid.shape) for _ in range(3))
     if j is None:
         j = [np.empty((2,) + grid.shape)] * grid.dim
-    i = 0
-    for gn, gp, gth, gphi, jp, jn in darcy_axes(grid, spec, n, p, th, params, j):
-        a_p += gp * (2.0 * gth + gphi)
-        a_n += gn * (2.0 * gth - gphi)
-        b += jp * (wp * gth + gphi) + jn * (wn * gth - gphi)
+    # every product in place, in the order of a_p += gp (2 gth + gphi),
+    # a_n += gn (2 gth - gphi) and b += jp (wp gth + gphi) + jn (wn gth -
+    # gphi): t is the slots' scratch, and u the row of d_i n, which only
+    # a_n reads
+    t, u = slots.tmp, slots.rows[0]
+    axes = darcy_axes(grid, spec, n, p, th, params, j, slots)
+    for i, (gn, gp, gth, gphi, jp, jn) in enumerate(axes):
+        np.multiply(2.0, gth, out=t)
+        t += gphi
+        a_p += np.multiply(t, gp, out=t)
+        np.multiply(2.0, gth, out=t)
+        t -= gphi
+        a_n += np.multiply(t, gn, out=t)
+        np.multiply(wp, gth, out=t)
+        t += gphi
+        t *= jp
+        np.multiply(wn, gth, out=u)
+        u -= gphi
+        t += np.multiply(u, jn, out=u)
+        b += t
         if sink is not None:
-            sink.axis(gth, jp, jn)
-        del gn, gp, gth, gphi, jp, jn  # frees this axis's transforms
+            sink.axis(gth, jp, jn, t)
         if div is not None:
-            _axis_divergence(grid, div, i, j[i])
-        i += 1
-    del j
+            _axis_divergence(grid, div, i, j[i], slots.spec)
+    del j, jp, jn  # the fluxes are views of j
     if sink is not None:
         sink.production()
 
-    # the Laplacians: theta and p for the D_p half of the rate, then n
+    # the Laplacians: theta and p for the D_p half of the rate, then n;
+    # every product in place, in the order of
+    # heat = Dp (p lap_th + th lap_p + p rho + a_p) and
+    # heat += Dn (n lap_th + th lap_n - n rho + a_n)
     neg_k2 = -grid.k2
-    lap = np.empty((2,) + grid.spectral_shape, dtype=complex)
-    np.multiply(neg_k2, spec[2], out=lap[0])
-    np.multiply(neg_k2, spec[1], out=lap[1])
-    lap_th, lap_p = grid.ifft(lap)
-    del lap
-    rho = n - p  # equals Delta(phi) exactly for the slaved potential
-    heat = Dp * (p * lap_th + th * lap_p + p * rho + a_p)
-    del lap_p, a_p
-    lap_n = grid.ifft(neg_k2 * spec[0])
-    heat += Dn * (n * lap_th + th * lap_n - n * rho + a_n)
-    del lap_n, rho, a_n
+    rows, sp = slots.rows, slots.spec
+    lap_th = grid.ifft(np.multiply(neg_k2, spec[2], out=sp), out=rows[0])
+    lap_p = grid.ifft(np.multiply(neg_k2, spec[1], out=sp), out=rows[1])
+    # equals Delta(phi) exactly for the slaved potential
+    rho = np.subtract(n, p, out=rows[2])
+    t, u = rows[3], slots.tmp
+    np.multiply(p, lap_th, out=t)
+    t += np.multiply(th, lap_p, out=u)
+    t += np.multiply(p, rho, out=u)
+    a_p += t
+    a_p *= Dp
+    heat = a_p
+    lap_n = grid.ifft(np.multiply(neg_k2, spec[0], out=sp), out=rows[1])
+    np.multiply(n, lap_th, out=t)
+    t += np.multiply(th, lap_n, out=u)
+    t -= np.multiply(n, rho, out=u)
+    a_n += t
+    a_n *= Dn
+    heat += a_n
+    del a_n
     heat *= th
-    heat += kh * lap_th
+    heat += np.multiply(kh, lap_th, out=t)
     heat -= b
-    return np.divide(heat, params.c_p * p + params.c_n * n, out=heat)
+    del b
+    np.multiply(params.c_p, p, out=t)
+    t += np.multiply(params.c_n, n, out=u)
+    return np.divide(heat, t, out=heat)
 
 
 def _rhs_primitive_core(
-    grid: GridSpec, spec, n, p, th, params: PhysParams, dealias=True, sink=None
+    grid: GridSpec, spec, n, p, th, params: PhysParams, dealias=True, sink=None, slots=None
 ):
     """Spectrum of (dn, dp, dtheta), shape (3,) + spectral_shape, from the
     forward transform spec of (n, p, th) and the fields themselves; spec
     is left as it was.  A fields.AuditSink of the state (n, p, th) is fed
     by the flux pass and takes its residual over the pass's fluxes, which
-    are then kept for every axis, and the divergence waits for it."""
+    are then kept for every axis, and the divergence waits for it.  slots
+    (fields.new_slots) hold the gradients, the Laplacians and the
+    residual's gradients; None makes call-local ones."""
+    if slots is None:
+        slots = new_slots(grid)
     # continuity equations in divergence form (spectral outer divergence),
     # summed from zeros so the sums have the bits of -sum(m_i j_hat_i)
     div_shape = (2,) + grid.spectral_shape
     if sink is None:
         div = np.zeros(div_shape, dtype=complex)
-        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, div=div)
+        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, slots, div=div)
     else:
         # the residual reads every axis's fluxes; their divergence waits
         # until it has run, so no spectral sum is alive next to it
         j = np.empty((grid.dim, 2) + grid.shape)
-        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, j=j, sink=sink)
-        sink.residual(j)
+        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, slots, j=j, sink=sink)
+        sink.residual(j, slots)
         div = np.zeros(div_shape, dtype=complex)
         for i in range(grid.dim):
-            _axis_divergence(grid, div, i, j[i])
+            _axis_divergence(grid, div, i, j[i], slots.spec)
         del j
     out = np.empty((3,) + grid.spectral_shape, dtype=complex)
     np.negative(div, out=out[:2])
@@ -288,10 +333,11 @@ def _rhs_primitive_core(
     return out
 
 
-def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=True, sink=None):
+def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=True, sink=None,
+                          slots=None):
     """(dn, dp, dtheta) raw arrays; see the module docstring for the scheme."""
     spec = grid.fft(np.stack([n, p, th]))
-    out = _rhs_primitive_core(grid, spec, n, p, th, params, dealias, sink)
+    out = _rhs_primitive_core(grid, spec, n, p, th, params, dealias, sink, slots)
     del spec
     return grid.ifft(out[0]), grid.ifft(out[1]), grid.ifft(out[2])
 
@@ -476,7 +522,7 @@ def _rk4(ys, rhs, dt, check, fed=()):
     return out
 
 
-def step(state, cfg: StepperConfig, params: PhysParams, sink=None):
+def step(state, cfg: StepperConfig, params: PhysParams, sink=None, slots=None):
     """
     Advance one time step; returns the same type it receives (State or
     PerturbationState).  Any substage that breaches the positivity floor
@@ -486,38 +532,47 @@ def step(state, cfg: StepperConfig, params: PhysParams, sink=None):
     evaluation (k1 of RK4, the core of IMEX1): after it, sink.audit is
     the FluxAudit of state.  A step that aborts before that evaluation
     leaves sink.audit None.
+
+    slots, the fields.new_slots of the state's grid, are the rows every
+    RHS evaluation of a State's step writes its gradients and Laplacians
+    into; a stepping loop passes one array to all its steps, and None
+    makes one for this step.
     """
     if isinstance(state, State):
-        return _step_primitive(state, cfg, params, sink)
+        return _step_primitive(state, cfg, params, sink, slots)
     if isinstance(state, PerturbationState):
-        if sink is not None:
-            raise TypeError("an audit sink needs a State")
+        if sink is not None or slots is not None:
+            raise TypeError("an audit sink and slots need a State")
         return _step_perturbation(state, cfg, params)
     raise TypeError(f"cannot step object of type {type(state).__name__}")
 
 
-def _advance(g, ys, cfg, params, names, shifts, rhs_arrays, core, primitive, sink=None):
+def _advance(g, ys, cfg, params, names, shifts, rhs_arrays, core, primitive, sink=None,
+             slots=None):
     """One RK4 step on the array RHS or one IMEX1 step on the core and the
     form's _linear_block, of the arrays ys; every stage is checked against
     the floor after adding its shift (see _check_stage).  A sink goes to
-    the first RHS evaluation only."""
+    the first RHS evaluation only, slots to every one."""
     check = lambda ys: _check_stage(names, ys, cfg.positivity_floor, shifts)
     check(ys)
-    fed = () if sink is None else (sink,)  # the perturbation kernels take no sink
+    # the perturbation kernels take no sink and no slots
+    fed = () if sink is None else (sink,)
+    kw = {} if slots is None else {"slots": slots}
     if cfg.scheme == "RK4":
-        rhs = lambda ys, *fed: rhs_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias, *fed)
+        rhs = lambda ys, *fed: rhs_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias, *fed, **kw)
         return _rk4(ys, rhs, cfg.dt, check, fed)
-    out = _imex1(g, ys, cfg, params, core, _linear_block(params, primitive), *fed)
+    out = _imex1(g, ys, cfg, params, core, _linear_block(params, primitive), *fed, **kw)
     check(out)
     return out
 
 
-def _step_primitive(s: State, cfg: StepperConfig, params: PhysParams, sink=None) -> State:
+def _step_primitive(s: State, cfg: StepperConfig, params: PhysParams, sink=None,
+                    slots=None) -> State:
     g = s.grid
     out = _advance(
         g, [s.n.values, s.p.values, s.theta.values], cfg, params,
         ("n", "p", "theta"), (0.0, 0.0, 0.0), _rhs_primitive_arrays, _rhs_primitive_core,
-        True, sink,
+        True, sink, new_slots(g) if slots is None else slots,
     )
     n, p, th = (ScalarField(g, a) for a in out)
     return State.from_primitives(n, p, th)
@@ -538,32 +593,45 @@ def _step_perturbation(
     return PerturbationState.from_fields(ut, v, tt)
 
 
-def _imex1(grid, ys, cfg, params, core, m, *fed):
+def _imex1(grid, ys, cfg, params, core, m, *fed, **kw):
     """Backward Euler on the linear block -|k|^2 m (_linear_block), the
     rest of the core's rates f explicit: with a = dt |k|^2 each mode
     solves (I + a m) y_new = y + dt (f + |k|^2 m y).  As m[0,1] = m[1,0]
     = 0, rows 0 and 1 are eliminated into row 2, which is solved for
-    y_new[2] and back-substituted.  fed, () or (sink,), goes to the core."""
+    y_new[2] and back-substituted.  fed, () or (sink,), and kw, {} or
+    {"slots": slots}, go to the core."""
     dt, k2 = cfg.dt, grid.k2
     spec_y = grid.fft(np.stack(ys))
-    spec_f = core(grid, spec_y, ys[0], ys[1], ys[2], params, cfg.dealias, *fed)
+    spec_f = core(grid, spec_y, ys[0], ys[1], ys[2], params, cfg.dealias, *fed, **kw)
     lin = [k2 * (row[0] * spec_y[0] + row[1] * spec_y[1] + row[2] * spec_y[2]) for row in m]
-    b = [y + dt * (f + l) for y, f, l in zip(spec_y, spec_f, lin)]
+    # everything from here on runs in place in the core's output, in the
+    # order of b = y + dt (f + l), then new_2 = (b_2 - c_0 b_0 - c_1 b_1) d,
+    # new_0 = (b_0 - a m[0,2] new_2) r0 and new_1 likewise, with one
+    # spectral scratch t for the products: so the update peaks below the
+    # core even with a run's slots alive through it
+    b = spec_f
+    for y, f, l in zip(spec_y, b, lin):
+        f += l
+        f *= dt
+        f += y
+    del spec_y, lin
     a = dt * k2
     # the pivots' reciprocals: a complex row times a real array costs about
     # a quarter of the complex row divided by it
     r0, r1 = 1.0 / (1.0 + a * m[0, 0]), 1.0 / (1.0 + a * m[1, 1])
-    new_2 = (b[2] - (a * m[2, 0] * r0) * b[0] - (a * m[2, 1] * r1) * b[1]) * (
-        1.0 / (1.0 + a * m[2, 2] - a * a * (m[2, 0] * m[0, 2] * r0 + m[2, 1] * m[1, 2] * r1))
-    )
-    new = [(b[0] - (a * m[0, 2]) * new_2) * r0, (b[1] - (a * m[1, 2]) * new_2) * r1, new_2]
+    t = np.empty_like(b[0])
+    b[2] -= np.multiply(a * m[2, 0] * r0, b[0], out=t)
+    b[2] -= np.multiply(a * m[2, 1] * r1, b[1], out=t)
+    b[2] *= 1.0 / (1.0 + a * m[2, 2] - a * a * (m[2, 0] * m[0, 2] * r0 + m[2, 1] * m[1, 2] * r1))
+    b[0] -= np.multiply(a * m[0, 2], b[2], out=t)
+    b[0] *= r0
+    b[1] -= np.multiply(a * m[1, 2], b[2], out=t)
+    b[1] *= r1
+    del t
     if cfg.dealias:
         # the k = 0 mode is untouched by the mask's True entry there
-        new = [grid.dealias_mask * x for x in new]
-    # lin, b and the unmasked rows stay alive through the transform: freed
-    # earlier, they lower the peak, but glibc then trims the heap top and
-    # the next core faults its temporaries back in
-    out = grid.ifft(np.stack(new))
+        np.multiply(grid.dealias_mask, b, out=b)
+    out = grid.ifft(b)
     return [out[0], out[1], out[2]]
 
 
@@ -575,7 +643,9 @@ def integrate(state, cfg: StepperConfig, params: PhysParams):
     """
     t = 0.0
     yield 0, t, state
+    # the steps of a State share one Slots
+    slots = new_slots(state.grid) if isinstance(state, State) else None
     for i in range(1, cfg.n_steps + 1):
-        state = step(state, cfg, params)
+        state = step(state, cfg, params, slots=slots)
         t = i * cfg.dt
         yield i, t, state

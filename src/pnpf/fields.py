@@ -20,16 +20,24 @@ variational checks share these helpers, so the stepper's fluxes are the
 audited fluxes bit for bit; that is what makes the discrete energy audit
 an identity rather than an approximation.
 
-darcy_axes streams the gradients one axis at a time: per axis two
-2-field inverse transforms give (d_i n, d_i p) and (d_i theta, d_i phi),
+darcy_axes streams the gradients one axis at a time: per axis four
+one-field inverse transforms give d_i n, d_i p, d_i theta and d_i phi,
 the fluxes go into the axis's 2-row block (j_p,i, j_n,i), and the
 consumer uses them before the next axis is built, so only one axis's
-gradients are alive at once, and none of the kernel's spectral arrays
-while the consumer runs.  A caller that keeps the fluxes passes one
-(dim, 2) block array; the primitive RHS, which transforms each axis's
-pair inside its loop, passes one block for every axis.  The Laplacians
-are not part of the kernel: only the primitive RHS needs them, and it
-builds them after its axis loop from the same forward transform.
+gradients are alive at once.  The gradients are written into a Slots
+(new_slots): four real grids and one spectrum that every inverse
+transform reads from and consumes (GridSpec.ifft), so the pass makes no
+gradient or spectral array of its own.  A stepping loop
+(dynamics.integrate, thermo_audit.audit_run) makes one Slots and hands it
+to every step, whose RHS evaluations write their gradients, Laplacians
+and audit-residual gradients into it, so a 64^3 run does not fault
+those pages in again at every evaluation; a one-off call
+(constitutive_fluxes, flux_audit, varcheck) makes its own.  A caller
+that keeps the fluxes passes one (dim, 2) block array; the primitive
+RHS, which transforms each axis's pair inside its loop, passes one block
+for every axis.  The Laplacians are not part of the kernel: only the
+primitive RHS needs them, and it builds them after its axis loop from
+the same forward transform.
 
 AuditSink is the body of one audit sample, in three parts that any pass
 over darcy_axes can feed: the |q|^2, |j_p|^2 and |j_n|^2 sums per axis,
@@ -51,6 +59,7 @@ row formula, _ion_row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -145,7 +154,34 @@ class State:
         return cls(one, one, ScalarField.constant(grid, 1.0), ScalarField.constant(grid, 0.0))
 
 
-def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j):
+class Slots(NamedTuple):
+    """The buffers the primitive kernels write into instead of making
+    temporaries: darcy_axes puts one axis's four gradients in rows, the
+    primitive RHS then its Laplacians, and an AuditSink's residual its
+    gradients.  spec is the input of each one-field inverse transform
+    (GridSpec.ifft consumes it), and tmp, the same memory seen as one real
+    grid, is the arithmetic's scratch once that transform has run.  A
+    stepping loop makes one Slots and hands it to every step; a one-off
+    call makes its own."""
+
+    rows: np.ndarray  # (4,) + grid.shape, real
+    spec: np.ndarray  # grid.spectral_shape, complex
+    tmp: np.ndarray  # grid.shape, real: the memory of spec
+
+
+def new_slots(grid: GridSpec) -> Slots:
+    """Slots of grid, in one buffer: four real grids and one spectrum."""
+    size = grid.n**grid.dim
+    buf = np.empty(4 * size + 2 * math.prod(grid.spectral_shape))
+    last = buf[4 * size :]
+    return Slots(
+        buf[: 4 * size].reshape((4,) + grid.shape),
+        last.view(complex).reshape(grid.spectral_shape),
+        last[:size].reshape(grid.shape),
+    )
+
+
+def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j, slots=None):
     """
     Gradients and Darcy ion fluxes of raw (n, p, theta) arrays, one axis
     at a time, with phi slaved to n - p (phi_hat = -(n_hat - p_hat)/|k|^2).
@@ -153,35 +189,43 @@ def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j):
     spec is the batched forward transform of (n, p, theta) and j[i] the
     2-row block that takes (j_p,i, j_n,i); blocks may repeat, so a caller
     that reads each axis's fluxes inside the loop can pass one block for
-    every axis.  For each axis i in turn the generator makes two 2-field
-    inverse transforms, of (d_i n, d_i p) and then of (d_i theta,
-    d_i phi), from one fresh 2-field spectral array that the second half
-    refills, rebuilding phi_hat in place, and yields (d_i n, d_i p,
-    d_i theta, d_i phi, j_p,i, j_n,i).  The spectral array dies before
-    the fluxes are built.  The gradients are views into the two inverse
-    transforms and the generator keeps no reference to them, so a consumer
-    that drops them frees those transforms at once; only that axis's
-    gradients are alive while the consumer runs.
+    every axis.  For each axis i in turn the generator makes four
+    one-field inverse transforms, of d_i n, d_i p, d_i theta and d_i phi,
+    each from slots.spec into a row of slots.rows (phi_hat is rebuilt in
+    slots.spec), and yields (d_i n, d_i p, d_i theta, d_i phi, j_p,i,
+    j_n,i); the fluxes' products use slots.tmp.  The gradients are those
+    rows (slots is new_slots of the grid, or call-local when None): they
+    stay valid only until the generator resumes, which overwrites them
+    with the next axis's, and the consumer may use slots.tmp, and the row
+    of a gradient it has done with, as scratch.
     """
-    neg_inv_k2 = -grid.inv_k2
+    if slots is None:
+        slots = new_slots(grid)
     for i, m in enumerate(grid.grad_mult):
-        yield _darcy_axis(grid, spec, m, neg_inv_k2, n, p, th, params, j[i])
+        yield _darcy_axis(grid, spec, m, n, p, th, params, j[i], slots)
 
 
-def _darcy_axis(grid: GridSpec, spec, m, neg_inv_k2, n, p, th, params: PhysParams, ji):
-    two = np.empty((2,) + spec.shape[1:], dtype=complex)
-    np.multiply(m, spec[0], out=two[0])
-    np.multiply(m, spec[1], out=two[1])
-    gn, gp = grid.ifft(two)
-    np.multiply(m, spec[2], out=two[0])
-    phih = two[1]
-    np.subtract(spec[0], spec[1], out=phih)
-    np.multiply(neg_inv_k2, phih, out=phih)
-    np.multiply(m, phih, out=phih)
-    gth, gphi = grid.ifft(two)
-    del two, phih  # the only references: frees the spectra before the fluxes
-    jp = np.multiply(-params.D_p, th * gp + p * gth + p * gphi, out=ji[0])
-    jn = np.multiply(-params.D_n, th * gn + n * gth - n * gphi, out=ji[1])
+def _darcy_axis(grid: GridSpec, spec, m, n, p, th, params: PhysParams, ji, slots):
+    rows, sp, t = slots
+    gn = grid.ifft(np.multiply(m, spec[0], out=sp), out=rows[0])
+    gp = grid.ifft(np.multiply(m, spec[1], out=sp), out=rows[1])
+    gth = grid.ifft(np.multiply(m, spec[2], out=sp), out=rows[2])
+    # -1/|k|^2 goes into the start of the row that d_i phi then takes
+    inv = grid.inv_k2
+    neg_inv_k2 = np.negative(inv, out=rows[3].reshape(-1)[: inv.size].reshape(inv.shape))
+    np.subtract(spec[0], spec[1], out=sp)
+    np.multiply(neg_inv_k2, sp, out=sp)
+    gphi = grid.ifft(np.multiply(m, sp, out=sp), out=rows[3])
+    # -D_p (th gp + p gth + p gphi) and -D_n (th gn + n gth - n gphi), in
+    # that order, with t for each product
+    jp = np.multiply(th, gp, out=ji[0])
+    jp += np.multiply(p, gth, out=t)
+    jp += np.multiply(p, gphi, out=t)
+    jp *= -params.D_p
+    jn = np.multiply(th, gn, out=ji[1])
+    jn += np.multiply(n, gth, out=t)
+    jn -= np.multiply(n, gphi, out=t)
+    jn *= -params.D_n
     return gn, gp, gth, gphi, jp, jn
 
 
@@ -341,9 +385,11 @@ def _ion_coefficients(s: State, params: PhysParams):
     L_pp = params.D_p * p * th
     L_nn = params.D_n * n * th
     a, b = energy_weights(th, phi, params)
+    L_pth, L_nth = L_pp * a, L_nn * b
+    del a, b  # before the potentials' temporaries
     logth = np.log(th)
     return (
-        L_pp, L_nn, L_pp * a, L_nn * b,
+        L_pp, L_nn, L_pth, L_nth,
         th * (np.log(p) - params.c_p * logth) + phi,
         th * (np.log(n) - params.c_n * logth) - phi,
     )
@@ -383,22 +429,34 @@ def onsager_block(s: State, params: PhysParams) -> OnsagerBlock:
     )
 
 
-def _quotient_spectrum(grid: GridSpec, th, mu_p, mu_n):
-    """Batched forward transform of (mu_p/theta, mu_n/theta, 1/theta): the
-    potentials whose gradients the flux form takes.  Axis i's gradients
-    are one 3-field inverse transform of grad_mult[i] times it."""
-    return grid.fft(np.stack([mu_p / th, mu_n / th, 1.0 / th]))
+def _quotients(th, mu_p, mu_n, out=None):
+    """(mu_p/theta, mu_n/theta, 1/theta), the potentials whose gradients
+    the flux form takes, written into out, three real grids, or into a new
+    array.  Axis i's gradients are grad_mult[i] times their batched
+    forward transform, inverse transformed."""
+    if out is None:
+        out = np.empty((3,) + th.shape)
+    np.divide(mu_p, th, out=out[0])
+    np.divide(mu_n, th, out=out[1])
+    np.divide(1.0, th, out=out[2])
+    return out
 
 
-def _ion_row(L, L_theta, g_mu, g_inv):
-    """Component i of an ion flux rebuilt from the coefficient block:
-    -L d_i(mu/theta) + L_theta d_i(1/theta)."""
-    return -L * g_mu + L_theta * g_inv
+def _ion_row(L, L_theta, g_mu, g_inv, out=None, tmp=None):
+    """Component i of an ion flux rebuilt from the coefficient block,
+    -L d_i(mu/theta) + L_theta d_i(1/theta), as L_theta d_i(1/theta) -
+    L d_i(mu/theta) (the same bits); written into out, with tmp as
+    scratch, when they are given."""
+    out = np.multiply(L_theta, g_inv, out=out)
+    out -= np.multiply(L, g_mu, out=tmp)
+    return out
 
 
-def _deviation(dev: float, scale: float, rec, ref) -> tuple[float, float]:
-    """The residual's running maxima of |rec - ref| and |ref|."""
-    return max(dev, float(np.abs(rec - ref).max())), max(scale, float(np.abs(ref).max()))
+def _deviation(dev: float, scale: float, rec, ref, tmp=None) -> tuple[float, float]:
+    """The residual's running maxima of |rec - ref| and |ref|, with tmp as
+    scratch when it is given."""
+    d = float(np.abs(np.subtract(rec, ref, out=tmp), out=tmp).max())
+    return max(dev, d), max(scale, float(np.abs(ref, out=tmp).max()))
 
 
 def reconstruct_fluxes(
@@ -413,7 +471,7 @@ def reconstruct_fluxes(
     g = s.grid
     L_pp, L_nn = block.L_pp.values, block.L_nn.values
     L_pth, L_nth = block.L_ptheta.values, block.L_ntheta.values
-    spec = _quotient_spectrum(g, s.theta.values, block.mu_p.values, block.mu_n.values)
+    spec = g.fft(_quotients(s.theta.values, block.mu_p.values, block.mu_n.values))
     j_p, j_n, j_e = [], [], []
     for m, ex in zip(g.grad_mult, fl.exchange.components):
         gmp, gmn, ginv = g.ifft(m * spec)
@@ -458,14 +516,16 @@ class AuditSink:
     flux_audit's own pass, or the first RHS evaluation of a step from s.
     The body has three parts, called in this order:
 
-    * axis(d_i theta, j_p,i, j_n,i) for each axis i in order adds
+    * axis(d_i theta, j_p,i, j_n,i, tmp) for each axis i in order adds
       |q_i|^2 = (-k d_i theta)^2, j_p,i^2 and j_n,i^2 to three running
-      sums;
+      sums, squaring in the scratch grid tmp;
     * production() builds the production density from those sums after
       the axis loop;
-    * residual(j) takes the reconstruction residual over the (dim, 2)
-      flux blocks j (j[i] = (j_p,i, j_n,i)) and completes the sample in
-      audit.
+    * residual(j, slots) takes the reconstruction residual over the
+      (dim, 2) flux blocks j (j[i] = (j_p,i, j_n,i)) and completes the
+      sample in audit.  The quotients and each axis's three gradients go
+      into the pass's Slots, each gradient from a one-field inverse
+      transform.
 
     The sample keeps the |j_p|^2 and |j_n|^2 sums itself: the RHS's heat
     rate folds its Joule terms into -j_p.(grad theta + grad phi) and
@@ -482,30 +542,35 @@ class AuditSink:
         self.audit: FluxAudit | None = None
         self._sums = self._production = None
 
-    def axis(self, gth, jp, jn) -> None:
+    def axis(self, gth, jp, jn, tmp) -> None:
         if self._sums is None:
             self._sums = np.zeros((3,) + gth.shape)
         q2, jp2, jn2 = self._sums
-        q2 += (-self.params.k * gth) ** 2
-        jp2 += jp**2
-        jn2 += jn**2
+        q2 += np.square(np.multiply(-self.params.k, gth, out=tmp), out=tmp)
+        jp2 += np.square(jp, out=tmp)
+        jn2 += np.square(jn, out=tmp)
 
     def production(self) -> None:
         q2, jp2, jn2 = self._sums
         self._production = _production_density(self.state, self.params, jp2, jn2, q2)
         self._sums = None
 
-    def residual(self, j) -> None:
+    def residual(self, j, slots) -> None:
         s, g = self.state, self.state.grid
         L_pp, L_nn, L_pth, L_nth, mu_p, mu_n = _ion_coefficients(s, self.params)
-        qspec = _quotient_spectrum(g, s.theta.values, mu_p, mu_n)
-        del mu_p, mu_n
+        quotients = _quotients(s.theta.values, mu_p, mu_n, slots.rows[:3])
+        del mu_p, mu_n  # before the transform
+        qspec = g.fft(quotients)
         dev = scale = 0.0
+        gmp, gmn, ginv, rec = slots.rows
+        tmp = slots.tmp
         for i, m in enumerate(g.grad_mult):
-            gmp, gmn, ginv = g.ifft(m * qspec)
-            dev, scale = _deviation(dev, scale, _ion_row(L_pp, L_pth, gmp, ginv), j[i, 0])
-            dev, scale = _deviation(dev, scale, _ion_row(L_nn, L_nth, gmn, ginv), j[i, 1])
-            del gmp, gmn, ginv  # before the next axis's transform
+            for k, row in enumerate((gmp, gmn, ginv)):
+                g.ifft(np.multiply(m, qspec[k], out=slots.spec), out=row)
+            _ion_row(L_pp, L_pth, gmp, ginv, rec, tmp)
+            dev, scale = _deviation(dev, scale, rec, j[i, 0], tmp)
+            _ion_row(L_nn, L_nth, gmn, ginv, rec, tmp)
+            dev, scale = _deviation(dev, scale, rec, j[i, 1], tmp)
         self.audit = FluxAudit(self._production, dev / scale if scale else 0.0)
 
 
@@ -520,8 +585,8 @@ def flux_audit(s: State, params: PhysParams) -> FluxAudit:
     axis order, as it does when it rides on an RHS evaluation.
 
     This is the standalone sample, 6 + 7*dim transforms:
-    the forward transform of (n, p, theta) and two 2-field inverses per
-    axis for the pass, 3 + 3*dim for the residual.  A step fed the sink
+    the forward transform of (n, p, theta) and four one-field inverses
+    per axis for the pass, 3 + 3*dim for the residual.  A step fed the sink
     shares its first RHS evaluation's pass instead, so the sample adds
     only the residual's 3 + 3*dim to the step.
     """
@@ -529,11 +594,11 @@ def flux_audit(s: State, params: PhysParams) -> FluxAudit:
     n, p, th = s.n.values, s.p.values, s.theta.values
     sink = AuditSink(s, params)
     j = np.empty((g.dim, 2) + g.shape)
+    slots = new_slots(g)
     spec = g.fft(np.stack([n, p, th]))
-    for gn, gp, gth, gphi, jp, jn in darcy_axes(g, spec, n, p, th, params, j):
-        sink.axis(gth, jp, jn)
-        del gn, gp, gth, gphi  # frees this axis's Darcy transforms
+    for _, _, gth, _, jp, jn in darcy_axes(g, spec, n, p, th, params, j, slots):
+        sink.axis(gth, jp, jn, slots.tmp)
     del spec
     sink.production()
-    sink.residual(j)
+    sink.residual(j, slots)
     return sink.audit

@@ -18,27 +18,35 @@ Conventions fixed here and relied on everywhere else:
 * dealiasing (dealias_mask) keeps mode indices |m_i| <= floor(N/3) per
   axis (2/3 rule).
 
-Everything in this module is a pure function of its inputs; grids are
-frozen after construction and safe to share across threads.
+Everything in this module is a pure function of its inputs, except that
+GridSpec.ifft consumes its input spectrum; grids are frozen after
+construction and safe to share across threads.
 
-Transform threads.  GridSpec.fft/ifft hand pocketfft at most _WORKERS
-threads: the CPUs this process may run on (its affinity mask where the
-platform has one), capped at 4.  pocketfft splits lanes, not arithmetic,
-so the bits do not depend on the thread count.
+Transform threads.  GridSpec.fft, the forward transform, hands
+scipy.fft's pocketfft at most _WORKERS threads: the CPUs this process may
+run on (its affinity mask where the platform has one), capped at 4.
+pocketfft splits lanes, not arithmetic, so the bits do not depend on the
+thread count.  GridSpec.ifft, the inverse, runs on one thread through
+numpy.fft (its out= argument needs numpy 2.0): it consumes its input
+spectrum and can write into a caller's buffer, so a kernel can keep its
+gradients in buffers it reuses instead of new arrays.  Its bits are
+those of scipy.fft.irfftn (tests/test_grid.py TestInverseTransform), so
+inverse bits come from numpy's pocketfft and forward bits from scipy's.
 
-Thread policy.  A transform reading fewer than FFT_SPLIT_POINTS real
-numbers runs on one thread; a larger one gets _WORKERS.  The threshold
-comes from a sweep of rfftn/irfftn at 1 and 2 workers, median of 7
-alternating repeats, twice, on 2 shared vCPUs, over the (grid, batch)
-shapes the package transforms.  Two workers against one:
+Thread policy.  A forward transform reading fewer than FFT_SPLIT_POINTS
+real numbers runs on one thread; a larger one gets _WORKERS.  Both
+constants govern forward transforms only.  The threshold comes from a
+sweep of rfftn/irfftn at 1 and 2 workers, median of 7 alternating
+repeats, twice, on 2 shared vCPUs, over the (grid, batch) shapes the
+package transforms.  Two workers against one:
 
     64^2 x {1, 3, 4, 11}   wall +3 to +53 %, CPU -6 to +53 %
     32^3 x {1, 3, 4, 7}    wall -4 to +15 %, CPU -3 to +18 %
     64^3 x {1, 3, 4, 7}    wall -7 to +9 %,  CPU -3 to +5 %
 
 2**18 lies above every 32^3 batch (at most 243712 values) and at or below
-every 64^3 one (at least 262144), so every 64^3 transform keeps its
-threads.
+every 64^3 one (at least 262144), so every 64^3 forward transform keeps
+its threads.
 """
 
 from __future__ import annotations
@@ -59,11 +67,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# thread cap of every transform; read at call time, so setting it to 1
-# makes every transform single-threaded
+# thread cap of every forward transform; read at call time, so setting it
+# to 1 makes every transform single-threaded
 _WORKERS = min(_usable_cpus(), 4)
 
-# transforms reading fewer real numbers than this run on one thread
+# forward transforms reading fewer real numbers than this run on one thread
 FFT_SPLIT_POINTS = 2**18
 
 # memory guard: a grid may hold at most this many points
@@ -71,7 +79,7 @@ MAX_POINTS = 2**24
 
 
 def _workers(points: int) -> int:
-    """Thread count of a transform that reads `points` real numbers."""
+    """Thread count of a forward transform that reads `points` real numbers."""
     return _WORKERS if points >= FFT_SPLIT_POINTS else 1
 
 
@@ -187,11 +195,18 @@ class GridSpec:
         axes = tuple(range(values.ndim - self.dim, values.ndim))
         return scipy.fft.rfftn(values, axes=axes, workers=_workers(values.size))
 
-    def ifft(self, spec: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`fft`; returns real arrays.  The input counts
-        two real numbers per complex mode against FFT_SPLIT_POINTS."""
-        axes = tuple(range(spec.ndim - self.dim, spec.ndim))
-        return scipy.fft.irfftn(spec, s=self.shape, axes=axes, workers=_workers(2 * spec.size))
+    def ifft(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of :meth:`fft` (batches allowed), written into out when
+        given, else into a new real array, which is returned.
+
+        The transform consumes spec: the complex inverse of every leading
+        grid axis runs in place in it, and then the real inverse of the
+        last axis reads it into the output.  On one thread, through
+        numpy.fft; its bits are those of scipy.fft.irfftn (the per-axis
+        1/n scaling is exact for powers of two)."""
+        for axis in range(spec.ndim - self.dim, spec.ndim - 1):
+            np.fft.ifft(spec, axis=axis, out=spec)
+        return np.fft.irfft(spec, n=self.n, axis=-1, out=out)
 
     def axes_coordinates(self) -> tuple[np.ndarray, ...]:
         """Meshgrid coordinate arrays (ij indexing), one per axis."""

@@ -24,9 +24,12 @@ trajectory honors the corresponding identity:
 One sample (AuditWriter.observe) costs less than one RHS evaluation.
 The entropy production density and the reciprocity residual come from a
 fields.AuditSink, whose body reads one pass over the axes (per axis the
-two 2-field inverse transforms of darcy_axes) and adds the residual's
-forward transform of (mu_p/theta, mu_n/theta, 1/theta) and one 3-field
-inverse transform per axis.  It builds no FluxSet, phi_t, exchange flux or j_e.
+four one-field inverse transforms of darcy_axes) and adds the residual's
+forward transform of (mu_p/theta, mu_n/theta, 1/theta) and three
+one-field inverse transforms per axis.  It builds no FluxSet, phi_t,
+exchange flux or j_e.  audit_run makes one fields.Slots for the run and
+hands it to every step, so the steps' kernels and the samples riding on
+them reuse its buffers.
 totals integrates the densities, and the Lyapunov functional takes one
 batched forward transform of the converted state.  audit_run hands the
 sink of each audited state that is stepped further to that step, whose
@@ -64,6 +67,7 @@ from .fields import (
     energy_density,
     entropy_density,
     flux_audit,
+    new_slots,
 )
 from .grid import integrate as quad
 
@@ -213,11 +217,12 @@ def audit_run(
     writer = AuditWriter(csv_path, params)
     total = cfg.n_steps if n_steps is None else n_steps
     s, i, sink, reason = state, 0, None, None
+    slots = new_slots(state.grid)  # every step's, and its sample's
     try:
         while i < total:
             sink = AuditSink(s, params) if i % audit_every == 0 else None
             try:
-                nxt = step(s, cfg, params, sink)
+                nxt = step(s, cfg, params, sink, slots)
             except StepAbort as exc:
                 reason = str(exc)
                 break

@@ -96,9 +96,9 @@ def count_transforms(monkeypatch) -> list[int]:
     for name in ("fft", "ifft"):
         orig = getattr(GridSpec, name)
 
-        def counting(grid, arr, _orig=orig):
+        def counting(grid, arr, *args, _orig=orig, **kwargs):
             widths.append(int(np.prod(arr.shape[: arr.ndim - grid.dim])))
-            return _orig(grid, arr)
+            return _orig(grid, arr, *args, **kwargs)
 
         monkeypatch.setattr(GridSpec, name, counting)
     return widths

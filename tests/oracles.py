@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from pnpf import varcheck
-from pnpf.fields import darcy_axes
+from pnpf.fields import darcy_axes, new_slots
 from pnpf.grid import GridSpec, grad_arrays
 
 
@@ -216,12 +216,13 @@ def batched_rhs_core(grid: GridSpec, spec, n, p, th, params, dealias=True, sink=
     out = np.empty((2 * d + 1,) + grid.shape)
     j = _flux_blocks(out)
     a_p, a_n, b = np.zeros((3,) + grid.shape)
+    slots = new_slots(grid)  # the sink's scratch
     for gn, gp, gth, gphi, jp, jn in _batched_darcy_axes(grid, spec, n, p, th, params, j):
         a_p += gp * (2.0 * gth + gphi)
         a_n += gn * (2.0 * gth - gphi)
         b += jp * (wp * gth + gphi) + jn * (wn * gth - gphi)
         if sink is not None:
-            sink.axis(gth, jp, jn)
+            sink.axis(gth, jp, jn, slots.tmp)
     if sink is not None:
         sink.production()
 
@@ -234,5 +235,5 @@ def batched_rhs_core(grid: GridSpec, spec, n, p, th, params, dealias=True, sink=
     heat -= b
     np.divide(heat, params.c_p * p + params.c_n * n, out=out[2 * d])
     if sink is not None:
-        sink.residual(j)
+        sink.residual(j, slots)
     return _outer_divergence(grid, out, dealias)

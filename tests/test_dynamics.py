@@ -452,10 +452,11 @@ class TestStreamedKernels:
             assert np.array_equal(a.values, b)
 
     # peaks at 32^3 above the call's entry, in full grids: measured RHS
-    # 17.0 and RK4 step 24.0; one 4-field inverse transform per axis
-    # instead of two 2-field ones peaks at 19.1 and 26.1, the fluxes and
-    # dtheta kept for one (2*dim+1)-row forward transform instead of one
-    # 2-field transform per axis at 19.9 and 26.9, the nine running sums
+    # 17.0 and RK4 step 24.0, slots included (the step makes its own); one
+    # 4-field inverse transform per axis instead of two 2-field ones peaks
+    # at 19.1 and 26.1, the fluxes and dtheta kept for one (2*dim+1)-row
+    # forward transform instead of one 2-field transform per axis at 19.9
+    # and 26.9, the nine running sums
     # of the unfolded heat rate at 28.2 and 37.2, and a kernel holding
     # every axis's gradients and the Laplacians in one inverse transform,
     # with a stage array per RK4 derivative, at 51.8 and 69.9
@@ -571,12 +572,15 @@ class TestSpectralCore:
         assert counted[0] == 3 and max(counted[1:]) <= 2
         assert sum(counted) == 28
 
-    # 24.8 full grids at 32^3 (28.2 with the nine running sums)
+    # 17.8 full grids at 32^3, slots included, with the update running in
+    # place in the core's output (24.8 with new arrays for the linear
+    # rates, the right-hand sides and the solution rows, 28.2 with the
+    # nine running sums as well)
     def test_imex1_step_peak_memory(self):
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
         cfg = StepperConfig(scheme="IMEX1", dt=1e-3)
-        assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 25.2
+        assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 18.2
 
 
 class TestImex1Update:

@@ -225,16 +225,18 @@ TRANSFORM_SHAPES = (
 
 
 def round_trip(dim, n, batch):
-    """(forward, inverse) transforms of a seeded batch on the grid."""
+    """(forward, inverse) transforms of a seeded batch on the grid; the
+    inverse consumes a copy of the spectrum."""
     grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
     x = np.random.default_rng(batch).standard_normal((batch,) + grid.shape)
     spec = grid.fft(x)
-    return spec, grid.ifft(spec)
+    return spec, grid.ifft(spec.copy())
 
 
 class TestTransformThreads:
-    """Transforms below FFT_SPLIT_POINTS run on one thread, larger ones on
-    _WORKERS, and the thread count never changes the bits."""
+    """Forward transforms below FFT_SPLIT_POINTS run on one thread, larger
+    ones on _WORKERS, and the thread count never changes the bits; inverse
+    transforms run through numpy.fft and never reach scipy.fft."""
 
     @pytest.mark.parametrize("dim, n, batch", TRANSFORM_SHAPES)
     def test_bits_do_not_depend_on_the_thread_count(self, monkeypatch, dim, n, batch):
@@ -263,13 +265,14 @@ class TestTransformThreads:
 
     @pytest.mark.parametrize("dim, n, batch", TRANSFORM_SHAPES)
     def test_only_64_cubed_transforms_are_split(self, monkeypatch, dim, n, batch):
+        # one entry: the forward transform's
         want = grid_mod._WORKERS if (dim, n) == (3, 64) else 1
-        assert self.recorded_workers(monkeypatch, dim, n, batch) == [want, want]
+        assert self.recorded_workers(monkeypatch, dim, n, batch) == [want]
 
     @pytest.mark.parametrize("dim, n, batch", [(2, 64, 11), (3, 64, 1), (3, 64, 7)])
     def test_one_worker_cap_holds_everywhere(self, monkeypatch, dim, n, batch):
         monkeypatch.setattr(grid_mod, "_WORKERS", 1)
-        assert self.recorded_workers(monkeypatch, dim, n, batch) == [1, 1]
+        assert self.recorded_workers(monkeypatch, dim, n, batch) == [1]
 
     def test_usable_cpus_follows_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -279,3 +282,46 @@ class TestTransformThreads:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert grid_mod._usable_cpus() == 3
+
+
+@st.composite
+def spectra(draw):
+    """(grid, spectrum): a grid of dim 1-3 with 8-64 points per side (at
+    most 2**15 points) and a seeded complex spectrum in its rfftn layout,
+    unbatched or with up to 4 fields.  The spectrum is not Hermitian: its
+    DC and Nyquist planes carry imaginary parts, which the inverse must
+    treat as scipy.fft.irfftn does."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([m for m in (8, 16, 32, 64) if m**dim <= 2**15]))
+    batch = draw(st.sampled_from([(), (1,), (2,), (3,), (4,)]))
+    grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = batch + grid.spectral_shape
+    return grid, gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+class TestInverseTransform:
+    """GridSpec.ifft gives the bits of scipy.fft.irfftn, into a new array
+    or into out, and consumes its input."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spectra())
+    def test_equals_scipy_irfftn(self, case):
+        grid, spec = case
+        axes = tuple(range(spec.ndim - grid.dim, spec.ndim))
+        want = scipy.fft.irfftn(spec, s=grid.shape, axes=axes)
+        got = grid.ifft(spec.copy())
+        out = np.empty(spec.shape[: spec.ndim - grid.dim] + grid.shape)
+        into = grid.ifft(spec.copy(), out=out)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert into is out and np.array_equal(out, want)
+
+    def test_spec_is_overwritten(self):
+        # the leading axes' complex inverses run in place in spec
+        grid = GridSpec(dim=3, n=8, length=2 * np.pi)
+        gen = np.random.default_rng(4)
+        spec = gen.standard_normal((2,) + grid.spectral_shape) + 0j
+        kept = spec.copy()
+        grid.ifft(spec)
+        assert not np.array_equal(spec, kept)
+        assert np.array_equal(spec, np.fft.ifft(np.fft.ifft(kept, axis=1), axis=2))

@@ -275,9 +275,9 @@ class TestSharedWork:
         for name in ("fft", "ifft"):
             orig = getattr(GridSpec, name)
 
-            def counting(grid, arr, _orig=orig):
+            def counting(grid, arr, *args, _orig=orig, **kwargs):
                 counts["fields"] += int(np.prod(arr.shape[: arr.ndim - grid.dim]))
-                return _orig(grid, arr)
+                return _orig(grid, arr, *args, **kwargs)
 
             monkeypatch.setattr(GridSpec, name, counting)
         orig_elim = varcheck._eliminate_heat_flux
