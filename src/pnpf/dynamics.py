@@ -73,7 +73,13 @@ all their steps, which at 64^3 saves most of the page faults that
 freeing and reallocating those grids at every evaluation cost (glibc
 hands freed full-grid chunks back to the OS, and the next RHS faults
 them in again); a step, or an RHS, given none makes its own.  The Slots
-are never cached on the grid, so a run's buffers die with it.
+are never cached on the grid, so a run's buffers die with it.  The
+perturbation RHS does the same with its one batched inverse transform:
+integrate makes one new_perturbation_slots, the (4*dim+3)-field stack of
+gradient and Laplacian spectra and the real array that the stack's
+inverse transform writes into, and every RHS evaluation of the run fills
+and reads them; a step given none leaves each evaluation call-local
+ones, so a one-off step's peak memory stays that of its RHS.
 
 RK4 keeps one accumulator, k1 + 2 k2 + 2 k3 + k4 summed in that order,
 instead of the four stage derivatives, so besides it only the current
@@ -342,26 +348,36 @@ def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=
     return grid.ifft(out[0]), grid.ifft(out[1]), grid.ifft(out[2])
 
 
-def _perturbation_rates(grid: GridSpec, spec3, ut, v, tt, params: PhysParams):
+def new_perturbation_slots(grid: GridSpec):
+    """The buffers of _perturbation_rates on grid: its (4*dim+3)-field
+    spectral stack and the real array the stack's inverse transform
+    writes into."""
+    rows = 4 * grid.dim + 3
+    return np.empty((rows,) + grid.spectral_shape, dtype=complex), np.empty((rows,) + grid.shape)
+
+
+def _perturbation_rates(grid: GridSpec, spec3, ut, v, tt, params: PhysParams, slots=None):
     """(du_tilde, dv, dtheta_tilde) pointwise, before dealiasing, from the
     forward transform spec3 of (ut, v, tt) and the fields themselves.
 
     The gradients of (ut, v, tt, phi) and the Laplacians of (ut, v, tt)
-    come from one inverse transform of a (4*dim+3)-field spectral array,
-    filled in place and freed once the transform returns."""
+    come from one inverse transform of a (4*dim+3)-field spectral stack,
+    filled in place.  slots (new_perturbation_slots) hold the stack and
+    the transform's output; given None, the stack is call-local and freed
+    once the transform returns, and the output is new."""
     c = params.c
     d = grid.dim
     uth, vh, tth = spec3[0], spec3[1], spec3[2]
     phih = -grid.inv_k2 * vh
 
-    stack = np.empty((4 * d + 3,) + grid.spectral_shape, dtype=complex)
+    stack, out = slots or (np.empty((4 * d + 3,) + grid.spectral_shape, dtype=complex), None)
     for j, fh in enumerate((uth, vh, tth, phih)):
         for i, m in enumerate(grid.grad_mult):
             np.multiply(m, fh, out=stack[j * d + i])
     del phih
     for j, fh in enumerate((uth, vh, tth)):
         np.multiply(-grid.k2, fh, out=stack[4 * d + j])
-    out = grid.ifft(stack)
+    out = grid.ifft(stack, out=out)
     del stack
     gu, gv, gt, gphi = out[0:d], out[d : 2 * d], out[2 * d : 3 * d], out[3 * d : 4 * d]
     lap_u, lap_v, lap_t = out[4 * d], out[4 * d + 1], out[4 * d + 2]
@@ -391,21 +407,24 @@ def _perturbation_rates(grid: GridSpec, spec3, ut, v, tt, params: PhysParams):
     return du, dv, dtt
 
 
-def _rhs_perturbation_core(grid: GridSpec, spec3, ut, v, tt, params: PhysParams, dealias=True):
+def _rhs_perturbation_core(grid: GridSpec, spec3, ut, v, tt, params: PhysParams, dealias=True,
+                           slots=None):
     """Spectrum of (du_tilde, dv, dtheta_tilde), shape (3,) +
     spectral_shape, from the forward transform spec3 of (ut, v, tt) and the
-    fields themselves; spec3 is left as it was."""
-    spec = grid.fft(np.stack(_perturbation_rates(grid, spec3, ut, v, tt, params)))
+    fields themselves; spec3 is left as it was.  slots go to
+    _perturbation_rates."""
+    spec = grid.fft(np.stack(_perturbation_rates(grid, spec3, ut, v, tt, params, slots)))
     return grid.dealias_mask * spec if dealias else spec
 
 
-def _rhs_perturbation_arrays(grid: GridSpec, ut, v, tt, params: PhysParams, dealias=True):
+def _rhs_perturbation_arrays(grid: GridSpec, ut, v, tt, params: PhysParams, dealias=True,
+                             slots=None):
     """(du_tilde, dv, dtheta_tilde) raw arrays, literal perturbation system.
     Without dealiasing the pointwise rates are returned as they are."""
     spec3 = grid.fft(np.stack([ut, v, tt]))
     if not dealias:
-        return _perturbation_rates(grid, spec3, ut, v, tt, params)
-    res = grid.ifft(_rhs_perturbation_core(grid, spec3, ut, v, tt, params))
+        return _perturbation_rates(grid, spec3, ut, v, tt, params, slots)
+    res = grid.ifft(_rhs_perturbation_core(grid, spec3, ut, v, tt, params, slots=slots))
     return res[0], res[1], res[2]
 
 
@@ -533,17 +552,20 @@ def step(state, cfg: StepperConfig, params: PhysParams, sink=None, slots=None):
     the FluxAudit of state.  A step that aborts before that evaluation
     leaves sink.audit None.
 
-    slots, the fields.new_slots of the state's grid, are the rows every
-    RHS evaluation of a State's step writes its gradients and Laplacians
-    into; a stepping loop passes one array to all its steps, and None
-    makes one for this step.
+    slots are the buffers every RHS evaluation of the step writes into: for
+    a State the fields.new_slots of its grid, which take its gradients and
+    Laplacians, and None makes one for this step; for a PerturbationState
+    the new_perturbation_slots of its grid, which take the stack of its
+    gradients and Laplacians and that stack's inverse transform, and None
+    leaves each evaluation call-local ones.  A stepping loop passes one set
+    to all its steps.
     """
     if isinstance(state, State):
         return _step_primitive(state, cfg, params, sink, slots)
     if isinstance(state, PerturbationState):
-        if sink is not None or slots is not None:
-            raise TypeError("an audit sink and slots need a State")
-        return _step_perturbation(state, cfg, params)
+        if sink is not None:
+            raise TypeError("an audit sink needs a State")
+        return _step_perturbation(state, cfg, params, slots)
     raise TypeError(f"cannot step object of type {type(state).__name__}")
 
 
@@ -555,7 +577,7 @@ def _advance(g, ys, cfg, params, names, shifts, rhs_arrays, core, primitive, sin
     the first RHS evaluation only, slots to every one."""
     check = lambda ys: _check_stage(names, ys, cfg.positivity_floor, shifts)
     check(ys)
-    # the perturbation kernels take no sink and no slots
+    # the perturbation kernels take no sink
     fed = () if sink is None else (sink,)
     kw = {} if slots is None else {"slots": slots}
     if cfg.scheme == "RK4":
@@ -579,7 +601,7 @@ def _step_primitive(s: State, cfg: StepperConfig, params: PhysParams, sink=None,
 
 
 def _step_perturbation(
-    ps: PerturbationState, cfg: StepperConfig, params: PhysParams
+    ps: PerturbationState, cfg: StepperConfig, params: PhysParams, slots=None
 ) -> PerturbationState:
     _require_perturbation_params(params)
     g = ps.grid
@@ -587,7 +609,7 @@ def _step_perturbation(
         g, [ps.u_tilde.values, ps.v.values, ps.theta_tilde.values], cfg, params,
         ("2 + u_tilde", "v", "1 + theta_tilde"),
         (2.0, math.inf, 1.0),  # v is unconstrained
-        _rhs_perturbation_arrays, _rhs_perturbation_core, False,
+        _rhs_perturbation_arrays, _rhs_perturbation_core, False, slots=slots,
     )
     ut, v, tt = (ScalarField(g, a) for a in out)
     return PerturbationState.from_fields(ut, v, tt)
@@ -640,11 +662,12 @@ def integrate(state, cfg: StepperConfig, params: PhysParams):
     Generator driving `step`: yields (index, t, state) with index 0 being
     the initial state.  A StepAbort propagates to the caller after the
     already-yielded prefix (partial trajectories keep their audit trail).
+    The steps share one set of buffers (see step): a State's new_slots or
+    a PerturbationState's new_perturbation_slots.
     """
     t = 0.0
     yield 0, t, state
-    # the steps of a State share one Slots
-    slots = new_slots(state.grid) if isinstance(state, State) else None
+    slots = (new_slots if isinstance(state, State) else new_perturbation_slots)(state.grid)
     for i in range(1, cfg.n_steps + 1):
         state = step(state, cfg, params, slots=slots)
         t = i * cfg.dt

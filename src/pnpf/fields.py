@@ -162,7 +162,8 @@ class Slots(NamedTuple):
     (GridSpec.ifft consumes it), and tmp, the same memory seen as one real
     grid, is the arithmetic's scratch once that transform has run.  A
     stepping loop makes one Slots and hands it to every step; a one-off
-    call makes its own."""
+    call makes its own.  The perturbation form's counterpart is
+    dynamics.new_perturbation_slots."""
 
     rows: np.ndarray  # (4,) + grid.shape, real
     spec: np.ndarray  # grid.spectral_shape, complex

@@ -22,65 +22,27 @@ Everything in this module is a pure function of its inputs, except that
 GridSpec.ifft consumes its input spectrum; grids are frozen after
 construction and safe to share across threads.
 
-Transform threads.  GridSpec.fft, the forward transform, hands
-scipy.fft's pocketfft at most _WORKERS threads: the CPUs this process may
-run on (its affinity mask where the platform has one), capped at 4.
-pocketfft splits lanes, not arithmetic, so the bits do not depend on the
-thread count.  GridSpec.ifft, the inverse, runs on one thread through
-numpy.fft (its out= argument needs numpy 2.0): it consumes its input
-spectrum and can write into a caller's buffer, so a kernel can keep its
-gradients in buffers it reuses instead of new arrays.  Its bits are
-those of scipy.fft.irfftn (tests/test_grid.py TestInverseTransform), so
-inverse bits come from numpy's pocketfft and forward bits from scipy's.
-
-Thread policy.  A forward transform reading fewer than FFT_SPLIT_POINTS
-real numbers runs on one thread; a larger one gets _WORKERS.  Both
-constants govern forward transforms only.  The threshold comes from a
-sweep of rfftn/irfftn at 1 and 2 workers, median of 7 alternating
-repeats, twice, on 2 shared vCPUs, over the (grid, batch) shapes the
-package transforms.  Two workers against one:
-
-    64^2 x {1, 3, 4, 11}   wall +3 to +53 %, CPU -6 to +53 %
-    32^3 x {1, 3, 4, 7}    wall -4 to +15 %, CPU -3 to +18 %
-    64^3 x {1, 3, 4, 7}    wall -7 to +9 %,  CPU -3 to +5 %
-
-2**18 lies above every 32^3 batch (at most 243712 values) and at or below
-every 64^3 one (at least 262144), so every 64^3 forward transform keeps
-its threads.
+Transforms.  Both directions are numpy's pocketfft on one thread (out=
+needs numpy 2.0).  GridSpec.fft runs the real transform of the last axis,
+then the complex transform of each leading grid axis in place, in
+increasing axis order: that order gives the bits of pocketfft's own
+n-dimensional real transform, the reference of tests/test_grid.py
+TestForwardTransform, while numpy's rfftn, which takes the leading axes
+the other way round, differs from them by up to 6e-13 at 64^3.
+GridSpec.ifft mirrors it and has the bits of the n-dimensional inverse
+(TestInverseTransform); it consumes its input spectrum and can write into
+a caller's buffer, so a kernel can keep its gradients in buffers it
+reuses instead of new arrays.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (a process pinned with taskset counts only its CPUs), else the
-    machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# thread cap of every forward transform; read at call time, so setting it
-# to 1 makes every transform single-threaded
-_WORKERS = min(_usable_cpus(), 4)
-
-# forward transforms reading fewer real numbers than this run on one thread
-FFT_SPLIT_POINTS = 2**18
 
 # memory guard: a grid may hold at most this many points
 MAX_POINTS = 2**24
-
-
-def _workers(points: int) -> int:
-    """Thread count of a forward transform that reads `points` real numbers."""
-    return _WORKERS if points >= FFT_SPLIT_POINTS else 1
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -189,11 +151,14 @@ class GridSpec:
     # -- transforms ---------------------------------------------------------
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        """Forward real FFT over the trailing dim axes (batches allowed).
-        Runs on one thread below FFT_SPLIT_POINTS input values, else on
-        _WORKERS threads; the result is the same either way."""
-        axes = tuple(range(values.ndim - self.dim, values.ndim))
-        return scipy.fft.rfftn(values, axes=axes, workers=_workers(values.size))
+        """Forward real FFT over the trailing dim axes (batches allowed),
+        into a new complex array: the real transform of the last axis,
+        then the complex transform of each leading grid axis in place, in
+        increasing order (see the module docstring)."""
+        spec = np.fft.rfft(values, axis=-1)
+        for axis in range(values.ndim - self.dim, values.ndim - 1):
+            np.fft.fft(spec, axis=axis, out=spec)
+        return spec
 
     def ifft(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse of :meth:`fft` (batches allowed), written into out when
@@ -201,9 +166,9 @@ class GridSpec:
 
         The transform consumes spec: the complex inverse of every leading
         grid axis runs in place in it, and then the real inverse of the
-        last axis reads it into the output.  On one thread, through
-        numpy.fft; its bits are those of scipy.fft.irfftn (the per-axis
-        1/n scaling is exact for powers of two)."""
+        last axis reads it into the output.  Its bits are those of the
+        n-dimensional inverse (the per-axis 1/n scaling is exact for
+        powers of two)."""
         for axis in range(spec.ndim - self.dim, spec.ndim - 1):
             np.fft.ifft(spec, axis=axis, out=spec)
         return np.fft.irfft(spec, n=self.n, axis=-1, out=out)

@@ -3,13 +3,15 @@ Parseval consistency, and the spectral norms the decay harness takes."""
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from pnpf import grid as grid_mod
+import pnpf
 from pnpf.decay import _h2_sq
 from pnpf.grid import (
     GridSpec,
@@ -215,73 +217,56 @@ class TestQuadrature:
         assert abs(inner(grid3d, f, g) - inner(grid3d, g, f)) <= 1e-15
 
 
-# the (dim, n, batch) shapes the package transforms: the perturbation RHS
-# at 64^2 inverts 11 fields, the 3-D kernels batch up to 7
-TRANSFORM_SHAPES = (
-    [(2, 64, b) for b in (1, 3, 4, 11)]
-    + [(3, 32, b) for b in (1, 3, 4, 7)]
-    + [(3, 64, b) for b in (1, 3, 4, 7)]
-)
-
-
-def round_trip(dim, n, batch):
-    """(forward, inverse) transforms of a seeded batch on the grid; the
-    inverse consumes a copy of the spectrum."""
+@st.composite
+def real_fields(draw):
+    """(grid, values): a grid of dim 1-3 with 8-64 points per side (at
+    most 2**15 points) and seeded real values on it, unbatched or with up
+    to 4 fields."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([m for m in (8, 16, 32, 64) if m**dim <= 2**15]))
+    batch = draw(st.sampled_from([(), (1,), (2,), (3,), (4,)]))
     grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
-    x = np.random.default_rng(batch).standard_normal((batch,) + grid.shape)
-    spec = grid.fft(x)
-    return spec, grid.ifft(spec.copy())
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return grid, gen.standard_normal(batch + grid.shape)
 
 
-class TestTransformThreads:
-    """Forward transforms below FFT_SPLIT_POINTS run on one thread, larger
-    ones on _WORKERS, and the thread count never changes the bits; inverse
-    transforms run through numpy.fft and never reach scipy.fft."""
+class TestForwardTransform:
+    """GridSpec.fft gives the bits of scipy.fft.rfftn, for contiguous and
+    strided inputs, and leaves its input as it was."""
 
-    @pytest.mark.parametrize("dim, n, batch", TRANSFORM_SHAPES)
-    def test_bits_do_not_depend_on_the_thread_count(self, monkeypatch, dim, n, batch):
-        policy = round_trip(dim, n, batch)
-        monkeypatch.setattr(grid_mod, "_WORKERS", 1)
-        one = round_trip(dim, n, batch)
-        monkeypatch.setattr(grid_mod, "_WORKERS", 2)
-        monkeypatch.setattr(grid_mod, "FFT_SPLIT_POINTS", 0)
-        two = round_trip(dim, n, batch)
-        for a, b, c in zip(policy, one, two):
-            assert np.array_equal(a, b) and np.array_equal(a, c)
+    @settings(max_examples=60, deadline=None)
+    @given(real_fields())
+    def test_equals_scipy_rfftn(self, case):
+        grid, values = case
+        axes = tuple(range(values.ndim - grid.dim, values.ndim))
+        want = scipy.fft.rfftn(values, axes=axes)
+        kept = values.copy()
+        got = grid.fft(values)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(values, kept)
+        # the same values as every other element of a wider array
+        strided = np.repeat(values, 2, axis=-1)[..., ::2]
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(grid.fft(strided), want)
 
-    @staticmethod
-    def recorded_workers(monkeypatch, dim, n, batch):
-        calls = []
-        for name in ("rfftn", "irfftn"):
-            orig = getattr(scipy.fft, name)
 
-            def recording(*args, _orig=orig, **kwargs):
-                calls.append(kwargs["workers"])
-                return _orig(*args, **kwargs)
-
-            monkeypatch.setattr(scipy.fft, name, recording)
-        round_trip(dim, n, batch)
-        return calls
-
-    @pytest.mark.parametrize("dim, n, batch", TRANSFORM_SHAPES)
-    def test_only_64_cubed_transforms_are_split(self, monkeypatch, dim, n, batch):
-        # one entry: the forward transform's
-        want = grid_mod._WORKERS if (dim, n) == (3, 64) else 1
-        assert self.recorded_workers(monkeypatch, dim, n, batch) == [want]
-
-    @pytest.mark.parametrize("dim, n, batch", [(2, 64, 11), (3, 64, 1), (3, 64, 7)])
-    def test_one_worker_cap_holds_everywhere(self, monkeypatch, dim, n, batch):
-        monkeypatch.setattr(grid_mod, "_WORKERS", 1)
-        assert self.recorded_workers(monkeypatch, dim, n, batch) == [1]
-
-    def test_usable_cpus_follows_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert grid_mod._usable_cpus() == 1
-
-    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert grid_mod._usable_cpus() == 3
+class TestDependencies:
+    def test_the_package_does_not_import_scipy(self):
+        # a fresh interpreter, so no test's import of scipy counts
+        src = os.path.dirname(os.path.dirname(pnpf.__file__))
+        code = (
+            "import importlib, pkgutil, sys, pnpf\n"
+            "names = [m.name for m in pkgutil.iter_modules(pnpf.__path__, 'pnpf.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "assert 'pnpf.cli' in names, names\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 @st.composite

@@ -594,7 +594,9 @@ class TestSecondLawBreach:
 class TestSlots:
     """A run's slots carry nothing from one kernel, step or run to the
     next: every kernel writes a slot before it reads it, so neither what
-    other kernels left in the memory nor NaN in every slot changes a bit."""
+    other kernels left in the memory nor NaN in every slot changes a bit.
+    The same holds for the perturbation form's buffers
+    (dynamics.new_perturbation_slots)."""
 
     grid = GridSpec(dim=3, n=16, length=2 * np.pi)
     PARAMS = PhysParams(c_p=1.3, c_n=1.7, D_p=0.8, D_n=1.2, k=0.9)
@@ -612,6 +614,26 @@ class TestSlots:
             out.append((final, records))
         return out
 
+    def decay_series(self):
+        """The series of a 3-step RK4 decay run on the class's grid."""
+        exp = decay.DecayExperiment(delta0=5e-2, mode_profile="random_band", sample_every=1,
+                                    cfg=StepperConfig(dt=1e-3, t_end=3e-3))
+        series = decay.run(exp, self.grid, PhysParams())
+        assert series.completed and len(series.t) == 4
+        return np.array([getattr(series, name) for name in decay.SERIES_COLUMNS])
+
+    def perturbation_steps(self, slots):
+        """One perturbation step each under RK4, IMEX1 and undealiased RK4,
+        with the buffers slots() gives (None: call-local ones)."""
+        ps = convert(perturbed_state(self.grid, seed=21, amplitude=5e-2))
+        out = []
+        for scheme, dt, dealias in (("RK4", 1e-3, True), ("IMEX1", 2e-3, True),
+                                    ("RK4", 1e-3, False)):
+            cfg = StepperConfig(scheme=scheme, dt=dt, t_end=dt, dealias=dealias)
+            new = step(ps, cfg, PhysParams(), slots=slots())
+            out.append([getattr(new, name).values for name in ("u_tilde", "v", "theta_tilde", "phi")])
+        return np.array(out)
+
     @staticmethod
     def assert_same(a, b):
         for (fa, ra), (fb, rb) in zip(a, b):
@@ -625,10 +647,12 @@ class TestSlots:
         from pnpf.varcheck import varcheck_report
 
         first = self.runs(tmp_path, "first")
+        first_decay = self.decay_series()
         s = first[1][0]
         varcheck_report(s, self.PARAMS, seed=3, probe_kmax=1)
         fields.flux_audit(s, self.PARAMS)
         self.assert_same(first, self.runs(tmp_path, "second"))
+        assert np.array_equal(first_decay, self.decay_series())
 
         # constitutive_fluxes copies grad(phi) out of the kernel's slots
         # before the next axis overwrites them; each flux matches its
@@ -667,3 +691,24 @@ class TestSlots:
         for mod in (fields, dynamics, thermo_audit):
             monkeypatch.setattr(mod, "new_slots", poisoned)
         self.assert_same(clean, self.runs(tmp_path, "nan"))
+
+        # the perturbation form: a decay run, whose integrate makes the
+        # buffers, and single steps given them, which then hold no NaN
+        clean_decay = self.decay_series()
+        real_pert = dynamics.new_perturbation_slots
+        given = []
+
+        def poisoned_pert(grid):
+            bufs = real_pert(grid)
+            for buf in bufs:
+                buf.fill(np.nan)
+            given.append(bufs)
+            return bufs
+
+        monkeypatch.setattr(dynamics, "new_perturbation_slots", poisoned_pert)
+        assert np.array_equal(clean_decay, self.decay_series())
+        assert len(given) == 1
+        steps = self.perturbation_steps(lambda: poisoned_pert(self.grid))
+        assert np.array_equal(self.perturbation_steps(lambda: None), steps)
+        assert len(given) == 4
+        assert not any(np.isnan(buf).any() for bufs in given for buf in bufs)
