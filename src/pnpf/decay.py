@@ -91,15 +91,27 @@ def spectra(ps: PerturbationState) -> np.ndarray:
     )
 
 
+def _sums(grid: GridSpec, spec) -> tuple:
+    """The four sums Lambda adds, of spec = (u_tilde, v, theta_tilde, phi)
+    spectra: ||u_tilde||_H2^2, ||v||_H2^2, ||theta_tilde||_H2^2 and
+    ||grad phi||_L2^2."""
+    su, sv, st, sphi = spec
+    return _h2_sq(grid, su), _h2_sq(grid, sv), _h2_sq(grid, st), grid.spectral_l2_sum(
+        sphi, grid.h1_weight)
+
+
+def _lyapunov(sums, params: PhysParams) -> float:
+    """Lambda from its _sums, added in the functional's order."""
+    u, v, th, grad_phi = sums
+    out = u + v + 2.0 * params.c * th
+    out += grad_phi
+    return float(out)
+
+
 def lyapunov(ps: PerturbationState, params: PhysParams, spec=None) -> float:
     """Lambda(ps); spectral H^2 norms, 2c weight on the temperature part.
     spec is spectra(ps), computed here when not given."""
-    c = params.c
-    g = ps.grid
-    su, sv, st, sphi = spectra(ps) if spec is None else spec
-    out = _h2_sq(g, su) + _h2_sq(g, sv) + 2.0 * c * _h2_sq(g, st)
-    out += g.spectral_l2_sum(sphi, g.h1_weight)  # ||grad phi||_L2^2
-    return float(out)
+    return _lyapunov(_sums(ps.grid, spectra(ps) if spec is None else spec), params)
 
 
 def smallness_size(grid: GridSpec, ut, v, tt) -> float:
@@ -172,24 +184,28 @@ def _fit_rate(t: np.ndarray, series: np.ndarray) -> float:
 def run(exp: DecayExperiment, grid: GridSpec, params: PhysParams) -> DecaySeries:
     """Integrate one experiment and sample the Lyapunov functional and
     component norms every sample_every steps.  A stepper abort truncates
-    the series and flags it instead of raising."""
+    the series and flags it instead of raising.
+
+    A sample reads the spectrum the stepper carries (PerturbationState.spec)
+    and takes phi_hat = -v_hat/|k|^2 from it, so it transforms nothing; each
+    spectral sum is computed once, the H^2 norms and ||grad phi|| being the
+    sums Lambda adds."""
     ps = initial_condition(exp, grid, params)
     rows = []
     completed, reason = True, None
 
     def sample(t, state):
-        g = state.grid
-        spec = spectra(state)  # shared with lyapunov: one transform call per sample
-        su, sv, st, sphi = spec
+        su, sv, st = state.spec
+        sums = _sums(grid, (su, sv, st, -grid.inv_k2 * sv))
         rows.append(
             (  # in SERIES_COLUMNS order
                 t,
-                lyapunov(state, params, spec),
-                math.sqrt(g.spectral_l2_sum(sv)),
-                math.sqrt(g.spectral_l2_sum(sphi, g.h1_weight)),
-                math.sqrt(g.spectral_l2_sum(su)),
-                math.sqrt(_h2_sq(g, su)),
-                math.sqrt(_h2_sq(g, st)),
+                _lyapunov(sums, params),
+                math.sqrt(grid.spectral_l2_sum(sv)),
+                math.sqrt(sums[3]),
+                math.sqrt(grid.spectral_l2_sum(su)),
+                math.sqrt(sums[0]),
+                math.sqrt(sums[2]),
             )
         )
 

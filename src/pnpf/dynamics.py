@@ -34,22 +34,43 @@ Discretization choices that the audits rely on:
   so phi stays slaved to the charge density at every substage.
 
 Each right-hand side is a spectral core with a thin wrapper around it.
-The core (_rhs_primitive_core, _rhs_perturbation_core) takes the forward
-transform of its input plus the input fields and returns the (dealiased)
-spectrum of the time derivatives, leaving the input spectrum as it was.
-The array wrapper (_rhs_primitive_arrays, _rhs_perturbation_arrays) adds
-the forward transform in front and the inverse transform behind (one
-field per call for the primitive form); RK4
-calls the wrappers, which keep the bits the RHS had before the split.
-One IMEX1 update (_imex1) serves both forms: it calls the form's core on
-the spectrum of the current state that its implicit solve needs anyway,
-so the RHS output is never transformed back and forth and the state is
-transformed once per step.  Its implicit part is the form's
+The core (_rhs_primitive_core, _rhs_perturbation_core) takes the
+spectrum of its input (plus, for the primitive form, the input fields)
+and returns the (dealiased) spectrum of the time derivatives, leaving the
+input spectrum as it was.  The array wrapper (_rhs_primitive_arrays,
+_rhs_perturbation_arrays) adds the forward transform in front and the
+inverse transform behind (one field per call for the primitive form).
+Primitive RK4 calls the wrapper, which keeps the bits the RHS had before
+the split.  One IMEX1 update (_imex1) serves both forms: it calls the
+form's core on the spectrum of the current state that its implicit solve
+needs anyway and returns the new state's spectrum, so the RHS output is
+never transformed back and forth.  Its implicit part is the form's
 constant-coefficient diffusion block -|k|^2 M, M = _linear_block (the
 linearization at (n, p, theta) = (1, 1, 1)), solved mode by mode; the
 spectral radius of the same M sets stability_bound.
 tests/test_dynamics.py pins the transform counts of the array RHS and of
-both steps (TestSpectralCore::test_imex1_step_cost, ::test_transform_count).
+both steps (TestSpectralCore::test_imex1_step_cost, ::test_transform_count,
+TestCarriedSpectrum::test_step_transform_count).
+
+The perturbation form steps the spectrum y_hat of (u_tilde, v,
+theta_tilde), which every PerturbationState a step returns carries
+(PerturbationState.spec), through the same _rk4 and _imex1.  Each RHS
+evaluation fills one spectral stack with the gradients of (u_tilde, v,
+theta_tilde, phi), phi_hat = -v_hat/|k|^2, and the three Laplacians, plus
+a stage's spectrum, which RK4 builds in the stack's last three rows; it
+inverse-transforms the stack in one batch and checks the stage's fields
+against the floor there, does the pointwise arithmetic in the stack's
+memory, and forward-transforms the three rates.  k1 of RK4 and the IMEX1
+core take the state's own fields instead.  A step closes with one
+inverse transform of (y_hat, phi_hat), which gives the new state with
+its potential: no step solves Poisson, and decay.run samples the carried
+spectrum without a transform.  A 2-D RK4 step of a run transforms 69
+real fields in 9 calls and an IMEX1 step 18 (86 in 19 and 22 while every
+stage went through real space and every new state through a Poisson
+solve).  The real-space RHS _rhs_perturbation_arrays serves rhs_perturbation
+and the tests' real-space composition of the steps
+(tests/oracles.perturbation_rk4_step), which the stepper matches to
+rounding.
 
 step can feed an audit sample (a fields.AuditSink of its input State)
 from its first RHS evaluation, k1 of RK4 or the IMEX1 core: the Darcy
@@ -73,18 +94,21 @@ all their steps, which at 64^3 saves most of the page faults that
 freeing and reallocating those grids at every evaluation cost (glibc
 hands freed full-grid chunks back to the OS, and the next RHS faults
 them in again); a step, or an RHS, given none makes its own.  The Slots
-are never cached on the grid, so a run's buffers die with it.  The
-perturbation RHS does the same with its one batched inverse transform:
-integrate makes one new_perturbation_slots, the (4*dim+3)-field stack of
-gradient and Laplacian spectra and the real array that the stack's
-inverse transform writes into, and every RHS evaluation of the run fills
-and reads them; a step given none leaves each evaluation call-local
-ones, so a one-off step's peak memory stays that of its RHS.
+are never cached on the grid, so a run's buffers die with it.
+integrate makes one new_perturbation_slots for a perturbation-form run
+too: the spectral stack, whose memory also holds the rates and the
+arithmetic's scratch once its inverse transform has run, and the real
+array that transform writes into.  A one-off perturbation step makes one
+stack for its evaluations, and each evaluation makes its real array only
+once the stack is filled and frees it before the rates' forward
+transform, so a one-off step peaks below a run.
 
 RK4 keeps one accumulator, k1 + 2 k2 + 2 k3 + k4 summed in that order,
 instead of the four stage derivatives, so besides it only the current
 stage and its derivative are alive; the result has the bits of
-y + dt/6 (k1 + 2 k2 + 2 k3 + k4).
+y + dt/6 (k1 + 2 k2 + 2 k3 + k4).  The form chooses where a stage is
+built (new arrays, or the perturbation stack's rows), with the same
+bits.
 
 Sign convention, fixed once: with v = n - p the potential satisfies
 Delta(phi) = v, which is the choice that makes
@@ -94,7 +118,8 @@ Delta(phi) = v, which is the choice that makes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,12 +142,17 @@ class PerturbationState:
     Delta(phi) = v.
 
     Invariants: mean(v) = 0; 2 + u_tilde and 1 + theta_tilde positive.
+
+    spec is the spectrum of (u_tilde, v, theta_tilde), three rows, that
+    the stepper carries from step to step, the fields being its inverse
+    transform; None until integrate or step sets it.
     """
 
     u_tilde: ScalarField
     v: ScalarField
     theta_tilde: ScalarField
     phi: ScalarField
+    spec: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if abs(float(self.v.values.mean())) > poisson.NEUTRALITY_TOL:
@@ -348,83 +378,196 @@ def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=
     return grid.ifft(out[0]), grid.ifft(out[1]), grid.ifft(out[2])
 
 
-def new_perturbation_slots(grid: GridSpec):
-    """The buffers of _perturbation_rates on grid: its (4*dim+3)-field
-    spectral stack and the real array the stack's inverse transform
-    writes into."""
-    rows = 4 * grid.dim + 3
-    return np.empty((rows,) + grid.spectral_shape, dtype=complex), np.empty((rows,) + grid.shape)
+class PerturbationSlots(NamedTuple):
+    """The buffers of _perturbation_rates.  stack takes the spectra of
+    the gradients of (u_tilde, v, theta_tilde, phi), in that order and
+    axis by axis, then the Laplacians of (u_tilde, v, theta_tilde), then,
+    in its last three rows, a stage's spectrum; real takes the stack's
+    inverse transform, its last three rows the evaluation's (u_tilde, v,
+    theta_tilde).  rates (three real grids) and tmp (five) are the
+    stack's memory seen as real grids, which the pointwise arithmetic uses
+    once the inverse transform has consumed the stack; rates is what the
+    forward transform of the rates reads.  A real of None is made by each
+    evaluation once the stack is filled and freed before that forward
+    transform."""
+
+    stack: np.ndarray  # (rows,) + grid.spectral_shape, complex
+    real: np.ndarray | None  # (4*dim+6,) + grid.shape
+    rates: np.ndarray  # (3,) + grid.shape, the memory of stack
+    tmp: np.ndarray  # (5,) + grid.shape, the memory of stack
 
 
-def _perturbation_rates(grid: GridSpec, spec3, ut, v, tt, params: PhysParams, slots=None):
-    """(du_tilde, dv, dtheta_tilde) pointwise, before dealiasing, from the
-    forward transform spec3 of (ut, v, tt) and the fields themselves.
+def _perturbation_slots(grid: GridSpec, rows: int, real: bool) -> PerturbationSlots:
+    """PerturbationSlots of grid with a stack of rows spectral rows (at
+    least 8, so that rates and tmp fit in its memory), and a real buffer
+    only if real."""
+    stack = np.empty((max(rows, 8),) + grid.spectral_shape, dtype=complex)
+    work = stack.reshape(-1).view(float)[: 8 * grid.n**grid.dim].reshape((8,) + grid.shape)
+    buf = np.empty((4 * grid.dim + 6,) + grid.shape) if real else None
+    return PerturbationSlots(stack, buf, work[:3], work[3:])
 
-    The gradients of (ut, v, tt, phi) and the Laplacians of (ut, v, tt)
-    come from one inverse transform of a (4*dim+3)-field spectral stack,
-    filled in place.  slots (new_perturbation_slots) hold the stack and
-    the transform's output; given None, the stack is call-local and freed
-    once the transform returns, and the output is new."""
+
+def new_perturbation_slots(grid: GridSpec) -> PerturbationSlots:
+    """The buffers a perturbation-form run keeps: every RHS evaluation of
+    the run fills and reads them, RK4 builds its stages in the stack's
+    last three rows, and each step's closing inverse transform of (y_hat,
+    phi_hat) takes the stack's last four."""
+    return _perturbation_slots(grid, 4 * grid.dim + 6, True)
+
+
+def _dot(a, b, out, t):
+    """sum_i a[i] * b[i] over the axis rows, into out; t is scratch."""
+    np.multiply(a[0], b[0], out=out)
+    for i in range(1, len(a)):
+        out += np.multiply(a[i], b[i], out=t)
+    return out
+
+
+def _perturbation_rates(grid: GridSpec, spec3, params: PhysParams, slots=None, values=None,
+                        check=None):
+    """(du_tilde, dv, dtheta_tilde) pointwise, before dealiasing, as the
+    rows of slots.rates, from the spectrum spec3 of (ut, v, tt).
+
+    The gradients of (ut, v, tt, phi), with phi_hat = -v_hat/|k|^2, and the
+    Laplacians of (ut, v, tt) come from one inverse transform of the
+    spectral stack, filled in place.  values, the fields (ut, v, tt)
+    themselves, are copied into the value rows of the real buffer, and
+    spec3 is left as it was.  Given None instead, spec3 joins the stack in
+    its value rows, unless it is those rows already (RK4 builds its stages
+    there), and the same inverse transform, which consumes it, gives the
+    fields; check, when given, sees them before any arithmetic.  slots
+    (PerturbationSlots) hold the buffers; given None, call-local ones hold
+    only what this evaluation needs.
+
+    Every product goes into slots.rates and slots.tmp in place, in the
+    order of the expressions of the perturbation system, written out in
+    the comments."""
     c = params.c
     d = grid.dim
+    r = 4 * d + 3  # the gradient and Laplacian rows
+    rows = r if values is not None else r + 3
+    stack, real, rates, tmp = slots or _perturbation_slots(grid, rows, False)
+    A, B, C, t, w = tmp
+    if values is None:
+        for row, fh in zip(stack[r:rows], spec3):
+            if not np.may_share_memory(row, fh):
+                np.copyto(row, fh)
     uth, vh, tth = spec3[0], spec3[1], spec3[2]
-    phih = -grid.inv_k2 * vh
-
-    stack, out = slots or (np.empty((4 * d + 3,) + grid.spectral_shape, dtype=complex), None)
-    for j, fh in enumerate((uth, vh, tth, phih)):
+    for j, fh in enumerate((uth, vh, tth)):
         for i, m in enumerate(grid.grad_mult):
             np.multiply(m, fh, out=stack[j * d + i])
-    del phih
+    # phi_hat goes into the first row of its gradient, which takes its own
+    # product last
+    phih = np.multiply(-grid.inv_k2, vh, out=stack[3 * d])
+    for i in reversed(range(d)):
+        np.multiply(grid.grad_mult[i], phih, out=stack[3 * d + i])
+    neg_k2 = -grid.k2
     for j, fh in enumerate((uth, vh, tth)):
-        np.multiply(-grid.k2, fh, out=stack[4 * d + j])
-    out = grid.ifft(stack, out=out)
+        np.multiply(neg_k2, fh, out=stack[4 * d + j])
+    # a caller that passes its forward transform inline frees it here
+    del spec3, uth, vh, tth, fh, neg_k2, phih
+    if real is None:  # made only now, when the input spectrum is gone
+        real = np.empty((r + 3,) + grid.shape)
+    grid.ifft(stack[:rows], out=real[:rows])
     del stack
-    gu, gv, gt, gphi = out[0:d], out[d : 2 * d], out[2 * d : 3 * d], out[3 * d : 4 * d]
-    lap_u, lap_v, lap_t = out[4 * d], out[4 * d + 1], out[4 * d + 2]
+    if values is None:
+        if check is not None:
+            check(real[r:])
+    else:
+        for row, f in zip(real[r:], values):
+            np.copyto(row, f)
+    gu, gv, gt, gphi = real[0:d], real[d : 2 * d], real[2 * d : 3 * d], real[3 * d : 4 * d]
+    lap_u, lap_v, lap_t = real[4 * d], real[4 * d + 1], real[4 * d + 2]
+    ut, v, tt = real[r], real[r + 1], real[r + 2]
+    du, dv, dtt = rates
 
-    gt_gu = sum(gt[i] * gu[i] for i in range(d))
-    gt_gv = sum(gt[i] * gv[i] for i in range(d))
-    gv_gphi = sum(gv[i] * gphi[i] for i in range(d))
-    gu_gphi = sum(gu[i] * gphi[i] for i in range(d))
-    gt_gphi = sum(gt[i] * gphi[i] for i in range(d))
-    gt2 = sum(gt[i] ** 2 for i in range(d))
-    gphi2 = sum(gphi[i] ** 2 for i in range(d))
+    # du = lap_u + 2 lap_t + tt lap_u + ut lap_t + 2 gt.gu - gv.gphi - v v
+    np.multiply(2.0, lap_t, out=du)
+    du += lap_u
+    du += np.multiply(tt, lap_u, out=t)
+    du += np.multiply(ut, lap_t, out=t)
+    gt_gu = _dot(gt, gu, A, t)
+    du += np.multiply(2.0, gt_gu, out=t)
+    gv_gphi = _dot(gv, gphi, B, t)
+    du -= gv_gphi
+    du -= np.multiply(v, v, out=t)
 
-    du = lap_u + 2.0 * lap_t + tt * lap_u + ut * lap_t + 2.0 * gt_gu - gv_gphi - v * v
-    dv = lap_v - 2.0 * v + tt * lap_v + v * lap_t + 2.0 * gt_gv - gu_gphi - ut * v
+    # dv = lap_v - 2 v + tt lap_v + v lap_t + 2 gt.gv - gu.gphi - ut v
+    np.multiply(2.0, v, out=dv)
+    np.subtract(lap_v, dv, out=dv)
+    dv += np.multiply(tt, lap_v, out=t)
+    dv += np.multiply(v, lap_t, out=t)
+    dv += np.multiply(2.0, _dot(gt, gv, C, t), out=t)
+    dv -= _dot(gu, gphi, C, t)
+    dv -= np.multiply(ut, v, out=t)
 
-    w = 2.0 + ut
-    dtt = 1.5 * lap_t + 0.5 * lap_u + tt * lap_t
-    dtt -= (ut / (2.0 * w)) * lap_t
-    dtt += ((2.0 * tt * tt + 4.0 * tt - ut) / (2.0 * w)) * lap_u
-    dtt += (c + 1.0) * gt2
-    dtt += (c + 3.0) * ((1.0 + tt) / w) * gt_gu
-    dtt -= 2.0 * ((1.0 + tt) / w) * gv_gphi
-    dtt -= (c + 2.0) * (v / w) * gt_gphi
-    dtt -= (1.0 + tt) * v * v / w
-    dtt += gphi2
+    # with w = 2 + ut:
+    # c dtt = 1.5 lap_t + 0.5 lap_u + tt lap_t - (ut/(2w)) lap_t
+    #         + ((2 tt tt + 4 tt - ut)/(2w)) lap_u + (c+1) gt.gt
+    #         + (c+3) ((1+tt)/w) gt.gu - 2 ((1+tt)/w) gv.gphi
+    #         - (c+2) (v/w) gt.gphi - (1+tt) v v/w + gphi.gphi
+    np.add(ut, 2.0, out=w)
+    np.multiply(1.5, lap_t, out=dtt)
+    dtt += np.multiply(0.5, lap_u, out=t)
+    dtt += np.multiply(tt, lap_t, out=t)
+    np.multiply(2.0, w, out=t)
+    np.divide(ut, t, out=t)
+    dtt -= np.multiply(t, lap_t, out=t)
+    np.multiply(2.0, tt, out=t)
+    t *= tt
+    t += np.multiply(4.0, tt, out=C)
+    t -= ut
+    t /= np.multiply(2.0, w, out=C)
+    dtt += np.multiply(t, lap_u, out=t)
+    gt2 = _dot(gt, gt, C, t)
+    dtt += np.multiply(c + 1.0, gt2, out=C)
+    np.add(tt, 1.0, out=C)
+    C /= w  # (1 + tt)/w
+    np.multiply(c + 3.0, C, out=t)
+    dtt += np.multiply(t, gt_gu, out=t)
+    np.multiply(2.0, C, out=t)
+    dtt -= np.multiply(t, gv_gphi, out=t)
+    del gt_gu, gv_gphi
+    np.divide(v, w, out=C)
+    C *= c + 2.0
+    dtt -= np.multiply(C, _dot(gt, gphi, A, t), out=C)
+    np.add(tt, 1.0, out=C)
+    C *= v
+    C *= v
+    C /= w
+    dtt -= C
+    dtt += _dot(gphi, gphi, C, t)
     dtt /= c
-    return du, dv, dtt
+    return rates
 
 
-def _rhs_perturbation_core(grid: GridSpec, spec3, ut, v, tt, params: PhysParams, dealias=True,
-                           slots=None):
+def _rhs_perturbation_core(grid: GridSpec, spec3, params: PhysParams, dealias=True, slots=None,
+                           values=None, check=None):
     """Spectrum of (du_tilde, dv, dtheta_tilde), shape (3,) +
-    spectral_shape, from the forward transform spec3 of (ut, v, tt) and the
-    fields themselves; spec3 is left as it was.  slots go to
-    _perturbation_rates."""
-    spec = grid.fft(np.stack(_perturbation_rates(grid, spec3, ut, v, tt, params, slots)))
-    return grid.dealias_mask * spec if dealias else spec
+    spectral_shape, from the spectrum spec3 of (ut, v, tt), which is left
+    as it was: one forward transform of the rows _perturbation_rates
+    writes, given slots, values and check, dealiased in place."""
+    spec = grid.fft(_perturbation_rates(grid, spec3, params, slots, values, check))
+    if dealias:
+        np.multiply(grid.dealias_mask, spec, out=spec)
+    return spec
 
 
-def _rhs_perturbation_arrays(grid: GridSpec, ut, v, tt, params: PhysParams, dealias=True,
-                             slots=None):
-    """(du_tilde, dv, dtheta_tilde) raw arrays, literal perturbation system.
-    Without dealiasing the pointwise rates are returned as they are."""
-    spec3 = grid.fft(np.stack([ut, v, tt]))
+def _rhs_perturbation_arrays(grid: GridSpec, ut, v, tt, params: PhysParams, dealias=True):
+    """(du_tilde, dv, dtheta_tilde) raw arrays, literal perturbation system:
+    the forward transform of (ut, v, tt), _perturbation_rates given the
+    fields, and, dealiased, the core's forward transform and mask and the
+    inverse transform.  Without dealiasing the pointwise rates are
+    returned as they are.  It calls _perturbation_rates rather than the
+    core so that the kernel holds the only reference to the forward
+    transform and frees it before making its real buffer."""
+    rates = _perturbation_rates(grid, grid.fft(np.stack([ut, v, tt])), params, values=(ut, v, tt))
     if not dealias:
-        return _perturbation_rates(grid, spec3, ut, v, tt, params, slots)
-    res = grid.ifft(_rhs_perturbation_core(grid, spec3, ut, v, tt, params, slots=slots))
+        return tuple(rates.copy())
+    spec = grid.fft(rates)
+    del rates
+    np.multiply(grid.dealias_mask, spec, out=spec)
+    res = grid.ifft(spec)
     return res[0], res[1], res[2]
 
 
@@ -522,19 +665,26 @@ def _check_stage(names, arrays, floor, shifts):
             )
 
 
-def _rk4(ys, rhs, dt, check, fed=()):
+def _new_stage(ys, k, h):
+    """The stage y + h k of each row, in new arrays."""
+    return [y + h * ki for y, ki in zip(ys, k)]
+
+
+def _rk4(ys, rhs, dt, check, fed=(), new_stage=_new_stage):
     # acc sums k1 + 2 k2 + 2 k3 + k4 in that order (see the module docstring);
-    # fed goes to the k1 evaluation only
+    # fed goes to the k1 evaluation only, and new_stage(ys, k, c dt) gives
+    # each stage y + c dt k
     acc = rhs(ys, *fed)
     k = acc
     for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-        stage = [y + c * dt * ki for y, ki in zip(ys, k)]
+        stage = new_stage(ys, k, c * dt)
         del k
         check(stage)
         k = rhs(stage)
         del stage
         for a, ki in zip(acc, k):
             a += w * ki
+        del ki  # a row of k, which would keep k alive through the next stage
     del k
     out = [y + (dt / 6.0) * a for y, a in zip(ys, acc)]
     check(out)
@@ -556,9 +706,14 @@ def step(state, cfg: StepperConfig, params: PhysParams, sink=None, slots=None):
     a State the fields.new_slots of its grid, which take its gradients and
     Laplacians, and None makes one for this step; for a PerturbationState
     the new_perturbation_slots of its grid, which take the stack of its
-    gradients and Laplacians and that stack's inverse transform, and None
-    leaves each evaluation call-local ones.  A stepping loop passes one set
-    to all its steps.
+    stages, gradients and Laplacians and that stack's inverse transform,
+    and None makes one stack for this step and leaves each evaluation a
+    call-local real buffer.  A stepping loop passes one set to all its
+    steps.
+
+    A PerturbationState steps the spectrum it carries (spec), or else the
+    forward transform of its fields, and the state returned carries the
+    new one.
     """
     if isinstance(state, State):
         return _step_primitive(state, cfg, params, sink, slots)
@@ -569,62 +724,92 @@ def step(state, cfg: StepperConfig, params: PhysParams, sink=None, slots=None):
     raise TypeError(f"cannot step object of type {type(state).__name__}")
 
 
-def _advance(g, ys, cfg, params, names, shifts, rhs_arrays, core, primitive, sink=None,
-             slots=None):
-    """One RK4 step on the array RHS or one IMEX1 step on the core and the
-    form's _linear_block, of the arrays ys; every stage is checked against
-    the floor after adding its shift (see _check_stage).  A sink goes to
-    the first RHS evaluation only, slots to every one."""
-    check = lambda ys: _check_stage(names, ys, cfg.positivity_floor, shifts)
-    check(ys)
-    # the perturbation kernels take no sink
-    fed = () if sink is None else (sink,)
-    kw = {} if slots is None else {"slots": slots}
-    if cfg.scheme == "RK4":
-        rhs = lambda ys, *fed: rhs_arrays(g, ys[0], ys[1], ys[2], params, cfg.dealias, *fed, **kw)
-        return _rk4(ys, rhs, cfg.dt, check, fed)
-    out = _imex1(g, ys, cfg, params, core, _linear_block(params, primitive), *fed, **kw)
-    check(out)
-    return out
-
-
 def _step_primitive(s: State, cfg: StepperConfig, params: PhysParams, sink=None,
                     slots=None) -> State:
+    """One RK4 step on the array RHS or one IMEX1 step on the core, of the
+    arrays (n, p, theta); every stage is checked against the floor.  A
+    sink goes to the first RHS evaluation only, slots to every one."""
     g = s.grid
-    out = _advance(
-        g, [s.n.values, s.p.values, s.theta.values], cfg, params,
-        ("n", "p", "theta"), (0.0, 0.0, 0.0), _rhs_primitive_arrays, _rhs_primitive_core,
-        True, sink, new_slots(g) if slots is None else slots,
-    )
+    slots = new_slots(g) if slots is None else slots
+    ys = [s.n.values, s.p.values, s.theta.values]
+    check = lambda ys: _check_stage(("n", "p", "theta"), ys, cfg.positivity_floor, (0.0,) * 3)
+    check(ys)
+    fed = () if sink is None else (sink,)
+    if cfg.scheme == "RK4":
+        rhs = lambda ys, *fed: _rhs_primitive_arrays(g, *ys, params, cfg.dealias, *fed, slots=slots)
+        out = _rk4(ys, rhs, cfg.dt, check, fed)
+    else:
+        core = lambda spec: _rhs_primitive_core(g, spec, *ys, params, cfg.dealias, *fed, slots=slots)
+        out = g.ifft(_imex1(g, g.fft(np.stack(ys)), core, cfg, _linear_block(params, True)))
+        out = [out[0], out[1], out[2]]
+        check(out)
     n, p, th = (ScalarField(g, a) for a in out)
     return State.from_primitives(n, p, th)
+
+
+def _spectrum(ps: PerturbationState):
+    """The spectrum ps carries, or else the forward transform of
+    (u_tilde, v, theta_tilde)."""
+    if ps.spec is not None:
+        return ps.spec
+    return ps.grid.fft(np.stack([ps.u_tilde.values, ps.v.values, ps.theta_tilde.values]))
 
 
 def _step_perturbation(
     ps: PerturbationState, cfg: StepperConfig, params: PhysParams, slots=None
 ) -> PerturbationState:
+    """One RK4 or IMEX1 step of the spectrum y_hat of (u_tilde, v,
+    theta_tilde).  The first RHS evaluation (k1 of RK4, the IMEX1 core)
+    takes the state's own fields; every later one gets the stage's from
+    its batched inverse transform and checks them against the floor there.
+    One inverse transform of (y_hat, phi_hat) gives the new state."""
     _require_perturbation_params(params)
     g = ps.grid
-    out = _advance(
-        g, [ps.u_tilde.values, ps.v.values, ps.theta_tilde.values], cfg, params,
-        ("2 + u_tilde", "v", "1 + theta_tilde"),
+    check = lambda ys: _check_stage(
+        ("2 + u_tilde", "v", "1 + theta_tilde"), ys, cfg.positivity_floor,
         (2.0, math.inf, 1.0),  # v is unconstrained
-        _rhs_perturbation_arrays, _rhs_perturbation_core, False, slots=slots,
     )
-    ut, v, tt = (ScalarField(g, a) for a in out)
-    return PerturbationState.from_fields(ut, v, tt)
+    values = (ps.u_tilde.values, ps.v.values, ps.theta_tilde.values)
+    check(values)
+    # a one-off step keeps one stack for its evaluations, each of which
+    # makes its real buffer
+    slots = _perturbation_slots(g, 4 * g.dim + 6, False) if slots is None else slots
+    rhs = lambda spec3, values=None: _rhs_perturbation_core(
+        g, spec3, params, cfg.dealias, slots, values, check)
+    if cfg.scheme == "RK4":
+        def new_stage(ys, k, h):  # y + h k, in the stack's value rows
+            for y, ki, s in zip(ys, k, slots.stack[-3:]):
+                np.multiply(h, ki, out=s)
+                s += y
+            return slots.stack[-3:]
+
+        # the values go to k1 only; the stages are checked inside rhs
+        out = _rk4(_spectrum(ps), rhs, cfg.dt, lambda ys: None, (values,), new_stage)
+    else:
+        core = lambda spec3: rhs(spec3, values)
+        out = _imex1(g, _spectrum(ps), core, cfg, _linear_block(params, False))
+    # the closing inverse transform of (y_hat, phi_hat) consumes the stack's
+    # last four rows
+    four = slots.stack[-4:]
+    for row, y in zip(four, out):
+        np.copyto(row, y)
+    np.multiply(-g.inv_k2, out[1], out=four[3])
+    fields4 = g.ifft(four)
+    check(fields4[:3])
+    ut, v, tt, phi = (ScalarField(g, a) for a in fields4)
+    return PerturbationState(ut, v, tt, phi, spec=out)
 
 
-def _imex1(grid, ys, cfg, params, core, m, *fed, **kw):
+def _imex1(grid, spec_y, core, cfg, m):
     """Backward Euler on the linear block -|k|^2 m (_linear_block), the
-    rest of the core's rates f explicit: with a = dt |k|^2 each mode
-    solves (I + a m) y_new = y + dt (f + |k|^2 m y).  As m[0,1] = m[1,0]
-    = 0, rows 0 and 1 are eliminated into row 2, which is solved for
-    y_new[2] and back-substituted.  fed, () or (sink,), and kw, {} or
-    {"slots": slots}, go to the core."""
+    rest of the rates f = core(spec_y) explicit, for the state spectrum
+    spec_y (left as it was): with a = dt |k|^2 each mode solves
+    (I + a m) y_new = y + dt (f + |k|^2 m y).  As m[0,1] = m[1,0] = 0,
+    rows 0 and 1 are eliminated into row 2, which is solved for y_new[2]
+    and back-substituted.  Returns the spectrum of y_new, dealiased as
+    cfg asks, in the core's output."""
     dt, k2 = cfg.dt, grid.k2
-    spec_y = grid.fft(np.stack(ys))
-    spec_f = core(grid, spec_y, ys[0], ys[1], ys[2], params, cfg.dealias, *fed, **kw)
+    spec_f = core(spec_y)
     lin = [k2 * (row[0] * spec_y[0] + row[1] * spec_y[1] + row[2] * spec_y[2]) for row in m]
     # everything from here on runs in place in the core's output, in the
     # order of b = y + dt (f + l), then new_2 = (b_2 - c_0 b_0 - c_1 b_1) d,
@@ -653,8 +838,7 @@ def _imex1(grid, ys, cfg, params, core, m, *fed, **kw):
     if cfg.dealias:
         # the k = 0 mode is untouched by the mask's True entry there
         np.multiply(grid.dealias_mask, b, out=b)
-    out = grid.ifft(b)
-    return [out[0], out[1], out[2]]
+    return b
 
 
 def integrate(state, cfg: StepperConfig, params: PhysParams):
@@ -663,9 +847,13 @@ def integrate(state, cfg: StepperConfig, params: PhysParams):
     the initial state.  A StepAbort propagates to the caller after the
     already-yielded prefix (partial trajectories keep their audit trail).
     The steps share one set of buffers (see step): a State's new_slots or
-    a PerturbationState's new_perturbation_slots.
+    a PerturbationState's new_perturbation_slots.  A PerturbationState is
+    yielded with its spectrum from index 0 on: the initial state's forward
+    transform unless it carries one.
     """
     t = 0.0
+    if isinstance(state, PerturbationState):
+        state = replace(state, spec=_spectrum(state))
     yield 0, t, state
     slots = (new_slots if isinstance(state, State) else new_perturbation_slots)(state.grid)
     for i in range(1, cfg.n_steps + 1):

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from pnpf import varcheck
+from pnpf.dynamics import _linear_block, _rhs_perturbation_arrays, _rhs_perturbation_core
 from pnpf.fields import darcy_axes, new_slots
 from pnpf.grid import GridSpec, grad_arrays
 
@@ -237,3 +238,38 @@ def batched_rhs_core(grid: GridSpec, spec, n, p, th, params, dealias=True, sink=
     if sink is not None:
         sink.residual(j, slots)
     return _outer_divergence(grid, out, dealias)
+
+
+def perturbation_rk4_step(grid: GridSpec, ys, params, dt, dealias=True) -> list:
+    """One RK4 step of the perturbation form composed in real space, the
+    textbook way: k1 ... k4 of dynamics._rhs_perturbation_arrays (each a
+    forward transform of its stage, the RHS and an inverse transform) and
+    y + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
+    f = lambda ys: _rhs_perturbation_arrays(grid, *ys, params, dealias)
+    k1 = f(ys)
+    k2 = f([a + 0.5 * dt * k for a, k in zip(ys, k1)])
+    k3 = f([a + 0.5 * dt * k for a, k in zip(ys, k2)])
+    k4 = f([a + dt * k for a, k in zip(ys, k3)])
+    return [
+        a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(ys, k1, k2, k3, k4)
+    ]
+
+
+def perturbation_imex1_step(grid: GridSpec, ys, params, dt, dealias=True) -> list:
+    """One IMEX1 step of the perturbation form composed in real space: the
+    forward transform of ys, the explicit rates f of
+    dynamics._rhs_perturbation_core, the system (I + dt |k|^2 M) y_new =
+    y + dt (f + |k|^2 M y), M = _linear_block(params, False), solved mode
+    by mode with numpy.linalg.solve, the mask, and the inverse transform."""
+    spec_y = grid.fft(np.stack(ys))
+    f = _rhs_perturbation_core(grid, spec_y, params, dealias, values=ys)
+    m = _linear_block(params, False)
+    k2 = grid.k2.reshape(-1, 1)
+    y = spec_y.reshape(3, -1).T
+    b = y + dt * (f.reshape(3, -1).T + k2 * (y @ m.T))
+    lhs = np.eye(3) + (dt * k2)[:, :, None] * m
+    new = np.linalg.solve(lhs, b[:, :, None])[:, :, 0]
+    if dealias:
+        new *= grid.dealias_mask.reshape(-1, 1)
+    return list(grid.ifft(np.ascontiguousarray(new.T).reshape(spec_y.shape)))

@@ -22,7 +22,7 @@ from pnpf.dynamics import PerturbationState, StepperConfig, convert
 from pnpf.fields import PhysParams, State
 from pnpf.grid import GridSpec, ScalarField
 
-from .conftest import perturbation_state
+from .conftest import count_transforms, perturbation_state
 from . import oracles
 
 
@@ -78,8 +78,9 @@ class TestLyapunov:
 
     @pytest.mark.parametrize("dim, n", [(2, 64), (3, 16)])
     def test_batched_spectra_are_the_single_transforms(self, params, dim, n):
-        # run() samples the norms and the functional from one batched
-        # transform; its rows keep the bits of one transform per field
+        # lyapunov of a state given no spectrum (the audit's) takes one
+        # batched transform; its rows keep the bits of one transform per
+        # field
         grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
         ps = perturbation_state(grid, seed=5, amplitude=1e-2)
         spec = spectra(ps)
@@ -163,7 +164,8 @@ class TestRun:
         assert series.monotone()
 
     def test_first_sample_is_the_initial_state(self, params):
-        # each column from its own single-field transform of the initial data
+        # each column from its own single-field transform of the initial
+        # data, phi_hat = -v_hat/|k|^2 (the sample transforms no phi)
         grid = GridSpec(dim=2, n=16, length=2 * np.pi)
         cfg = StepperConfig(scheme="RK4", dt=1e-4, t_end=1e-4)
         exp = DecayExperiment(delta0=1e-2, seed=2, mode_profile="random_band", cfg=cfg)
@@ -171,14 +173,33 @@ class TestRun:
         ps = initial_condition(exp, grid, params)
         spec = lambda f: grid.fft(f.values)
         h2 = lambda f: math.sqrt(_h2_sq(grid, spec(f)))
-        assert series.lyapunov[0] == lyapunov(ps, params)
+        phi_hat = -grid.inv_k2 * spec(ps.v)
+        four = (spec(ps.u_tilde), spec(ps.v), spec(ps.theta_tilde), phi_hat)
+        assert series.lyapunov[0] == lyapunov(ps, params, four)
         assert series.v_l2[0] == math.sqrt(grid.spectral_l2_sum(spec(ps.v)))
-        assert series.grad_phi_l2[0] == math.sqrt(
-            grid.spectral_l2_sum(spec(ps.phi), grid.h1_weight)
-        )
+        assert series.grad_phi_l2[0] == math.sqrt(grid.spectral_l2_sum(phi_hat, grid.h1_weight))
         assert series.u_l2[0] == math.sqrt(grid.spectral_l2_sum(spec(ps.u_tilde)))
         assert series.u_h2[0] == h2(ps.u_tilde)
         assert series.theta_h2[0] == h2(ps.theta_tilde)
+
+    # real-field transforms: the initial condition 12 (three band draws, 2
+    # each, the smallness size 4 and the Poisson solve 2) and the run's
+    # forward transform of it 3; then per RK4 step 69 (see
+    # test_dynamics.py TestCarriedSpectrum, less the forward transform of
+    # the state, which the run carries) and per sample none (86 and 4 when
+    # every stage and sample was transformed from the real fields)
+    def test_transform_count_per_step(self, params, monkeypatch):
+        grid = GridSpec(dim=2, n=16, length=2 * np.pi)
+        totals = []
+        for steps in (10, 20):
+            cfg = StepperConfig(scheme="RK4", dt=1e-4, t_end=steps * 1e-4)
+            exp = DecayExperiment(delta0=1e-2, seed=2, mode_profile="random_band", cfg=cfg,
+                                  sample_every=1)
+            counted = count_transforms(monkeypatch)
+            assert len(run(exp, grid, params).t) == steps + 1
+            totals.append(sum(counted))
+        assert totals[1] - totals[0] == 10 * 69
+        assert totals[0] == 15 + 10 * 69
 
     def test_single_v_mode_monotone_and_ordered(self, params):
         grid = GridSpec(dim=2, n=16, length=1.0)

@@ -22,6 +22,7 @@ from pnpf.dynamics import (
     StepperConfig,
     convert,
     convert_back,
+    integrate,
     rhs_perturbation,
     rhs_primitive,
     stability_bound,
@@ -29,7 +30,7 @@ from pnpf.dynamics import (
 )
 from pnpf.fields import PhysParams, State
 from pnpf.grid import GridSpec, ScalarField, grad_arrays
-from pnpf.poisson import solve
+from pnpf.poisson import solve, solve_array
 
 from . import oracles
 from .conftest import (
@@ -452,7 +453,9 @@ class TestStreamedKernels:
             assert np.array_equal(a.values, b)
 
     # peaks at 32^3 above the call's entry, in full grids: measured RHS
-    # 17.0 and RK4 step 24.0, slots included (the step makes its own); one
+    # 17.0 and RK4 step 23.0, slots included (the step makes its own; 24.0
+    # while the last row of each stage's derivative kept that derivative
+    # alive through the next stage); one
     # 4-field inverse transform per axis instead of two 2-field ones peaks
     # at 19.1 and 26.1, the fluxes and dtheta kept for one (2*dim+1)-row
     # forward transform instead of one 2-field transform per axis at 19.9
@@ -469,15 +472,19 @@ class TestStreamedKernels:
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
         cfg = StepperConfig(scheme="RK4", dt=1e-4)
-        assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 24.4
+        assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 23.4
 
 
 class TestPerturbationPeaks:
-    """The perturbation RHS fills its (4*dim+3)-field spectral array in
-    place and frees it after the inverse transform.  Measured peaks in full
-    grids: RHS 28.3 at 64^2 and 34.1 at 32^3, RK4 step 37.4 at 64^2; a
-    list of spectra stacked into a second array, alive to the end of the
-    RHS, peaks at 40.7, 51.1 and 49.8."""
+    """The perturbation RHS fills its spectral stack in place, makes its
+    real buffer only once the stack is filled and its input spectrum freed,
+    and does its arithmetic in the stack's memory; a step builds its RK4
+    stages in the stack's last three rows.  Measured peaks in full grids:
+    RHS 25.5 at 64^2 and 34.0 at 32^3, one-off RK4 step 34.9 at 64^2, a
+    10-step integrate 45.0 at 64^2.  Before the stepper carried its
+    spectrum they were 28.3, 34.1, 37.3 and 52.7; with the real buffer made
+    up front, the stage in new arrays and k kept alive by the last rate row
+    through the next stage, 30.1, 38.2, 42.5 and 51.2."""
 
     @staticmethod
     def state(dim, n):
@@ -493,6 +500,83 @@ class TestPerturbationPeaks:
         grid, ps = self.state(2, 64)
         cfg = StepperConfig(scheme="RK4", dt=1e-4)
         assert peak_grids(lambda: step(ps, cfg, PhysParams()), grid) <= 38.0
+
+    def test_integrate_peak_memory(self):
+        # the run's buffers, the carried spectra of the old and the new
+        # state, the RK4 accumulator and one rate spectrum
+        grid, ps = self.state(2, 64)
+        cfg = StepperConfig(scheme="RK4", dt=1e-4, t_end=1e-3)
+
+        def run():
+            for i, _, _ in integrate(ps, cfg, PhysParams()):
+                pass
+            assert i == 10
+
+        assert peak_grids(run, grid) <= 46.0
+
+
+class TestCarriedSpectrum:
+    """A perturbation-form step advances the spectrum y_hat of (u_tilde, v,
+    theta_tilde), which the state carries: each RHS evaluation makes one
+    batched inverse transform and one forward transform, and one inverse
+    transform of (y_hat, phi_hat) closes the step.  It is the real-space
+    composition up to rounding."""
+
+    PARAMS = PhysParams()
+
+    # n = 16: undealiased steps at n = 8 move mean(v) past the neutrality
+    # tolerance within a few steps (the products reach the Nyquist mode),
+    # in either composition
+    @pytest.mark.parametrize("scheme", ["RK4", "IMEX1"])
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_integrate_is_the_real_space_composition(self, dim, dealias, scheme):
+        grid = GridSpec(dim=dim, n=16, length=2 * np.pi)
+        ps = convert(perturbed_state(grid, seed=9, amplitude=5e-2))
+        cfg = StepperConfig(scheme=scheme, dt=1e-3, t_end=2e-2, dealias=dealias)
+        oracle = {"RK4": oracles.perturbation_rk4_step, "IMEX1": oracles.perturbation_imex1_step}
+        ys = [ps.u_tilde.values, ps.v.values, ps.theta_tilde.values]
+        for i, _, got in integrate(ps, cfg, self.PARAMS):
+            if i:
+                ys = oracle[scheme](grid, ys, self.PARAMS, cfg.dt, dealias)
+            want = ys + [solve_array(grid, ys[1])]
+            for name, w in zip(("u_tilde", "v", "theta_tilde", "phi"), want):
+                assert np.abs(getattr(got, name).values - w).max() <= 1e-12 * np.abs(w).max()
+        assert i == 20
+
+    # real-field transforms of a one-off step from a state that carries no
+    # spectrum: its forward transform 3, then per RHS evaluation one batched
+    # inverse of the 4*dim gradients and 3 Laplacians, plus the stage's 3
+    # values after k1, and the forward transform of the 3 rates, and the
+    # closing inverse of (y_hat, phi_hat) 4
+    @pytest.mark.parametrize("dim, scheme, want", [
+        (2, "RK4", 72), (2, "IMEX1", 21), (3, "RK4", 88), (3, "IMEX1", 25),
+    ])
+    def test_step_transform_count(self, monkeypatch, dim, scheme, want):
+        grid = GridSpec(dim=dim, n=8, length=2 * np.pi)
+        ps = convert(perturbed_state(grid, seed=9, amplitude=5e-2))
+        counted = count_transforms(monkeypatch)
+        new = step(ps, StepperConfig(scheme=scheme, dt=1e-3), self.PARAMS)
+        assert sum(counted) == want
+        assert len(counted) == {"RK4": 10, "IMEX1": 4}[scheme]
+        # the new state carries its spectrum, so its own step skips the
+        # forward transform
+        counted.clear()
+        step(new, StepperConfig(scheme=scheme, dt=1e-3), self.PARAMS)
+        assert sum(counted) == want - 3
+
+    def test_stage_breach_aborts_inside_the_rhs(self, monkeypatch):
+        # the initial state clears the floor; the first stage of a step far
+        # past the stability bound does not, and the step aborts right after
+        # that stage's inverse transform: the state's forward transform 3,
+        # k1's 7 and 3, and the stage's 10 at dim 1
+        grid = GridSpec(dim=1, n=32, length=1.0)
+        ps = perturbation_state(grid, seed=31, amplitude=5e-2, kmax=10)
+        cfg = StepperConfig(scheme="RK4", dt=1.0, positivity_floor=0.9)
+        counted = count_transforms(monkeypatch)
+        with pytest.raises(StepAbort, match=r"positivity floor breached: min\(\w"):
+            step(ps, cfg, self.PARAMS)
+        assert counted == [3, 7, 3, 10]
 
 
 class TestSpectralCore:
@@ -519,8 +603,13 @@ class TestSpectralCore:
         ys = [ps.u_tilde.values, ps.v.values, ps.theta_tilde.values]
         spec = grid.fft(np.stack(ys))
         kept = spec.copy()
-        got = _rhs_perturbation_core(grid, spec, *ys, PhysParams(), dealias)
+        got = _rhs_perturbation_core(grid, spec, PhysParams(), dealias, values=ys)
         assert np.array_equal(spec, kept)
+        # given no fields, the core takes them from the spectrum's inverse
+        # transform, as a stage does, and still keeps the spectrum
+        staged = _rhs_perturbation_core(grid, spec, PhysParams(), dealias)
+        assert np.array_equal(spec, kept)
+        assert np.abs(staged - got).max() <= 1e-12 * np.abs(got).max()
         want = _rhs_perturbation_arrays(grid, *ys, PhysParams(), dealias)
         if dealias:
             assert all(np.array_equal(a, b) for a, b in zip(grid.ifft(got), want))
@@ -608,9 +697,9 @@ class TestImex1Update:
         gen = np.random.Generator(np.random.Philox(key=seed))
         ys = list(1.0 + 0.1 * gen.standard_normal((3,) + grid.shape))
         f = grid.fft(gen.standard_normal((3,) + grid.shape))
-        stub_core = lambda *args: f.copy()  # the explicit rates, fixed
+        stub_core = lambda spec_y: f.copy()  # the explicit rates, fixed
         cfg = StepperConfig(scheme="IMEX1", dt=dt, dealias=dealias)
-        got = grid.fft(np.stack(_imex1(grid, ys, cfg, params, stub_core, m)))
+        got = _imex1(grid, grid.fft(np.stack(ys)), stub_core, cfg, m)
 
         # the same system solved mode by mode, modes along the first axis
         k2 = grid.k2.reshape(-1, 1)
