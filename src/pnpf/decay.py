@@ -111,7 +111,12 @@ def _lyapunov(sums, params: PhysParams) -> float:
 def lyapunov(ps: PerturbationState, params: PhysParams, spec=None) -> float:
     """Lambda(ps); spectral H^2 norms, 2c weight on the temperature part.
     spec is spectra(ps), computed here when not given."""
-    return _lyapunov(_sums(ps.grid, spectra(ps) if spec is None else spec), params)
+    return spectral_lyapunov(ps.grid, spectra(ps) if spec is None else spec, params)
+
+
+def spectral_lyapunov(grid: GridSpec, spec, params: PhysParams) -> float:
+    """Lambda of the spectra spec of (u_tilde, v, theta_tilde, phi)."""
+    return _lyapunov(_sums(grid, spec), params)
 
 
 def smallness_size(grid: GridSpec, ut, v, tt) -> float:

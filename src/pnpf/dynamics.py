@@ -39,76 +39,102 @@ spectrum of its input (plus, for the primitive form, the input fields)
 and returns the (dealiased) spectrum of the time derivatives, leaving the
 input spectrum as it was.  The array wrapper (_rhs_primitive_arrays,
 _rhs_perturbation_arrays) adds the forward transform in front and the
-inverse transform behind (one field per call for the primitive form).
-Primitive RK4 calls the wrapper, which keeps the bits the RHS had before
-the split.  One IMEX1 update (_imex1) serves both forms: it calls the
-form's core on the spectrum of the current state that its implicit solve
-needs anyway and returns the new state's spectrum, so the RHS output is
-never transformed back and forth.  Its implicit part is the form's
+inverse transform behind; it serves rhs_primitive, rhs_perturbation and
+the tests' real-space compositions (tests/oracles), which the steppers
+match to rounding.
+
+One stepper shape serves both forms.  step advances the spectrum y_hat of
+the stepped fields, (n, p, theta) or (u_tilde, v, theta_tilde), which
+every state a step returns carries (State.spec, PerturbationState.spec).
+A state that carries none gets it from carried: with dealias on, its band
+projection (forward transform, dealias_mask, and the closing inverse
+below), so an initial state with content above n//3 starts from its
+projection, with dealias off the forward transform of its fields.
+integrate, thermo_audit.audit_run and a one-off step call it.  RK4 (_rk4)
+builds its stages spectrally, in a stage buffer (primitive form) or in
+the perturbation stack's last three rows, and inverse-transforms each
+stage once: the primitive RHS copies the stage into the slots' spectra
+and transforms it into the stage's fields, the perturbation RHS
+transforms it in its stack's batch; either checks the fields against the
+floor there.  k1 of RK4 and the IMEX1 core take the state's own fields.
+One IMEX1 update (_imex1) serves both forms: it calls the form's core on
+the carried spectrum and returns the new one, so the RHS output is never
+transformed back and forth.  Its implicit part is the form's
 constant-coefficient diffusion block -|k|^2 M, M = _linear_block (the
 linearization at (n, p, theta) = (1, 1, 1)), solved mode by mode; the
 spectral radius of the same M sets stability_bound.
-tests/test_dynamics.py pins the transform counts of the array RHS and of
-both steps (TestSpectralCore::test_imex1_step_cost, ::test_transform_count,
-TestCarriedSpectrum::test_step_transform_count).
 
-The perturbation form steps the spectrum y_hat of (u_tilde, v,
-theta_tilde), which every PerturbationState a step returns carries
-(PerturbationState.spec), through the same _rk4 and _imex1.  Each RHS
-evaluation fills one spectral stack with the gradients of (u_tilde, v,
-theta_tilde, phi), phi_hat = -v_hat/|k|^2, and the three Laplacians, plus
-a stage's spectrum, which RK4 builds in the stack's last three rows; it
-inverse-transforms the stack in one batch and checks the stage's fields
-against the floor there, does the pointwise arithmetic in the stack's
-memory, and forward-transforms the three rates.  k1 of RK4 and the IMEX1
-core take the state's own fields instead.  A step closes with one
-inverse transform of (y_hat, phi_hat), which gives the new state with
-its potential: no step solves Poisson, and decay.run samples the carried
-spectrum without a transform.  A 2-D RK4 step of a run transforms 69
-real fields in 9 calls and an IMEX1 step 18 (86 in 19 and 22 while every
-stage went through real space and every new state through a Poisson
-solve).  The real-space RHS _rhs_perturbation_arrays serves rhs_perturbation
-and the tests' real-space composition of the steps
-(tests/oracles.perturbation_rk4_step), which the stepper matches to
-rounding.
+A step closes (_close) with one inverse transform of (y_hat, phi_hat),
+phi_hat = -v_hat/|k|^2 with v_hat = n_hat - p_hat or the v row, which
+gives the new state with its potential: no step solves Poisson.  The
+closing check is the new state's one scan (_check_state): finiteness and
+the floor of the stepped fields, then neutrality, read off the k = 0
+entry of v_hat, each a StepAbort; the State or PerturbationState is then
+built without its constructor's scans.  decay.run samples the carried
+spectrum without a transform, and an audit sample of a carried State
+takes its Lyapunov functional from it (thermo_audit).
 
-step can feed an audit sample (a fields.AuditSink of its input State)
-from its first RHS evaluation, k1 of RK4 or the IMEX1 core: the Darcy
-pass is the sample's, the |q|^2, |j_p|^2 and |j_n|^2 sums and the
-production density ride on its axis loop, and the reconstruction
-residual runs after the heat rate on the fluxes, which that evaluation
-keeps in one (dim, 2) block array and transforms pair by pair only
-after the residual.  The sample adds 3 + 3*dim transforms to the
-step where a standalone fields.flux_audit costs 6 + 7*dim (pinned at
-dim 3 by TestSpectralCore::test_transform_count).  Its coefficient
-arrays are built only after the axis loop, and its three sums live only
-in that loop, below the RHS's peak, so the step's peak memory grows by
-the one grid of the production density.
+With dealias on, the spectrum a step works on vanishes outside the 2/3
+band, and so does every spectrum it inverse-transforms; every forward
+transform's output is masked.  So every transform of the step is a band
+transform (GridSpec.fft and ifft with band, which skip the lanes outside
+the band and keep the bits): the Darcy gradients (fields.darcy_axes) and
+the three Laplacians, the flux-divergence and dtheta forward transforms,
+the stage and closing inverses, and the perturbation stack's inverse and
+the rates' forward transform.  The kernels take band from their stepper
+(band = cfg.dealias), never from dealias alone; a caller with any other
+spectrum keeps band False.
+
+Transform counts, pinned in tests/test_dynamics.py
+(TestSpectralCore::test_run_step_transform_count,
+TestCarriedSpectrum::test_step_transform_count).  A 3-D primitive step of
+a run transforms 101 real fields in 92 calls under RK4 (four cores of 22
+one-field calls, three 3-field stage inverses and the 4-field closing
+inverse) and 26 in 23 under IMEX1 (114 in 106 and 30 in 26 while every
+stage and rate went through real space and a Poisson solve closed the
+step).  A 2-D perturbation step of a run transforms 69 in 9 (RK4) and 18
+in 3 (IMEX1).  A one-off step of a state that carries no spectrum adds
+the forward transform 3 and, dealiased, the projection's closing inverse
+4.
+
+step can feed an audit sample (a fields.AuditSink) from its first RHS
+evaluation, k1 of RK4 or the IMEX1 core: the Darcy pass is the sample's,
+the |q|^2, |j_p|^2 and |j_n|^2 sums and the production density ride on
+its axis loop, and the reconstruction residual runs after the heat rate
+on the fluxes, which that evaluation keeps in one (dim, 2) block array
+and transforms pair by pair only after the residual.  The sample adds
+3 + 3*dim transforms to the step where a standalone fields.flux_audit
+costs 6 + 7*dim, or 3 + 7*dim for a State that carries its spectrum
+(pinned at dim 3 by TestSpectralCore::test_transform_count).  Its
+coefficient arrays are built only after the axis loop, and its three sums
+live only in that loop, below the RHS's peak, so the step's peak memory
+grows by the one grid of the production density.
 
 The primitive kernels write their gradients, Laplacians and residual
 gradients, and every product of the flux and heat-rate arithmetic, into
 a fields.Slots (four real grids and one spectrum) in place, in the
 order of the expressions they replace, so the bits are those of the
-expressions.  integrate and thermo_audit.audit_run make one Slots for
-all their steps, which at 64^3 saves most of the page faults that
-freeing and reallocating those grids at every evaluation cost (glibc
-hands freed full-grid chunks back to the OS, and the next RHS faults
-them in again); a step, or an RHS, given none makes its own.  The Slots
-are never cached on the grid, so a run's buffers die with it.
-integrate makes one new_perturbation_slots for a perturbation-form run
-too: the spectral stack, whose memory also holds the rates and the
-arithmetic's scratch once its inverse transform has run, and the real
-array that transform writes into.  A one-off perturbation step makes one
-stack for its evaluations, and each evaluation makes its real array only
-once the stack is filled and frees it before the rates' forward
-transform, so a one-off step peaks below a run.
+expressions; each flux's forward transform writes into the slots'
+spectrum too, and the stage and closing inverse transforms read their
+input from the same memory seen as four spectra.  integrate and
+thermo_audit.audit_run make one Slots for all their steps, which at 64^3
+saves most of the page faults that freeing and reallocating those grids
+at every evaluation cost (glibc hands freed full-grid chunks back to the
+OS, and the next RHS faults them in again); a step, or an RHS, given none
+makes its own.  The Slots are never cached on the grid, so a run's
+buffers die with it.  integrate makes one new_perturbation_slots for a
+perturbation-form run too: the spectral stack, whose memory also holds
+the rates and the arithmetic's scratch once its inverse transform has
+run, and the real array that transform writes into.  A one-off
+perturbation step makes one stack for its evaluations, and each
+evaluation makes its real array only once the stack is filled and frees
+it before the rates' forward transform, so a one-off step peaks below a
+run.
 
 RK4 keeps one accumulator, k1 + 2 k2 + 2 k3 + k4 summed in that order,
 instead of the four stage derivatives, so besides it only the current
-stage and its derivative are alive; the result has the bits of
-y + dt/6 (k1 + 2 k2 + 2 k3 + k4).  The form chooses where a stage is
-built (new arrays, or the perturbation stack's rows), with the same
-bits.
+stage and its derivative are alive; it becomes the new spectrum in place,
+with the bits of y + dt/6 (k1 + 2 k2 + 2 k3 + k4).
 
 Sign convention, fixed once: with v = n - p the potential satisfies
 Delta(phi) = v, which is the choice that makes
@@ -118,7 +144,7 @@ Delta(phi) = v, which is the choice that makes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -145,7 +171,7 @@ class PerturbationState:
 
     spec is the spectrum of (u_tilde, v, theta_tilde), three rows, that
     the stepper carries from step to step, the fields being its inverse
-    transform; None until integrate or step sets it.
+    transform; None until carried sets it (integrate and step call it).
     """
 
     u_tilde: ScalarField
@@ -225,18 +251,20 @@ def convert_back(ps: PerturbationState) -> State:
 # -- raw-array right-hand sides ----------------------------------------------
 
 
-def _axis_divergence(grid: GridSpec, div, i, pair, sp) -> None:
+def _axis_divergence(grid: GridSpec, div, i, pair, sp, band) -> None:
     """Add grad_mult[i] times the spectra of axis i's flux pair (j_p,i,
     j_n,i) into the running sums div = (div j_n, div j_p)^: one one-field
-    forward transform per flux, whose product with grad_mult[i] goes into
-    the slots' spectrum sp."""
+    forward transform per flux (a band transform with band) into the
+    slots' spectrum sp, which then takes its product with grad_mult[i]."""
     m = grid.grad_mult[i]
     for k in (1, 0):
-        div[1 - k] += np.multiply(m, grid.fft(pair[k]), out=sp)
+        grid.fft(pair[k], out=sp, band=band)
+        sp *= m
+        div[1 - k] += sp
 
 
 def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, slots, div=None,
-                          j=None, sink=None):
+                          j=None, sink=None, band=False):
     """The pointwise temperature rate dtheta of (n, p, th), from their
     forward transform spec, which is left as it was.  Given div, every
     axis writes its Darcy fluxes into one 2-row scratch and adds their
@@ -245,7 +273,8 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, sl
     fluxes stay in the block j[i] and their divergence is the caller's.
     An audit sink takes each axis's d_i theta, j_p,i and j_n,i.  The
     gradients, the Laplacians and every product go into slots
-    (fields.Slots).
+    (fields.Slots).  band makes the gradients', the Laplacians' and the
+    fluxes' transforms band transforms (the caller masks the divergence).
 
     The rate is the paper's
 
@@ -274,7 +303,7 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, sl
     # gphi): t is the slots' scratch, and u the row of d_i n, which only
     # a_n reads
     t, u = slots.tmp, slots.rows[0]
-    axes = darcy_axes(grid, spec, n, p, th, params, j, slots)
+    axes = darcy_axes(grid, spec, n, p, th, params, j, slots, band)
     for i, (gn, gp, gth, gphi, jp, jn) in enumerate(axes):
         np.multiply(2.0, gth, out=t)
         t += gphi
@@ -292,7 +321,7 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, sl
         if sink is not None:
             sink.axis(gth, jp, jn, t)
         if div is not None:
-            _axis_divergence(grid, div, i, j[i], slots.spec)
+            _axis_divergence(grid, div, i, j[i], slots.spec, band)
     del j, jp, jn  # the fluxes are views of j
     if sink is not None:
         sink.production()
@@ -303,8 +332,8 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, sl
     # heat += Dn (n lap_th + th lap_n - n rho + a_n)
     neg_k2 = -grid.k2
     rows, sp = slots.rows, slots.spec
-    lap_th = grid.ifft(np.multiply(neg_k2, spec[2], out=sp), out=rows[0])
-    lap_p = grid.ifft(np.multiply(neg_k2, spec[1], out=sp), out=rows[1])
+    lap_th = grid.ifft(np.multiply(neg_k2, spec[2], out=sp), out=rows[0], band=band)
+    lap_p = grid.ifft(np.multiply(neg_k2, spec[1], out=sp), out=rows[1], band=band)
     # equals Delta(phi) exactly for the slaved potential
     rho = np.subtract(n, p, out=rows[2])
     t, u = rows[3], slots.tmp
@@ -314,7 +343,7 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, sl
     a_p += t
     a_p *= Dp
     heat = a_p
-    lap_n = grid.ifft(np.multiply(neg_k2, spec[0], out=sp), out=rows[1])
+    lap_n = grid.ifft(np.multiply(neg_k2, spec[0], out=sp), out=rows[1], band=band)
     np.multiply(n, lap_th, out=t)
     t += np.multiply(th, lap_n, out=u)
     t -= np.multiply(n, rho, out=u)
@@ -332,7 +361,8 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, sl
 
 
 def _rhs_primitive_core(
-    grid: GridSpec, spec, n, p, th, params: PhysParams, dealias=True, sink=None, slots=None
+    grid: GridSpec, spec, n, p, th, params: PhysParams, dealias=True, sink=None, slots=None,
+    band=False,
 ):
     """Spectrum of (dn, dp, dtheta), shape (3,) + spectral_shape, from the
     forward transform spec of (n, p, th) and the fields themselves; spec
@@ -340,7 +370,10 @@ def _rhs_primitive_core(
     by the flux pass and takes its residual over the pass's fluxes, which
     are then kept for every axis, and the divergence waits for it.  slots
     (fields.new_slots) hold the gradients, the Laplacians and the
-    residual's gradients; None makes call-local ones."""
+    residual's gradients; None makes call-local ones.  band, for a spec
+    that vanishes outside the 2/3 band and a dealiased output, makes every
+    transform of the flux pass, the Laplacians and the forward transforms
+    a band transform (GridSpec.fft); the residual's stay full."""
     if slots is None:
         slots = new_slots(grid)
     # continuity equations in divergence form (spectral outer divergence),
@@ -348,21 +381,22 @@ def _rhs_primitive_core(
     div_shape = (2,) + grid.spectral_shape
     if sink is None:
         div = np.zeros(div_shape, dtype=complex)
-        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, slots, div=div)
+        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, slots, div=div, band=band)
     else:
         # the residual reads every axis's fluxes; their divergence waits
         # until it has run, so no spectral sum is alive next to it
         j = np.empty((grid.dim, 2) + grid.shape)
-        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, slots, j=j, sink=sink)
+        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, slots, j=j, sink=sink,
+                                    band=band)
         sink.residual(j, slots)
         div = np.zeros(div_shape, dtype=complex)
         for i in range(grid.dim):
-            _axis_divergence(grid, div, i, j[i], slots.spec)
+            _axis_divergence(grid, div, i, j[i], slots.spec, band)
         del j
     out = np.empty((3,) + grid.spectral_shape, dtype=complex)
     np.negative(div, out=out[:2])
     del div
-    out[2] = grid.fft(dth)
+    grid.fft(dth, out=out[2], band=band)
     del dth
     if dealias:
         np.multiply(grid.dealias_mask, out, out=out)
@@ -424,7 +458,7 @@ def _dot(a, b, out, t):
 
 
 def _perturbation_rates(grid: GridSpec, spec3, params: PhysParams, slots=None, values=None,
-                        check=None):
+                        check=None, band=False):
     """(du_tilde, dv, dtheta_tilde) pointwise, before dealiasing, as the
     rows of slots.rates, from the spectrum spec3 of (ut, v, tt).
 
@@ -437,7 +471,8 @@ def _perturbation_rates(grid: GridSpec, spec3, params: PhysParams, slots=None, v
     there), and the same inverse transform, which consumes it, gives the
     fields; check, when given, sees them before any arithmetic.  slots
     (PerturbationSlots) hold the buffers; given None, call-local ones hold
-    only what this evaluation needs.
+    only what this evaluation needs.  band, for a spec3 that vanishes
+    outside the 2/3 band, makes the inverse transform a band transform.
 
     Every product goes into slots.rates and slots.tmp in place, in the
     order of the expressions of the perturbation system, written out in
@@ -468,7 +503,7 @@ def _perturbation_rates(grid: GridSpec, spec3, params: PhysParams, slots=None, v
     del spec3, uth, vh, tth, fh, neg_k2, phih
     if real is None:  # made only now, when the input spectrum is gone
         real = np.empty((r + 3,) + grid.shape)
-    grid.ifft(stack[:rows], out=real[:rows])
+    grid.ifft(stack[:rows], out=real[:rows], band=band)
     del stack
     if values is None:
         if check is not None:
@@ -542,12 +577,14 @@ def _perturbation_rates(grid: GridSpec, spec3, params: PhysParams, slots=None, v
 
 
 def _rhs_perturbation_core(grid: GridSpec, spec3, params: PhysParams, dealias=True, slots=None,
-                           values=None, check=None):
+                           values=None, check=None, band=False):
     """Spectrum of (du_tilde, dv, dtheta_tilde), shape (3,) +
     spectral_shape, from the spectrum spec3 of (ut, v, tt), which is left
     as it was: one forward transform of the rows _perturbation_rates
-    writes, given slots, values and check, dealiased in place."""
-    spec = grid.fft(_perturbation_rates(grid, spec3, params, slots, values, check))
+    writes, given slots, values, check and band, dealiased in place; with
+    band (which needs dealias) both transforms are band transforms."""
+    spec = grid.fft(_perturbation_rates(grid, spec3, params, slots, values, check, band),
+                    band=band)
     if dealias:
         np.multiply(grid.dealias_mask, spec, out=spec)
     return spec
@@ -653,151 +690,226 @@ def stability_bound(
 
 
 def _check_stage(names, arrays, floor, shifts):
-    """StepAbort unless every array is finite and min(array) + shift is at
-    least the floor; a shift of math.inf checks finiteness only."""
-    for name, arr, shift in zip(names, arrays, shifts):
-        low = float(arr.min()) + shift
-        if not np.all(np.isfinite(arr)):
+    """StepAbort unless every row of arrays is finite and min(row) + shift
+    is at least the floor, row by row in order; a shift of math.inf checks
+    finiteness only.  One min and one max reduction over all the rows: a
+    row is finite when both its extremes are."""
+    flat = arrays.reshape(len(arrays), -1)
+    lows, highs = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
+    for name, low, high, shift in zip(names, lows, highs, shifts):
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise StepAbort(f"non-finite values in {name}")
-        if low < floor:
+        if low + shift < floor:
             raise StepAbort(
-                f"positivity floor breached: min({name}) = {low:.3e} < {floor!r}"
+                f"positivity floor breached: min({name}) = {low + shift:.3e} < {floor!r}"
             )
 
 
-def _new_stage(ys, k, h):
-    """The stage y + h k of each row, in new arrays."""
-    return [y + h * ki for y, ki in zip(ys, k)]
+class _Form(NamedTuple):
+    """What a step of one form needs besides its RHS: the state type and
+    its field names (the three stepped fields, then phi), and the names
+    and floor shifts of the stepped fields' checks."""
+
+    state: type
+    fields: tuple
+    names: tuple
+    shifts: tuple
 
 
-def _rk4(ys, rhs, dt, check, fed=(), new_stage=_new_stage):
-    # acc sums k1 + 2 k2 + 2 k3 + k4 in that order (see the module docstring);
-    # fed goes to the k1 evaluation only, and new_stage(ys, k, c dt) gives
-    # each stage y + c dt k
-    acc = rhs(ys, *fed)
+_PRIMITIVE = _Form(State, ("n", "p", "theta", "phi"), ("n", "p", "theta"), (0.0, 0.0, 0.0))
+_PERTURBATION = _Form(
+    PerturbationState, ("u_tilde", "v", "theta_tilde", "phi"),
+    ("2 + u_tilde", "v", "1 + theta_tilde"), (2.0, math.inf, 1.0),  # v is unconstrained
+)
+
+
+def _form(state) -> _Form:
+    if isinstance(state, State):
+        return _PRIMITIVE
+    if isinstance(state, PerturbationState):
+        return _PERTURBATION
+    raise TypeError(f"cannot step object of type {type(state).__name__}")
+
+
+def _trusted(cls, **values):
+    """cls(**values) without its __post_init__, for values whose checks
+    have passed: a stepped state is scanned once, by _check_state."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_state(grid: GridSpec, y, fields3, cfg: StepperConfig, form: _Form) -> None:
+    """The one check of a state a step returns: the finiteness and the
+    floor of its stepped fields fields3 (_check_stage), then neutrality,
+    read off the k = 0 entry of its spectrum y: mean(n - p), or mean(v)."""
+    _check_stage(form.names, fields3, cfg.positivity_floor, form.shifts)
+    origin = (0,) * grid.dim
+    v0 = y[0][origin] - y[1][origin] if form is _PRIMITIVE else y[1][origin]
+    mean = float(v0.real) / grid.n**grid.dim
+    if abs(mean) > poisson.NEUTRALITY_TOL:
+        raise StepAbort(
+            f"neutrality breached: mean({'n - p' if form is _PRIMITIVE else 'v'}) = "
+            f"{mean:.3e} exceeds {poisson.NEUTRALITY_TOL:.0e}"
+        )
+
+
+def _close(grid: GridSpec, y, four, cfg: StepperConfig, form: _Form):
+    """The state whose spectrum is y, three rows, which it carries: one
+    inverse transform of (y, phi_hat), phi_hat = -v_hat/|k|^2 with v_hat =
+    n_hat - p_hat or the second row, from the four spectral rows four,
+    which it consumes, checked once (_check_state).  The state and its
+    fields are built without the constructors' scans."""
+    v = np.subtract(y[0], y[1], out=four[3]) if form is _PRIMITIVE else y[1]
+    np.multiply(-grid.inv_k2, v, out=four[3])
+    np.copyto(four[:3], y)
+    out = grid.ifft(four, band=cfg.dealias)
+    _check_state(grid, y, out[:3], cfg, form)
+    values = {name: _trusted(ScalarField, grid=grid, values=a) for name, a in zip(form.fields, out)}
+    return _trusted(form.state, spec=y, **values)
+
+
+def _four(grid: GridSpec, slots, form: _Form):
+    """The four spectral rows a closing inverse transform reads: the
+    slots' (fields.Slots.spectra, or the perturbation stack's last four
+    rows), or new ones."""
+    if slots is None:
+        return np.empty((4,) + grid.spectral_shape, dtype=complex)
+    return slots.spectra if form is _PRIMITIVE else slots.stack[-4:]
+
+
+def carried(state, cfg: StepperConfig, slots=None):
+    """state with the spectrum a step carries (spec): state itself when it
+    carries one.  Else, with dealias on, its band projection: the forward
+    transform of its stepped fields times dealias_mask, closed like a
+    step's output (_close), so every state a dealiased step works on is
+    band-limited and every transform of the step can be a band transform.
+    With dealias off, state with the forward transform of its fields,
+    checked as _close checks.  Either way the checks raise StepAbort.
+    slots are a run's (new_slots or new_perturbation_slots), or None.  A
+    carried spectrum is taken as it is: a state keeps the dealias setting
+    of the steps that made it."""
+    if state.spec is not None:
+        return state
+    form, g = _form(state), state.grid
+    ys = np.stack([getattr(state, name).values for name in form.fields[:3]])
+    spec = g.fft(ys)
+    if cfg.dealias:
+        del ys
+        np.multiply(g.dealias_mask, spec, out=spec)
+        return _close(g, spec, _four(g, slots, form), cfg, form)
+    _check_state(g, spec, ys, cfg, form)
+    values = {name: getattr(state, name) for name in form.fields}
+    return _trusted(form.state, spec=spec, **values)
+
+
+def _primitive_rhs(grid: GridSpec, params: PhysParams, cfg: StepperConfig, slots, check):
+    """The primitive RHS a step hands to _rk4 and _imex1: rhs(y, values,
+    sink) is the core on the spectrum y with the fields values (a run's
+    Slots, bands as cfg dealiases).  Given no values, a stage's come from
+    one inverse transform of a copy of y in slots.spectra, into one buffer
+    that the step's first stage makes, and check sees them before the
+    core."""
+    real = None
+
+    def rhs(y, values=None, sink=None):
+        nonlocal real
+        if values is None:
+            if real is None:
+                real = np.empty((3,) + grid.shape)
+            work = slots.spectra[:3]
+            np.copyto(work, y)
+            values = grid.ifft(work, out=real, band=cfg.dealias)
+            check(values)
+        return _rhs_primitive_core(grid, y, *values, params, cfg.dealias, sink, slots, cfg.dealias)
+
+    return rhs
+
+
+def _rk4(y, rhs, dt, fed=(), stage=None):
+    """One RK4 step of the spectrum y, which is left as it was: k1 =
+    rhs(y, *fed), each later k = rhs(stage) of the stage y + c dt k built
+    in stage (a buffer, or None for one made after k1).  One accumulator
+    sums k1 + 2 k2 + 2 k3 + k4 in that order (see the module docstring) and
+    becomes y + dt/6 (k1 + 2 k2 + 2 k3 + k4) in place, with those bits."""
+    acc = rhs(y, *fed)
+    if stage is None:
+        stage = np.empty_like(acc)
     k = acc
     for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-        stage = new_stage(ys, k, c * dt)
-        del k
-        check(stage)
+        for yi, ki, si in zip(y, k, stage):
+            np.multiply(c * dt, ki, out=si)
+            si += yi
+        del k, ki
         k = rhs(stage)
-        del stage
         for a, ki in zip(acc, k):
             a += w * ki
         del ki  # a row of k, which would keep k alive through the next stage
     del k
-    out = [y + (dt / 6.0) * a for y, a in zip(ys, acc)]
-    check(out)
-    return out
+    acc *= dt / 6.0
+    acc += y
+    return acc
 
 
 def step(state, cfg: StepperConfig, params: PhysParams, sink=None, slots=None):
     """
     Advance one time step; returns the same type it receives (State or
-    PerturbationState).  Any substage that breaches the positivity floor
-    or produces non-finite values raises StepAbort; nothing is clamped.
+    PerturbationState), which carries the new spectrum.  Any substage that
+    breaches the positivity floor or produces non-finite values, and a new
+    state that breaks neutrality, raises StepAbort; nothing is clamped.
 
-    sink, a fields.AuditSink of a State, is fed by the step's first RHS
-    evaluation (k1 of RK4, the core of IMEX1): after it, sink.audit is
-    the FluxAudit of state.  A step that aborts before that evaluation
-    leaves sink.audit None.
+    The step advances the spectrum state carries, or the one carried(state)
+    gives it: with dealias on, a state that carries none is projected onto
+    the band first.  RK4 builds its stages spectrally and inverse-transforms
+    each once, and the first RHS evaluation (k1 of RK4, the IMEX1 core)
+    takes the state's own fields.  One inverse transform of (y_hat,
+    phi_hat) closes the step (_close), so no step solves Poisson.
+
+    sink, a fields.AuditSink, is fed by the step's first RHS evaluation:
+    after it, sink.audit is the FluxAudit of the state the step works on,
+    which the step makes sink.state (the projection of an uncarried
+    state).  A step that aborts before that evaluation leaves sink.audit
+    None.
 
     slots are the buffers every RHS evaluation of the step writes into: for
     a State the fields.new_slots of its grid, which take its gradients and
-    Laplacians, and None makes one for this step; for a PerturbationState
-    the new_perturbation_slots of its grid, which take the stack of its
+    Laplacians and the inputs of its stage and closing inverse transforms,
+    and None makes one for this step; for a PerturbationState the
+    new_perturbation_slots of its grid, which take the stack of its
     stages, gradients and Laplacians and that stack's inverse transform,
     and None makes one stack for this step and leaves each evaluation a
     call-local real buffer.  A stepping loop passes one set to all its
     steps.
-
-    A PerturbationState steps the spectrum it carries (spec), or else the
-    forward transform of its fields, and the state returned carries the
-    new one.
     """
-    if isinstance(state, State):
-        return _step_primitive(state, cfg, params, sink, slots)
-    if isinstance(state, PerturbationState):
+    form = _form(state)
+    g = state.grid
+    if form is _PERTURBATION:
         if sink is not None:
             raise TypeError("an audit sink needs a State")
-        return _step_perturbation(state, cfg, params, slots)
-    raise TypeError(f"cannot step object of type {type(state).__name__}")
-
-
-def _step_primitive(s: State, cfg: StepperConfig, params: PhysParams, sink=None,
-                    slots=None) -> State:
-    """One RK4 step on the array RHS or one IMEX1 step on the core, of the
-    arrays (n, p, theta); every stage is checked against the floor.  A
-    sink goes to the first RHS evaluation only, slots to every one."""
-    g = s.grid
-    slots = new_slots(g) if slots is None else slots
-    ys = [s.n.values, s.p.values, s.theta.values]
-    check = lambda ys: _check_stage(("n", "p", "theta"), ys, cfg.positivity_floor, (0.0,) * 3)
-    check(ys)
-    fed = () if sink is None else (sink,)
-    if cfg.scheme == "RK4":
-        rhs = lambda ys, *fed: _rhs_primitive_arrays(g, *ys, params, cfg.dealias, *fed, slots=slots)
-        out = _rk4(ys, rhs, cfg.dt, check, fed)
+        _require_perturbation_params(params)
+        # a one-off step keeps one stack for its evaluations, each of which
+        # makes its real buffer
+        slots = _perturbation_slots(g, 4 * g.dim + 6, False) if slots is None else slots
+    elif slots is None:
+        slots = new_slots(g)
+    state = carried(state, cfg, slots)
+    if sink is not None:
+        sink.state = state
+    check = lambda ys: _check_stage(form.names, ys, cfg.positivity_floor, form.shifts)
+    values = tuple(getattr(state, name).values for name in form.fields[:3])
+    if form is _PRIMITIVE:
+        rhs, stage, fed = _primitive_rhs(g, params, cfg, slots, check), None, (values, sink)
     else:
-        core = lambda spec: _rhs_primitive_core(g, spec, *ys, params, cfg.dealias, *fed, slots=slots)
-        out = g.ifft(_imex1(g, g.fft(np.stack(ys)), core, cfg, _linear_block(params, True)))
-        out = [out[0], out[1], out[2]]
-        check(out)
-    n, p, th = (ScalarField(g, a) for a in out)
-    return State.from_primitives(n, p, th)
-
-
-def _spectrum(ps: PerturbationState):
-    """The spectrum ps carries, or else the forward transform of
-    (u_tilde, v, theta_tilde)."""
-    if ps.spec is not None:
-        return ps.spec
-    return ps.grid.fft(np.stack([ps.u_tilde.values, ps.v.values, ps.theta_tilde.values]))
-
-
-def _step_perturbation(
-    ps: PerturbationState, cfg: StepperConfig, params: PhysParams, slots=None
-) -> PerturbationState:
-    """One RK4 or IMEX1 step of the spectrum y_hat of (u_tilde, v,
-    theta_tilde).  The first RHS evaluation (k1 of RK4, the IMEX1 core)
-    takes the state's own fields; every later one gets the stage's from
-    its batched inverse transform and checks them against the floor there.
-    One inverse transform of (y_hat, phi_hat) gives the new state."""
-    _require_perturbation_params(params)
-    g = ps.grid
-    check = lambda ys: _check_stage(
-        ("2 + u_tilde", "v", "1 + theta_tilde"), ys, cfg.positivity_floor,
-        (2.0, math.inf, 1.0),  # v is unconstrained
-    )
-    values = (ps.u_tilde.values, ps.v.values, ps.theta_tilde.values)
-    check(values)
-    # a one-off step keeps one stack for its evaluations, each of which
-    # makes its real buffer
-    slots = _perturbation_slots(g, 4 * g.dim + 6, False) if slots is None else slots
-    rhs = lambda spec3, values=None: _rhs_perturbation_core(
-        g, spec3, params, cfg.dealias, slots, values, check)
+        rhs = lambda y, values=None: _rhs_perturbation_core(
+            g, y, params, cfg.dealias, slots, values, check, cfg.dealias)
+        stage, fed = slots.stack[-3:], (values,)
     if cfg.scheme == "RK4":
-        def new_stage(ys, k, h):  # y + h k, in the stack's value rows
-            for y, ki, s in zip(ys, k, slots.stack[-3:]):
-                np.multiply(h, ki, out=s)
-                s += y
-            return slots.stack[-3:]
-
-        # the values go to k1 only; the stages are checked inside rhs
-        out = _rk4(_spectrum(ps), rhs, cfg.dt, lambda ys: None, (values,), new_stage)
+        out = _rk4(state.spec, rhs, cfg.dt, fed, stage)
     else:
-        core = lambda spec3: rhs(spec3, values)
-        out = _imex1(g, _spectrum(ps), core, cfg, _linear_block(params, False))
-    # the closing inverse transform of (y_hat, phi_hat) consumes the stack's
-    # last four rows
-    four = slots.stack[-4:]
-    for row, y in zip(four, out):
-        np.copyto(row, y)
-    np.multiply(-g.inv_k2, out[1], out=four[3])
-    fields4 = g.ifft(four)
-    check(fields4[:3])
-    ut, v, tt, phi = (ScalarField(g, a) for a in fields4)
-    return PerturbationState(ut, v, tt, phi, spec=out)
+        core = lambda y: rhs(y, *fed)
+        out = _imex1(g, state.spec, core, cfg, _linear_block(params, form is _PRIMITIVE))
+    return _close(g, out, _four(g, slots, form), cfg, form)
 
 
 def _imex1(grid, spec_y, core, cfg, m):
@@ -844,19 +956,15 @@ def _imex1(grid, spec_y, core, cfg, m):
 def integrate(state, cfg: StepperConfig, params: PhysParams):
     """
     Generator driving `step`: yields (index, t, state) with index 0 being
-    the initial state.  A StepAbort propagates to the caller after the
-    already-yielded prefix (partial trajectories keep their audit trail).
-    The steps share one set of buffers (see step): a State's new_slots or
-    a PerturbationState's new_perturbation_slots.  A PerturbationState is
-    yielded with its spectrum from index 0 on: the initial state's forward
-    transform unless it carries one.
+    carried(state), the initial state with its spectrum (with dealias on,
+    the projection of one that carries none).  A StepAbort propagates to
+    the caller after the already-yielded prefix (partial trajectories keep
+    their audit trail).  The steps share one set of buffers (see step): a
+    State's new_slots or a PerturbationState's new_perturbation_slots.
     """
-    t = 0.0
-    if isinstance(state, PerturbationState):
-        state = replace(state, spec=_spectrum(state))
-    yield 0, t, state
     slots = (new_slots if isinstance(state, State) else new_perturbation_slots)(state.grid)
+    state = carried(state, cfg, slots)
+    yield 0, 0.0, state
     for i in range(1, cfg.n_steps + 1):
         state = step(state, cfg, params, slots=slots)
-        t = i * cfg.dt
-        yield i, t, state
+        yield i, i * cfg.dt, state

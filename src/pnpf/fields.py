@@ -37,7 +37,17 @@ that keeps the fluxes passes one (dim, 2) block array; the primitive
 RHS, which transforms each axis's pair inside its loop, passes one block
 for every axis.  The Laplacians are not part of the kernel: only the
 primitive RHS needs them, and it builds them after its axis loop from
-the same forward transform.
+the same forward transform.  With band, every inverse transform of the
+pass is a band transform (GridSpec.ifft), which needs a spectrum that
+vanishes outside the 2/3 band: the dealiased stepper passes it for the
+spectrum it carries, and every other caller keeps band False.
+
+A State carries the spectrum of (n, p, theta) once a stepper has given it
+one (State.spec, set by dynamics.carried): the fields are its inverse
+transform.  spectrum(s) is that spectrum, or else the forward transform
+of the fields, and constitutive_fluxes and flux_audit read it, so the
+standalone sample of a carried State makes no forward transform and its
+definitions read the same spectrum bit for bit.
 
 AuditSink is the body of one audit sample, in three parts that any pass
 over darcy_axes can feed: the |q|^2, |j_p|^2 and |j_n|^2 sums per axis,
@@ -45,9 +55,11 @@ the production density from them, and the reconstruction residual
 over the pass's j_p and j_n rows after the axis loop.  A step fed a sink
 makes its first RHS evaluation that pass, and the sample adds 3 + 3*dim
 transforms to the step; flux_audit makes the pass itself, 6 + 7*dim
-transforms (tests/test_dynamics.py TestSpectralCore::test_transform_count
-pins both at dim 3).  Either way the sample takes from the
-axes only what it reads and builds nothing else.  The definitions stay
+transforms, 3 + 7*dim for a State that carries its spectrum
+(tests/test_dynamics.py TestSpectralCore::test_transform_count pins both
+at dim 3, tests/test_thermo_audit.py TestAuditSample the carried one).
+Either way the sample takes from the axes only what it reads and builds
+nothing else.  The definitions stay
 as they are: constitutive_fluxes (varcheck's fluxes),
 entropy_production_density, reconstruct_fluxes and
 flux_reconstruction_residual.  The entropy density eta has one
@@ -60,7 +72,7 @@ row formula, _ion_row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -115,12 +127,20 @@ class State:
 
     Invariants: n, p, theta above the positivity floor; mean(n - p) = 0
     (neutrality); phi is the zero-mean solution of Delta(phi) = n - p.
+
+    spec is the spectrum of (n, p, theta), three rows, that the stepper
+    carries from step to step, the fields being its inverse transform;
+    None until dynamics.carried sets it (dynamics.integrate,
+    thermo_audit.audit_run and dynamics.step call it).  The kernels that
+    need the forward transform of (n, p, theta) read it instead
+    (spectrum).
     """
 
     n: ScalarField
     p: ScalarField
     theta: ScalarField
     phi: ScalarField
+    spec: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -160,29 +180,43 @@ class Slots(NamedTuple):
     primitive RHS then its Laplacians, and an AuditSink's residual its
     gradients.  spec is the input of each one-field inverse transform
     (GridSpec.ifft consumes it), and tmp, the same memory seen as one real
-    grid, is the arithmetic's scratch once that transform has run.  A
-    stepping loop makes one Slots and hands it to every step; a one-off
-    call makes its own.  The perturbation form's counterpart is
-    dynamics.new_perturbation_slots."""
+    grid, is the arithmetic's scratch once that transform has run.
+    spectra, the whole buffer seen as four spectra, is the input of the
+    primitive stepper's stage and closing inverse transforms, which run
+    between the kernels.  A stepping loop makes one Slots and hands it to
+    every step; a one-off call makes its own.  The perturbation form's
+    counterpart is dynamics.new_perturbation_slots."""
 
     rows: np.ndarray  # (4,) + grid.shape, real
     spec: np.ndarray  # grid.spectral_shape, complex
     tmp: np.ndarray  # grid.shape, real: the memory of spec
+    spectra: np.ndarray  # (4,) + grid.spectral_shape, complex: the whole buffer
 
 
 def new_slots(grid: GridSpec) -> Slots:
-    """Slots of grid, in one buffer: four real grids and one spectrum."""
-    size = grid.n**grid.dim
-    buf = np.empty(4 * size + 2 * math.prod(grid.spectral_shape))
+    """Slots of grid, in one buffer: four real grids and one spectrum,
+    which hold four spectra as well (n >= 8)."""
+    size, spec_size = grid.n**grid.dim, math.prod(grid.spectral_shape)
+    buf = np.empty(4 * size + 2 * spec_size)
     last = buf[4 * size :]
     return Slots(
         buf[: 4 * size].reshape((4,) + grid.shape),
         last.view(complex).reshape(grid.spectral_shape),
         last[:size].reshape(grid.shape),
+        buf[: 8 * spec_size].view(complex).reshape((4,) + grid.spectral_shape),
     )
 
 
-def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j, slots=None):
+def spectrum(s: State) -> np.ndarray:
+    """The spectrum s carries (State.spec), or else the batched forward
+    transform of (n, p, theta)."""
+    if s.spec is not None:
+        return s.spec
+    return s.grid.fft(np.stack([s.n.values, s.p.values, s.theta.values]))
+
+
+def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j, slots=None,
+               band=False):
     """
     Gradients and Darcy ion fluxes of raw (n, p, theta) arrays, one axis
     at a time, with phi slaved to n - p (phi_hat = -(n_hat - p_hat)/|k|^2).
@@ -199,24 +233,28 @@ def darcy_axes(grid: GridSpec, spec, n, p, th, params: PhysParams, j, slots=None
     stay valid only until the generator resumes, which overwrites them
     with the next axis's, and the consumer may use slots.tmp, and the row
     of a gradient it has done with, as scratch.
+
+    band makes every inverse transform a band transform (GridSpec.ifft):
+    a stepper whose carried spectrum vanishes outside the 2/3 band passes
+    it, and any other spectrum needs band False.
     """
     if slots is None:
         slots = new_slots(grid)
     for i, m in enumerate(grid.grad_mult):
-        yield _darcy_axis(grid, spec, m, n, p, th, params, j[i], slots)
+        yield _darcy_axis(grid, spec, m, n, p, th, params, j[i], slots, band)
 
 
-def _darcy_axis(grid: GridSpec, spec, m, n, p, th, params: PhysParams, ji, slots):
-    rows, sp, t = slots
-    gn = grid.ifft(np.multiply(m, spec[0], out=sp), out=rows[0])
-    gp = grid.ifft(np.multiply(m, spec[1], out=sp), out=rows[1])
-    gth = grid.ifft(np.multiply(m, spec[2], out=sp), out=rows[2])
+def _darcy_axis(grid: GridSpec, spec, m, n, p, th, params: PhysParams, ji, slots, band):
+    rows, sp, t = slots.rows, slots.spec, slots.tmp
+    gn = grid.ifft(np.multiply(m, spec[0], out=sp), out=rows[0], band=band)
+    gp = grid.ifft(np.multiply(m, spec[1], out=sp), out=rows[1], band=band)
+    gth = grid.ifft(np.multiply(m, spec[2], out=sp), out=rows[2], band=band)
     # -1/|k|^2 goes into the start of the row that d_i phi then takes
     inv = grid.inv_k2
     neg_inv_k2 = np.negative(inv, out=rows[3].reshape(-1)[: inv.size].reshape(inv.shape))
     np.subtract(spec[0], spec[1], out=sp)
     np.multiply(neg_inv_k2, sp, out=sp)
-    gphi = grid.ifft(np.multiply(m, sp, out=sp), out=rows[3])
+    gphi = grid.ifft(np.multiply(m, sp, out=sp), out=rows[3], band=band)
     # -D_p (th gp + p gth + p gphi) and -D_n (th gn + n gth - n gphi), in
     # that order, with t for each product
     jp = np.multiply(th, gp, out=ji[0])
@@ -301,7 +339,7 @@ def constitutive_fluxes(s: State, params: PhysParams) -> FluxSet:
     g, d = s.grid, s.grid.dim
     n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
     j, q, gphi = np.empty((d, 2) + g.shape), [], []
-    spec = g.fft(np.stack([n, p, th]))
+    spec = spectrum(s)
     for axis in darcy_axes(g, spec, n, p, th, params, j):
         q.append(-params.k * axis[2])
         gphi.append(axis[3].copy())
@@ -575,7 +613,7 @@ class AuditSink:
         self.audit = FluxAudit(self._production, dev / scale if scale else 0.0)
 
 
-def flux_audit(s: State, params: PhysParams) -> FluxAudit:
+def flux_audit(s: State, params: PhysParams, slots=None) -> FluxAudit:
     """
     The entropy production density and the flux-reconstruction residual
     of s, bit for bit equal to
@@ -585,18 +623,20 @@ def flux_audit(s: State, params: PhysParams) -> FluxAudit:
     block array; the sink keeps the |q|^2, |j_p|^2 and |j_n|^2 sums in
     axis order, as it does when it rides on an RHS evaluation.
 
-    This is the standalone sample, 6 + 7*dim transforms:
-    the forward transform of (n, p, theta) and four one-field inverses
-    per axis for the pass, 3 + 3*dim for the residual.  A step fed the sink
-    shares its first RHS evaluation's pass instead, so the sample adds
-    only the residual's 3 + 3*dim to the step.
+    This is the standalone sample, 6 + 7*dim transforms: the forward
+    transform of (n, p, theta), which a State that carries its spectrum
+    skips (spectrum), and four one-field inverses per axis for the pass,
+    3 + 3*dim for the residual.  A step fed the sink shares its first RHS
+    evaluation's pass instead, so the sample adds only the residual's
+    3 + 3*dim to the step.  slots are a run's (new_slots), which the run
+    does not use meanwhile, or None for call-local ones.
     """
     g = s.grid
     n, p, th = s.n.values, s.p.values, s.theta.values
     sink = AuditSink(s, params)
     j = np.empty((g.dim, 2) + g.shape)
-    slots = new_slots(g)
-    spec = g.fft(np.stack([n, p, th]))
+    slots = new_slots(g) if slots is None else slots
+    spec = spectrum(s)
     for _, _, gth, _, jp, jn in darcy_axes(g, spec, n, p, th, params, j, slots):
         sink.axis(gth, jp, jn, slots.tmp)
     del spec

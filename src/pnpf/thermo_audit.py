@@ -28,22 +28,32 @@ four one-field inverse transforms of darcy_axes) and adds the residual's
 forward transform of (mu_p/theta, mu_n/theta, 1/theta) and three
 one-field inverse transforms per axis.  It builds no FluxSet, phi_t,
 exchange flux or j_e.  audit_run makes one fields.Slots for the run and
-hands it to every step, so the steps' kernels and the samples riding on
-them reuse its buffers.
-totals integrates the densities, and the Lyapunov functional takes one
-batched forward transform of the converted state.  audit_run hands the
-sink of each audited state that is stepped further to that step, whose
-first RHS evaluation makes the pass, so the sample adds only the
-residual's transforms to the step and observe only the Lyapunov
-functional's.  The final state, and a state whose step aborts before its
-first RHS, are audited by fields.flux_audit, which makes the pass itself.
+hands it to every step and to the final state's standalone sample, so
+the steps' kernels and the samples reuse its buffers.
+
+audit_run steps carried(state) (dynamics.carried): with dealias on, the
+band projection of the initial state, checked as a step's output (a
+breach ends the run before its first step, and the initial state's one
+row is audited as given).  Every state it audits then carries its
+spectrum.  totals integrates the densities, and the Lyapunov functional
+takes the spectra of (u_tilde, v, theta_tilde, phi) from the carried one
+(u_hat = n_hat + p_hat - 2 N delta_0, v_hat = n_hat - p_hat,
+theta_tilde_hat = theta_hat - N delta_0, phi_hat = -v_hat/|k|^2, N =
+n^dim) without a transform; a State that carries none is converted and
+transformed (4 fields).  audit_run hands the sink of each audited state
+that is stepped further to that step, whose first RHS evaluation makes
+the pass, so the sample adds only the residual's 3 + 3*dim transforms to
+the step and observe none.  The final state, and a state whose step
+aborts before its first RHS, are audited by fields.flux_audit, which
+makes the pass itself from the carried spectrum: 3 + 7*dim transforms.
 tests/test_thermo_audit.py pins these counts
-(TestAuditSample::test_sample_cost,
+(TestAuditSample::test_sample_cost, ::test_carried_sample_cost,
 TestFusedSample::test_audited_imex1_step_cost, ::test_audit_run_cost).
-Either way every column
-equals its definition bit for bit: totals of the
-entropy_production_density of constitutive_fluxes, the
-flux_reconstruction_residual and decay.lyapunov of the converted state.
+Either way every column equals its definition bit for bit, the Lyapunov
+column to rounding: totals of the entropy_production_density of
+constitutive_fluxes (which reads the same carried spectrum), the
+flux_reconstruction_residual, and decay.lyapunov of the converted state
+(to rounding for a carried State, bit for bit for one without).
 
 Audit rows stream to CSV as they are produced (one-sample lag for the
 centered difference) so aborted runs retain their trail.  The final state
@@ -56,8 +66,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
 
+import numpy as np
+
 from . import decay
-from .dynamics import StepAbort, StepperConfig, convert, step
+from .dynamics import StepAbort, StepperConfig, carried, convert, step
 from .fields import (
     AuditSink,
     FluxAudit,
@@ -114,6 +126,24 @@ class AuditRecord:
 CSV_HEADER = ",".join(f.name for f in dataclass_fields(AuditRecord))
 
 
+def _lyapunov(s: State, params: PhysParams) -> float:
+    """decay.lyapunov of convert(s).  A State that carries its spectrum
+    gives the four spectra without a transform: u_hat = n_hat + p_hat -
+    2 N delta_0, v_hat = n_hat - p_hat, theta_tilde_hat = theta_hat -
+    N delta_0 (N = n^dim, the forward transform of a constant 1 at k = 0)
+    and phi_hat = -v_hat/|k|^2."""
+    if s.spec is None:
+        return decay.lyapunov(convert(s), params)
+    g = s.grid
+    n_hat, p_hat, th_hat = s.spec
+    v_hat = n_hat - p_hat
+    spec = np.stack([n_hat + p_hat, v_hat, th_hat, -g.inv_k2 * v_hat])
+    origin, size = (0,) * g.dim, g.n**g.dim
+    spec[0][origin] -= 2.0 * size
+    spec[2][origin] -= size
+    return decay.spectral_lyapunov(g, spec, params)
+
+
 def totals(s: State, params: PhysParams, production):
     """(mass_n, mass_p, E, S, Delta) by exact spectral quadrature.
     production is the state's entropy production density, as
@@ -148,18 +178,19 @@ class AuditWriter:
         self._E0 = None
         self.records: list[AuditRecord] = []
 
-    def observe(self, t: float, s: State, flux: FluxAudit | None = None) -> None:
+    def observe(self, t: float, s: State, flux: FluxAudit | None = None, slots=None) -> None:
         """Add the sample of s at time t.  flux is the FluxAudit of s when
         a step has already built it (AuditSink.audit); None builds it here
-        with fields.flux_audit."""
+        with fields.flux_audit, in slots (a run's fields.Slots) when they
+        are given."""
         params = self._params
-        production, residual = flux_audit(s, params) if flux is None else flux
+        production, residual = flux_audit(s, params, slots) if flux is None else flux
         mass_n, mass_p, E, S, Delta = totals(s, params, production)
         if self._E0 is None:
             self._E0 = E
         lam = math.nan
         if params.c_p == params.c_n:
-            lam = decay.lyapunov(convert(s), params)
+            lam = _lyapunov(s, params)
         rec = AuditRecord(
             t, mass_n, mass_p, E, S, Delta, math.nan,
             abs(E - self._E0) / abs(self._E0), residual, lam,
@@ -219,7 +250,11 @@ def audit_run(
     s, i, sink, reason = state, 0, None, None
     slots = new_slots(state.grid)  # every step's, and its sample's
     try:
-        while i < total:
+        try:
+            s = carried(state, cfg, slots)
+        except StepAbort as exc:
+            reason = str(exc)
+        while reason is None and i < total:
             sink = AuditSink(s, params) if i % audit_every == 0 else None
             try:
                 nxt = step(s, cfg, params, sink, slots)
@@ -231,7 +266,7 @@ def audit_run(
                     writer.observe(i * cfg.dt, s, sink.audit)
             s, i = nxt, i + 1
         if reason is None or sink is None:
-            writer.observe(i * cfg.dt, s)
+            writer.observe(i * cfg.dt, s, slots=slots)
     finally:
         writer.close()
     return s, writer.records, reason

@@ -88,16 +88,19 @@ def peak_grids(fn, grid: GridSpec) -> float:
     return (peak - base) / (8 * grid.n**grid.dim)
 
 
-def count_transforms(monkeypatch) -> list[int]:
+def count_transforms(monkeypatch, bands=None) -> list[int]:
     """Record, in call order, the real fields each GridSpec.fft/ifft call
     transforms from now on (batch elements count one each); the returned
-    list's sum is the total."""
+    list's sum is the total.  bands, a list, takes each call's band flag
+    in the same order."""
     widths: list[int] = []
     for name in ("fft", "ifft"):
         orig = getattr(GridSpec, name)
 
         def counting(grid, arr, *args, _orig=orig, **kwargs):
             widths.append(int(np.prod(arr.shape[: arr.ndim - grid.dim])))
+            if bands is not None:
+                bands.append(kwargs.get("band", False))
             return _orig(grid, arr, *args, **kwargs)
 
         monkeypatch.setattr(GridSpec, name, counting)

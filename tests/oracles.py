@@ -13,7 +13,9 @@ import math
 import numpy as np
 
 from pnpf import varcheck
-from pnpf.dynamics import _linear_block, _rhs_perturbation_arrays, _rhs_perturbation_core
+from pnpf.dynamics import (
+    _linear_block, _rhs_perturbation_arrays, _rhs_perturbation_core, _rhs_primitive_core,
+)
 from pnpf.fields import darcy_axes, new_slots
 from pnpf.grid import GridSpec, grad_arrays
 
@@ -238,6 +240,28 @@ def batched_rhs_core(grid: GridSpec, spec, n, p, th, params, dealias=True, sink=
     if sink is not None:
         sink.residual(j, slots)
     return _outer_divergence(grid, out, dealias)
+
+
+def primitive_rk4_step(grid: GridSpec, ys, params, dt, dealias=True) -> np.ndarray:
+    """One RK4 step of the primitive form composed the textbook way on its
+    spectrum, with full transforms: y_hat, the forward transform of ys
+    (times dealias_mask when dealias, ys then being its inverse
+    transform); k1 ... k4 of dynamics._rhs_primitive_core on y_hat with ys
+    and on each stage spectrum with its inverse transform; y_hat + dt/6
+    (k1 + 2 k2 + 2 k3 + k4).  Returns (n, p, theta, phi) of the new
+    spectrum, phi_hat = -(n_hat - p_hat)/|k|^2, in one array."""
+    y = grid.fft(np.stack(ys))
+    if dealias:
+        y = grid.dealias_mask * y
+        ys = grid.ifft(y.copy())
+    f = lambda z, fields: _rhs_primitive_core(grid, z, *fields, params, dealias)
+    stage = lambda k, h: (lambda z: f(z, grid.ifft(z.copy())))(y + h * k)
+    k1 = f(y, ys)
+    k2 = stage(k1, 0.5 * dt)
+    k3 = stage(k2, 0.5 * dt)
+    k4 = stage(k3, dt)
+    new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return grid.ifft(np.concatenate([new, [-grid.inv_k2 * (new[0] - new[1])]]))
 
 
 def perturbation_rk4_step(grid: GridSpec, ys, params, dt, dealias=True) -> list:

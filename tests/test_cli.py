@@ -344,6 +344,30 @@ class TestDecay:
         result = json.loads((tmp_path / "decay-summary.json").read_text())
         assert result["rate_ordering_verdict"] == "inconclusive"
 
+    def test_neutrality_breach_is_a_runtime_abort(self, tmp_path, capsys):
+        # undealiased rates get a nonzero mean once products reach the
+        # Nyquist mode, and mean(v) leaves the neutrality tolerance after a
+        # few steps: the step's closing check aborts the run (exit 3), and
+        # decay.csv keeps the samples taken before it
+        code = cli.main([
+            "decay",
+            "--set", "grid.dim=2",
+            "--set", "grid.n=8",
+            "--set", "decay.mode_profile=random_band",
+            "--set", "decay.delta0=0.3",
+            "--set", "stepper.dealias=false",
+            "--set", "stepper.t_end=0.05",
+            "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "neutrality breached: mean(v)" in err and "config error" not in err
+        lines = (tmp_path / "decay.csv").read_text().strip().split("\n")
+        times = [float(line.split(",")[0]) for line in lines[1:]]
+        assert len(times) >= 2 and times == [0.01 * i for i in range(len(times))]
+        result = json.loads((tmp_path / "decay-summary.json").read_text())
+        assert result["completed"] is False and "neutrality" in result["abort_reason"]
+
 
 class TestDeterminism:
     """The same config run twice writes byte-identical artifacts."""

@@ -184,10 +184,11 @@ class TestRun:
 
     # real-field transforms: the initial condition 12 (three band draws, 2
     # each, the smallness size 4 and the Poisson solve 2) and the run's
-    # forward transform of it 3; then per RK4 step 69 (see
-    # test_dynamics.py TestCarriedSpectrum, less the forward transform of
-    # the state, which the run carries) and per sample none (86 and 4 when
-    # every stage and sample was transformed from the real fields)
+    # band projection of it, its forward transform 3 and closing inverse 4;
+    # then per RK4 step 69 (see test_dynamics.py TestCarriedSpectrum, less
+    # the forward transform of the state, which the run carries) and per
+    # sample none (86 and 4 when every stage and sample was transformed from
+    # the real fields)
     def test_transform_count_per_step(self, params, monkeypatch):
         grid = GridSpec(dim=2, n=16, length=2 * np.pi)
         totals = []
@@ -199,7 +200,7 @@ class TestRun:
             assert len(run(exp, grid, params).t) == steps + 1
             totals.append(sum(counted))
         assert totals[1] - totals[0] == 10 * 69
-        assert totals[0] == 15 + 10 * 69
+        assert totals[0] == 19 + 10 * 69
 
     def test_single_v_mode_monotone_and_ordered(self, params):
         grid = GridSpec(dim=2, n=16, length=1.0)

@@ -3,13 +3,14 @@ slices, cross-formulation consistency, conservation structure, stepping
 order, and the potential-sign reconciliation."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnpf import fields
+from pnpf import dynamics, fields
 from pnpf.dynamics import (
     PerturbationState,
     _imex1,
@@ -20,6 +21,7 @@ from pnpf.dynamics import (
     _rhs_primitive_core,
     StepAbort,
     StepperConfig,
+    carried,
     convert,
     convert_back,
     integrate,
@@ -28,13 +30,14 @@ from pnpf.dynamics import (
     stability_bound,
     step,
 )
+from pnpf import cli
 from pnpf.fields import PhysParams, State
 from pnpf.grid import GridSpec, ScalarField, grad_arrays
 from pnpf.poisson import solve, solve_array
 
 from . import oracles
 from .conftest import (
-    band_limited, count_transforms, inner, laplacian, peak_grids, perturbation_state,
+    band_limited, count_transforms, dealiased, inner, laplacian, peak_grids, perturbation_state,
     perturbed_state,
 )
 
@@ -120,21 +123,26 @@ class TestRhsPrimitive:
 
     @given(
         dim=st.integers(1, 3),
-        n=st.sampled_from([8, 16]),
+        n=st.sampled_from([8, 16, 32]),
         seed=st.integers(0, 10_000),
-        dealias=st.booleans(),
+        dealias=st.sampled_from(["off", "on", "band"]),
         caps=CAPS,
         mobs=MOBS,
     )
     @settings(max_examples=30, deadline=None)
     def test_core_mass_modes_are_exactly_zero(self, dim, n, seed, dealias, caps, mobs):
         # the continuity rates are spectral divergences, whose k = 0
-        # multiplier is 0: ion masses are conserved exactly, not to rounding
+        # multiplier is 0: ion masses are conserved exactly, not to rounding,
+        # also with band transforms of a carried (band-projected) spectrum
         grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
         s = perturbed_state(grid, seed=seed, amplitude=5e-2)
         params = PhysParams(c_p=caps[0], c_n=caps[1], D_p=mobs[0], D_n=mobs[1], k=0.9)
+        band = dealias == "band"
+        if band:
+            s = carried(s, StepperConfig())
         ys = [s.n.values, s.p.values, s.theta.values]
-        out = _rhs_primitive_core(grid, grid.fft(np.stack(ys)), *ys, params, dealias)
+        spec = s.spec if band else grid.fft(np.stack(ys))
+        out = _rhs_primitive_core(grid, spec, *ys, params, dealias != "off", band=band)
         origin = (0,) * dim
         assert out[0][origin] == 0.0 and out[1][origin] == 0.0
 
@@ -432,47 +440,56 @@ class TestStreamedKernels:
 
     PARAMS = PhysParams(c_p=1.3, c_n=1.7, D_p=0.8, D_n=1.2, k=0.9)
 
+    # the step builds its stages spectrally and inverse-transforms each
+    # once, with band transforms when it dealiases; the textbook
+    # composition on the spectrum, with full transforms, has its bits
     @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 8)])
     def test_rk4_step_is_the_textbook_combination(self, dim, n, dealias):
         grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
         s = perturbed_state(grid, seed=9, amplitude=5e-2)
         dt = 1e-3
-        f = lambda ys: _rhs_primitive_arrays(grid, *ys, self.PARAMS, dealias)
-        y = [s.n.values, s.p.values, s.theta.values]
-        k1 = f(y)
-        k2 = f([a + 0.5 * dt * k for a, k in zip(y, k1)])
-        k3 = f([a + 0.5 * dt * k for a, k in zip(y, k2)])
-        k4 = f([a + dt * k for a, k in zip(y, k3)])
-        want = [
-            a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
+        ys = [s.n.values, s.p.values, s.theta.values]
+        want = oracles.primitive_rk4_step(grid, ys, self.PARAMS, dt, dealias)
         got = step(s, StepperConfig(scheme="RK4", dt=dt, dealias=dealias), self.PARAMS)
-        for a, b in zip((got.n, got.p, got.theta), want):
-            assert np.array_equal(a.values, b)
+        for name, b in zip(("n", "p", "theta", "phi"), want):
+            assert np.array_equal(getattr(got, name).values, b)
 
     # peaks at 32^3 above the call's entry, in full grids: measured RHS
-    # 17.0 and RK4 step 23.0, slots included (the step makes its own; 24.0
-    # while the last row of each stage's derivative kept that derivative
-    # alive through the next stage); one
-    # 4-field inverse transform per axis instead of two 2-field ones peaks
-    # at 19.1 and 26.1, the fluxes and dtheta kept for one (2*dim+1)-row
-    # forward transform instead of one 2-field transform per axis at 19.9
-    # and 26.9, the nine running sums
-    # of the unfolded heat rate at 28.2 and 37.2, and a kernel holding
-    # every axis's gradients and the Laplacians in one inverse transform,
-    # with a stage array per RK4 derivative, at 51.8 and 69.9
+    # 15.9 and one-off RK4 step 29.3, slots included (the step makes its
+    # own) and 7.2 of them the band projection of the state, which carries
+    # no spectrum: its four fields and its spectrum.  A run's step of a
+    # carried state, given the run's slots, peaks at 17.0 for RK4 and 9.6
+    # for IMEX1 (test_run_step_peak_memory).  While each flux's forward
+    # transform made a new spectrum, and the step ran on real arrays and
+    # closed with a Poisson solve, they were 17.0, 23.0 (no projection),
+    # 17.9 and 12.8.  Earlier forms: 24.0 for the one-off step while the
+    # last row of each stage's derivative kept that derivative alive
+    # through the next stage; one 4-field inverse transform per axis
+    # instead of two 2-field ones at 19.1 and 26.1 (RHS and one-off step),
+    # the fluxes and dtheta kept for one (2*dim+1)-row forward transform
+    # instead of one 2-field transform per axis at 19.9 and 26.9, the nine
+    # running sums of the unfolded heat rate at 28.2 and 37.2, and a kernel
+    # holding every axis's gradients and the Laplacians in one inverse
+    # transform, with a stage array per RK4 derivative, at 51.8 and 69.9
     def test_rhs_peak_memory(self):
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
-        assert peak_grids(lambda: rhs_primitive(s, self.PARAMS), grid) <= 17.4
+        assert peak_grids(lambda: rhs_primitive(s, self.PARAMS), grid) <= 16.3
 
     def test_rk4_step_peak_memory(self):
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
         cfg = StepperConfig(scheme="RK4", dt=1e-4)
-        assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 23.4
+        assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 29.7
+
+    @pytest.mark.parametrize("scheme, bound", [("RK4", 17.4), ("IMEX1", 10.0)])
+    def test_run_step_peak_memory(self, scheme, bound):
+        grid = GridSpec(dim=3, n=32, length=2 * np.pi)
+        cfg = StepperConfig(scheme=scheme, dt=1e-4)
+        slots = fields.new_slots(grid)
+        s = carried(perturbed_state(grid, seed=5, amplitude=5e-2), cfg, slots)
+        assert peak_grids(lambda: step(s, cfg, self.PARAMS, slots=slots), grid) <= bound
 
 
 class TestPerturbationPeaks:
@@ -480,11 +497,15 @@ class TestPerturbationPeaks:
     real buffer only once the stack is filled and its input spectrum freed,
     and does its arithmetic in the stack's memory; a step builds its RK4
     stages in the stack's last three rows.  Measured peaks in full grids:
-    RHS 25.5 at 64^2 and 34.0 at 32^3, one-off RK4 step 34.9 at 64^2, a
-    10-step integrate 45.0 at 64^2.  Before the stepper carried its
-    spectrum they were 28.3, 34.1, 37.3 and 52.7; with the real buffer made
-    up front, the stage in new arrays and k kept alive by the last rate row
-    through the next stage, 30.1, 38.2, 42.5 and 51.2."""
+    RHS 25.5 at 64^2 and 34.0 at 32^3, one-off RK4 step 38.8 and one-off
+    IMEX1 step 35.7 at 64^2, a 10-step integrate 45.0 at 64^2.  A one-off
+    step from a state that carries no spectrum projects it onto the band
+    first and keeps that projection, its four fields and its spectrum,
+    through the step: without the projection the one-off steps peaked at
+    34.9 and 31.7.  Before the stepper carried its spectrum they were 28.3,
+    34.1, 37.3 (RK4) and 52.7; with the real buffer made up front, the
+    stage in new arrays and k kept alive by the last rate row through the
+    next stage, 30.1, 38.2, 42.5 and 51.2."""
 
     @staticmethod
     def state(dim, n):
@@ -499,7 +520,12 @@ class TestPerturbationPeaks:
     def test_rk4_step_peak_memory(self):
         grid, ps = self.state(2, 64)
         cfg = StepperConfig(scheme="RK4", dt=1e-4)
-        assert peak_grids(lambda: step(ps, cfg, PhysParams()), grid) <= 38.0
+        assert peak_grids(lambda: step(ps, cfg, PhysParams()), grid) <= 39.2
+
+    def test_imex1_step_peak_memory(self):
+        grid, ps = self.state(2, 64)
+        cfg = StepperConfig(scheme="IMEX1", dt=1e-4)
+        assert peak_grids(lambda: step(ps, cfg, PhysParams()), grid) <= 36.1
 
     def test_integrate_peak_memory(self):
         # the run's buffers, the carried spectra of the old and the new
@@ -544,39 +570,132 @@ class TestCarriedSpectrum:
                 assert np.abs(getattr(got, name).values - w).max() <= 1e-12 * np.abs(w).max()
         assert i == 20
 
-    # real-field transforms of a one-off step from a state that carries no
-    # spectrum: its forward transform 3, then per RHS evaluation one batched
-    # inverse of the 4*dim gradients and 3 Laplacians, plus the stage's 3
-    # values after k1, and the forward transform of the 3 rates, and the
-    # closing inverse of (y_hat, phi_hat) 4
+    # real-field transforms of an undealiased one-off step from a state
+    # that carries no spectrum (want): its forward transform 3, then per RHS
+    # evaluation one batched inverse of the 4*dim gradients and 3
+    # Laplacians, plus the stage's 3 values after k1, and the forward
+    # transform of the 3 rates, and the closing inverse of (y_hat, phi_hat)
+    # 4.  A dealiased one-off step projects the state first, which adds the
+    # projection's closing inverse 4, and then runs band transforms only
     @pytest.mark.parametrize("dim, scheme, want", [
         (2, "RK4", 72), (2, "IMEX1", 21), (3, "RK4", 88), (3, "IMEX1", 25),
     ])
     def test_step_transform_count(self, monkeypatch, dim, scheme, want):
         grid = GridSpec(dim=dim, n=8, length=2 * np.pi)
         ps = convert(perturbed_state(grid, seed=9, amplitude=5e-2))
-        counted = count_transforms(monkeypatch)
-        new = step(ps, StepperConfig(scheme=scheme, dt=1e-3), self.PARAMS)
-        assert sum(counted) == want
-        assert len(counted) == {"RK4": 10, "IMEX1": 4}[scheme]
-        # the new state carries its spectrum, so its own step skips the
-        # forward transform
-        counted.clear()
-        step(new, StepperConfig(scheme=scheme, dt=1e-3), self.PARAMS)
-        assert sum(counted) == want - 3
+        calls = {"RK4": 10, "IMEX1": 4}[scheme]
+        for dealias, extra in ((False, 0), (True, 4)):
+            cfg = StepperConfig(scheme=scheme, dt=1e-3, dealias=dealias)
+            bands = []
+            counted = count_transforms(monkeypatch, bands)
+            new = step(ps, cfg, self.PARAMS)
+            assert sum(counted) == want + extra
+            assert len(counted) == calls + (extra > 0)
+            # the new state carries its spectrum, so its own step skips the
+            # forward transform and the projection
+            counted.clear()
+            bands.clear()
+            step(new, cfg, self.PARAMS)
+            assert sum(counted) == want - 3
+            assert bands == [dealias] * (calls - 1)
 
     def test_stage_breach_aborts_inside_the_rhs(self, monkeypatch):
         # the initial state clears the floor; the first stage of a step far
         # past the stability bound does not, and the step aborts right after
-        # that stage's inverse transform: the state's forward transform 3,
-        # k1's 7 and 3, and the stage's 10 at dim 1
+        # that stage's inverse transform: the state's forward transform 3 and
+        # its projection's closing inverse 4, k1's 7 and 3, and the stage's
+        # 10 at dim 1
         grid = GridSpec(dim=1, n=32, length=1.0)
         ps = perturbation_state(grid, seed=31, amplitude=5e-2, kmax=10)
         cfg = StepperConfig(scheme="RK4", dt=1.0, positivity_floor=0.9)
         counted = count_transforms(monkeypatch)
         with pytest.raises(StepAbort, match=r"positivity floor breached: min\(\w"):
             step(ps, cfg, self.PARAMS)
-        assert counted == [3, 7, 3, 10]
+        assert counted == [3, 4, 7, 3, 10]
+
+
+class TestBandStepping:
+    """With dealias on, a step works on the band projection of its state,
+    and every transform of it is a band transform."""
+
+    @given(dim=st.integers(1, 3), n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 10_000),
+           scheme=st.sampled_from(["RK4", "IMEX1"]), primitive=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_carried_spectrum_stays_in_the_band(self, dim, n, seed, scheme, primitive):
+        # the carried spectrum is exactly 0 outside the band after 10
+        # steps, from a state with content outside it (kmax = n/2)
+        grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+        s = perturbed_state(grid, seed=seed, amplitude=1e-3, kmax=n // 2)
+        cfg = StepperConfig(scheme=scheme, dt=1e-5, t_end=1e-4)
+        outside = ~grid.dealias_mask
+        for i, _, state in integrate(s if primitive else convert(s), cfg, PhysParams()):
+            assert not state.spec[:, outside].any()
+        assert i == 10
+
+    @given(dim=st.integers(1, 3), n=st.sampled_from([8, 16, 32]), seed=st.integers(0, 10_000),
+           primitive=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_schemes_start_from_the_same_projection(self, dim, n, seed, primitive):
+        # a random_band state with band > n//3: RK4 and IMEX1 start from
+        # its projection, which drops the content above n//3
+        grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+        s = cli.random_band_state(grid, seed, grid.n // 3 + 1, 1e-2)
+        s = s if primitive else convert(s)
+        starts = []
+        for scheme in ("RK4", "IMEX1"):
+            cfg = StepperConfig(scheme=scheme, dt=1e-5, t_end=1e-5)
+            _, _, start = next(integrate(s, cfg, PhysParams()))
+            starts.append(start)
+        rows = ("n", "p", "theta") if primitive else ("u_tilde", "v", "theta_tilde")
+        for name in rows + ("phi",):
+            assert np.array_equal(getattr(starts[0], name).values,
+                                  getattr(starts[1], name).values)
+        for name in rows:
+            orig = getattr(s, name).values
+            got = getattr(starts[0], name).values
+            assert np.array_equal(got, dealiased(grid, orig)) and not np.array_equal(got, orig)
+
+
+class TestClosingCheck:
+    """A stepped state is scanned once, by its step's closing check
+    (finiteness, the floor, neutrality); the State or PerturbationState the
+    step builds runs none of its constructor's scans.  A bad value that
+    only the new state holds still aborts the step that made it."""
+
+    @pytest.mark.parametrize("fault, message", [
+        ("nan", "non-finite values in "), ("floor", "positivity floor breached: min("),
+    ])
+    @pytest.mark.parametrize("scheme", ["RK4", "IMEX1"])
+    @pytest.mark.parametrize("primitive", [True, False], ids=["primitive", "perturbation"])
+    def test_a_bad_new_state_aborts_its_step(self, monkeypatch, primitive, scheme, fault,
+                                              message):
+        # the last RHS evaluation of step 3 (k4 of RK4, the IMEX1 core)
+        # returns a theta rate whose k = 0 entry is NaN, or lowers the mean
+        # of theta by at least 3: no stage reads it, only the new state
+        grid = GridSpec(dim=2, n=16, length=2 * np.pi)
+        s = perturbed_state(grid, seed=4, amplitude=1e-2)
+        cfg = StepperConfig(scheme=scheme, dt=1e-3, t_end=6e-3)
+        name = "_rhs_primitive_core" if primitive else "_rhs_perturbation_core"
+        real = getattr(dynamics, name)
+        calls = []
+
+        def faulty(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 3 * {"RK4": 4, "IMEX1": 1}[scheme]:
+                origin = (2,) + (0,) * grid.dim
+                out[origin] = np.nan if fault == "nan" else -18.0 * grid.n**grid.dim / cfg.dt
+            return out
+
+        monkeypatch.setattr(dynamics, name, faulty)
+        seen = []
+        # (IMEX1's elimination carries a NaN at k = 0 into every row)
+        if fault == "floor":
+            message += "theta" if primitive else "1 + theta_tilde"
+        with pytest.raises(StepAbort, match=re.escape(message)):
+            for i, _, _ in integrate(s if primitive else convert(s), cfg, PhysParams()):
+                seen.append(i)
+        assert seen == [0, 1, 2]
 
 
 class TestSpectralCore:
@@ -617,22 +736,47 @@ class TestSpectralCore:
             assert np.array_equal(got, grid.fft(np.stack(want)))
 
     def test_imex1_step_cost(self, monkeypatch):
-        # forward transform of (n, p, theta) 3, the core 22 (the RHS's 28
-        # less its own forward and inverse transforms), the update's inverse
-        # 3 and the Poisson solve of the new State 2
+        # a one-off step of a state that carries no spectrum: the forward
+        # transform of (n, p, theta) 3 and its projection's closing inverse
+        # 4, the core 22 (the RHS's 28 less its own forward and inverse
+        # transforms) and the step's closing inverse of (y_hat, phi_hat) 4
+        # (30 when the update's inverse 3 and a Poisson solve of the new
+        # State 2 followed the core, and nothing was projected)
         grid = GridSpec(dim=3, n=8, length=2 * np.pi)
         s = perturbed_state(grid, seed=9, amplitude=5e-2)
         counted = count_transforms(monkeypatch)
         step(s, StepperConfig(scheme="IMEX1", dt=1e-3), self.PARAMS)
-        assert sum(counted) == 30
+        assert sum(counted) == 33
+
+    # the step of a run, from a state that carries its spectrum: RK4's four
+    # cores 4 * 22 in 22 one-field calls each, the three stages' inverse
+    # transforms 3 * 3 and the closing inverse of (y_hat, phi_hat) 4, so 101
+    # fields in 92 calls (114 in 106 when every stage and rate went through
+    # real space and a Poisson solve closed the step); IMEX1's core 22 and
+    # the closing 4, 26 in 23 (30 in 26).  With dealias on, every one of
+    # them is a band transform.
+    @pytest.mark.parametrize("scheme, fields_, calls", [("RK4", 101, 92), ("IMEX1", 26, 23)])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_run_step_transform_count(self, monkeypatch, scheme, fields_, calls, dealias):
+        grid = GridSpec(dim=3, n=8, length=2 * np.pi)
+        cfg = StepperConfig(scheme=scheme, dt=1e-3, dealias=dealias)
+        slots = fields.new_slots(grid)
+        s = carried(perturbed_state(grid, seed=9, amplitude=5e-2), cfg, slots)
+        bands = []
+        counted = count_transforms(monkeypatch, bands)
+        step(s, cfg, self.PARAMS, slots=slots)
+        assert sum(counted) == fields_ and len(counted) == calls
+        assert bands == [dealias] * calls
 
     # real-field transforms at dim 3: the array RHS is the forward transform
     # 3, two 2-field Darcy inverses per axis 12, one 2-field forward
     # transform of (j_p,i, j_n,i) per axis 6, the Laplacians 2 + 1, the
     # forward transform of dtheta 1 and the inverse 3, one field per call;
-    # an RK4 step is four of them and the Poisson solve of the new State 2;
-    # an audit sink adds the residual's 3 + 3*dim to the step; flux_audit
-    # makes the Darcy pass itself, 3 + 4*dim, plus that residual
+    # a one-off RK4 step is the forward transform 3 and the projection's
+    # closing inverse 4 of the state, which carries no spectrum, and a
+    # run's step, 101 (test_run_step_transform_count); an audit sink adds
+    # the residual's 3 + 3*dim to the step; flux_audit makes the Darcy pass
+    # itself, 3 + 4*dim, plus that residual
     COSTS = {
         "rhs_arrays": lambda s, p: _rhs_primitive_arrays(
             s.grid, s.n.values, s.p.values, s.theta.values, p),
@@ -643,7 +787,7 @@ class TestSpectralCore:
     }
 
     @pytest.mark.parametrize("kernel, want", [
-        ("rhs_arrays", 28), ("rk4_step", 114), ("audited_rk4_step", 126), ("flux_audit", 27),
+        ("rhs_arrays", 28), ("rk4_step", 108), ("audited_rk4_step", 120), ("flux_audit", 27),
     ])
     def test_transform_count(self, monkeypatch, kernel, want):
         grid = GridSpec(dim=3, n=8, length=2 * np.pi)
@@ -661,15 +805,16 @@ class TestSpectralCore:
         assert counted[0] == 3 and max(counted[1:]) <= 2
         assert sum(counted) == 28
 
-    # 17.8 full grids at 32^3, slots included, with the update running in
-    # place in the core's output (24.8 with new arrays for the linear
-    # rates, the right-hand sides and the solution rows, 28.2 with the
-    # nine running sums as well)
+    # 21.8 full grids at 32^3, slots and the band projection of the state
+    # included (see TestStreamedKernels; 17.8 on the real arrays with no
+    # projection), with the update running in place in the core's output
+    # (24.8 with new arrays for the linear rates, the right-hand sides and
+    # the solution rows, 28.2 with the nine running sums as well)
     def test_imex1_step_peak_memory(self):
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
         cfg = StepperConfig(scheme="IMEX1", dt=1e-3)
-        assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 18.2
+        assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 22.2
 
 
 class TestImex1Update:

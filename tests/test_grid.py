@@ -310,3 +310,46 @@ class TestInverseTransform:
         grid.ifft(spec)
         assert not np.array_equal(spec, kept)
         assert np.array_equal(spec, np.fft.ifft(np.fft.ifft(kept, axis=1), axis=2))
+
+
+@st.composite
+def band_cases(draw):
+    """(grid, real fields, spectrum vanishing outside the 2/3 band): dim
+    1-3, n in {8, 16, 32}, unbatched or with up to 4 fields."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([8, 16, 32]))
+    batch = draw(st.sampled_from([(), (1,), (3,), (4,)]))
+    grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = batch + grid.spectral_shape
+    spec = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    return grid, gen.standard_normal(batch + grid.shape), grid.dealias_mask * spec
+
+
+class TestBandTransform:
+    """A band transform skips the lanes outside the 2/3 band and keeps the
+    full transform's bits: the forward transform in the band, where the
+    caller's mask keeps it, and the inverse of a spectrum that vanishes
+    outside the band, everywhere."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(band_cases())
+    def test_band_transforms_keep_the_bits(self, case):
+        grid, values, spec = case
+        mask = grid.dealias_mask
+        full = grid.fft(values)
+        out = np.empty_like(full)
+        band = grid.fft(values, out=out, band=True)
+        assert band is out and np.array_equal(band[..., mask], full[..., mask])
+        assert np.array_equal(grid.ifft(spec.copy(), band=True), grid.ifft(spec.copy()))
+
+    def test_lanes_outside_the_band_are_skipped(self):
+        # a forward band transform leaves the last axis's real transform in
+        # the lanes it skips; a full one transforms them too
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        values = np.random.default_rng(3).standard_normal(grid.shape)
+        band = grid.fft(values, band=True)
+        last = np.fft.rfft(values, axis=-1)
+        c = grid.n // 3
+        assert np.array_equal(band[..., c + 1 :], last[..., c + 1 :])
+        assert not np.array_equal(grid.fft(values)[..., c + 1 :], last[..., c + 1 :])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pnpf import cli, decay, fields, thermo_audit
-from pnpf.dynamics import StepperConfig, convert, integrate, step
+from pnpf.dynamics import StepperConfig, carried, convert, integrate, step
 from pnpf.fields import (
     PhysParams,
     State,
@@ -246,6 +246,23 @@ class TestAuditSample:
             writer.close()
         assert sum(counted) == 31
 
+    def test_carried_sample_cost(self, tmp_path, params, monkeypatch):
+        # a State that carries its spectrum: the flux pass reads it, 4 per
+        # axis, the residual 3 + 3 per axis, and the Lyapunov functional
+        # takes its four spectra from it and transforms nothing
+        grid = GridSpec(dim=3, n=8, length=2 * np.pi)
+        s = carried(perturbed_state(grid, seed=3, amplitude=1e-2), StepperConfig())
+        writer = AuditWriter(tmp_path / "audit.csv", params)
+        counted = count_transforms(monkeypatch)
+        try:
+            writer.observe(0.0, s)
+        finally:
+            writer.close()
+        assert sum(counted) == 24
+        # Lambda from the spectrum is Lambda of the converted state to rounding
+        want = decay.lyapunov(convert(s), params)
+        assert abs(writer.records[0].lyapunov - want) <= 1e-14 * want
+
     # 20.1 full grids at 32^3, slots included (20.4 with the residual's
     # quotients stacked from temporaries, 21.0 with one 4-field Darcy
     # inverse per axis as well); a darcy_axes that keeps its spectra and
@@ -410,7 +427,13 @@ class TestFusedSample:
         want = step(s, cfg, self.PARAMS)
         for name in ("n", "p", "theta", "phi"):
             assert np.array_equal(getattr(got, name).values, getattr(want, name).values)
-        ref = fields.flux_audit(s, self.PARAMS)
+        # the sample is of the state the step works on: s itself, with its
+        # spectrum, or with dealias on its band projection
+        worked = carried(s, cfg)
+        assert sink.state.spec is not None
+        for name in ("n", "p", "theta", "phi"):
+            assert np.array_equal(getattr(sink.state, name).values, getattr(worked, name).values)
+        ref = fields.flux_audit(worked, self.PARAMS)
         assert np.array_equal(sink.audit.production.values, ref.production.values)
         assert sink.audit.residual == ref.residual
 
@@ -421,46 +444,63 @@ class TestFusedSample:
             step(convert(s), StepperConfig(), PhysParams(), fields.AuditSink(s, PhysParams()))
 
     def test_audited_imex1_step_cost(self, monkeypatch):
-        # the step 30, the residual's forward transform of (mu_p/theta,
-        # mu_n/theta, 1/theta) 3 and its 3-field inverse per axis 9; the
-        # Darcy pass is the core's
+        # the one-off step 33 (test_dynamics.py TestSpectralCore), the
+        # residual's forward transform of (mu_p/theta, mu_n/theta, 1/theta)
+        # 3 and its 3-field inverse per axis 9; the Darcy pass is the core's
         grid = GridSpec(dim=3, n=8, length=2 * np.pi)
         s = perturbed_state(grid, seed=9, amplitude=5e-2)
         sink = fields.AuditSink(s, self.PARAMS)
         counted = count_transforms(monkeypatch)
         step(s, StepperConfig(scheme="IMEX1", dt=1e-3), self.PARAMS, sink)
-        assert sum(counted) == 30 + 3 + 9
+        assert sum(counted) == 33 + 3 + 9
 
     def test_audit_run_cost(self, tmp_path, monkeypatch):
-        # four audited IMEX1 steps of 42 with their samples' Lyapunov 4
-        # (c_p == c_n), and the final state's standalone sample 31;
-        # observing each state on its own costs 4 * (30 + 31) + 31 = 275
+        # the projection of the initial state 3 + 4, four audited IMEX1
+        # steps of a carried state, 26 + 12 each, whose samples take their
+        # Lyapunov functional from the carried spectrum (c_p == c_n), and the
+        # final state's standalone sample 24, whose Darcy pass reads its
+        # spectrum; observing each state on its own costs 7 + 4 * (26 + 24)
+        # + 24 = 231 (4 * (42 + 4) + 31 = 215 and 275 when the steps ran on
+        # real arrays and every sample transformed its state)
         grid = GridSpec(dim=3, n=8, length=2 * np.pi)
         s = perturbed_state(grid, seed=9, amplitude=5e-2)
         cfg = StepperConfig(scheme="IMEX1", dt=1e-3, t_end=4e-3)
         counted = count_transforms(monkeypatch)
         audit_run(s, cfg, PhysParams(), tmp_path / "audit.csv", audit_every=1)
-        assert sum(counted) == 4 * (42 + 4) + 31
+        assert sum(counted) == 7 + 4 * (26 + 12) + 24
 
-    # at 32^3 the audited steps peak at 24.3 (RK4) and 24.3 (IMEX1) full
-    # grids, slots included (RK4 25.0 while the last row of each stage's
-    # derivative kept it alive through the next stage; IMEX1 25.8 with its
-    # update out of place;
-    # 38.2 and 29.2 with the nine running sums of the unfolded heat rate);
-    # the audited RK4 step peaks 1.3 grids above the unaudited one, and
-    # the audited RHS keeps every axis's fluxes for the residual and
-    # transforms them only after it, so the residual runs next to the
-    # same grids as with one
-    # (2*dim+1)-row buffer; coefficient arrays built before the RHS axis
-    # loop would add their grids to the loop's peak
+    # at 32^3 the one-off audited steps peak at 30.3 (RK4) and 28.3 (IMEX1)
+    # full grids, slots and the band projection of the state, which carries
+    # no spectrum, included (test_dynamics.py TestStreamedKernels); the
+    # audited steps of a run, from a carried state with the run's slots, at
+    # 18.0 and 16.0 (19.2 and 19.2 when the steps ran on real arrays).  The
+    # one-off ones were 24.3 and 24.3 without the projection, RK4 25.0 while
+    # the last row of each stage's derivative kept it alive through the
+    # next stage, IMEX1 25.8 with its update out of place, and 38.2 and
+    # 29.2 with the nine running sums of the unfolded heat rate.  The
+    # audited RHS keeps every axis's fluxes for the residual and transforms
+    # them only after it, so the residual runs next to the same grids as
+    # with one (2*dim+1)-row buffer; coefficient arrays built before the RHS
+    # axis loop would add their grids to the loop's peak
     @pytest.mark.parametrize(
-        "scheme, dt, bound", [("RK4", 1e-4, 24.7), ("IMEX1", 1e-3, 24.6)], ids=["RK4", "IMEX1"]
+        "scheme, dt, bound", [("RK4", 1e-4, 30.7), ("IMEX1", 1e-3, 28.7)], ids=["RK4", "IMEX1"]
     )
     def test_audited_step_peak_memory(self, scheme, dt, bound):
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
         cfg = StepperConfig(scheme=scheme, dt=dt)
         audited = lambda: step(s, cfg, self.PARAMS, fields.AuditSink(s, self.PARAMS))
+        assert peak_grids(audited, grid) <= bound
+
+    @pytest.mark.parametrize(
+        "scheme, dt, bound", [("RK4", 1e-4, 18.4), ("IMEX1", 1e-3, 16.4)], ids=["RK4", "IMEX1"]
+    )
+    def test_audited_run_step_peak_memory(self, scheme, dt, bound):
+        grid = GridSpec(dim=3, n=32, length=2 * np.pi)
+        cfg = StepperConfig(scheme=scheme, dt=dt)
+        slots = fields.new_slots(grid)
+        s = carried(perturbed_state(grid, seed=5, amplitude=5e-2), cfg, slots)
+        audited = lambda: step(s, cfg, self.PARAMS, fields.AuditSink(s, self.PARAMS), slots)
         assert peak_grids(audited, grid) <= bound
 
     @pytest.mark.parametrize("scheme", ["RK4", "IMEX1"])
