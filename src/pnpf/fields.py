@@ -60,8 +60,8 @@ transforms, 3 + 7*dim for a State that carries its spectrum
 at dim 3, tests/test_thermo_audit.py TestAuditSample the carried one).
 Either way the sample takes from the axes only what it reads and builds
 nothing else.  The definitions stay
-as they are: constitutive_fluxes (varcheck's fluxes),
-entropy_production_density, reconstruct_fluxes and
+as they are: constitutive_fluxes (whose Darcy pass, _darcy_pass, gives
+varcheck its fluxes), entropy_production_density, reconstruct_fluxes and
 flux_reconstruction_residual.  The entropy density eta has one
 definition, _entropy_arrays on raw arrays: entropy_density (the audit's
 total entropy) and varcheck's entropy functional both evaluate it.  The
@@ -337,14 +337,8 @@ def constitutive_fluxes(s: State, params: PhysParams) -> FluxSet:
               + (phi_t grad(phi) - phi grad(phi_t))/2 + q
     """
     g, d = s.grid, s.grid.dim
-    n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
-    j, q, gphi = np.empty((d, 2) + g.shape), [], []
-    spec = spectrum(s)
-    for axis in darcy_axes(g, spec, n, p, th, params, j):
-        q.append(-params.k * axis[2])
-        gphi.append(axis[3].copy())
-        del axis  # lets the kernel free this axis's transforms
-    del spec
+    th, phi = s.theta.values, s.phi.values
+    j, q, gphi = _darcy_pass(s, params)
     j_p, j_n = list(j[:, 0]), list(j[:, 1])
     phi_t, exchange = exchange_arrays(g, phi, gphi, j_p, j_n)
     a, b = energy_weights(th, phi, params)
@@ -354,6 +348,21 @@ def constitutive_fluxes(s: State, params: PhysParams) -> FluxSet:
         j_p=vec(j_p), j_n=vec(j_n), q=vec(q), j_e=vec(j_e), exchange=vec(exchange),
         phi_t=ScalarField(g, phi_t),
     )
+
+
+def _darcy_pass(s: State, params: PhysParams):
+    """(j, q, grad phi) of one darcy_axes pass over s: the (dim, 2) block
+    of the Darcy fluxes (j_p,i, j_n,i), the Fourier heat flux
+    q = -k grad(theta) and grad(phi), the last two as component lists.
+    constitutive_fluxes and varcheck_report take their fluxes from it."""
+    g = s.grid
+    j, q, gphi = np.empty((g.dim, 2) + g.shape), [], []
+    spec = spectrum(s)
+    for axis in darcy_axes(g, spec, s.n.values, s.p.values, s.theta.values, params, j):
+        q.append(-params.k * axis[2])
+        gphi.append(axis[3].copy())
+        del axis  # lets the kernel free this axis's transforms
+    return j, q, gphi
 
 
 def energy_density(s: State, params: PhysParams) -> ScalarField:

@@ -35,24 +35,29 @@ a caller's buffer, so a kernel can keep its gradients in buffers it
 reuses instead of new arrays.  GridSpec.fft can write into a caller's
 buffer too.
 
-Band transforms (band=True) prune the complex passes to the 2/3 band
-(Markel's pruning): a lane whose wavenumbers on the other axes lie outside
-the band is skipped.  The forward transform runs the axis-0 pass only on
-the lanes with k_last <= n//3 and the axis-1 pass only on those where k_0
-is in the band too; its entries outside the band are left for the
-caller's mask, and those in it are the full transform's bit for bit.  The
-inverse transform needs a spectrum that vanishes outside the band; it
-runs the axis-0 pass only on the lanes with k_1 and k_last in the band and
-the axis-1 pass only on those with k_last in it, and gives the full
-inverse's bits, since a skipped lane holds only zeros (TestBandTransform).
-The last axis's real transform is never pruned.  At 64^3 the forward
+Band transforms prune the complex passes to a band |m_i| <= c of mode
+indices (Markel's pruning): band=True is the 2/3 band, c = n//3, and an
+int band is c itself (a probe's kmax).  A lane whose wavenumbers on the
+other axes lie outside the band is skipped.  The forward transform runs
+the axis-0 pass only on the lanes with k_last <= c and the axis-1 pass
+only on those where k_0 is in the band too; its entries outside the band
+are left for the caller's mask, and those in it are the full transform's
+bit for bit.  The inverse transform needs a spectrum that vanishes
+outside the band; it runs the axis-0 pass only on the lanes with k_1 and
+k_last in the band and the axis-1 pass only on those with k_last in it,
+and gives the full inverse's bits, since a skipped lane holds only zeros
+(TestBandTransform, over every c from 0 to n//2).  A band with
+c >= n//2 runs the full transform: its low and high halves on a
+full-length axis would overlap and transform some lanes twice.  The last
+axis's real transform is never pruned.  At 64^3 the 2/3 band's forward
 passes run on 2/3 and 4/9 of the lanes (22/33 and 43/64 * 22/33), and a
 3-D band transform costs about 0.8 of a full one: one 64^3 field took
 2.45 -> 1.94 ms forward and 2.36 -> 1.90 ms inverse, in process CPU on a
 2-vCPU shared x86-64 host, into kept buffers.  In 2-D only the one
 leading pass is pruned, and in 1-D nothing.  A stepper whose carried
 spectrum is band-limited (dynamics, with dealias on) runs every transform
-of its steps this way.
+of its steps this way, and varcheck transforms its probe in the probe's
+band.
 """
 
 from __future__ import annotations
@@ -171,14 +176,15 @@ class GridSpec:
     # -- transforms ---------------------------------------------------------
 
     def fft(self, values: np.ndarray, out: np.ndarray | None = None,
-            band: bool = False) -> np.ndarray:
+            band: bool | int = False) -> np.ndarray:
         """Forward real FFT over the trailing dim axes (batches allowed),
         written into out when given, else into a new complex array, which
         is returned: the real transform of the last axis, then the complex
         transform of each leading grid axis in place, in increasing order
-        (see the module docstring).  With band, the complex passes skip the
-        lanes outside the 2/3 band, and only the entries in the band
-        (dealias_mask) are the transform's; the others are left for the
+        (see the module docstring).  With band (True for the 2/3 band, an
+        int for |m_i| <= band), the complex passes skip the lanes outside
+        the band, and only the entries in the band (dealias_mask, or
+        band_mask(band)) are the transform's; the others are left for the
         caller's mask."""
         spec = np.fft.rfft(values, axis=-1, out=out)
         for lanes, axis in self._passes(spec, band, inverse=False):
@@ -186,7 +192,7 @@ class GridSpec:
         return spec
 
     def ifft(self, spec: np.ndarray, out: np.ndarray | None = None,
-             band: bool = False) -> np.ndarray:
+             band: bool | int = False) -> np.ndarray:
         """Inverse of :meth:`fft` (batches allowed), written into out when
         given, else into a new real array, which is returned.
 
@@ -194,21 +200,26 @@ class GridSpec:
         grid axis runs in place in it, and then the real inverse of the
         last axis reads it into the output.  Its bits are those of the
         n-dimensional inverse (the per-axis 1/n scaling is exact for
-        powers of two).  With band, spec must vanish outside the 2/3 band,
-        and the complex passes skip the lanes that hold only zeros."""
+        powers of two).  With band, spec must vanish outside the band (as
+        in fft), and the complex passes skip the lanes that hold only
+        zeros."""
         for lanes, axis in self._passes(spec, band, inverse=True):
             np.fft.ifft(lanes, axis=axis, out=lanes)
         return np.fft.irfft(spec, n=self.n, axis=-1, out=out)
 
-    def _passes(self, spec: np.ndarray, band: bool, inverse: bool) -> list:
+    def _passes(self, spec: np.ndarray, band: bool | int, inverse: bool) -> list:
         """(lanes, axis) of each complex pass of a transform of spec, in
         order: every lane of each leading grid axis, or with band the
         lanes of the module docstring's band transforms (the two halves of
         a band on a full-length axis are two views)."""
         lead = spec.ndim - self.dim
-        if not band:
+        # True == 1, so a flag is told from a kmax by its type
+        if isinstance(band, (bool, np.bool_)):
+            c = self.n // 3 if band else self.n // 2
+        else:
+            c = int(band)
+        if not 0 <= c < self.n // 2:
             return [(spec, axis) for axis in range(lead, spec.ndim - 1)]
-        c = self.n // 3
         low, high = slice(None, c + 1), slice(self.n - c, None)
         if self.dim == 2:
             return [(spec[..., low], lead)]

@@ -33,34 +33,50 @@ flow order (p, n, e): _conservative_flows yields them one at a time and
 _dissipative_forces returns (f_p, f_n, R); _pairing and _balance read
 either.
 
-varcheck_report holds at most one closed-form force set at a time, next
-to the probe.  It keeps only the flux triple (j_p, j_n, j_e) of
-constitutive_fluxes; the flux set's q, exchange flux and phi_t die at
-once.  It eliminates q0 (j_e dies there) and runs the dissipative scan,
-which sums |j_p|^2, |j_n|^2 and |q|^2 one moved component at a time.  It
-then builds the dissipative forces from the scan's inputs j0, q0 and
-grad(phi), which die next, and takes the dissipative pairing.  The
-conservative forces come one flow at a time: each flow adds its pairing
-term and its balance maxima in flow order, the bits of _pairing and
-_balance over the whole set, and dies before the next.  The conservative
-scan comes last.  The peak sits in the dissipative closed form: while f_n
-is built, the probe, j0, q0, grad(phi), R, the kernel gradient and f_p
-are alive, 35.1 full grids above entry at 32^3 and at 64^3
-(tracemalloc).  Building each force set whole, next to the flux set and
-the other force set, took 49.0.
+varcheck_report builds each quantity once, from data it already holds,
+and holds at most one closed-form force set at a time, next to the
+probe.  The probe is drawn in its band |m_i| <= kmax and transformed
+there (GridSpec band transforms with band=kmax), and it keeps its scaled
+in-band coefficients.  One Darcy pass (fields._darcy_pass, as in
+constitutive_fluxes before its exchange solve) gives the flux block
+(j_p, j_n), grad(phi) and q0 = -k grad(theta): eliminating the heat flux
+from the constitutive j_e returns q0 by construction, so the report
+takes it as it is and solves no exchange flux for it.  The dissipative
+scan runs first and sums |j_p|^2, |j_n|^2 and |q|^2 one moved component
+at a time.  The report then builds the dissipative forces from the
+scan's inputs j0, q0 and grad(phi), which die next, the flux block
+included, and takes the dissipative pairing.  The conservative forces
+come one flow at a time: each flow adds its pairing term and its
+balance maxima in flow order, the bits of _pairing and _balance over
+the whole set, and dies before the next.  The conservative scan comes
+last.  The peak sits in the dissipative closed form: while f_n is
+built, the probe, j0, q0, grad(phi), R, the kernel gradient and f_p are
+alive, 35.05 full grids above entry at 32^3 (tracemalloc).  Building
+each force set whole, next to the flux set and the other force set,
+took 49.0.  A report transforms 70 real fields (tests/test_varcheck.py
+TestSharedWork::test_report_cost): the probe 18, the Darcy pass 15,
+the probe's heat-flux elimination 7, the dissipative kernel 10, the
+conservative forces 14 and the conservative scan 6.
 
-The eliminated heat flux
+Both scans split what is linear in the probe.  The eliminated heat flux
 
     q = j_e - a j_p - b j_n - X(j_p - j_n),   a, b = energy weights,
 
 is linear in the flux triple: a, b and grad(phi) are fixed by the state,
 and the exchange flux X(w) = (phi_t grad(phi) - phi grad(phi_t))/2 with
 phi_t = Delta^{-1} div(w) is linear in w.  So the dissipative scan
-eliminates q twice, q0 for the base fluxes j0 and q1 for the probe dJ,
-and evaluates the functional at (j0 + eps dJ, q0 + eps q1).  This split
-is exact, not an approximation: q0 + eps q1 and the elimination of
-j0 + eps dJ are the same discrete quantity and differ only in rounding,
-and the functional is then evaluated by the same quadratic density.
+eliminates q1 for the probe dJ once and evaluates the functional at
+(j0 + eps dJ, q0 + eps q1).  This split is exact, not an approximation:
+q0 + eps q1 and the elimination of j0 + eps dJ are the same discrete
+quantity and differ only in rounding, and the functional is then
+evaluated by the same quadratic density.  The conservative scan moves
+(p, n, e) by -eps (div dJ_p, div dJ_n, div dJ_e), and the potential
+phi = G(p - n) that the entropy functional derives is linear in the
+move: phi0 = G(p - n) once and phi0 - eps G(div dJ_p - div dJ_n) at
+every eps.  The three divergences and G(div dJ_p - div dJ_n) come from
+the probe's coefficients in one 4-row band inverse transform, and each
+evaluation works on raw arrays through _entropy_total, the quadrature
+of entropy_functional too, with its neutrality and temperature guards.
 
 Sign bookkeeping, fixed once and unit-tested: the published closed-form
 forces pair as  sum_flows <f, dJ> = d/d_eps S(perturbed)  (equivalently
@@ -75,7 +91,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,10 +99,10 @@ from .fields import (
     PhysParams,
     PositivityError,
     State,
+    _darcy_pass,
     _deviation,
     _entropy_arrays,
     _production_density,
-    constitutive_fluxes,
     energy_density,
     energy_weights,
     exchange_arrays,
@@ -100,50 +116,92 @@ DEFAULT_EPS_SCAN = (1e-3, 1e-4, 1e-5)
 @dataclass(frozen=True)
 class FlowMapProbe:
     """Perturbation directions for the three flow maps; the central
-    differences along them step by DEFAULT_EPS_SCAN."""
+    differences along them step by DEFAULT_EPS_SCAN.
+
+    kmax is the band the directions are drawn in, and coefs holds each
+    vector's scaled in-band coefficients, one (dim, m) array per flow for
+    the m modes of band_mask(kmax): the directions are their inverse
+    transforms, up to rounding."""
 
     dJ_p: VectorField
     dJ_n: VectorField
     dJ_e: VectorField
+    kmax: int
+    coefs: tuple = field(repr=False, compare=False)
 
     def flows(self):
         """The components of dJ_p, dJ_n and dJ_e, in that order."""
         return self.dJ_p.components, self.dJ_n.components, self.dJ_e.components
+
+    def divergences(self, grid: GridSpec) -> list[np.ndarray]:
+        """The in-band coefficients of div(dJ_p), div(dJ_n) and div(dJ_e),
+        in the order of band_mask(kmax)."""
+        mask = grid.band_mask(self.kmax)
+        mult = [np.broadcast_to(m, grid.spectral_shape)[mask] for m in grid.grad_mult]
+        divs = []
+        for coef in self.coefs:
+            div = mult[0] * coef[0]
+            for m, c in zip(mult[1:], coef[1:]):
+                div += m * c
+            divs.append(div)
+        return divs
 
 
 def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.1) -> FlowMapProbe:
     """Band-limited, dealiased probe directions from Philox(seed).  Each
     vector's components are drawn in one call, which gives the same
     numbers as drawing them one at a time, and filtered in one forward
-    and one inverse transform; the band cut and the scaling work in
-    place, so the batch adds no spectrum or grid of its own."""
+    and one inverse band transform (GridSpec.fft with band=kmax); the band
+    cut and the scaling work in place, so the batch adds no spectrum or
+    grid of its own.  The probe keeps each vector's in-band coefficients,
+    scaled as its components are."""
     gen = np.random.Generator(np.random.Philox(key=seed))
-    cut = ~grid.band_mask(kmax)
+    mask = grid.band_mask(kmax)
 
     def vec():
-        spec = grid.fft(gen.standard_normal((grid.dim,) + grid.shape))
-        spec[:, cut] = 0.0
-        comps = grid.ifft(spec)
+        spec = grid.fft(gen.standard_normal((grid.dim,) + grid.shape), band=kmax)
+        spec *= mask
+        coefs = spec[:, mask]
+        comps = grid.ifft(spec, band=kmax)
         del spec
-        for vals in comps:
+        for vals, coef in zip(comps, coefs):
             peak = np.abs(vals).max()
             if peak > 0:
                 vals *= amplitude / peak
-        return VectorField(grid, tuple(comps))
+                coef *= amplitude / peak
+        return VectorField(grid, tuple(comps)), coefs
 
-    return FlowMapProbe(vec(), vec(), vec())
+    (dJ_p, dJ_n, dJ_e), coefs = zip(*(vec() for _ in range(3)))
+    return FlowMapProbe(dJ_p, dJ_n, dJ_e, kmax, coefs)
 
 
 # -- entropy functional and conservative forces -------------------------------
 
 
-def _temperature(grid: GridSpec, p, n, e, rho, params: PhysParams):
-    """(theta, phi) reconstructed from the raw arrays of the extensive
-    variables and rho = p - n: phi = G(rho),
-    theta = (e - rho phi/2)/(c_p p + c_n n)."""
-    phi = greens_apply(grid, rho)
-    theta = (e - 0.5 * rho * phi) / (params.c_p * p + params.c_n * n)
-    return theta, phi
+def _temperature(p, n, e, rho, phi, params: PhysParams):
+    """theta = (e - rho phi/2)/(c_p p + c_n n), from the raw arrays of the
+    extensive variables, rho = p - n and phi = G(rho)."""
+    return (e - 0.5 * rho * phi) / (params.c_p * p + params.c_n * n)
+
+
+def _entropy_total(grid: GridSpec, p, n, e, rho, phi, params: PhysParams) -> float:
+    """Total entropy of the raw arrays (p, n, e) with rho = p - n and
+    phi = G(rho): the quadrature of entropy_functional and of the
+    conservative scan.
+
+    Raises ValueError if rho is not neutral and PositivityError if the
+    derived temperature is not positive.
+    """
+    if abs(float(rho.mean())) > 1e-10:
+        raise ValueError("entropy functional requires a neutral (p, n) pair")
+    theta = _temperature(p, n, e, rho, phi, params)
+    if float(theta.min()) <= 0.0:
+        raise PositivityError(f"derived temperature min {theta.min():.3e} <= 0")
+    eta = _entropy_arrays(p, n, theta, params)
+    # fsum: the central differences divide S by probe sizes down to 1e-5,
+    # so accumulation error in the quadrature must stay at one ulp; it is
+    # correctly rounded, so reading the buffer directly (no list) keeps the bits
+    return math.fsum(memoryview(eta.ravel())) * grid.cell_volume
 
 
 def entropy_functional(p: ScalarField, n: ScalarField, e: ScalarField,
@@ -153,21 +211,12 @@ def entropy_functional(p: ScalarField, n: ScalarField, e: ScalarField,
     p - n is formed once and serves the neutrality guard and the derived
     temperature.
 
-    Raises PositivityError if the derived temperature is not positive.
+    Raises ValueError if (p, n) is not neutral and PositivityError if the
+    derived temperature is not positive.
     """
-    grid = p.grid
     rho = p.values - n.values
-    if abs(float(rho.mean())) > 1e-10:
-        raise ValueError("entropy functional requires a neutral (p, n) pair")
-    theta, _ = _temperature(grid, p.values, n.values, e.values, rho, params)
-    del rho
-    if float(theta.min()) <= 0.0:
-        raise PositivityError(f"derived temperature min {theta.min():.3e} <= 0")
-    eta = _entropy_arrays(p.values, n.values, theta, params)
-    # fsum: the central differences divide S by probe sizes down to 1e-5,
-    # so accumulation error in the quadrature must stay at one ulp; it is
-    # correctly rounded, so reading the buffer directly (no list) keeps the bits
-    return math.fsum(memoryview(eta.ravel())) * grid.cell_volume
+    phi = greens_apply(p.grid, rho)
+    return _entropy_total(p.grid, p.values, n.values, e.values, rho, phi, params)
 
 
 def _conservative_flows(s: State, params: PhysParams):
@@ -301,16 +350,29 @@ def _scan_result(pairing: float, fds) -> dict:
 
 def _conservative_scan(s: State, params: PhysParams, probe: FlowMapProbe) -> list[float]:
     """Central differences of the entropy functional along the probe, one
-    per entry of DEFAULT_EPS_SCAN."""
+    per entry of DEFAULT_EPS_SCAN.
+
+    The moved state is (p - eps div_p, n - eps div_n, e - eps div_e), and
+    phi = G(p - n) is linear in it, so the scan splits phi as the
+    dissipative scan splits q: phi0 = G(p - n) once and
+    phi = phi0 - eps G(div_p - div_n).  The probe divergences and
+    G(div_p - div_n) come from the probe's coefficients in one batched
+    band inverse transform."""
     g = s.grid
-    e0 = energy_density(s, params)
-    div_p, div_n, div_e = (divergence_arrays(g, dJ) for dJ in probe.flows())
+    p0, n0 = s.p.values, s.n.values
+    e0 = energy_density(s, params).values
+    phi0 = greens_apply(g, p0 - n0)
+    mask = g.band_mask(probe.kmax)
+    hat_p, hat_n, hat_e = probe.divergences(g)
+    spec = np.zeros((4,) + g.spectral_shape, dtype=complex)
+    spec[:, mask] = hat_p, hat_n, hat_e, g.inv_k2[mask] * (hat_p - hat_n)
+    div_p, div_n, div_e, g_div = g.ifft(spec, band=probe.kmax)
+    del spec
 
     def S_at(eps: float) -> float:
-        p = ScalarField(g, s.p.values - eps * div_p)
-        n = ScalarField(g, s.n.values - eps * div_n)
-        e = ScalarField(g, e0.values - eps * div_e)
-        return entropy_functional(p, n, e, params)
+        p = p0 - eps * div_p
+        n = n0 - eps * div_n
+        return _entropy_total(g, p, n, e0 - eps * div_e, p - n, phi0 - eps * g_div, params)
 
     return [(S_at(eps) - S_at(-eps)) / (2.0 * eps) for eps in DEFAULT_EPS_SCAN]
 
@@ -348,17 +410,15 @@ def varcheck_report(
     docstring for the order)."""
     g = s.grid
     probe = random_probe(g, seed=seed, kmax=probe_kmax)
-    fl = constitutive_fluxes(s, params)
-    j_p, j_n, j_e = fl.j_p.components, fl.j_n.components, fl.j_e.components
-    del fl  # q, the exchange flux and phi_t: no check reads them
-    gphi = grad_arrays(g, s.phi.values)
-    q0 = _eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
-    del j_e  # spent on q0
+    # the eliminated heat flux of the constitutive j_e is q0 = -k grad(theta)
+    # by construction, so the report takes it from the Darcy pass
+    j, q0, gphi = _darcy_pass(s, params)
+    j_p, j_n = list(j[:, 0]), list(j[:, 1])
     # the scan runs before the forces exist: its q1 elimination and
     # running sums would otherwise add to their grids
     dis_fds = _dissipative_scan(s, params, probe, j_p, j_n, q0, gphi)
     dis_forces = _dissipative_forces(s, params, j_p, j_n, gphi, q0)
-    del j_p, j_n, gphi, q0  # the scan and the forces are built
+    del j, j_p, j_n, gphi, q0  # the scan and the forces are built
     dis = _scan_result(_pairing(g, dis_forces, probe), dis_fds)
 
     # each conservative flow is paired with the probe on its way into the

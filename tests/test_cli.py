@@ -369,6 +369,33 @@ class TestDecay:
         assert result["completed"] is False and "neutrality" in result["abort_reason"]
 
 
+class TestVarcheck:
+    def test_unresolved_kmax_keeps_its_conservative_check(self, tmp_path):
+        # kmax 4 at n = 8 is not pruned (kmax >= n//2 takes the full
+        # transforms); its conservative best_rel_err is 5.763e-08 as it was
+        # before the probe was transformed in its band, up to a rounding
+        # change of its fds (1e-9 relative moves it by 1e-9), where pruning
+        # this band read 0.59.  Its balance fails: a kmax the grid does not
+        # resolve fails the balance (a known open item), so it exits 1
+        code = cli.main([
+            "varcheck", "--set", "grid.n=8", "--set", "varcheck.kmax=4",
+            "--outputs", str(tmp_path),
+        ])
+        report = json.loads((tmp_path / "varcheck-report.json").read_text())
+        assert code == 1 and report["pass"] is False
+        assert report["force_balance_residual"] > report["thresholds"]["balance_tol"]
+        assert abs(report["conservative"]["best_rel_err"] - 5.762710073781464e-08) <= 1e-9
+
+    def test_wider_pruned_band_passes(self, tmp_path):
+        # kmax 5 at n = 32: a pruned probe band wider than the default's
+        code = cli.main([
+            "varcheck", "--set", "grid.n=32", "--set", "varcheck.kmax=5",
+            "--outputs", str(tmp_path),
+        ])
+        report = json.loads((tmp_path / "varcheck-report.json").read_text())
+        assert code == cli.EXIT_OK and report["pass"] is True
+
+
 class TestDeterminism:
     """The same config run twice writes byte-identical artifacts."""
 

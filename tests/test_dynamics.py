@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pnpf import dynamics, fields
 from pnpf.dynamics import (
@@ -183,23 +183,54 @@ class TestRhsPrimitive:
         assert got_sink.audit.residual == want_sink.audit.residual
 
 
+def energy_rate(s, params, dealias, heat_error=0.0):
+    """(|sum of the semi-discrete energy rate|, its rounding scale) of s:
+    the rate of e = (c_p p + c_n n) theta + (p - n) phi/2 with
+    Delta(phi) = n - p, summed over the grid, and the sum of the
+    magnitudes of its four terms.  heat_error is a relative error put into
+    the heat-rate term."""
+    grid = s.grid
+    dn, dp, dth = (f.values for f in rhs_primitive(s, params, dealias))
+    n_, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
+    phi_t = solve(ScalarField(grid, dn - dp)).values
+    heat = (params.c_p * p + params.c_n * n_) * dth * (1.0 + heat_error)
+    ions = th * (params.c_p * dp + params.c_n * dn)
+    charge = 0.5 * (dp - dn) * phi
+    field = 0.5 * (p - n_) * phi_t
+    rate = heat + ions
+    rate += charge + field
+    scale = sum(np.abs(t).sum() for t in (heat, ions, charge, field))
+    return abs(rate.sum()), scale
+
+
+# a draw whose |sum| (9.72e-16) exceeded the former bound, 1e-13 times the
+# heat term's magnitude alone (9.40e-16); the bound over all four terms is
+# 1.69e-15
+ROUNDING_DRAW = dict(dim=1, n=16, seed=0, amplitude=1e-3, dealias=False,
+                     params=PhysParams(c_p=1.0, c_n=2.0, D_p=2.0, D_n=0.25, k=0.5))
+
+
 class TestEnergyIdentity:
     @given(dealias=st.booleans(), params=PARAM_SETS, **STATES)
+    @example(**ROUNDING_DRAW)
     @settings(max_examples=30, deadline=None)
     def test_semi_discrete_energy_rate_vanishes(self, dim, n, seed, amplitude, dealias, params):
-        # e = (c_p p + c_n n) theta + (p - n) phi/2 with Delta(phi) = n - p:
         # for a dealiased state the RHS conserves the integral of e
-        # exactly, so its rate is rounding against the size of the
-        # heat-rate term
+        # exactly, so the summed rate is rounding against the magnitudes
+        # of the terms that are summed
         grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
         s = perturbed_state(grid, seed=seed, amplitude=amplitude)
-        dn, dp, dth = (f.values for f in rhs_primitive(s, params, dealias))
-        n_, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
-        phi_t = solve(ScalarField(grid, dn - dp)).values
-        heat = (params.c_p * p + params.c_n * n_) * dth
-        rate = heat + th * (params.c_p * dp + params.c_n * dn)
-        rate += 0.5 * (dp - dn) * phi + 0.5 * (p - n_) * phi_t
-        assert abs(rate.sum()) <= 1e-13 * np.abs(heat).sum()
+        total, scale = energy_rate(s, params, dealias)
+        assert total <= 1e-13 * scale
+
+    def test_bound_catches_a_heat_rate_error(self):
+        # a 1e-9 relative error in the heat term of the recorded draw gives
+        # |sum| = 6.56e-15, 3.9 times the bound
+        d = ROUNDING_DRAW
+        s = perturbed_state(GridSpec(dim=d["dim"], n=d["n"], length=2 * np.pi),
+                            seed=d["seed"], amplitude=d["amplitude"])
+        total, scale = energy_rate(s, d["params"], d["dealias"], heat_error=1e-9)
+        assert total > 3.0 * 1e-13 * scale
 
 
 class TestRhsPerturbation:

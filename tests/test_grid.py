@@ -326,11 +326,28 @@ def band_cases(draw):
     return grid, gen.standard_normal(batch + grid.shape), grid.dealias_mask * spec
 
 
+@st.composite
+def kmax_band_cases(draw):
+    """(grid, kmax, real fields, spectrum vanishing outside |m_i| <= kmax):
+    dim 1-3, n in {8, 16, 32}, kmax from 0 to n//2, unbatched or with up
+    to 4 fields."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([8, 16, 32]))
+    kmax = draw(st.integers(0, n // 2))
+    batch = draw(st.sampled_from([(), (1,), (3,), (4,)]))
+    grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = batch + grid.spectral_shape
+    spec = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    return grid, kmax, gen.standard_normal(batch + grid.shape), grid.band_mask(kmax) * spec
+
+
 class TestBandTransform:
-    """A band transform skips the lanes outside the 2/3 band and keeps the
-    full transform's bits: the forward transform in the band, where the
-    caller's mask keeps it, and the inverse of a spectrum that vanishes
-    outside the band, everywhere."""
+    """A band transform skips the lanes outside its band (the 2/3 band,
+    or |m_i| <= kmax for an int band) and keeps the full transform's bits:
+    the forward transform in the band, where the caller's mask keeps it,
+    and the inverse of a spectrum that vanishes outside the band,
+    everywhere."""
 
     @settings(max_examples=60, deadline=None)
     @given(band_cases())
@@ -353,3 +370,37 @@ class TestBandTransform:
         c = grid.n // 3
         assert np.array_equal(band[..., c + 1 :], last[..., c + 1 :])
         assert not np.array_equal(grid.fft(values)[..., c + 1 :], last[..., c + 1 :])
+
+    @settings(max_examples=80, deadline=None)
+    @given(kmax_band_cases())
+    def test_any_kmax_keeps_the_bits(self, case):
+        # against scipy's n-dimensional transforms, whose bits the full
+        # transforms have (TestForwardTransform, TestInverseTransform)
+        grid, kmax, values, spec = case
+        axes = tuple(range(values.ndim - grid.dim, values.ndim))
+        mask = grid.band_mask(kmax)
+        full = scipy.fft.rfftn(values, axes=axes)
+        assert np.array_equal(grid.fft(values, band=kmax)[..., mask], full[..., mask])
+        want = scipy.fft.irfftn(spec, s=grid.shape, axes=axes)
+        assert np.array_equal(grid.ifft(spec.copy(), band=kmax), want)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_kmax_from_half_takes_the_full_path(self, n):
+        # at kmax = n//2 the low and high halves of a full-length axis
+        # overlap, so the transform is not pruned; below it, it is
+        grid = GridSpec(dim=3, n=n, length=2 * np.pi)
+        values = np.random.default_rng(n).standard_normal(grid.shape)
+        full = scipy.fft.rfftn(values)
+        for kmax in (n // 2, n // 2 + 1, n):
+            assert np.array_equal(grid.fft(values, band=kmax), full)
+        assert not np.array_equal(grid.fft(values, band=n // 2 - 1), full)
+
+    def test_true_is_the_two_thirds_band_not_kmax_1(self):
+        # True == 1 in Python: the flag is told from a kmax by its type
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        values = np.random.default_rng(5).standard_normal(grid.shape)
+        two_thirds = grid.fft(values, band=True)
+        assert np.array_equal(two_thirds, grid.fft(values, band=grid.n // 3))
+        assert np.array_equal(two_thirds, grid.fft(values, band=np.True_))
+        assert not np.array_equal(two_thirds, grid.fft(values, band=1))
+        assert np.array_equal(grid.fft(values, band=False), grid.fft(values))

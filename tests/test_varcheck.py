@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnpf.fields import PhysParams, PositivityError, State, constitutive_fluxes, energy_density
+from pnpf.fields import (
+    PhysParams, PositivityError, State, _darcy_pass, constitutive_fluxes, energy_density,
+)
 from pnpf import varcheck
-from pnpf.grid import GridSpec, ScalarField, grad_arrays
+from pnpf.grid import GridSpec, ScalarField, divergence_arrays, grad_arrays
+from pnpf.poisson import greens_apply
 from pnpf.varcheck import (
     _balance,
     _conservative_flows,
@@ -32,24 +35,32 @@ from .oracles import dissipation_functional
 
 
 def fluxes(s, params):
-    """The component tuples of the constitutive (j_p, j_n, j_e) of s."""
-    fl = constitutive_fluxes(s, params)
-    return fl.j_p.components, fl.j_n.components, fl.j_e.components
+    """(j_p, j_n, q0, grad(phi)) of s as varcheck_report builds them: one
+    Darcy pass, whose heat flux q0 = -k grad(theta) is the eliminated
+    heat flux of the constitutive j_e."""
+    j, q0, gphi = _darcy_pass(s, params)
+    return list(j[:, 0]), list(j[:, 1]), q0, gphi
+
+
+def forces(s, params):
+    """The dissipative forces (f_p, f_n, R) of the constitutive fluxes of
+    s, built as varcheck_report builds them."""
+    j_p, j_n, q0, gphi = fluxes(s, params)
+    return _dissipative_forces(s, params, j_p, j_n, gphi, q0)
 
 
 def dissipative(s, params, j_p, j_n, j_e):
-    """grad(phi) of s, the heat flux q eliminated from (j_p, j_n, j_e) and
-    the dissipative forces (f_p, f_n, R) of the fluxes, built as
-    varcheck_report builds them; each flux is a sequence of components."""
-    gphi = grad_arrays(s.grid, s.phi.values)
+    """grad(phi) of s as varcheck_report takes it, the heat flux q
+    eliminated from (j_p, j_n, j_e) and the dissipative forces (f_p, f_n,
+    R) of the fluxes; each flux is a sequence of components."""
+    gphi = fluxes(s, params)[3]
     q = _eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
     return gphi, q, _dissipative_forces(s, params, j_p, j_n, gphi, q)
 
 
 def balance(s, params):
     """The force balance of s with both closed forms built from s."""
-    _, _, dis = dissipative(s, params, *fluxes(s, params))
-    return _balance(_conservative_flows(s, params), dis)
+    return _balance(_conservative_flows(s, params), forces(s, params))
 
 
 class TestEntropyFunctional:
@@ -73,7 +84,8 @@ class TestEntropyFunctional:
         e = energy_density(s, params)
         got = entropy_functional(s.p, s.n, e, params)
         p, n = s.p.values, s.n.values
-        theta, phi = _temperature(grid3d, p, n, e.values, p - n, params)
+        phi = greens_apply(grid3d, p - n)
+        theta = _temperature(p, n, e.values, p - n, phi, params)
         assert np.abs(theta - s.theta.values).max() <= 1e-13
         s2 = State(s.n, s.p, ScalarField(grid3d, theta), ScalarField(grid3d, phi))
         want = float(entropy_density(s2, params).values.sum() * grid3d.cell_volume)
@@ -86,12 +98,18 @@ class TestEntropyFunctional:
         s = perturbed_state(grid, seed=5, amplitude=1e-2)
         e = energy_density(s, params)
         p, n = s.p.values, s.n.values
-        theta, _ = _temperature(grid, p, n, e.values, p - n, params)
+        theta = _temperature(p, n, e.values, p - n, greens_apply(grid, p - n), params)
         logth = np.log(theta)
         eta = -p * (np.log(p) - params.c_p * logth)
         eta -= n * (np.log(n) - params.c_n * logth)
         want = math.fsum(eta.ravel().tolist()) * grid.cell_volume
         assert entropy_functional(s.p, s.n, e, params) == want
+
+    def test_rejects_a_charged_pair(self, grid3d, params):
+        one = ScalarField.constant(grid3d, 1.0)
+        e = ScalarField.constant(grid3d, params.c_p + params.c_n)
+        with pytest.raises(ValueError, match="neutral"):
+            entropy_functional(ScalarField.constant(grid3d, 1.001), one, e, params)
 
     def test_rejects_nonpositive_derived_theta(self, grid3d, params):
         one = ScalarField.constant(grid3d, 1.0)
@@ -137,8 +155,7 @@ class TestConservativeForce:
 class TestDissipativeForce:
     def test_zero_fluxes_zero_forces(self, grid3d, params):
         s = State.equilibrium(grid3d)
-        _, _, fs = dissipative(s, params, *fluxes(s, params))
-        for flow in fs:
+        for flow in forces(s, params):
             for c in flow:
                 assert np.abs(c).max() <= 1e-14
 
@@ -159,10 +176,10 @@ class TestDissipativeForce:
         # the quadratic functional, exact to rounding
         s = perturbed_state(grid3d, seed=7, amplitude=1e-3)
         j_p, j_n, j_e = random_probe(grid3d, seed=3, amplitude=0.5).flows()
-        gphi, q0, forces = dissipative(s, params, j_p, j_n, j_e)
+        gphi, q0, fs = dissipative(s, params, j_p, j_n, j_e)
         probe = random_probe(grid3d, seed=4)
         res = _scan_result(
-            _pairing(grid3d, forces, probe),
+            _pairing(grid3d, fs, probe),
             _dissipative_scan(s, params, probe, j_p, j_n, q0, gphi),
         )
         assert res["best_rel_err"] <= 1e-6
@@ -173,10 +190,10 @@ class TestDissipativeForce:
         a = random_probe(grid3d, seed=5, amplitude=0.3)
         b = random_probe(grid3d, seed=6, amplitude=0.3)
 
-        forces = lambda flows: dissipative(s, params, *flows)[2]
-        fa = forces(a.flows())
-        fb = forces(b.flows())
-        summed = forces(
+        forces_of = lambda flows: dissipative(s, params, *flows)[2]
+        fa = forces_of(a.flows())
+        fb = forces_of(b.flows())
+        summed = forces_of(
             [x + y for x, y in zip(ja, jb)] for ja, jb in zip(a.flows(), b.flows())
         )
         for fs_ab, fs_a, fs_b in zip(summed, fa, fb):
@@ -201,7 +218,7 @@ class TestForceBalance:
         s = State.from_primitives(one, one, theta)
         want = params.c * b * np.cos(x) / (1.0 + b * np.sin(x))
         con_p, _, _ = _conservative_flows(s, params)
-        _, _, (dis_p, _, _) = dissipative(s, params, *fluxes(s, params))
+        dis_p, _, _ = forces(s, params)
         assert np.abs(con_p[0] - want).max() <= 1e-10 * b
         assert np.abs(dis_p[0] - want).max() <= 1e-10 * b
 
@@ -295,12 +312,35 @@ class TestSharedWork:
         counted["fields"] = 0
         rep = varcheck_report(s, params, seed=1)
         assert rep["pass"]
-        # probe 18, conservative forces 14 and scan 24 (6 entropy
-        # evaluations at 2 each plus the probe divergences 12), constitutive
-        # fluxes 22, grad(phi) 4, the two eliminations 7 each, the
-        # dissipative kernel 10; the balance reuses both force sets
-        assert counted["fields"] == 106
-        assert counted["eliminations"] == 2
+        # probe 18 (3 forward and 3 inverse band transforms per vector), the
+        # Darcy pass 15 (the spectrum 3, then 4 per axis; it gives grad(phi)
+        # and q0), the probe's heat-flux elimination 7, the dissipative
+        # kernel 10, the conservative forces 14 and scan 6 (G(p - n) 2 and
+        # one 4-row band inverse of the probe divergences and
+        # G(div_p - div_n)); the balance reuses both force sets
+        assert counted["fields"] == 70
+        assert counted["eliminations"] == 1
+
+    def test_report_heat_flux_is_fouriers_law(self, params, monkeypatch):
+        # eliminating the constitutive j_e returns -k grad(theta) to 1e-13
+        # (TestSymbolicIdentities::test_heat_flux_elimination_roundtrip);
+        # the report takes q0 from the Darcy pass instead, the bits of
+        # FluxSet.q, and so does the fluxes() helper
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
+        seen = []
+        orig = varcheck._dissipative_forces
+
+        def record(s, params, j_p, j_n, gphi, q):
+            seen.append([c.copy() for c in q])
+            return orig(s, params, j_p, j_n, gphi, q)
+
+        monkeypatch.setattr(varcheck, "_dissipative_forces", record)
+        varcheck_report(s, params, seed=1, probe_kmax=1)
+        want = constitutive_fluxes(s, params).q.components
+        assert len(seen) == 1
+        for q in (seen[0], fluxes(s, params)[2]):
+            assert all(np.array_equal(a, b) for a, b in zip(q, want))
 
     def test_split_scan_is_the_functional(self, params, monkeypatch):
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
@@ -329,6 +369,64 @@ class TestSharedWork:
             want = dissipation_functional(s, params, *moved)
             assert abs(got - want) <= 1e-13 * abs(want)
 
+    def test_split_conservative_scan_is_the_functional(self, params, monkeypatch):
+        # the scan moves (p, n, e) along the divergences of the probe's
+        # coefficients (TestProbe checks them against the components') and
+        # splits phi = G(p - n) linearly; each evaluation is
+        # entropy_functional of the moved fields, which derives phi anew
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        s = perturbed_state(grid, seed=14, amplitude=1e-3, kmax=1)
+        probe = random_probe(grid, seed=2, kmax=1)
+        seen = []
+        orig = varcheck._entropy_total
+
+        def record(*args):
+            seen.append(orig(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(varcheck, "_entropy_total", record)
+        _conservative_scan(s, params, probe)
+        monkeypatch.setattr(varcheck, "_entropy_total", orig)
+        e = energy_density(s, params).values
+        divs = []
+        for coef in probe.divergences(grid):
+            spec = np.zeros(grid.spectral_shape, dtype=complex)
+            spec[grid.band_mask(1)] = coef
+            divs.append(grid.ifft(spec))
+        signed = [sign * eps for eps in varcheck.DEFAULT_EPS_SCAN for sign in (1.0, -1.0)]
+        assert len(seen) == len(signed)
+        for eps, got in zip(signed, seen):
+            moved = (ScalarField(grid, f - eps * d)
+                     for f, d in zip((s.p.values, s.n.values, e), divs))
+            want = entropy_functional(*moved, params)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+class TestProbe:
+    def test_band_transforms_keep_the_probe_bits(self):
+        # the probe is drawn through band transforms of its kmax and masked
+        # by multiplying; its components are those of full transforms and
+        # a boolean cut, bit for bit, pruned (kmax < n//2) or not
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        for kmax in (1, 5, 8):
+            gen = np.random.Generator(np.random.Philox(key=3))
+            probe = random_probe(grid, seed=3, kmax=kmax)
+            for dJ in probe.flows():
+                spec = grid.fft(gen.standard_normal((3,) + grid.shape))
+                spec[:, ~grid.band_mask(kmax)] = 0.0
+                for got, vals in zip(dJ, grid.ifft(spec)):
+                    assert np.array_equal(got, vals * (0.1 / np.abs(vals).max()))
+
+    def test_divergences_are_the_components_divergences(self):
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        probe = random_probe(grid, seed=4, kmax=2)
+        mask = grid.band_mask(2)
+        for coef, dJ in zip(probe.divergences(grid), probe.flows()):
+            spec = np.zeros(grid.spectral_shape, dtype=complex)
+            spec[mask] = coef
+            want = divergence_arrays(grid, dJ)
+            assert np.abs(grid.ifft(spec) - want).max() <= 1e-14 * np.abs(want).max()
+
 
 class TestReport:
     def test_report_passes_on_small_state(self, grid3d, params):
@@ -345,11 +443,15 @@ class TestReport:
         assert not rep["pass"]
 
     def test_report_matches_stored_bytes(self, params, tmp_path):
-        # data/varcheck-report-16.json was written by varcheck_report as it
-        # stood when it built each force set whole, before the report held
-        # one force set at a time; the reordered report serialises to the
-        # same bytes.  Recorded on one host: numpy's log and the FFTs may
-        # round differently on another CPU or build
+        # data/varcheck-report-16.json was written by varcheck_report once
+        # it took q0 and grad(phi) from its Darcy pass and ran the
+        # conservative scan on the probe's coefficients with phi split
+        # linearly; against the file before that, every verdict, eps and
+        # non-float value is the same and the floats moved at rounding
+        # (conservative fd 3.0e-11 and dissipative pairing 2.6e-16
+        # relative, the conservative pairing and dissipative fds not at
+        # all).  Recorded on one host: numpy's log and the FFTs may round
+        # differently on another CPU or build
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
         s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
         write_report_json(varcheck_report(s, params, seed=1, probe_kmax=1), tmp_path / "r.json")
@@ -365,9 +467,8 @@ class TestReport:
         rep = varcheck_report(s, params, seed=1, probe_kmax=1)
         probe = random_probe(grid, seed=1, kmax=1)
         con = _pairing(grid, _conservative_flows(s, params), probe)
-        _, _, dis = dissipative(s, params, *fluxes(s, params))
         assert rep["conservative"]["pairing"] == con
-        assert rep["dissipative"]["pairing"] == _pairing(grid, dis, probe)
+        assert rep["dissipative"]["pairing"] == _pairing(grid, forces(s, params), probe)
 
     def test_report_peak_memory(self, params):
         # at 32^3 above the call's entry, in full grids: measured 35.06 on
