@@ -4,7 +4,7 @@ system on a periodic box, with continuous thermodynamic-structure audits
 force identities, Lyapunov decay)."""
 
 from .grid import GridSpec, ScalarField, VectorField
-from .fields import PhysParams, State, FluxSet, OnsagerBlock, PositivityError
+from .fields import PhysParams, State, PositivityError
 from .poisson import NonNeutralSource
 from .dynamics import PerturbationState, StepperConfig, StepAbort
 
@@ -14,8 +14,6 @@ __all__ = [
     "VectorField",
     "PhysParams",
     "State",
-    "FluxSet",
-    "OnsagerBlock",
     "PositivityError",
     "NonNeutralSource",
     "PerturbationState",

@@ -11,7 +11,11 @@ imbalance v and grad(phi) decay strictly faster than u_tilde thanks to
 the order-one screening term in the v equation.  The harness builds
 neutral positive initial data scaled to a requested smallness size,
 integrates, samples the component norms, and fits exponential rates on
-the final half of the run.
+the final half of the run.  A norm's fit ends at its last sample above
+the rounding floor 1e-12 Lambda^(1/2): in a long run the fast-decaying v
+and grad(phi) reach rounding while Lambda, held up by the slow u_tilde
+and theta_tilde, is still far above it, and samples at the floor would
+pull the fitted rate down.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from .fields import PhysParams
 from .grid import GridSpec, ScalarField
 
 MONOTONE_TOL = 1e-10
+# a norm's fit ends where the norm meets the rounding floor
+# ROUNDING_FLOOR * Lambda^(1/2) of its sample
+ROUNDING_FLOOR = 1e-12
 SMALLNESS_FLAG = 0.1
 RANDOM_BAND = 2  # random_band excites mode indices |m_i| <= RANDOM_BAND
 
@@ -108,10 +115,10 @@ def _lyapunov(sums, params: PhysParams) -> float:
     return float(out)
 
 
-def lyapunov(ps: PerturbationState, params: PhysParams, spec=None) -> float:
-    """Lambda(ps); spectral H^2 norms, 2c weight on the temperature part.
-    spec is spectra(ps), computed here when not given."""
-    return spectral_lyapunov(ps.grid, spectra(ps) if spec is None else spec, params)
+def lyapunov(ps: PerturbationState, params: PhysParams) -> float:
+    """Lambda(ps); spectral H^2 norms, 2c weight on the temperature part,
+    of spectra(ps)."""
+    return spectral_lyapunov(ps.grid, spectra(ps), params)
 
 
 def spectral_lyapunov(grid: GridSpec, spec, params: PhysParams) -> float:
@@ -174,9 +181,15 @@ def initial_condition(
     )
 
 
-def _fit_rate(t: np.ndarray, series: np.ndarray) -> float:
+def _fit_rate(t: np.ndarray, series: np.ndarray, floor=None) -> float:
     """Exponential decay rate from a log least-squares fit on the final
-    half of the samples; 0 for flat or degenerate series."""
+    half of the samples; 0 for flat or degenerate series.  With floor, one
+    value per sample, the samples end at the last one above its floor:
+    a norm that has decayed to rounding no longer falls at its rate."""
+    if floor is not None:
+        above = np.flatnonzero(series > floor)
+        end = above[-1] + 1 if above.size else 0
+        t, series = t[:end], series[:end]
     half = len(t) // 2
     ts, ys = t[half:], series[half:]
     good = ys > 1e-300
@@ -223,7 +236,9 @@ def run(exp: DecayExperiment, grid: GridSpec, params: PhysParams) -> DecaySeries
 
     arr = np.array(rows, dtype=float).reshape(-1, len(SERIES_COLUMNS))
     cols = dict(zip(SERIES_COLUMNS, arr.T))
-    rates = {name: _fit_rate(cols["t"], col) for name, col in cols.items() if name != "t"}
+    floor = ROUNDING_FLOOR * np.sqrt(cols["lyapunov"])
+    rates = {name: _fit_rate(cols["t"], col, None if name == "lyapunov" else floor)
+             for name, col in cols.items() if name != "t"}
     return DecaySeries(**cols, fitted_rates=rates, completed=completed, abort_reason=reason)
 
 

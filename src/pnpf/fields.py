@@ -4,9 +4,10 @@ State containers and pointwise constitutive quantities.
 Charge transport follows Darcy-law ion fluxes and heat follows Fourier's
 law; the energy flux collects internal-energy transport, pressure work,
 electrostatic transport and the nonlocal electrostatic exchange term.
-This module also exposes the linear-response (Onsager) coefficient block
-relating fluxes to gradients of mu/theta and 1/theta, with the reciprocal
-symmetries built in, plus the reconstruction residual the audits use.
+The audits rebuild the ion fluxes from the linear-response (Onsager)
+coefficients relating them to gradients of mu/theta and 1/theta
+(_ion_coefficients, with the reciprocal symmetries built in) and measure
+the deviation, the reconstruction residual.
 
 Gradients and fluxes are built in one place, the raw-array helpers
 darcy_axes, exchange_arrays and energy_weights.  The ion fluxes are
@@ -31,11 +32,10 @@ gradient or spectral array of its own.  A stepping loop
 (dynamics.integrate, thermo_audit.audit_run) makes one Slots and hands it
 to every step, whose RHS evaluations write their gradients, Laplacians
 and audit-residual gradients into it, so a 64^3 run does not fault
-those pages in again at every evaluation; a one-off call
-(constitutive_fluxes, flux_audit, varcheck) makes its own.  A caller
-that keeps the fluxes passes one (dim, 2) block array; the primitive
-RHS, which transforms each axis's pair inside its loop, passes one block
-for every axis.  The Laplacians are not part of the kernel: only the
+those pages in again at every evaluation; a one-off call (flux_audit,
+varcheck) makes its own.  A caller that keeps the fluxes passes one
+(dim, 2) block array; the primitive RHS, which transforms each axis's
+pair inside its loop, passes one block for every axis.  The Laplacians are not part of the kernel: only the
 primitive RHS needs them, and it builds them after its axis loop from
 the same forward transform.  With band, every inverse transform of the
 pass is a band transform (GridSpec.ifft), which needs a spectrum that
@@ -45,9 +45,9 @@ spectrum it carries, and every other caller keeps band False.
 A State carries the spectrum of (n, p, theta) once a stepper has given it
 one (State.spec, set by dynamics.carried): the fields are its inverse
 transform.  spectrum(s) is that spectrum, or else the forward transform
-of the fields, and constitutive_fluxes and flux_audit read it, so the
-standalone sample of a carried State makes no forward transform and its
-definitions read the same spectrum bit for bit.
+of the fields, and flux_audit and varcheck's Darcy pass (_darcy_pass)
+read it, so the standalone sample of a carried State makes no forward
+transform.
 
 AuditSink is the body of one audit sample, in three parts that any pass
 over darcy_axes can feed: the |q|^2, |j_p|^2 and |j_n|^2 sums per axis,
@@ -59,14 +59,10 @@ transforms, 3 + 7*dim for a State that carries its spectrum
 (tests/test_dynamics.py TestSpectralCore::test_transform_count pins both
 at dim 3, tests/test_thermo_audit.py TestAuditSample the carried one).
 Either way the sample takes from the axes only what it reads and builds
-nothing else.  The definitions stay
-as they are: constitutive_fluxes (whose Darcy pass, _darcy_pass, gives
-varcheck its fluxes), entropy_production_density, reconstruct_fluxes and
-flux_reconstruction_residual.  The entropy density eta has one
-definition, _entropy_arrays on raw arrays: entropy_density (the audit's
-total entropy) and varcheck's entropy functional both evaluate it.  The
-residual, reconstruct_fluxes and AuditSink rebuild an ion flux with one
-row formula, _ion_row.
+nothing else: no phi_t, exchange flux or energy flux.  The entropy
+density eta has one definition, _entropy_arrays on raw arrays:
+entropy_density (the audit's total entropy) and varcheck's entropy
+functional both evaluate it.
 """
 
 from __future__ import annotations
@@ -78,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import poisson
-from .grid import GridSpec, ScalarField, VectorField
+from .grid import GridSpec, ScalarField
 
 POSITIVITY_FLOOR = 1e-8
 
@@ -309,52 +305,11 @@ def energy_weights(th, phi, params: PhysParams):
     return (params.c_p + 1.0) * th + phi, (params.c_n + 1.0) * th - phi
 
 
-@dataclass(frozen=True)
-class FluxSet:
-    """Constitutive fluxes of one State.
-
-    q = -k*grad(theta) by construction; j_e additionally carries the
-    electrostatic exchange flux, built from phi_t, the potential rate
-    obtained by solving Delta(phi_t) = div(j_p - j_n).
-    """
-
-    j_p: VectorField
-    j_n: VectorField
-    q: VectorField
-    j_e: VectorField
-    exchange: VectorField
-    phi_t: ScalarField
-
-
-def constitutive_fluxes(s: State, params: PhysParams) -> FluxSet:
-    """
-    Darcy ion fluxes, Fourier heat flux, and the total energy flux.
-
-        j_p = -D_p [grad(p theta) + p grad(phi)]
-        j_n = -D_n [grad(n theta) - n grad(phi)]
-        q   = -k grad(theta)
-        j_e = [(c_p+1) theta + phi] j_p + [(c_n+1) theta - phi] j_n
-              + (phi_t grad(phi) - phi grad(phi_t))/2 + q
-    """
-    g, d = s.grid, s.grid.dim
-    th, phi = s.theta.values, s.phi.values
-    j, q, gphi = _darcy_pass(s, params)
-    j_p, j_n = list(j[:, 0]), list(j[:, 1])
-    phi_t, exchange = exchange_arrays(g, phi, gphi, j_p, j_n)
-    a, b = energy_weights(th, phi, params)
-    j_e = [a * j_p[i] + b * j_n[i] + exchange[i] + q[i] for i in range(d)]
-    vec = lambda comps: VectorField(g, tuple(comps))
-    return FluxSet(
-        j_p=vec(j_p), j_n=vec(j_n), q=vec(q), j_e=vec(j_e), exchange=vec(exchange),
-        phi_t=ScalarField(g, phi_t),
-    )
-
-
 def _darcy_pass(s: State, params: PhysParams):
     """(j, q, grad phi) of one darcy_axes pass over s: the (dim, 2) block
     of the Darcy fluxes (j_p,i, j_n,i), the Fourier heat flux
     q = -k grad(theta) and grad(phi), the last two as component lists.
-    constitutive_fluxes and varcheck_report take their fluxes from it."""
+    varcheck_report takes its fluxes from it."""
     g = s.grid
     j, q, gphi = np.empty((g.dim, 2) + g.shape), [], []
     spec = spectrum(s)
@@ -385,18 +340,6 @@ def _entropy_arrays(p, n, theta, params: PhysParams) -> np.ndarray:
     return eta
 
 
-def entropy_production_density(fl: FluxSet, s: State, params: PhysParams) -> ScalarField:
-    """
-    Pointwise entropy production rate, a weighted sum of squares:
-
-        |j_p|^2/(D_p p theta) + |j_n|^2/(D_n n theta) + |q/theta|^2/k.
-
-    Nonnegative by construction for every admissible state and flux set.
-    """
-    sq = lambda v: sum(c**2 for c in v.components)
-    return _production_density(s, params, sq(fl.j_p), sq(fl.j_n), sq(fl.q))
-
-
 def _production_density(s: State, params: PhysParams, jp2, jn2, q2) -> ScalarField:
     """The production density from the squared magnitudes |j_p|^2, |j_n|^2, |q|^2."""
     th = s.theta.values
@@ -406,29 +349,18 @@ def _production_density(s: State, params: PhysParams, jp2, jn2, q2) -> ScalarFie
     return ScalarField(s.grid, out)
 
 
-@dataclass(frozen=True)
-class OnsagerBlock:
-    """
-    Pointwise linear-response coefficients and chemical potentials.
-
-    The reciprocal relations hold by construction: each reciprocal pair is
-    one array that serves both rows of the flux form (L_ptheta is also
-    L_thetap, L_ntheta is also L_thetan), and the cross block
-    L_pn = L_np is zero, so it is not stored.
-    """
-
-    L_pp: ScalarField
-    L_nn: ScalarField
-    L_ptheta: ScalarField
-    L_ntheta: ScalarField
-    L_thetatheta: ScalarField
-    mu_p: ScalarField
-    mu_n: ScalarField
-
-
 def _ion_coefficients(s: State, params: PhysParams):
-    """(L_pp, L_nn, L_ptheta, L_ntheta, mu_p, mu_n) of onsager_block as raw
-    arrays: everything but L_thetatheta."""
+    """(L_pp, L_nn, L_ptheta, L_ntheta, mu_p, mu_n) as raw arrays: the ion
+    rows of the linear-response (Onsager) block of the flux form
+
+        j_p = -L_pp grad(mu_p/theta) + L_ptheta grad(1/theta)
+        j_n = -L_nn grad(mu_n/theta) + L_ntheta grad(1/theta)
+
+    with L_pp = D_p p theta, L_ptheta = L_pp [(c_p+1) theta + phi],
+    L_nn = D_n n theta, L_ntheta = L_nn [(c_n+1) theta - phi] and the
+    chemical potentials mu_p = theta (log p - c_p log theta) + phi,
+    mu_n = theta (log n - c_n log theta) - phi.  Each reciprocal pair is
+    one array (L_ptheta is also L_thetap), and L_pn = L_np is zero."""
     n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
     L_pp = params.D_p * p * th
     L_nn = params.D_n * n * th
@@ -443,59 +375,23 @@ def _ion_coefficients(s: State, params: PhysParams):
     )
 
 
-def onsager_block(s: State, params: PhysParams) -> OnsagerBlock:
-    """
-    Coefficients of the flux form
-
-        j_p = -L_pp grad(mu_p/theta) + L_ptheta grad(1/theta)
-        j_n = -L_nn grad(mu_n/theta) + L_ntheta grad(1/theta)
-        j_e = -L_ptheta grad(mu_p/theta) - L_ntheta grad(mu_n/theta)
-              + L_thetatheta grad(1/theta) + exchange flux
-
-    with the paper-level coefficients
-
-        L_pp = D_p p theta,   L_ptheta = D_p p theta [(c_p+1) theta + phi],
-        L_nn = D_n n theta,   L_ntheta = D_n n theta [(c_n+1) theta - phi],
-
-    and L_thetatheta derived so the energy-flux reconstruction is exact
-    given the others:
-
-        L_thetatheta = D_p p theta [(c_p+1) theta + phi]^2
-                     + D_n n theta [(c_n+1) theta - phi]^2 + k theta^2.
-
-    Chemical potentials: mu_p = theta (log p - c_p log theta) + phi and
-    mu_n = theta (log n - c_n log theta) - phi.
-    """
-    g, th = s.grid, s.theta.values
-    L_pp, L_nn, L_pth, L_nth, mu_p, mu_n = _ion_coefficients(s, params)
-    a, b = energy_weights(th, s.phi.values, params)
-    f = lambda v: ScalarField(g, v)
-    return OnsagerBlock(
-        L_pp=f(L_pp), L_nn=f(L_nn), L_ptheta=f(L_pth), L_ntheta=f(L_nth),
-        L_thetatheta=f(L_pp * a**2 + L_nn * b**2 + params.k * th**2),
-        mu_p=f(mu_p), mu_n=f(mu_n),
-    )
-
-
-def _quotients(th, mu_p, mu_n, out=None):
+def _quotients(th, mu_p, mu_n, out):
     """(mu_p/theta, mu_n/theta, 1/theta), the potentials whose gradients
-    the flux form takes, written into out, three real grids, or into a new
-    array.  Axis i's gradients are grad_mult[i] times their batched
-    forward transform, inverse transformed."""
-    if out is None:
-        out = np.empty((3,) + th.shape)
+    the flux form takes, written into out, three real grids.  Axis i's
+    gradients are grad_mult[i] times their batched forward transform,
+    inverse transformed."""
     np.divide(mu_p, th, out=out[0])
     np.divide(mu_n, th, out=out[1])
     np.divide(1.0, th, out=out[2])
     return out
 
 
-def _ion_row(L, L_theta, g_mu, g_inv, out=None, tmp=None):
+def _ion_row(L, L_theta, g_mu, g_inv, out, tmp):
     """Component i of an ion flux rebuilt from the coefficient block,
     -L d_i(mu/theta) + L_theta d_i(1/theta), as L_theta d_i(1/theta) -
-    L d_i(mu/theta) (the same bits); written into out, with tmp as
-    scratch, when they are given."""
-    out = np.multiply(L_theta, g_inv, out=out)
+    L d_i(mu/theta) (the same bits), written into out with tmp as
+    scratch."""
+    np.multiply(L_theta, g_inv, out=out)
     out -= np.multiply(L, g_mu, out=tmp)
     return out
 
@@ -507,55 +403,11 @@ def _deviation(dev: float, scale: float, rec, ref, tmp=None) -> tuple[float, flo
     return max(dev, d), max(scale, float(np.abs(ref, out=tmp).max()))
 
 
-def reconstruct_fluxes(
-    s: State, params: PhysParams, block: OnsagerBlock, fl: FluxSet
-) -> tuple[VectorField, VectorField, VectorField]:
-    """
-    Rebuild (j_p, j_n, j_e) from the coefficient block and the gradients of
-    mu/theta and 1/theta (quotients pointwise, then spectral gradients).
-    j_e additionally restores the electrostatic exchange flux of fl, which
-    is not expressible through the local coefficient block.
-    """
-    g = s.grid
-    L_pp, L_nn = block.L_pp.values, block.L_nn.values
-    L_pth, L_nth = block.L_ptheta.values, block.L_ntheta.values
-    spec = g.fft(_quotients(s.theta.values, block.mu_p.values, block.mu_n.values))
-    j_p, j_n, j_e = [], [], []
-    for m, ex in zip(g.grad_mult, fl.exchange.components):
-        gmp, gmn, ginv = g.ifft(m * spec)
-        j_p.append(_ion_row(L_pp, L_pth, gmp, ginv))
-        j_n.append(_ion_row(L_nn, L_nth, gmn, ginv))
-        j_e.append(-L_pth * gmp - L_nth * gmn + block.L_thetatheta.values * ginv + ex)
-    vec = lambda comps: VectorField(g, tuple(comps))
-    return vec(j_p), vec(j_n), vec(j_e)
-
-
-def flux_reconstruction_residual(
-    s: State, params: PhysParams, block: OnsagerBlock | None = None
-) -> float:
-    """
-    Max absolute deviation between the Darcy fluxes and their
-    linear-response reconstruction (j_p plus j_n), normalized by the
-    largest flux magnitude; returns 0 when all fluxes vanish.  block
-    replaces onsager_block(s) (fault injection).  This is the definition;
-    flux_audit computes the same number in its streamed pass.
-    """
-    fl = constitutive_fluxes(s, params)
-    if block is None:
-        block = onsager_block(s, params)
-    j_p_rec, j_n_rec, _ = reconstruct_fluxes(s, params, block, fl)
-    dev = scale = 0.0
-    for rec, ref in ((j_p_rec, fl.j_p), (j_n_rec, fl.j_n)):
-        for cr, cf in zip(rec.components, ref.components):
-            dev, scale = _deviation(dev, scale, cr, cf)
-    return dev / scale if scale else 0.0
-
-
 class FluxAudit(NamedTuple):
     """What one audit sample needs of the fluxes."""
 
-    production: ScalarField  # entropy_production_density of the state
-    residual: float  # flux_reconstruction_residual of the state
+    production: ScalarField  # the entropy production density of the state
+    residual: float  # the flux-reconstruction residual of the state
 
 
 class AuditSink:
@@ -624,13 +476,19 @@ class AuditSink:
 
 def flux_audit(s: State, params: PhysParams, slots=None) -> FluxAudit:
     """
-    The entropy production density and the flux-reconstruction residual
-    of s, bit for bit equal to
-    entropy_production_density(constitutive_fluxes(s)) and
-    flux_reconstruction_residual(s): the AuditSink body fed by its own
+    The entropy production density
+
+        |j_p|^2/(D_p p theta) + |j_n|^2/(D_n n theta) + |q/theta|^2/k
+
+    and the flux-reconstruction residual of s, the largest deviation of
+    the Darcy fluxes (j_p, j_n) from their rebuild through the coefficient
+    block (_ion_coefficients), relative to the largest flux component; 0
+    when every flux vanishes.  It is the AuditSink body fed by its own
     pass over darcy_axes, which writes the fluxes into one (dim, 2)
     block array; the sink keeps the |q|^2, |j_p|^2 and |j_n|^2 sums in
-    axis order, as it does when it rides on an RHS evaluation.
+    axis order, as it does when it rides on an RHS evaluation.  The
+    textbook definitions of both quantities, which the tests compare it
+    with bit for bit, are in tests/oracles.py.
 
     This is the standalone sample, 6 + 7*dim transforms: the forward
     transform of (n, p, theta), which a State that carries its spectrum

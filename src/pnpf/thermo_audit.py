@@ -26,8 +26,8 @@ The entropy production density and the reciprocity residual come from a
 fields.AuditSink, whose body reads one pass over the axes (per axis the
 four one-field inverse transforms of darcy_axes) and adds the residual's
 forward transform of (mu_p/theta, mu_n/theta, 1/theta) and three
-one-field inverse transforms per axis.  It builds no FluxSet, phi_t,
-exchange flux or j_e.  audit_run makes one fields.Slots for the run and
+one-field inverse transforms per axis.  It builds no phi_t, exchange
+flux or j_e.  audit_run makes one fields.Slots for the run and
 hands it to every step and to the final state's standalone sample, so
 the steps' kernels and the samples reuse its buffers.
 
@@ -50,10 +50,11 @@ tests/test_thermo_audit.py pins these counts
 (TestAuditSample::test_sample_cost, ::test_carried_sample_cost,
 TestFusedSample::test_audited_imex1_step_cost, ::test_audit_run_cost).
 Either way every column equals its definition bit for bit, the Lyapunov
-column to rounding: totals of the entropy_production_density of
-constitutive_fluxes (which reads the same carried spectrum), the
-flux_reconstruction_residual, and decay.lyapunov of the converted state
-(to rounding for a carried State, bit for bit for one without).
+column to rounding: totals of the entropy production density of the
+constitutive fluxes, the flux-reconstruction residual (the textbook
+definitions of both are in tests/oracles.py, and read the same carried
+spectrum), and decay.lyapunov of the converted state (to rounding for a
+carried State, bit for bit for one without).
 
 Audit rows stream to CSV as they are produced (one-sample lag for the
 centered difference) so aborted runs retain their trail.  The final state
@@ -75,7 +76,6 @@ from .fields import (
     FluxAudit,
     PhysParams,
     State,
-    constitutive_fluxes,  # noqa: F401  (perfbench's tracer test looks it up here)
     energy_density,
     entropy_density,
     flux_audit,

@@ -37,10 +37,9 @@ varcheck_report builds each quantity once, from data it already holds,
 and holds at most one closed-form force set at a time, next to the
 probe.  The probe is drawn in its band |m_i| <= kmax and transformed
 there (GridSpec band transforms with band=kmax), and it keeps its scaled
-in-band coefficients.  One Darcy pass (fields._darcy_pass, as in
-constitutive_fluxes before its exchange solve) gives the flux block
-(j_p, j_n), grad(phi) and q0 = -k grad(theta): eliminating the heat flux
-from the constitutive j_e returns q0 by construction, so the report
+in-band coefficients.  One Darcy pass (fields._darcy_pass) gives the flux
+block (j_p, j_n), grad(phi) and q0 = -k grad(theta): eliminating the heat
+flux from the constitutive j_e returns q0 by construction, so the report
 takes it as it is and solves no exchange flux for it.  The dissipative
 scan runs first and sums |j_p|^2, |j_n|^2 and |q|^2 one moved component
 at a time.  The report then builds the dissipative forces from the
@@ -76,7 +75,7 @@ move: phi0 = G(p - n) once and phi0 - eps G(div dJ_p - div dJ_n) at
 every eps.  The three divergences and G(div dJ_p - div dJ_n) come from
 the probe's coefficients in one 4-row band inverse transform, and each
 evaluation works on raw arrays through _entropy_total, the quadrature
-of entropy_functional too, with its neutrality and temperature guards.
+of the entropy functional with its neutrality and temperature guards.
 
 Sign bookkeeping, fixed once and unit-tested: the published closed-form
 forces pair as  sum_flows <f, dJ> = d/d_eps S(perturbed)  (equivalently
@@ -107,7 +106,7 @@ from .fields import (
     energy_weights,
     exchange_arrays,
 )
-from .grid import GridSpec, ScalarField, VectorField, divergence_arrays, grad_arrays, integrate
+from .grid import GridSpec, VectorField, divergence_arrays, grad_arrays, integrate
 from .poisson import greens_apply, solve_array
 
 DEFAULT_EPS_SCAN = (1e-3, 1e-4, 1e-5)
@@ -186,8 +185,8 @@ def _temperature(p, n, e, rho, phi, params: PhysParams):
 
 def _entropy_total(grid: GridSpec, p, n, e, rho, phi, params: PhysParams) -> float:
     """Total entropy of the raw arrays (p, n, e) with rho = p - n and
-    phi = G(rho): the quadrature of entropy_functional and of the
-    conservative scan.
+    phi = G(rho), the temperature derived from them: the entropy
+    functional that the conservative scan evaluates.
 
     Raises ValueError if rho is not neutral and PositivityError if the
     derived temperature is not positive.
@@ -202,21 +201,6 @@ def _entropy_total(grid: GridSpec, p, n, e, rho, phi, params: PhysParams) -> flo
     # so accumulation error in the quadrature must stay at one ulp; it is
     # correctly rounded, so reading the buffer directly (no list) keeps the bits
     return math.fsum(memoryview(eta.ravel())) * grid.cell_volume
-
-
-def entropy_functional(p: ScalarField, n: ScalarField, e: ScalarField,
-                       params: PhysParams) -> float:
-    """Total entropy with the temperature derived from (p, n, e); this
-    hidden dependency is what makes the flow-map derivative nontrivial.
-    p - n is formed once and serves the neutrality guard and the derived
-    temperature.
-
-    Raises ValueError if (p, n) is not neutral and PositivityError if the
-    derived temperature is not positive.
-    """
-    rho = p.values - n.values
-    phi = greens_apply(p.grid, rho)
-    return _entropy_total(p.grid, p.values, n.values, e.values, rho, phi, params)
 
 
 def _conservative_flows(s: State, params: PhysParams):

@@ -1,14 +1,40 @@
-"""Independent dense oracles used to freeze expected values, and the
-reference definitions that production shortcuts are compared against.
+"""Independent oracles and reference definitions that the package's
+streamed computations are checked against.
 
-The dense oracles deliberately avoid the library's FFT code path:
+Dense oracles freeze expected values without the library's FFT code path:
 differentiation matrices are assembled from explicitly constructed DFT
 matrices, the constrained Poisson solve goes through a dense KKT system,
-and quadratures use math.fsum over plain Python loops.
+and quadratures use math.fsum over plain Python loops (dft_matrix through
+fsum_integral).
+
+Reference definitions are the textbook forms of the audited quantities,
+which no command runs; the tests compare the package's one-pass versions
+with them, most of them bit for bit:
+
+* FluxSet and constitutive_fluxes: the Darcy ion fluxes, the Fourier heat
+  flux, the exchange flux and the total energy flux of a State, from the
+  package's Darcy pass (fields._darcy_pass) and exchange solve;
+* entropy_production_density: the pointwise production rate of a FluxSet,
+  which fields.flux_audit and an audited step's AuditSink equal bit for
+  bit;
+* OnsagerBlock, onsager_block and reconstruct_fluxes: the linear-response
+  block with its reciprocal symmetries built in, and the fluxes rebuilt
+  from it;
+* flux_reconstruction_residual: the reciprocity residual of a State,
+  which the onsager_residual column of audit.csv equals bit for bit;
+* entropy_functional: the total entropy of (p, n, e) with the temperature
+  derived, which varcheck's conservative scan evaluates on raw arrays
+  (varcheck._entropy_total);
+* dissipation_functional: the quadratic entropy production of arbitrary
+  fluxes, which varcheck's dissipative scan evaluates split linearly.
+
+The remaining helpers compose the package's kernels the textbook way
+(nine_sum_rhs, batched_rhs_core and the one-step RK4 and IMEX1 oracles).
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +42,12 @@ from pnpf import varcheck
 from pnpf.dynamics import (
     _linear_block, _rhs_perturbation_arrays, _rhs_perturbation_core, _rhs_primitive_core,
 )
-from pnpf.fields import darcy_axes, new_slots
-from pnpf.grid import GridSpec, grad_arrays
+from pnpf.fields import (
+    PhysParams, State, _darcy_pass, _deviation, _ion_coefficients, _ion_row,
+    _production_density, _quotients, darcy_axes, energy_weights, exchange_arrays, new_slots,
+)
+from pnpf.grid import GridSpec, ScalarField, VectorField, grad_arrays
+from pnpf.poisson import greens_apply
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -114,6 +144,178 @@ def dense_poisson_solve(grid: GridSpec, source: np.ndarray) -> np.ndarray:
 def fsum_integral(grid: GridSpec, values: np.ndarray) -> float:
     """Quadrature via math.fsum over a plain Python loop."""
     return math.fsum(float(x) for x in values.ravel()) * grid.cell_volume
+
+
+# -- reference definitions ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FluxSet:
+    """Constitutive fluxes of one State.
+
+    q = -k*grad(theta) by construction; j_e additionally carries the
+    electrostatic exchange flux, built from phi_t, the potential rate
+    obtained by solving Delta(phi_t) = div(j_p - j_n).
+    """
+
+    j_p: VectorField
+    j_n: VectorField
+    q: VectorField
+    j_e: VectorField
+    exchange: VectorField
+    phi_t: ScalarField
+
+
+def constitutive_fluxes(s: State, params: PhysParams) -> FluxSet:
+    """
+    Darcy ion fluxes, Fourier heat flux, and the total energy flux.
+
+        j_p = -D_p [grad(p theta) + p grad(phi)]
+        j_n = -D_n [grad(n theta) - n grad(phi)]
+        q   = -k grad(theta)
+        j_e = [(c_p+1) theta + phi] j_p + [(c_n+1) theta - phi] j_n
+              + (phi_t grad(phi) - phi grad(phi_t))/2 + q
+    """
+    g, d = s.grid, s.grid.dim
+    th, phi = s.theta.values, s.phi.values
+    j, q, gphi = _darcy_pass(s, params)
+    j_p, j_n = list(j[:, 0]), list(j[:, 1])
+    phi_t, exchange = exchange_arrays(g, phi, gphi, j_p, j_n)
+    a, b = energy_weights(th, phi, params)
+    j_e = [a * j_p[i] + b * j_n[i] + exchange[i] + q[i] for i in range(d)]
+    vec = lambda comps: VectorField(g, tuple(comps))
+    return FluxSet(
+        j_p=vec(j_p), j_n=vec(j_n), q=vec(q), j_e=vec(j_e), exchange=vec(exchange),
+        phi_t=ScalarField(g, phi_t),
+    )
+
+
+def entropy_production_density(fl: FluxSet, s: State, params: PhysParams) -> ScalarField:
+    """
+    Pointwise entropy production rate, a weighted sum of squares:
+
+        |j_p|^2/(D_p p theta) + |j_n|^2/(D_n n theta) + |q/theta|^2/k.
+
+    Nonnegative by construction for every admissible state and flux set.
+    """
+    sq = lambda v: sum(c**2 for c in v.components)
+    return _production_density(s, params, sq(fl.j_p), sq(fl.j_n), sq(fl.q))
+
+
+@dataclass(frozen=True)
+class OnsagerBlock:
+    """
+    Pointwise linear-response coefficients and chemical potentials.
+
+    The reciprocal relations hold by construction: each reciprocal pair is
+    one array that serves both rows of the flux form (L_ptheta is also
+    L_thetap, L_ntheta is also L_thetan), and the cross block
+    L_pn = L_np is zero, so it is not stored.
+    """
+
+    L_pp: ScalarField
+    L_nn: ScalarField
+    L_ptheta: ScalarField
+    L_ntheta: ScalarField
+    L_thetatheta: ScalarField
+    mu_p: ScalarField
+    mu_n: ScalarField
+
+
+def onsager_block(s: State, params: PhysParams) -> OnsagerBlock:
+    """
+    Coefficients of the flux form
+
+        j_p = -L_pp grad(mu_p/theta) + L_ptheta grad(1/theta)
+        j_n = -L_nn grad(mu_n/theta) + L_ntheta grad(1/theta)
+        j_e = -L_ptheta grad(mu_p/theta) - L_ntheta grad(mu_n/theta)
+              + L_thetatheta grad(1/theta) + exchange flux
+
+    with the paper-level coefficients
+
+        L_pp = D_p p theta,   L_ptheta = D_p p theta [(c_p+1) theta + phi],
+        L_nn = D_n n theta,   L_ntheta = D_n n theta [(c_n+1) theta - phi],
+
+    and L_thetatheta derived so the energy-flux reconstruction is exact
+    given the others:
+
+        L_thetatheta = D_p p theta [(c_p+1) theta + phi]^2
+                     + D_n n theta [(c_n+1) theta - phi]^2 + k theta^2.
+
+    Chemical potentials: mu_p = theta (log p - c_p log theta) + phi and
+    mu_n = theta (log n - c_n log theta) - phi.
+    """
+    g, th = s.grid, s.theta.values
+    L_pp, L_nn, L_pth, L_nth, mu_p, mu_n = _ion_coefficients(s, params)
+    a, b = energy_weights(th, s.phi.values, params)
+    f = lambda v: ScalarField(g, v)
+    return OnsagerBlock(
+        L_pp=f(L_pp), L_nn=f(L_nn), L_ptheta=f(L_pth), L_ntheta=f(L_nth),
+        L_thetatheta=f(L_pp * a**2 + L_nn * b**2 + params.k * th**2),
+        mu_p=f(mu_p), mu_n=f(mu_n),
+    )
+
+
+def reconstruct_fluxes(
+    s: State, params: PhysParams, block: OnsagerBlock, fl: FluxSet
+) -> tuple[VectorField, VectorField, VectorField]:
+    """
+    Rebuild (j_p, j_n, j_e) from the coefficient block and the gradients of
+    mu/theta and 1/theta (quotients pointwise, then spectral gradients).
+    j_e additionally restores the electrostatic exchange flux of fl, which
+    is not expressible through the local coefficient block.  The rows are
+    fields._ion_row's, written into new arrays.
+    """
+    g = s.grid
+    L_pp, L_nn = block.L_pp.values, block.L_nn.values
+    L_pth, L_nth = block.L_ptheta.values, block.L_ntheta.values
+    quotients = np.empty((3,) + g.shape)
+    spec = g.fft(_quotients(s.theta.values, block.mu_p.values, block.mu_n.values, quotients))
+    tmp = np.empty(g.shape)
+    j_p, j_n, j_e = [], [], []
+    for m, ex in zip(g.grad_mult, fl.exchange.components):
+        gmp, gmn, ginv = g.ifft(m * spec)
+        j_p.append(_ion_row(L_pp, L_pth, gmp, ginv, np.empty(g.shape), tmp))
+        j_n.append(_ion_row(L_nn, L_nth, gmn, ginv, np.empty(g.shape), tmp))
+        j_e.append(-L_pth * gmp - L_nth * gmn + block.L_thetatheta.values * ginv + ex)
+    vec = lambda comps: VectorField(g, tuple(comps))
+    return vec(j_p), vec(j_n), vec(j_e)
+
+
+def flux_reconstruction_residual(
+    s: State, params: PhysParams, block: OnsagerBlock | None = None
+) -> float:
+    """
+    Max absolute deviation between the Darcy fluxes and their
+    linear-response reconstruction (j_p plus j_n), normalized by the
+    largest flux magnitude; returns 0 when all fluxes vanish.  block
+    replaces onsager_block(s) (fault injection).  fields.flux_audit
+    computes the same number in its streamed pass.
+    """
+    fl = constitutive_fluxes(s, params)
+    if block is None:
+        block = onsager_block(s, params)
+    j_p_rec, j_n_rec, _ = reconstruct_fluxes(s, params, block, fl)
+    dev = scale = 0.0
+    for rec, ref in ((j_p_rec, fl.j_p), (j_n_rec, fl.j_n)):
+        for cr, cf in zip(rec.components, ref.components):
+            dev, scale = _deviation(dev, scale, cr, cf)
+    return dev / scale if scale else 0.0
+
+
+def entropy_functional(p: ScalarField, n: ScalarField, e: ScalarField,
+                       params: PhysParams) -> float:
+    """Total entropy with the temperature derived from (p, n, e); this
+    hidden dependency is what makes the flow-map derivative nontrivial.
+    p - n is formed once and serves the neutrality guard and the derived
+    temperature.
+
+    Raises ValueError if (p, n) is not neutral and PositivityError if the
+    derived temperature is not positive.
+    """
+    rho = p.values - n.values
+    phi = greens_apply(p.grid, rho)
+    return varcheck._entropy_total(p.grid, p.values, n.values, e.values, rho, phi, params)
 
 
 def dissipation_functional(s, params, j_p, j_n, j_e) -> float:

@@ -8,9 +8,11 @@ import pytest
 
 from pnpf import cli, snapshot, thermo_audit
 from pnpf.dynamics import stability_bound
-from pnpf.fields import PhysParams, constitutive_fluxes, entropy_production_density
+from pnpf.fields import PhysParams
 from pnpf.grid import GridSpec
 from pnpf.thermo_audit import totals
+
+from .oracles import constitutive_fluxes, entropy_production_density
 
 
 def leaf_keys(doc, prefix=""):

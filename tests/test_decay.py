@@ -9,17 +9,20 @@ import numpy as np
 import pytest
 
 from pnpf.decay import (
+    ROUNDING_FLOOR,
     DecayExperiment,
+    _fit_rate,
     _h2_sq,
     initial_condition,
     lyapunov,
     run,
     smallness_size,
     spectra,
+    spectral_lyapunov,
     summary,
 )
 from pnpf.dynamics import PerturbationState, StepperConfig, convert
-from pnpf.fields import PhysParams, State
+from pnpf.fields import State
 from pnpf.grid import GridSpec, ScalarField
 
 from .conftest import count_transforms, perturbation_state
@@ -86,7 +89,7 @@ class TestLyapunov:
         spec = spectra(ps)
         for row, f in zip(spec, (ps.u_tilde, ps.v, ps.theta_tilde, ps.phi)):
             assert np.array_equal(row, grid.fft(f.values))
-        assert lyapunov(ps, params, spec) == lyapunov(ps, params)
+        assert spectral_lyapunov(grid, spec, params) == lyapunov(ps, params)
 
 
 class TestDissipationLedger:
@@ -175,7 +178,7 @@ class TestRun:
         h2 = lambda f: math.sqrt(_h2_sq(grid, spec(f)))
         phi_hat = -grid.inv_k2 * spec(ps.v)
         four = (spec(ps.u_tilde), spec(ps.v), spec(ps.theta_tilde), phi_hat)
-        assert series.lyapunov[0] == lyapunov(ps, params, four)
+        assert series.lyapunov[0] == spectral_lyapunov(grid, four, params)
         assert series.v_l2[0] == math.sqrt(grid.spectral_l2_sum(spec(ps.v)))
         assert series.grad_phi_l2[0] == math.sqrt(grid.spectral_l2_sum(phi_hat, grid.h1_weight))
         assert series.u_l2[0] == math.sqrt(grid.spectral_l2_sum(spec(ps.u_tilde)))
@@ -287,3 +290,41 @@ class TestRateOrderingVerdict:
         rates = dict(series.fitted_rates, u_l2=100.0)
         out = summary(exp, replace(series, fitted_rates=rates))
         assert out["rate_ordering_verdict"] == "flagged"
+
+
+class TestRoundingFloor:
+    """A long random_band run takes v and grad(phi) down to rounding
+    (about 1e-20) while Lambda, held up by the slow u_tilde and
+    theta_tilde, is still far above it.  Their fits end at the last sample
+    above 1e-12 Lambda^(1/2) and read the linearized rate |k|^2 + 2 = 3 of
+    the screened v mode; fitted through the floor they read about 1.9 and
+    2.1."""
+
+    def test_fast_rates_end_at_the_floor(self, params):
+        grid = GridSpec(dim=2, n=16, length=2 * np.pi)
+        cfg = StepperConfig(scheme="RK4", dt=16 / 638, t_end=16.0)
+        exp = DecayExperiment(delta0=1e-2, seed=0, mode_profile="random_band", cfg=cfg,
+                              sample_every=3)
+        series = run(exp, grid, params)
+        assert series.completed
+        rates = series.fitted_rates
+        for name in ("v_l2", "grad_phi_l2"):
+            col = getattr(series, name)
+            assert abs(rates[name] - 3.0) <= 1e-3, name
+            assert col[-1] < ROUNDING_FLOOR * math.sqrt(series.lyapunov[-1])
+            assert _fit_rate(series.t, col) < 2.5, name  # the fit through the floor
+        # the slow norms stay above the floor: their fits keep every bit
+        for name in ("lyapunov", "u_l2", "u_h2", "theta_h2"):
+            assert rates[name] == _fit_rate(series.t, getattr(series, name)), name
+        assert summary(exp, series)["rate_ordering_verdict"] == "pass"
+
+    def test_floor_ends_the_fit_at_the_last_sample_above(self):
+        t = np.arange(8.0)
+        series = np.exp(-t)
+        # a zero first sample (single_mode's u_tilde) is below any floor
+        # and is kept: only samples after the last one above are cut
+        series[0] = 0.0
+        floor = np.full(8, math.exp(-5.5))
+        assert _fit_rate(t, series, floor) == _fit_rate(t[:6], series[:6])
+        assert _fit_rate(t, series, np.zeros(8)) == _fit_rate(t, series)
+        assert _fit_rate(t, series, np.ones(8)) == 0.0

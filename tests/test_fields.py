@@ -11,22 +11,20 @@ from hypothesis import given, settings, strategies as st
 from pnpf import dynamics
 from pnpf.dynamics import rhs_primitive
 from pnpf.fields import (
-    PhysParams,
-    PositivityError,
-    State,
-    constitutive_fluxes,
-    energy_density,
-    entropy_density,
-    entropy_production_density,
-    flux_audit,
-    flux_reconstruction_residual,
-    onsager_block,
-    reconstruct_fluxes,
+    PhysParams, PositivityError, State, energy_density, entropy_density, flux_audit,
 )
 from pnpf.grid import GridSpec, ScalarField, VectorField, divergence_arrays, grad_arrays
 
 from .conftest import laplacian, peak_grids, perturbed_state
 from . import oracles
+from .oracles import (
+    FluxSet,
+    constitutive_fluxes,
+    entropy_production_density,
+    flux_reconstruction_residual,
+    onsager_block,
+    reconstruct_fluxes,
+)
 
 
 class TestPhysParams:
@@ -234,8 +232,6 @@ class TestEntropyProduction:
             grid3d,
             (np.ones(grid3d.shape),) + tuple(np.zeros(grid3d.shape) for _ in range(2)),
         )
-        from pnpf.fields import FluxSet
-
         fl = FluxSet(
             j_p=e1, j_n=zeros, q=zeros, j_e=zeros, exchange=zeros,
             phi_t=ScalarField.constant(grid3d, 0.0),

@@ -11,12 +11,7 @@ import pytest
 
 from pnpf import cli, decay, fields, thermo_audit
 from pnpf.dynamics import StepperConfig, carried, convert, integrate, step
-from pnpf.fields import (
-    PhysParams,
-    State,
-    constitutive_fluxes,
-    entropy_production_density,
-)
+from pnpf.fields import PhysParams, State
 from pnpf.grid import GridSpec, ScalarField
 from pnpf.thermo_audit import (
     AuditRecord,
@@ -27,6 +22,12 @@ from pnpf.thermo_audit import (
 )
 
 from .conftest import count_transforms, peak_grids, perturbed_state
+from .oracles import (
+    constitutive_fluxes,
+    entropy_production_density,
+    flux_reconstruction_residual,
+    onsager_block,
+)
 
 
 class TestTotals:
@@ -144,7 +145,7 @@ class TestEnergyConservation:
 
 class TestOnsagerResidual:
     """The onsager_residual column of an audit sample, and fault injection
-    on the column and on its definition fields.flux_reconstruction_residual."""
+    on the column and on its definition oracles.flux_reconstruction_residual."""
 
     grid = GridSpec(dim=3, n=16, length=1.0)
 
@@ -162,12 +163,12 @@ class TestOnsagerResidual:
     def test_fault_injection_detected(self, params):
         # on the resolved state above, where the clean block reads rounding
         s = perturbed_state(self.grid, seed=13, amplitude=1e-3, kmax=1)
-        block = fields.onsager_block(s, params)
+        block = onsager_block(s, params)
         corrupted = replace(
             block, L_ptheta=ScalarField(self.grid, block.L_ptheta.values * (1 + 5e-3))
         )
-        assert fields.flux_reconstruction_residual(s, params, block) <= 1e-10
-        assert fields.flux_reconstruction_residual(s, params, corrupted) > 1e-3
+        assert flux_reconstruction_residual(s, params, block) <= 1e-10
+        assert flux_reconstruction_residual(s, params, corrupted) > 1e-3
 
     @pytest.mark.parametrize("scale, ok", [(1.0, True), (1 + 5e-3, False)])
     def test_fault_injection_reaches_the_column(
@@ -227,7 +228,7 @@ class TestAuditSample:
         assert got == totals(
             s, params, entropy_production_density(constitutive_fluxes(s, params), s, params)
         )
-        assert rec.onsager_residual == fields.flux_reconstruction_residual(s, params)
+        assert rec.onsager_residual == flux_reconstruction_residual(s, params)
         if c_n == params.c_p:
             assert rec.lyapunov == decay.lyapunov(convert(s), params)
         else:
@@ -576,7 +577,7 @@ class TestAuditTrail:
         s2 = calls[2]
         production = entropy_production_density(constitutive_fluxes(s2, params), s2, params)
         assert rows[-1][1:6] == list(totals(s2, params, production))
-        assert rows[-1][8] == fields.flux_reconstruction_residual(s2, params)
+        assert rows[-1][8] == flux_reconstruction_residual(s2, params)
 
 
 class TestSecondLawBreach:

@@ -8,9 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnpf.fields import (
-    PhysParams, PositivityError, State, _darcy_pass, constitutive_fluxes, energy_density,
-)
+from pnpf.fields import PhysParams, PositivityError, State, _darcy_pass, energy_density
 from pnpf import varcheck
 from pnpf.grid import GridSpec, ScalarField, divergence_arrays, grad_arrays
 from pnpf.poisson import greens_apply
@@ -24,14 +22,13 @@ from pnpf.varcheck import (
     _pairing,
     _scan_result,
     _temperature,
-    entropy_functional,
     random_probe,
     varcheck_report,
     write_report_json,
 )
 
 from .conftest import band_limited, peak_grids, perturbed_state
-from .oracles import dissipation_functional
+from .oracles import constitutive_fluxes, dissipation_functional, entropy_functional
 
 
 def fluxes(s, params):
