@@ -3,7 +3,7 @@ system on a periodic box, with continuous thermodynamic-structure audits
 (conservation, entropy production, reciprocal relations, variational
 force identities, Lyapunov decay)."""
 
-from .grid import GridSpec, ScalarField, VectorField
+from .grid import GridSpec, ScalarField
 from .fields import PhysParams, State, PositivityError
 from .poisson import NonNeutralSource
 from .dynamics import PerturbationState, StepperConfig, StepAbort
@@ -11,7 +11,6 @@ from .dynamics import PerturbationState, StepperConfig, StepAbort
 __all__ = [
     "GridSpec",
     "ScalarField",
-    "VectorField",
     "PhysParams",
     "State",
     "PositivityError",

@@ -87,8 +87,7 @@ SERIES_COLUMNS = ("t", "lyapunov", "v_l2", "grad_phi_l2", "u_l2", "u_h2", "theta
 
 
 def _h2_sq(grid: GridSpec, spec) -> float:
-    w = 1.0 + grid.h1_weight + grid.h2_weight
-    return grid.spectral_l2_sum(spec, w)
+    return grid.spectral_l2_sum(spec, grid.h2_norm_weight)
 
 
 def spectra(ps: PerturbationState) -> np.ndarray:

@@ -10,7 +10,7 @@ coefficients relating them to gradients of mu/theta and 1/theta
 the deviation, the reconstruction residual.
 
 Gradients and fluxes are built in one place, the raw-array helpers
-darcy_axes, exchange_arrays and energy_weights.  The ion fluxes are
+darcy_axes and energy_weights.  The ion fluxes are
 assembled in expanded form
 
     j_p = -D_p (theta*grad p + p*grad theta + p*grad phi)
@@ -264,45 +264,17 @@ def _darcy_axis(grid: GridSpec, spec, m, n, p, th, params: PhysParams, ji, slots
     return gn, gp, gth, gphi, jp, jn
 
 
-def exchange_arrays(grid: GridSpec, phi, gphi, j_p, j_n):
-    """(phi_t, exchange flux): the potential rate solving
-    Delta(phi_t) = div(j_p - j_n) and the electrostatic exchange flux
-    (phi_t grad(phi) - phi grad(phi_t))/2 of the energy balance.
-
-    phi_t and grad(phi_t) come from the one spectrum
-    -div(j_p - j_n)^/|k|^2: one batched forward transform of the dim
-    components of j_p - j_n, written in place into one preallocated
-    batch, and one batched inverse transform of (phi_t, grad phi_t),
-    filled into a single preallocated spectral array.  The exchange flux
-    overwrites grad(phi_t) in the inverse transform's output, so phi_t and
-    the flux are views into that one array.
-    """
-    d = grid.dim
-    diff = np.empty((d,) + grid.shape)
-    for i in range(d):
-        np.subtract(j_p[i], j_n[i], out=diff[i])
-    jh = grid.fft(diff)
-    del diff
-    spec = np.empty((d + 1,) + grid.spectral_shape, dtype=complex)
-    np.multiply(grid.grad_mult[0], jh[0], out=spec[0])
-    for i in range(1, d):
-        spec[0] += grid.grad_mult[i] * jh[i]
-    del jh  # keep it out of the inverse transform's peak
-    spec[0] *= -grid.inv_k2
-    for i, m in enumerate(grid.grad_mult):
-        np.multiply(m, spec[0], out=spec[1 + i])
-    out = grid.ifft(spec)
-    phi_t, exchange = out[0], list(out[1:])
-    for i, ex in enumerate(exchange):
-        np.multiply(phi, ex, out=ex)
-        np.subtract(phi_t * gphi[i], ex, out=ex)
-        ex *= 0.5
-    return phi_t, exchange
-
-
 def energy_weights(th, phi, params: PhysParams):
     """Energy carried per unit ion flux: ((c_p+1) theta + phi, (c_n+1) theta - phi)."""
-    return (params.c_p + 1.0) * th + phi, (params.c_n + 1.0) * th - phi
+    return energy_weight(th, phi, params, 0), energy_weight(th, phi, params, 1)
+
+
+def energy_weight(th, phi, params: PhysParams, species: int, out=None):
+    """One of energy_weights, species 0 for p and 1 for n, written into out
+    when given."""
+    c, combine = ((params.c_p, np.add), (params.c_n, np.subtract))[species]
+    w = np.multiply(c + 1.0, th, out=out)
+    return combine(w, phi, out=w)
 
 
 def _darcy_pass(s: State, params: PhysParams):

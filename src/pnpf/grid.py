@@ -141,15 +141,15 @@ class GridSpec:
         object.__setattr__(self, "dealias_mask", self.band_mask(n // 3))
 
         # Sobolev multipliers: sum over multi-indices |alpha| = 1, 2
-        # (mixed second derivatives counted once each)
+        # (mixed second derivatives counted once each); h2_norm_weight is
+        # the whole H^2 weight 1 + w1 + w2, the one table decay._h2_sq reads
         w1 = k2
         w2 = sum(ki**4 for ki in ks)
         for a in range(d):
             for b in range(a + 1, d):
                 w2 = w2 + ks[a] ** 2 * ks[b] ** 2
-        w2 = np.broadcast_to(w2, self.spectral_shape).copy()
         object.__setattr__(self, "h1_weight", w1)
-        object.__setattr__(self, "h2_weight", w2)
+        object.__setattr__(self, "h2_norm_weight", 1.0 + w1 + w2)
 
         # Parseval weights for rfftn layout: conjugate-pair modes on the
         # halved axis count twice
@@ -265,25 +265,6 @@ class ScalarField:
         return cls(grid, np.full(grid.shape, float(value)))
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """dim real scalar components on a shared GridSpec."""
-
-    grid: GridSpec
-    components: tuple[np.ndarray, ...] = field(repr=False)
-
-    def __post_init__(self) -> None:
-        comps = tuple(np.asarray(c, dtype=np.float64) for c in self.components)
-        if len(comps) != self.grid.dim:
-            raise ValueError(f"need {self.grid.dim} components, got {len(comps)}")
-        for c in comps:
-            if c.shape != self.grid.shape:
-                raise ValueError("component shape mismatch")
-            if not np.all(np.isfinite(c)):
-                raise ValueError("VectorField components must be finite")
-        object.__setattr__(self, "components", comps)
-
-
 # -- spectral calculus on raw arrays, and quadrature ----------------------
 
 
@@ -301,9 +282,14 @@ def grad_arrays(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
 
 
 def divergence_arrays(grid: GridSpec, comps) -> np.ndarray:
-    spec = grid.fft(np.stack(comps))
-    out = sum(m * spec[i] for i, m in enumerate(grid.grad_mult))
-    return grid.ifft(out)
+    """Spectral divergence of the dim components comps, which may build
+    them lazily: each is forward transformed on its own (the bits of a
+    batched transform) and its derivative spectrum added in axis order,
+    then one inverse transform."""
+    spec = 0
+    for m, c in zip(grid.grad_mult, comps):
+        spec += m * grid.fft(c)
+    return grid.ifft(spec)
 
 
 def integrate(f: ScalarField) -> float:

@@ -52,16 +52,21 @@ def _pack_header(grid: GridSpec) -> bytes:
 
 def write_snapshot(path, grid: GridSpec, fields: dict) -> None:
     """Write named scalar fields (ScalarField or raw arrays) plus the JSON
-    sidecar at <path>.json."""
+    sidecar at <path>.json.  Every field's shape is checked before the
+    file is opened, so a rejected write leaves a snapshot already at path
+    as it was."""
     path = Path(path)
     names = list(fields)
+    blocks = []
+    for name in names:
+        f = fields[name]
+        vals = f.values if isinstance(f, ScalarField) else np.asarray(f)
+        if vals.shape != grid.shape:
+            raise SnapshotFormatError(f"field {name!r} shape {vals.shape} != grid")
+        blocks.append(vals)
     with open(path, "wb") as fh:
         fh.write(_pack_header(grid))
-        for name in names:
-            f = fields[name]
-            vals = f.values if isinstance(f, ScalarField) else np.asarray(f)
-            if vals.shape != grid.shape:
-                raise SnapshotFormatError(f"field {name!r} shape {vals.shape} != grid")
+        for vals in blocks:
             fh.write(np.ascontiguousarray(vals, dtype="<f8").tobytes())
     sidecar = {
         "format": FORMAT,

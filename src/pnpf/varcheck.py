@@ -29,33 +29,50 @@ Inserting the Darcy/Fourier constitutive fluxes makes conservative and
 dissipative forces coincide identically; the report's
 force_balance_residual measures the discrete remainder of that identity.
 A force set is the component lists of its three flows, in the probe's
-flow order (p, n, e): _conservative_flows yields them one at a time and
-_dissipative_forces returns (f_p, f_n, R); _pairing and _balance read
-either.
+flow order (p, n, e): _conservative_flows yields them one at a time, and
+so does _dissipative_flows, which writes each force over its flux.
 
 varcheck_report builds each quantity once, from data it already holds,
-and holds at most one closed-form force set at a time, next to the
-probe.  The probe is drawn in its band |m_i| <= kmax and transformed
-there (GridSpec band transforms with band=kmax), and it keeps its scaled
-in-band coefficients.  One Darcy pass (fields._darcy_pass) gives the flux
-block (j_p, j_n), grad(phi) and q0 = -k grad(theta): eliminating the heat
-flux from the constitutive j_e returns q0 by construction, so the report
-takes it as it is and solves no exchange flux for it.  The dissipative
-scan runs first and sums |j_p|^2, |j_n|^2 and |q|^2 one moved component
-at a time.  The report then builds the dissipative forces from the
-scan's inputs j0, q0 and grad(phi), which die next, the flux block
-included, and takes the dissipative pairing.  The conservative forces
-come one flow at a time: each flow adds its pairing term and its
-balance maxima in flow order, the bits of _pairing and _balance over
-the whole set, and dies before the next.  The conservative scan comes
-last.  The peak sits in the dissipative closed form: while f_n is
-built, the probe, j0, q0, grad(phi), R, the kernel gradient and f_p are
-alive, 35.05 full grids above entry at 32^3 (tracemalloc).  Building
-each force set whole, next to the flux set and the other force set,
-took 49.0.  A report transforms 70 real fields (tests/test_varcheck.py
-TestSharedWork::test_report_cost): the probe 18, the Darcy pass 15,
-the probe's heat-flux elimination 7, the dissipative kernel 10, the
-conservative forces 14 and the conservative scan 6.
+and no full grid lives longer than the phase that reads it.  The probe
+(FlowMapProbe) is drawn in its band |m_i| <= kmax and transformed there
+(GridSpec band transforms with band=kmax); it keeps each vector's
+in-band coefficients, 162 complex numbers at kmax 1 in 3-D, and rebuilds
+a component on demand with one band inverse transform.  The phases, in
+order, with their tracemalloc peaks in full grids above the report's
+entry at 32^3 (64^3 within 0.15):
+
+* the Darcy pass (fields._darcy_pass), 20.3: the flux block (j_p, j_n),
+  grad(phi) and q0 = -k grad(theta); eliminating the heat flux from the
+  constitutive j_e returns q0 by construction, so the report takes it as
+  it is and solves no exchange flux for it;
+* the kernel source div(phi R) + R.grad(phi), R = q0/(k theta^2), one
+  component of R at a time (_kernel_source), 17.7;
+* the probe (random_probe), 19.3;
+* the probe's ion directions dJ_p and dJ_n, rebuilt once for the scan,
+  and its heat flux q1 eliminated from the coefficients over grad(phi)'s
+  memory (_probe_heat_flux), 22.3;
+* the dissipative scan, which sums |j_p|^2, |j_n|^2 and |q|^2 one moved
+  component at a time, 23.05, the report's peak: j0, q0, q1, the kernel
+  source and the two directions are alive (19 grids);
+* the kernel's solve and gradient, then the forces one flow at a time
+  (_force_pairings), 20.2: each flow's conservative force, then its
+  dissipative force over its flux (R over q0 first), then each probe
+  component rebuilt once adds its terms to both pairings and the
+  balance maxima, in the order and with the bits of pairing and
+  balancing whole force sets;
+* the conservative scan, 16.1.
+
+Keeping the probe as nine grids next to each phase, building the
+dissipative forces as a set beside the scan's inputs and the balance's
+conservative flows, peaked at 35.06 (in the dissipative closed form);
+building each force set whole, next to the flux set and the other force
+set, at 49.0.  A report transforms 85 real fields
+(tests/test_varcheck.py TestSharedWork::test_report_cost): the probe
+18, the Darcy pass 15, the dissipative kernel 10, the scan's directions
+6, the probe's heat-flux elimination 7, the conservative forces 14, the
+components the forces pair with 9 and the conservative scan 6.  The 18
+rebuilt components and phi_t and grad(phi_t) are kmax band inverses,
+about half a full transform each at kmax 1.
 
 Both scans split what is linear in the probe.  The eliminated heat flux
 
@@ -63,9 +80,11 @@ Both scans split what is linear in the probe.  The eliminated heat flux
 
 is linear in the flux triple: a, b and grad(phi) are fixed by the state,
 and the exchange flux X(w) = (phi_t grad(phi) - phi grad(phi_t))/2 with
-phi_t = Delta^{-1} div(w) is linear in w.  So the dissipative scan
-eliminates q1 for the probe dJ once and evaluates the functional at
-(j0 + eps dJ, q0 + eps q1).  This split is exact, not an approximation:
+phi_t = Delta^{-1} div(w) is linear in w.  So the report eliminates q1
+for the probe dJ once, with phi_t = -G(div dJ_p - div dJ_n) and
+grad(phi_t) from the probe's coefficients, and the dissipative scan
+evaluates the functional at (j0 + eps dJ, q0 + eps q1).  This split is
+exact, not an approximation:
 q0 + eps q1 and the elimination of j0 + eps dJ are the same discrete
 quantity and differ only in rounding, and the functional is then
 evaluated by the same quadratic density.  The conservative scan moves
@@ -101,12 +120,10 @@ from .fields import (
     _darcy_pass,
     _deviation,
     _entropy_arrays,
-    _production_density,
     energy_density,
-    energy_weights,
-    exchange_arrays,
+    energy_weight,
 )
-from .grid import GridSpec, VectorField, divergence_arrays, grad_arrays, integrate
+from .grid import GridSpec, ScalarField, divergence_arrays, grad_arrays, integrate
 from .poisson import greens_apply, solve_array
 
 DEFAULT_EPS_SCAN = (1e-3, 1e-4, 1e-5)
@@ -114,33 +131,50 @@ DEFAULT_EPS_SCAN = (1e-3, 1e-4, 1e-5)
 
 @dataclass(frozen=True)
 class FlowMapProbe:
-    """Perturbation directions for the three flow maps; the central
-    differences along them step by DEFAULT_EPS_SCAN.
+    """Perturbation directions dJ_p, dJ_n and dJ_e for the three flow maps
+    (flows 0, 1 and 2); the central differences along them step by
+    DEFAULT_EPS_SCAN.
 
-    kmax is the band the directions are drawn in, and coefs holds each
-    vector's scaled in-band coefficients, one (dim, m) array per flow for
-    the m modes of band_mask(kmax): the directions are their inverse
-    transforms, up to rounding."""
+    The probe holds no grid of values.  kmax is the band the directions
+    are drawn in, coefs[k] holds flow k's unscaled in-band coefficients,
+    one (dim, m) array for the m modes of band_mask(kmax), and scales[k][i]
+    is the factor that brings component i of flow k to the probe's
+    amplitude.  component() rebuilds a direction from them."""
 
-    dJ_p: VectorField
-    dJ_n: VectorField
-    dJ_e: VectorField
+    grid: GridSpec = field(repr=False)
     kmax: int
     coefs: tuple = field(repr=False, compare=False)
+    scales: tuple
 
-    def flows(self):
-        """The components of dJ_p, dJ_n and dJ_e, in that order."""
-        return self.dJ_p.components, self.dJ_n.components, self.dJ_e.components
+    def component(self, k: int, i: int, out=None, spec=None) -> np.ndarray:
+        """Component i of flow k: one band inverse transform (GridSpec.ifft
+        with band=kmax) of its coefficients, scattered into a spectrum that
+        vanishes outside the band, then scaled in place.  These are the
+        bits of the batched band inverse of the flow's coefficients, scaled,
+        which is how random_probe drew it.  out is the grid it is written
+        into, and spec a spectral scratch that the call overwrites; None
+        makes a new one."""
+        g = self.grid
+        if spec is None:
+            spec = np.zeros(g.spectral_shape, dtype=complex)
+        else:
+            spec.fill(0.0)
+        spec[g.band_mask(self.kmax)] = self.coefs[k][i]
+        vals = g.ifft(spec, out=out, band=self.kmax)
+        vals *= self.scales[k][i]
+        return vals
 
-    def divergences(self, grid: GridSpec) -> list[np.ndarray]:
+    def divergences(self) -> list[np.ndarray]:
         """The in-band coefficients of div(dJ_p), div(dJ_n) and div(dJ_e),
-        in the order of band_mask(kmax)."""
-        mask = grid.band_mask(self.kmax)
-        mult = [np.broadcast_to(m, grid.spectral_shape)[mask] for m in grid.grad_mult]
+        in the order of band_mask(kmax), from the scaled coefficients."""
+        g = self.grid
+        mask = g.band_mask(self.kmax)
+        mult = [np.broadcast_to(m, g.spectral_shape)[mask] for m in g.grad_mult]
         divs = []
-        for coef in self.coefs:
-            div = mult[0] * coef[0]
-            for m, c in zip(mult[1:], coef[1:]):
+        for coef, scales in zip(self.coefs, self.scales):
+            scaled = [c * scale for c, scale in zip(coef, scales)]
+            div = mult[0] * scaled[0]
+            for m, c in zip(mult[1:], scaled[1:]):
                 div += m * c
             divs.append(div)
         return divs
@@ -151,9 +185,9 @@ def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.
     vector's components are drawn in one call, which gives the same
     numbers as drawing them one at a time, and filtered in one forward
     and one inverse band transform (GridSpec.fft with band=kmax); the band
-    cut and the scaling work in place, so the batch adds no spectrum or
-    grid of its own.  The probe keeps each vector's in-band coefficients,
-    scaled as its components are."""
+    cut works in place.  The probe keeps each vector's unscaled in-band
+    coefficients and each component's scale, amplitude over its peak; the
+    inverse transform, which gives the peaks, then dies."""
     gen = np.random.Generator(np.random.Philox(key=seed))
     mask = grid.band_mask(kmax)
 
@@ -163,15 +197,11 @@ def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.
         coefs = spec[:, mask]
         comps = grid.ifft(spec, band=kmax)
         del spec
-        for vals, coef in zip(comps, coefs):
-            peak = np.abs(vals).max()
-            if peak > 0:
-                vals *= amplitude / peak
-                coef *= amplitude / peak
-        return VectorField(grid, tuple(comps)), coefs
+        peaks = np.abs(comps, out=comps).reshape(grid.dim, -1).max(axis=1)
+        return coefs, tuple(float(amplitude / peak) if peak > 0 else 1.0 for peak in peaks)
 
-    (dJ_p, dJ_n, dJ_e), coefs = zip(*(vec() for _ in range(3)))
-    return FlowMapProbe(dJ_p, dJ_n, dJ_e, kmax, coefs)
+    coefs, scales = zip(*(vec() for _ in range(3)))
+    return FlowMapProbe(grid, kmax, coefs, scales)
 
 
 # -- entropy functional and conservative forces -------------------------------
@@ -226,14 +256,55 @@ def _neg_grad(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
 # -- entropy production functional and dissipative forces ---------------------
 
 
-def _eliminate_heat_flux(s: State, params: PhysParams, j_p, j_n, j_e, gphi):
-    """q from (j_e, j_p, j_n) by the energy-flux bookkeeping, with the
-    potential rate solved from the continuity equations; gphi is
-    grad(phi) of s."""
+def _kernel_source(s: State, params: PhysParams, q, gphi) -> np.ndarray:
+    """div(phi R) + R.grad(phi) with R = q/(k theta^2): the source whose
+    solve and gradient give the dissipative forces' nonlocal kernel; gphi
+    is grad(phi) of s.  R is formed one component at a time, once for the
+    divergence (divergence_arrays takes phi R lazily) and once for the dot
+    product, with the bits of forming it whole."""
     g = s.grid
-    a, b = energy_weights(s.theta.values, s.phi.values, params)
-    _, exchange = exchange_arrays(g, s.phi.values, gphi, j_p, j_n)
-    return [j_e[i] - a * j_p[i] - b * j_n[i] - exchange[i] for i in range(g.dim)]
+    phi = s.phi.values
+    den = params.k * s.theta.values**2
+    div = divergence_arrays(g, (phi * (q[i] / den) for i in range(g.dim)))
+    return div + sum(q[i] / den * gphi[i] for i in range(g.dim))
+
+
+def _probe_heat_flux(s: State, params: PhysParams, probe: FlowMapProbe, dJ_p, dJ_n, gphi):
+    """The heat flux q1 eliminated from the probe's flux triple by the
+    energy-flux bookkeeping,
+
+        q1 = dJ_e - a dJ_p - b dJ_n - (phi_t grad(phi) - phi grad(phi_t))/2,
+
+    with a, b the energy weights, written over gphi, grad(phi) of s, one
+    component at a time.  The probe's potential rate
+    phi_t = -G(div dJ_p - div dJ_n) and each component of grad(phi_t) come
+    from its coefficients in band inverse transforms; dJ_e's component is
+    rebuilt into gphi's once the exchange flux has read it.  One spectrum
+    serves every transform, and between them its memory is the products'
+    scratch."""
+    g = s.grid
+    th, phi = s.theta.values, s.phi.values
+    mask = g.band_mask(probe.kmax)
+    hat_p, hat_n, _ = probe.divergences()
+    phi_t_hat = -g.inv_k2[mask] * (hat_p - hat_n)
+    spec = np.zeros(g.spectral_shape, dtype=complex)
+    tmp = spec.view(float).reshape(-1)[: th.size].reshape(g.shape)
+    spec[mask] = phi_t_hat
+    phi_t = g.ifft(spec, band=probe.kmax)
+    exchange = np.empty(g.shape)
+    for i, m in enumerate(g.grad_mult):
+        spec.fill(0.0)
+        spec[mask] = np.broadcast_to(m, g.spectral_shape)[mask] * phi_t_hat
+        g.ifft(spec, out=exchange, band=probe.kmax)  # d_i phi_t
+        exchange *= phi
+        q1 = np.multiply(phi_t, gphi[i], out=gphi[i])
+        np.subtract(q1, exchange, out=exchange)
+        exchange *= 0.5
+        probe.component(2, i, out=q1, spec=spec)
+        for k, dJ in enumerate((dJ_p[i], dJ_n[i])):
+            q1 -= np.multiply(energy_weight(th, phi, params, k, out=tmp), dJ, out=tmp)
+        q1 -= exchange
+    return gphi
 
 
 def _sum_sq(comps):
@@ -248,60 +319,98 @@ def _sum_sq(comps):
 
 def _dissipation(s: State, params: PhysParams, j_p, j_n, q) -> float:
     """The quadratic entropy production of (j_p, j_n) and the heat flux q,
-    each an iterable of components."""
-    return integrate(_production_density(s, params, _sum_sq(j_p), _sum_sq(j_n), _sum_sq(q)))
+    each an iterable of components: the integral of
+
+        |j_p|^2/(D_p p theta) + |j_n|^2/(D_n n theta) + |q|^2/(k theta^2),
+
+    summed in that order with the bits of fields._production_density.  Each
+    term is divided as soon as its sum of squares is complete, so one sum
+    is alive next to the density."""
+    th = s.theta.values
+    out = _sum_sq(j_p)
+    out /= params.D_p * s.p.values * th
+    term = _sum_sq(j_n)
+    term /= params.D_n * s.n.values * th
+    out += term
+    del term
+    term = _sum_sq(q)
+    term /= params.k * th**2
+    out += term
+    return integrate(ScalarField(s.grid, out))
 
 
-def _dissipative_forces(s: State, params: PhysParams, j_p, j_n, gphi, q):
-    """The closed-form dissipative forces (f_p, f_n, R) of the fluxes
-    (j_p, j_n) and the eliminated heat flux q, as component lists: the
-    half-derivatives of the entropy production, linear in the fluxes.
-    gphi is grad(phi) of s."""
-    g = s.grid
+def _dissipative_flows(s: State, params: PhysParams, j_p, j_n, q, kernel):
+    """The closed-form dissipative forces of the fluxes (j_p, j_n) and the
+    eliminated heat flux q, one flow at a time in flow order, each written
+    in place over its flux: R = q/(k theta^2) over q first, then f_p over
+    j_p and f_n over j_n as they are yielded, then R.  They are the
+    half-derivatives of the entropy production, linear in the fluxes:
+
+        f_p = j_p/(D_p p theta) - a R + kernel/2,
+        f_n = j_n/(D_n n theta) - b R - kernel/2,
+
+    a, b the energy weights and kernel the gradient of the solved
+    _kernel_source, with the bits of forming each force whole."""
     th, phi = s.theta.values, s.phi.values
-    R = [q[i] / (params.k * th**2) for i in range(g.dim)]
-    r_dot_gphi = sum(R[i] * gphi[i] for i in range(g.dim))
-    div_phi_r = divergence_arrays(g, [phi * R[i] for i in range(g.dim)])
-    kernel = grad_arrays(g, solve_array(g, div_phi_r + r_dot_gphi))
-    del r_dot_gphi, div_phi_r
-    a, b = energy_weights(th, phi, params)
-    f_p = [
-        j_p[i] / (params.D_p * s.p.values * th) - a * R[i] + 0.5 * kernel[i]
-        for i in range(g.dim)
-    ]
-    del a  # out of f_n's peak
-    f_n = [
-        j_n[i] / (params.D_n * s.n.values * th) - b * R[i] - 0.5 * kernel[i]
-        for i in range(g.dim)
-    ]
-    return f_p, f_n, R
+    den = params.k * th**2
+    for qi in q:
+        qi /= den
+    del den
+    for k, (j, D, c, combine) in enumerate(((j_p, params.D_p, s.p.values, np.add),
+                                            (j_n, params.D_n, s.n.values, np.subtract))):
+        den = np.multiply(D, c)
+        den *= th
+        for ji in j:
+            ji /= den
+        w = energy_weight(th, phi, params, k, out=den)
+        tmp = np.empty_like(th)
+        for ji, ri, ki in zip(j, q, kernel):
+            ji -= np.multiply(w, ri, out=tmp)
+            combine(ji, np.multiply(0.5, ki, out=tmp), out=ji)
+        del den, w, tmp  # the flow is yielded with no scratch alive
+        yield j
+    yield q
 
 
-def _balance(con_flows, dis_flows) -> float:
-    """Max deviation between the conservative and dissipative flows,
-    relative to the largest conservative component; zero at equilibrium.
-    With the constitutive fluxes inserted into the dissipative forces the
-    two coincide identically, so this is the discrete remainder.  con_flows
-    may build its flows lazily."""
+# -- closed forms against the probe --------------------------------------------
+
+
+def _force_pairings(s: State, params: PhysParams, probe: FlowMapProbe, j_p, j_n, q, kernel):
+    """(conservative pairing, dissipative pairing, force balance) of s.
+
+    The forces stream one flow at a time, in flow order (p, n, e): the
+    conservative force of a flow (_conservative_flows), then its
+    dissipative force (_dissipative_flows, over its flux), then each probe
+    component is rebuilt once and adds its terms to both pairings,
+    sum over the flows of <f, dJ>, and its deviation to the balance's
+    running maxima (fields._deviation), in the order of pairing and
+    balancing whole force sets, so with their bits.  The flow dies before
+    the next is built.  The balance is the max deviation between the
+    dissipative and conservative forces relative to the largest
+    conservative component, zero at equilibrium: with the constitutive
+    fluxes inserted the two coincide identically, so it is the discrete
+    remainder."""
+    g = s.grid
+    con_terms, dis_terms = [], []
     dev = scale = 0.0
-    for fc, fd in zip(con_flows, dis_flows):
-        for cc, cd in zip(fc, fd):
-            dev, scale = _deviation(dev, scale, cd, cc)
-    return dev / scale if scale else 0.0
-
-
-# -- central-difference functional-derivative checks --------------------------
-
-
-def _pair(grid: GridSpec, force, probe) -> float:
-    """<force, probe> of one flow, over its components."""
-    return float(sum((fc * pc).sum() for fc, pc in zip(force, probe)) * grid.cell_volume)
-
-
-def _pairing(grid: GridSpec, flows, probe: FlowMapProbe) -> float:
-    """sum over the flows of <f, dJ>: the closed-form side of a scan; flows
-    may build its flows lazily."""
-    return sum(_pair(grid, f, dJ) for f, dJ in zip(flows, probe.flows()))
+    con_flows = _conservative_flows(s, params)
+    dis_flows = _dissipative_flows(s, params, j_p, j_n, q, kernel)
+    for k in range(3):
+        # next() rather than zip: zip's result tuple would keep the last
+        # flow alive while the next one is built
+        fc, fd = next(con_flows), next(dis_flows)
+        spec = np.empty(g.spectral_shape, dtype=complex)
+        dJ, tmp = np.empty(g.shape), np.empty(g.shape)
+        con = dis = 0
+        for i, (cc, cd) in enumerate(zip(fc, fd)):
+            d = probe.component(k, i, out=dJ, spec=spec)
+            con = con + np.multiply(cc, d, out=tmp).sum()
+            dis = dis + np.multiply(cd, d, out=tmp).sum()
+            dev, scale = _deviation(dev, scale, cd, cc, tmp)
+        con_terms.append(float(con * g.cell_volume))
+        dis_terms.append(float(dis * g.cell_volume))
+        del fc, fd, cc, cd, d, spec, dJ, tmp
+    return sum(con_terms), sum(dis_terms), dev / scale if scale else 0.0
 
 
 def _scan_result(pairing: float, fds) -> dict:
@@ -347,7 +456,7 @@ def _conservative_scan(s: State, params: PhysParams, probe: FlowMapProbe) -> lis
     e0 = energy_density(s, params).values
     phi0 = greens_apply(g, p0 - n0)
     mask = g.band_mask(probe.kmax)
-    hat_p, hat_n, hat_e = probe.divergences(g)
+    hat_p, hat_n, hat_e = probe.divergences()
     spec = np.zeros((4,) + g.spectral_shape, dtype=complex)
     spec[:, mask] = hat_p, hat_n, hat_e, g.inv_k2[mask] * (hat_p - hat_n)
     div_p, div_n, div_e, g_div = g.ifft(spec, band=probe.kmax)
@@ -361,17 +470,15 @@ def _conservative_scan(s: State, params: PhysParams, probe: FlowMapProbe) -> lis
     return [(S_at(eps) - S_at(-eps)) / (2.0 * eps) for eps in DEFAULT_EPS_SCAN]
 
 
-def _dissipative_scan(s: State, params: PhysParams, probe: FlowMapProbe,
-                      j_p, j_n, q0, gphi) -> list[float]:
-    """Half central differences of the entropy-production functional along
-    the probe around the fluxes (j_p, j_n) with eliminated heat flux q0,
-    one per entry of DEFAULT_EPS_SCAN.
+def _dissipative_scan(s: State, params: PhysParams, j_p, j_n, q0, dJ_p, dJ_n, q1) -> list[float]:
+    """Half central differences of the entropy-production functional
+    around the fluxes (j_p, j_n) with eliminated heat flux q0, one per
+    entry of DEFAULT_EPS_SCAN, along the probe's ion directions dJ_p, dJ_n
+    and its eliminated heat flux q1 (_probe_heat_flux).
 
-    q is linear in the fluxes, so the scan eliminates the heat flux of the
-    probe once, q1, and evaluates the functional at (j0 + eps*dJ,
-    q0 + eps*q1) for every eps, one moved component at a time."""
-    dJ_p, dJ_n, dJ_e = probe.flows()
-    q1 = _eliminate_heat_flux(s, params, dJ_p, dJ_n, dJ_e, gphi)
+    q is linear in the fluxes, so the functional is evaluated at
+    (j0 + eps*dJ, q0 + eps*q1) for every eps, one moved component at a
+    time."""
 
     def D_at(eps: float) -> float:
         moved = lambda base, step: (b + eps * d for b, d in zip(base, step))
@@ -389,34 +496,28 @@ def varcheck_report(
     probe_kmax: int = 2,
 ) -> dict:
     """Run both functional-derivative checks and the force balance on one
-    state; the report carries the full eps-scan tables and verdicts.  At
-    most one closed-form force set is alive at a time (see the module
-    docstring for the order)."""
+    state; the report carries the full eps-scan tables and verdicts.  See
+    the module docstring for the order of its phases."""
     g = s.grid
-    probe = random_probe(g, seed=seed, kmax=probe_kmax)
     # the eliminated heat flux of the constitutive j_e is q0 = -k grad(theta)
     # by construction, so the report takes it from the Darcy pass
     j, q0, gphi = _darcy_pass(s, params)
     j_p, j_n = list(j[:, 0]), list(j[:, 1])
-    # the scan runs before the forces exist: its q1 elimination and
-    # running sums would otherwise add to their grids
-    dis_fds = _dissipative_scan(s, params, probe, j_p, j_n, q0, gphi)
-    dis_forces = _dissipative_forces(s, params, j_p, j_n, gphi, q0)
-    del j, j_p, j_n, gphi, q0  # the scan and the forces are built
-    dis = _scan_result(_pairing(g, dis_forces, probe), dis_fds)
-
-    # each conservative flow is paired with the probe on its way into the
-    # balance, and dies before the next one is built
-    con_terms = []
-
-    def paired(flows):
-        for flow, dJ in zip(flows, probe.flows()):
-            con_terms.append(_pair(g, flow, dJ))
-            yield flow
-
-    balance = _balance(paired(_conservative_flows(s, params)), dis_forces)
-    del dis_forces
-    con = _scan_result(sum(con_terms), _conservative_scan(s, params, probe))
+    src = _kernel_source(s, params, q0, gphi)
+    probe = random_probe(g, seed=seed, kmax=probe_kmax)
+    spec = np.empty(g.spectral_shape, dtype=complex)
+    dJ_p, dJ_n = ([probe.component(k, i, spec=spec) for i in range(g.dim)] for k in (0, 1))
+    del spec
+    q1 = _probe_heat_flux(s, params, probe, dJ_p, dJ_n, gphi)
+    del gphi
+    dis_fds = _dissipative_scan(s, params, j_p, j_n, q0, dJ_p, dJ_n, q1)
+    del dJ_p, dJ_n, q1
+    kernel = grad_arrays(g, solve_array(g, src))
+    del src
+    con_pairing, dis_pairing, balance = _force_pairings(s, params, probe, j_p, j_n, q0, kernel)
+    del j, j_p, j_n, q0, kernel
+    con = _scan_result(con_pairing, _conservative_scan(s, params, probe))
+    dis = _scan_result(dis_pairing, dis_fds)
     passed = (
         con["best_rel_err"] <= fd_tol
         and dis["best_rel_err"] <= fd_tol

@@ -11,9 +11,12 @@ Reference definitions are the textbook forms of the audited quantities,
 which no command runs; the tests compare the package's one-pass versions
 with them, most of them bit for bit:
 
+* VectorField, the container of dim components on a shared GridSpec that
+  the flux sets hold;
 * FluxSet and constitutive_fluxes: the Darcy ion fluxes, the Fourier heat
   flux, the exchange flux and the total energy flux of a State, from the
-  package's Darcy pass (fields._darcy_pass) and exchange solve;
+  package's Darcy pass (fields._darcy_pass) and the exchange solve
+  (exchange_arrays);
 * entropy_production_density: the pointwise production rate of a FluxSet,
   which fields.flux_audit and an audited step's AuditSink equal bit for
   bit;
@@ -25,8 +28,16 @@ with them, most of them bit for bit:
 * entropy_functional: the total entropy of (p, n, e) with the temperature
   derived, which varcheck's conservative scan evaluates on raw arrays
   (varcheck._entropy_total);
-* dissipation_functional: the quadratic entropy production of arbitrary
-  fluxes, which varcheck's dissipative scan evaluates split linearly.
+* eliminate_heat_flux and dissipation_functional: the heat flux
+  eliminated from an arbitrary flux triple, and the quadratic entropy
+  production of the triple, which varcheck's dissipative scan evaluates
+  split linearly, with the probe's heat flux eliminated from its
+  coefficients (varcheck._probe_heat_flux);
+* dissipative_forces, pairing and balance: the closed-form dissipative
+  force set built whole, sum over the flows of <f, dJ>, and the force
+  balance of two whole force sets, which varcheck's streamed forces
+  (varcheck._dissipative_flows, varcheck._force_pairings) equal bit for
+  bit.
 
 The remaining helpers compose the package's kernels the textbook way
 (nine_sum_rhs, batched_rhs_core and the one-step RK4 and IMEX1 oracles).
@@ -34,7 +45,7 @@ The remaining helpers compose the package's kernels the textbook way
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,10 +55,10 @@ from pnpf.dynamics import (
 )
 from pnpf.fields import (
     PhysParams, State, _darcy_pass, _deviation, _ion_coefficients, _ion_row,
-    _production_density, _quotients, darcy_axes, energy_weights, exchange_arrays, new_slots,
+    _production_density, _quotients, darcy_axes, energy_weights, new_slots,
 )
-from pnpf.grid import GridSpec, ScalarField, VectorField, grad_arrays
-from pnpf.poisson import greens_apply
+from pnpf.grid import GridSpec, ScalarField, divergence_arrays, grad_arrays
+from pnpf.poisson import greens_apply, solve_array
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -150,6 +161,25 @@ def fsum_integral(grid: GridSpec, values: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
+class VectorField:
+    """dim real scalar components on a shared GridSpec."""
+
+    grid: GridSpec
+    components: tuple[np.ndarray, ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        comps = tuple(np.asarray(c, dtype=np.float64) for c in self.components)
+        if len(comps) != self.grid.dim:
+            raise ValueError(f"need {self.grid.dim} components, got {len(comps)}")
+        for c in comps:
+            if c.shape != self.grid.shape:
+                raise ValueError("component shape mismatch")
+            if not np.all(np.isfinite(c)):
+                raise ValueError("VectorField components must be finite")
+        object.__setattr__(self, "components", comps)
+
+
+@dataclass(frozen=True)
 class FluxSet:
     """Constitutive fluxes of one State.
 
@@ -164,6 +194,42 @@ class FluxSet:
     j_e: VectorField
     exchange: VectorField
     phi_t: ScalarField
+
+
+def exchange_arrays(grid: GridSpec, phi, gphi, j_p, j_n):
+    """(phi_t, exchange flux): the potential rate solving
+    Delta(phi_t) = div(j_p - j_n) and the electrostatic exchange flux
+    (phi_t grad(phi) - phi grad(phi_t))/2 of the energy balance.
+
+    phi_t and grad(phi_t) come from the one spectrum
+    -div(j_p - j_n)^/|k|^2: one batched forward transform of the dim
+    components of j_p - j_n, written in place into one preallocated
+    batch, and one batched inverse transform of (phi_t, grad phi_t),
+    filled into a single preallocated spectral array.  The exchange flux
+    overwrites grad(phi_t) in the inverse transform's output, so phi_t and
+    the flux are views into that one array.
+    """
+    d = grid.dim
+    diff = np.empty((d,) + grid.shape)
+    for i in range(d):
+        np.subtract(j_p[i], j_n[i], out=diff[i])
+    jh = grid.fft(diff)
+    del diff
+    spec = np.empty((d + 1,) + grid.spectral_shape, dtype=complex)
+    np.multiply(grid.grad_mult[0], jh[0], out=spec[0])
+    for i in range(1, d):
+        spec[0] += grid.grad_mult[i] * jh[i]
+    del jh  # keep it out of the inverse transform's peak
+    spec[0] *= -grid.inv_k2
+    for i, m in enumerate(grid.grad_mult):
+        np.multiply(m, spec[0], out=spec[1 + i])
+    out = grid.ifft(spec)
+    phi_t, exchange = out[0], list(out[1:])
+    for i, ex in enumerate(exchange):
+        np.multiply(phi, ex, out=ex)
+        np.subtract(phi_t * gphi[i], ex, out=ex)
+        ex *= 0.5
+    return phi_t, exchange
 
 
 def constitutive_fluxes(s: State, params: PhysParams) -> FluxSet:
@@ -318,13 +384,66 @@ def entropy_functional(p: ScalarField, n: ScalarField, e: ScalarField,
     return varcheck._entropy_total(p.grid, p.values, n.values, e.values, rho, phi, params)
 
 
+def eliminate_heat_flux(s: State, params: PhysParams, j_p, j_n, j_e, gphi):
+    """q from (j_e, j_p, j_n) by the energy-flux bookkeeping, with the
+    potential rate solved from the continuity equations; gphi is
+    grad(phi) of s."""
+    g = s.grid
+    a, b = energy_weights(s.theta.values, s.phi.values, params)
+    _, exchange = exchange_arrays(g, s.phi.values, gphi, j_p, j_n)
+    return [j_e[i] - a * j_p[i] - b * j_n[i] - exchange[i] for i in range(g.dim)]
+
+
 def dissipation_functional(s, params, j_p, j_n, j_e) -> float:
     """The quadratic entropy production of arbitrary fluxes, with q
     eliminated through the energy-flux relation (grad(phi) built here):
     the definition that varcheck's linearly split scan evaluates."""
     gphi = grad_arrays(s.grid, s.phi.values)
-    q = varcheck._eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
+    q = eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
     return varcheck._dissipation(s, params, j_p, j_n, q)
+
+
+def dissipative_forces(s: State, params: PhysParams, j_p, j_n, gphi, q):
+    """The closed-form dissipative forces (f_p, f_n, R) of the fluxes
+    (j_p, j_n) and the eliminated heat flux q, as component lists, each
+    force built whole: the half-derivatives of the entropy production,
+    linear in the fluxes.  gphi is grad(phi) of s."""
+    g = s.grid
+    th, phi = s.theta.values, s.phi.values
+    R = [q[i] / (params.k * th**2) for i in range(g.dim)]
+    r_dot_gphi = sum(R[i] * gphi[i] for i in range(g.dim))
+    div_phi_r = divergence_arrays(g, [phi * R[i] for i in range(g.dim)])
+    kernel = grad_arrays(g, solve_array(g, div_phi_r + r_dot_gphi))
+    a, b = energy_weights(th, phi, params)
+    f_p = [
+        j_p[i] / (params.D_p * s.p.values * th) - a * R[i] + 0.5 * kernel[i]
+        for i in range(g.dim)
+    ]
+    f_n = [
+        j_n[i] / (params.D_n * s.n.values * th) - b * R[i] - 0.5 * kernel[i]
+        for i in range(g.dim)
+    ]
+    return f_p, f_n, R
+
+
+def pair(grid: GridSpec, force, probe) -> float:
+    """<force, probe> of one flow, over its components."""
+    return float(sum((fc * pc).sum() for fc, pc in zip(force, probe)) * grid.cell_volume)
+
+
+def pairing(grid: GridSpec, flows, probe_flows) -> float:
+    """sum over the flows of <f, dJ>: the closed-form side of a scan."""
+    return sum(pair(grid, f, dJ) for f, dJ in zip(flows, probe_flows))
+
+
+def balance(con_flows, dis_flows) -> float:
+    """Max deviation between the conservative and dissipative flows,
+    relative to the largest conservative component; zero at equilibrium."""
+    dev = scale = 0.0
+    for fc, fd in zip(con_flows, dis_flows):
+        for cc, cd in zip(fc, fd):
+            dev, scale = _deviation(dev, scale, cd, cc)
+    return dev / scale if scale else 0.0
 
 
 def nine_sum_rhs(grid: GridSpec, n, p, th, params, dealias=True) -> np.ndarray:

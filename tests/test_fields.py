@@ -13,12 +13,13 @@ from pnpf.dynamics import rhs_primitive
 from pnpf.fields import (
     PhysParams, PositivityError, State, energy_density, entropy_density, flux_audit,
 )
-from pnpf.grid import GridSpec, ScalarField, VectorField, divergence_arrays, grad_arrays
+from pnpf.grid import GridSpec, ScalarField, divergence_arrays, grad_arrays
 
 from .conftest import laplacian, peak_grids, perturbed_state
 from . import oracles
 from .oracles import (
     FluxSet,
+    VectorField,
     constitutive_fluxes,
     entropy_production_density,
     flux_reconstruction_residual,

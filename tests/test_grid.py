@@ -16,7 +16,6 @@ from pnpf.decay import _h2_sq
 from pnpf.grid import (
     GridSpec,
     ScalarField,
-    VectorField,
     divergence_arrays,
     grad_arrays,
     integrate,
@@ -24,6 +23,7 @@ from pnpf.grid import (
 
 from .conftest import band_limited, dealiased, inner, laplacian
 from . import oracles
+from .oracles import VectorField
 
 
 class TestGridSpec:
@@ -133,6 +133,17 @@ class TestDivergence:
         out = divergence_arrays(grid3d, v)
         assert abs(out.mean()) <= 1e-14
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lazy_components_keep_the_batched_bits(self, dim):
+        # components built one at a time, each transformed on its own: the
+        # bits of one batched forward transform and the summed spectra
+        grid = GridSpec(dim=dim, n=16, length=2 * np.pi)
+        gen = np.random.Generator(np.random.Philox(key=dim))
+        v = gen.standard_normal((dim,) + grid.shape)
+        spec = grid.fft(v)
+        want = grid.ifft(sum(m * spec[i] for i, m in enumerate(grid.grad_mult)))
+        assert np.array_equal(divergence_arrays(grid, (c.copy() for c in v)), want)
+
 
 def l2_norm(grid: GridSpec, f: np.ndarray) -> float:
     return math.sqrt(grid.spectral_l2_sum(grid.fft(f)))
@@ -150,7 +161,7 @@ def h2_norm(grid: GridSpec, f: np.ndarray) -> float:
 
 class TestNorms:
     """The spectral L2, H1 and H2 norms: spectral_l2_sum with the
-    h1_weight and h2_weight multipliers, the sums decay._h2_sq and the
+    h1_weight and h2_norm_weight multipliers, the sums decay._h2_sq and the
     Lyapunov functional take."""
 
     def test_zero_field(self, grid3d):

@@ -49,6 +49,23 @@ def test_checkpoint_without_the_primitive_fields_rejected(tmp_path):
         read_checkpoint(tmp_path / "final")
 
 
+def test_rejected_write_leaves_the_previous_snapshot(tmp_path):
+    # a field of the wrong shape is rejected before the file is opened: the
+    # snapshot already on disk keeps its bytes and still reads back
+    grid = GridSpec(dim=3, n=8, length=2 * np.pi)
+    path = tmp_path / "x.snap"
+    n = np.random.Generator(np.random.Philox(key=9)).standard_normal(grid.shape)
+    write_snapshot(path, grid, {"n": n})
+    side = path.with_suffix(".snap.json")
+    before = path.read_bytes(), side.read_bytes()
+    with pytest.raises(SnapshotFormatError, match="'p'"):
+        write_snapshot(path, grid, {"n": np.ones(grid.shape), "p": np.ones((4, 4, 4))})
+    assert (path.read_bytes(), side.read_bytes()) == before
+    got_grid, got = read_snapshot(path)
+    assert got_grid == grid and list(got) == ["n"]
+    assert got["n"].tobytes() == n.tobytes()
+
+
 def test_trailing_bytes_rejected(written):
     _, _, path = written
     with open(path, "ab") as fh:

@@ -11,15 +11,14 @@ import pytest
 from pnpf.fields import PhysParams, PositivityError, State, _darcy_pass, energy_density
 from pnpf import varcheck
 from pnpf.grid import GridSpec, ScalarField, divergence_arrays, grad_arrays
-from pnpf.poisson import greens_apply
+from pnpf.poisson import greens_apply, solve_array
 from pnpf.varcheck import (
-    _balance,
     _conservative_flows,
     _conservative_scan,
-    _dissipative_forces,
+    _dissipative_flows,
     _dissipative_scan,
-    _eliminate_heat_flux,
-    _pairing,
+    _kernel_source,
+    _probe_heat_flux,
     _scan_result,
     _temperature,
     random_probe,
@@ -28,7 +27,21 @@ from pnpf.varcheck import (
 )
 
 from .conftest import band_limited, peak_grids, perturbed_state
-from .oracles import constitutive_fluxes, dissipation_functional, entropy_functional
+from .oracles import (
+    balance,
+    constitutive_fluxes,
+    dissipation_functional,
+    dissipative_forces,
+    eliminate_heat_flux,
+    entropy_functional,
+    pairing,
+)
+
+
+def probe_flows(probe):
+    """The probe's three flows (dJ_p, dJ_n, dJ_e), each component rebuilt
+    from the coefficients."""
+    return [[probe.component(k, i) for i in range(probe.grid.dim)] for k in range(3)]
 
 
 def fluxes(s, params):
@@ -39,25 +52,34 @@ def fluxes(s, params):
     return list(j[:, 0]), list(j[:, 1]), q0, gphi
 
 
+def kernel(s, params, q, gphi):
+    """The gradient of the solved kernel source, as varcheck_report builds
+    it from the heat flux q and grad(phi) of s."""
+    return grad_arrays(s.grid, solve_array(s.grid, _kernel_source(s, params, q, gphi)))
+
+
 def forces(s, params):
     """The dissipative forces (f_p, f_n, R) of the constitutive fluxes of
-    s, built as varcheck_report builds them."""
+    s, built as varcheck_report builds them, each over its flux."""
     j_p, j_n, q0, gphi = fluxes(s, params)
-    return _dissipative_forces(s, params, j_p, j_n, gphi, q0)
+    return list(_dissipative_flows(s, params, j_p, j_n, q0, kernel(s, params, q0, gphi)))
 
 
 def dissipative(s, params, j_p, j_n, j_e):
     """grad(phi) of s as varcheck_report takes it, the heat flux q
     eliminated from (j_p, j_n, j_e) and the dissipative forces (f_p, f_n,
-    R) of the fluxes; each flux is a sequence of components."""
+    R) of the fluxes, built over copies; each flux is a sequence of
+    components."""
     gphi = fluxes(s, params)[3]
-    q = _eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
-    return gphi, q, _dissipative_forces(s, params, j_p, j_n, gphi, q)
+    q = eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
+    copies = lambda comps: [c.copy() for c in comps]
+    ker = kernel(s, params, q, gphi)
+    return gphi, q, list(_dissipative_flows(s, params, copies(j_p), copies(j_n), copies(q), ker))
 
 
-def balance(s, params):
+def force_balance(s, params):
     """The force balance of s with both closed forms built from s."""
-    return _balance(_conservative_flows(s, params), forces(s, params))
+    return balance(_conservative_flows(s, params), forces(s, params))
 
 
 class TestEntropyFunctional:
@@ -142,7 +164,7 @@ class TestConservativeForce:
         s = perturbed_state(grid3d, seed=6, amplitude=1e-3, kmax=1)
         probe = random_probe(grid3d, seed=2)
         res = _scan_result(
-            _pairing(grid3d, _conservative_flows(s, params), probe),
+            pairing(grid3d, _conservative_flows(s, params), probe_flows(probe)),
             _conservative_scan(s, params, probe),
         )
         assert res["best_rel_err"] <= 1e-6
@@ -172,12 +194,14 @@ class TestDissipativeForce:
         # arbitrary (non-constitutive) fluxes: the check is an identity of
         # the quadratic functional, exact to rounding
         s = perturbed_state(grid3d, seed=7, amplitude=1e-3)
-        j_p, j_n, j_e = random_probe(grid3d, seed=3, amplitude=0.5).flows()
+        j_p, j_n, j_e = probe_flows(random_probe(grid3d, seed=3, amplitude=0.5))
         gphi, q0, fs = dissipative(s, params, j_p, j_n, j_e)
         probe = random_probe(grid3d, seed=4)
+        dJ_p, dJ_n, _ = probe_flows(probe)
+        q1 = _probe_heat_flux(s, params, probe, dJ_p, dJ_n, gphi)
         res = _scan_result(
-            _pairing(grid3d, fs, probe),
-            _dissipative_scan(s, params, probe, j_p, j_n, q0, gphi),
+            pairing(grid3d, fs, probe_flows(probe)),
+            _dissipative_scan(s, params, j_p, j_n, q0, dJ_p, dJ_n, q1),
         )
         assert res["best_rel_err"] <= 1e-6
         assert res["quadratic_exact"] or 1.6 <= res["order_estimate"] <= 2.4
@@ -188,10 +212,10 @@ class TestDissipativeForce:
         b = random_probe(grid3d, seed=6, amplitude=0.3)
 
         forces_of = lambda flows: dissipative(s, params, *flows)[2]
-        fa = forces_of(a.flows())
-        fb = forces_of(b.flows())
+        fa = forces_of(probe_flows(a))
+        fb = forces_of(probe_flows(b))
         summed = forces_of(
-            [x + y for x, y in zip(ja, jb)] for ja, jb in zip(a.flows(), b.flows())
+            [x + y for x, y in zip(ja, jb)] for ja, jb in zip(probe_flows(a), probe_flows(b))
         )
         for fs_ab, fs_a, fs_b in zip(summed, fa, fb):
             for cab, ca, cb in zip(fs_ab, fs_a, fs_b):
@@ -201,7 +225,7 @@ class TestDissipativeForce:
 
 class TestForceBalance:
     def test_equilibrium(self, grid3d, params):
-        assert balance(State.equilibrium(grid3d), params) == 0.0
+        assert force_balance(State.equilibrium(grid3d), params) == 0.0
 
     def test_isothermal_single_point_anchor(self, params):
         # theta-only single mode: both closed forms reduce analytically to
@@ -225,12 +249,12 @@ class TestForceBalance:
         one = ScalarField.constant(grid, 1.0)
         theta = ScalarField(grid, 1.0 + 1e-3 * np.sin(2 * np.pi * x))
         s = State.from_primitives(one, one, theta)
-        assert balance(s, params) <= 1e-8
+        assert force_balance(s, params) <= 1e-8
 
     def test_random_small_perturbation_16(self, params):
         grid = GridSpec(dim=3, n=16, length=1.0)
         s = perturbed_state(grid, seed=9, amplitude=1e-3, kmax=1)
-        assert balance(s, params) <= 1e-8
+        assert force_balance(s, params) <= 1e-8
 
 
 class TestSymbolicIdentities:
@@ -266,7 +290,7 @@ class TestSymbolicIdentities:
         # assembling j_e from (j_p, j_n, q) and eliminating must return q
         s = perturbed_state(grid3d, seed=10, amplitude=1e-2)
         fl = constitutive_fluxes(s, params)
-        q = _eliminate_heat_flux(
+        q = eliminate_heat_flux(
             s, params,
             [c for c in fl.j_p.components],
             [c for c in fl.j_n.components],
@@ -284,7 +308,7 @@ class TestSharedWork:
     @pytest.fixture
     def counted(self, monkeypatch):
         """Real fields through GridSpec.fft/ifft (batch elements count one
-        each) and calls of the heat-flux elimination."""
+        each) and calls of the probe's heat-flux elimination."""
         counts = {"fields": 0, "eliminations": 0}
         for name in ("fft", "ifft"):
             orig = getattr(GridSpec, name)
@@ -294,13 +318,13 @@ class TestSharedWork:
                 return _orig(grid, arr, *args, **kwargs)
 
             monkeypatch.setattr(GridSpec, name, counting)
-        orig_elim = varcheck._eliminate_heat_flux
+        orig_elim = varcheck._probe_heat_flux
 
         def eliminate(*args, **kwargs):
             counts["eliminations"] += 1
             return orig_elim(*args, **kwargs)
 
-        monkeypatch.setattr(varcheck, "_eliminate_heat_flux", eliminate)
+        monkeypatch.setattr(varcheck, "_probe_heat_flux", eliminate)
         return counts
 
     def test_report_cost(self, params, counted):
@@ -311,11 +335,15 @@ class TestSharedWork:
         assert rep["pass"]
         # probe 18 (3 forward and 3 inverse band transforms per vector), the
         # Darcy pass 15 (the spectrum 3, then 4 per axis; it gives grad(phi)
-        # and q0), the probe's heat-flux elimination 7, the dissipative
-        # kernel 10, the conservative forces 14 and scan 6 (G(p - n) 2 and
-        # one 4-row band inverse of the probe divergences and
-        # G(div_p - div_n)); the balance reuses both force sets
-        assert counted["fields"] == 70
+        # and q0), the dissipative kernel 10 (its source 4 before the scan,
+        # its solve 2 and gradient 4 after it), the probe's ion directions 6
+        # for the dissipative scan, the probe's heat-flux elimination 7
+        # (phi_t 1 and grad(phi_t) 3 from the coefficients, dJ_e 3), the
+        # conservative forces 14, the probe components 9 that the streamed
+        # forces pair with, and the conservative scan 6 (G(p - n) 2 and one
+        # 4-row band inverse of the probe divergences and G(div_p - div_n));
+        # the 18 rebuilt components, phi_t and grad(phi_t) are band inverses
+        assert counted["fields"] == 85
         assert counted["eliminations"] == 1
 
     def test_report_heat_flux_is_fouriers_law(self, params, monkeypatch):
@@ -326,13 +354,13 @@ class TestSharedWork:
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
         s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
         seen = []
-        orig = varcheck._dissipative_forces
+        orig = varcheck._dissipative_flows
 
-        def record(s, params, j_p, j_n, gphi, q):
+        def record(s, params, j_p, j_n, q, kernel):
             seen.append([c.copy() for c in q])
-            return orig(s, params, j_p, j_n, gphi, q)
+            return orig(s, params, j_p, j_n, q, kernel)
 
-        monkeypatch.setattr(varcheck, "_dissipative_forces", record)
+        monkeypatch.setattr(varcheck, "_dissipative_flows", record)
         varcheck_report(s, params, seed=1, probe_kmax=1)
         want = constitutive_fluxes(s, params).q.components
         assert len(seen) == 1
@@ -346,6 +374,8 @@ class TestSharedWork:
         j_p, j_n = fl.j_p.components, fl.j_n.components
         gphi, q0, _ = dissipative(s, params, j_p, j_n, fl.j_e.components)
         probe = random_probe(grid, seed=2, kmax=1)
+        dJ_p, dJ_n, dJ_e = probe_flows(probe)
+        q1 = _probe_heat_flux(s, params, probe, dJ_p, dJ_n, gphi)
         seen = []
         orig = varcheck._dissipation
 
@@ -354,17 +384,42 @@ class TestSharedWork:
             return seen[-1]
 
         monkeypatch.setattr(varcheck, "_dissipation", record)
-        _dissipative_scan(s, params, probe, j_p, j_n, q0, gphi)
+        _dissipative_scan(s, params, j_p, j_n, q0, dJ_p, dJ_n, q1)
         monkeypatch.setattr(varcheck, "_dissipation", orig)
         signed = [sign * eps for eps in varcheck.DEFAULT_EPS_SCAN for sign in (1.0, -1.0)]
         assert len(seen) == len(signed)
         for eps, got in zip(signed, seen):
             moved = [
-                [a + eps * b for a, b in zip(j.components, dj.components)]
-                for j, dj in ((fl.j_p, probe.dJ_p), (fl.j_n, probe.dJ_n), (fl.j_e, probe.dJ_e))
+                [a + eps * b for a, b in zip(j.components, dj)]
+                for j, dj in ((fl.j_p, dJ_p), (fl.j_n, dJ_n), (fl.j_e, dJ_e))
             ]
             want = dissipation_functional(s, params, *moved)
             assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_probe_heat_flux_is_the_elimination(self, params):
+        # q1 from the probe's coefficients is the heat flux eliminated from
+        # its rebuilt flux triple through full transforms, to rounding
+        for kmax in (1, 2):
+            grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+            s = perturbed_state(grid, seed=14, amplitude=1e-3, kmax=1)
+            probe = random_probe(grid, seed=2, kmax=kmax)
+            dJ_p, dJ_n, dJ_e = probe_flows(probe)
+            gphi = fluxes(s, params)[3]
+            want = eliminate_heat_flux(s, params, dJ_p, dJ_n, dJ_e, gphi)
+            got = _probe_heat_flux(s, params, probe, dJ_p, dJ_n, gphi)
+            scale = max(np.abs(c).max() for c in want)
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 1e-14 * scale
+
+    def test_streamed_forces_are_the_whole_sets(self, params):
+        # the dissipative forces built in place one flow at a time have the
+        # bits of the force set built whole
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
+        j_p, j_n, q0, gphi = fluxes(s, params)
+        want = dissipative_forces(s, params, j_p, j_n, gphi, q0)
+        for got_flow, want_flow in zip(forces(s, params), want):
+            assert all(np.array_equal(a, b) for a, b in zip(got_flow, want_flow))
 
     def test_split_conservative_scan_is_the_functional(self, params, monkeypatch):
         # the scan moves (p, n, e) along the divergences of the probe's
@@ -386,7 +441,7 @@ class TestSharedWork:
         monkeypatch.setattr(varcheck, "_entropy_total", orig)
         e = energy_density(s, params).values
         divs = []
-        for coef in probe.divergences(grid):
+        for coef in probe.divergences():
             spec = np.zeros(grid.spectral_shape, dtype=complex)
             spec[grid.band_mask(1)] = coef
             divs.append(grid.ifft(spec))
@@ -402,23 +457,51 @@ class TestSharedWork:
 class TestProbe:
     def test_band_transforms_keep_the_probe_bits(self):
         # the probe is drawn through band transforms of its kmax and masked
-        # by multiplying; its components are those of full transforms and
-        # a boolean cut, bit for bit, pruned (kmax < n//2) or not
+        # by multiplying; its rebuilt components are those of full
+        # transforms and a boolean cut, bit for bit, pruned (kmax < n//2)
+        # or not
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
         for kmax in (1, 5, 8):
             gen = np.random.Generator(np.random.Philox(key=3))
             probe = random_probe(grid, seed=3, kmax=kmax)
-            for dJ in probe.flows():
+            for dJ in probe_flows(probe):
                 spec = grid.fft(gen.standard_normal((3,) + grid.shape))
                 spec[:, ~grid.band_mask(kmax)] = 0.0
                 for got, vals in zip(dJ, grid.ifft(spec)):
                     assert np.array_equal(got, vals * (0.1 / np.abs(vals).max()))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rebuilt_components_are_the_batched_inverse(self, dim):
+        # one component at a time, from a new or a reused (dirty) spectral
+        # scratch, into a new or a reused grid: the bits of one batched
+        # band inverse of the flow's scattered coefficients, then scaled
+        grid = GridSpec(dim=dim, n=16, length=2 * np.pi)
+        spec, out = np.full(grid.spectral_shape, 7.0 + 1j), np.empty(grid.shape)
+        for kmax in range(grid.n // 2 + 1):
+            probe = random_probe(grid, seed=5 + kmax, kmax=kmax)
+            mask = grid.band_mask(kmax)
+            for k, (coef, scales) in enumerate(zip(probe.coefs, probe.scales)):
+                batch = np.zeros((dim,) + grid.spectral_shape, dtype=complex)
+                batch[:, mask] = coef
+                want = grid.ifft(batch, band=kmax)
+                for i, scale in enumerate(scales):
+                    want[i] *= scale
+                    assert np.array_equal(probe.component(k, i), want[i])
+                    assert np.array_equal(probe.component(k, i, out=out, spec=spec), want[i])
+
+    def test_probe_holds_under_one_percent_of_a_grid(self):
+        # a kmax-1 probe at 32^3 keeps 162 coefficients, no grid
+        grid = GridSpec(dim=3, n=32, length=2 * np.pi)
+        probe = random_probe(grid, seed=1, kmax=1)
+        arrays = [a for a in (*probe.coefs, *probe.scales) if isinstance(a, np.ndarray)]
+        assert sum(a.size for a in probe.coefs) == 162
+        assert sum(a.nbytes for a in arrays) < 0.01 * 8 * grid.n**grid.dim
+
     def test_divergences_are_the_components_divergences(self):
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
         probe = random_probe(grid, seed=4, kmax=2)
         mask = grid.band_mask(2)
-        for coef, dJ in zip(probe.divergences(grid), probe.flows()):
+        for coef, dJ in zip(probe.divergences(), probe_flows(probe)):
             spec = np.zeros(grid.spectral_shape, dtype=complex)
             spec[mask] = coef
             want = divergence_arrays(grid, dJ)
@@ -456,23 +539,24 @@ class TestReport:
         assert (tmp_path / "r.json").read_bytes() == want.read_bytes()
 
     def test_report_pairings_are_the_pieces_pairings(self, params):
-        # the report pairs each conservative flow on its way into the
-        # balance; both pairings are those of _pairing over the force sets
-        # built on their own, bit for bit
+        # the report streams the forces one flow at a time; both pairings
+        # and the balance are those of the force sets built on their own,
+        # bit for bit
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
         s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
         rep = varcheck_report(s, params, seed=1, probe_kmax=1)
-        probe = random_probe(grid, seed=1, kmax=1)
-        con = _pairing(grid, _conservative_flows(s, params), probe)
+        dJ = probe_flows(random_probe(grid, seed=1, kmax=1))
+        con = pairing(grid, _conservative_flows(s, params), dJ)
         assert rep["conservative"]["pairing"] == con
-        assert rep["dissipative"]["pairing"] == _pairing(grid, forces(s, params), probe)
+        assert rep["dissipative"]["pairing"] == pairing(grid, forces(s, params), dJ)
+        assert rep["force_balance_residual"] == force_balance(s, params)
 
     def test_report_peak_memory(self, params):
-        # at 32^3 above the call's entry, in full grids: measured 35.06 on
-        # seeds 13 and 5, with the peak in the dissipative closed form (see
-        # the varcheck module docstring); building each force set whole,
-        # next to the flux set and the other force set, peaks at 49.0, and
-        # running the dissipative scan with its forces alive at 41.3
+        # at 32^3 above the call's entry, in full grids: measured 23.05 on
+        # seeds 13 and 5, with the peak in the dissipative scan (see the
+        # varcheck module docstring); with the probe kept as nine grids and
+        # each dissipative force set built whole it peaked at 35.06, in the
+        # dissipative closed form
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
-        assert peak_grids(lambda: varcheck_report(s, params, seed=1, probe_kmax=1), grid) <= 35.4
+        assert peak_grids(lambda: varcheck_report(s, params, seed=1, probe_kmax=1), grid) <= 23.45
