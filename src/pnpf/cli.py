@@ -72,8 +72,8 @@ _CONFIG = {
         "seed": (0, "int"),
         "amplitude": (1e-3, "float"),
         "kmax": (1, "int >= 1"),
-        "fd_rel_tol": (1e-6, "float"),
-        "balance_tol": (1e-8, "float"),
+        "fd_rel_tol": (1e-6, "float > 0"),
+        "balance_tol": (1e-8, "float > 0"),
     },
     "decay": {
         "delta0": (1e-2, "float >= 0"),
@@ -155,7 +155,8 @@ def _check_types(config: dict, defaults: dict = DEFAULTS, schema: dict = CONFIG_
     """ConfigError naming the key unless every value has the JSON type of
     its default: an object for a section, a finite number (an integer
     too) for a float, a string or null for outputs; and unless every key
-    whose schema reads "int >= 1" holds at least 1.  A key missing from a
+    whose schema reads "int >= 1" holds at least 1 and every key whose
+    schema reads "float > 0" holds a number above 0.  A key missing from a
     section (one that an earlier value replaced wholesale) is a
     ConfigError too.  JSON's Infinity and NaN, and an integer past the
     float range, are not finite numbers."""
@@ -169,7 +170,9 @@ def _check_types(config: dict, defaults: dict = DEFAULTS, schema: dict = CONFIG_
         )
         if type(val) not in allowed or (
             type(default) is int and schema[key].startswith("int >= 1") and val < 1
-        ) or (type(default) is float and not abs(val) <= sys.float_info.max):
+        ) or (type(default) is float and not abs(val) <= sys.float_info.max) or (
+            type(default) is float and schema[key].startswith("float > 0") and not val > 0
+        ):
             expected = "an object" if isinstance(default, dict) else schema[key]
             shown = json.dumps(val)
             if len(shown) > 80:  # a value as long as the input would flood stderr
@@ -257,6 +260,14 @@ def cmd_run(config: dict) -> int:
     return EXIT_OK
 
 
+def probe_seed(seed: int) -> int:
+    """The Philox key of the varcheck probe, derived from varcheck.seed,
+    which keys the state's own draw (random_band_state): one 64-bit word of
+    SeedSequence([seed, b"prob" as an integer]), so the probe is not the
+    state's perturbation direction."""
+    return int(np.random.SeedSequence([seed, 0x70726F62]).generate_state(1, np.uint64)[0])
+
+
 def cmd_varcheck(config: dict) -> int:
     grid, params, _ = _build_objects(config)
     outdir = _outputs_dir(config)
@@ -268,7 +279,7 @@ def cmd_varcheck(config: dict) -> int:
         state = random_band_state(grid, int(vc["seed"]), int(vc["kmax"]), amp)
     report = varcheck.varcheck_report(
         state, params,
-        seed=int(vc["seed"]),
+        seed=probe_seed(int(vc["seed"])),
         fd_tol=float(vc["fd_rel_tol"]),
         balance_tol=float(vc["balance_tol"]),
         probe_kmax=int(vc["kmax"]),

@@ -34,12 +34,15 @@ so does _dissipative_flows, which writes each force over its flux.
 
 varcheck_report builds each quantity once, from data it already holds,
 and no full grid lives longer than the phase that reads it.  The probe
-(FlowMapProbe) is drawn in its band |m_i| <= kmax and transformed there
-(GridSpec band transforms with band=kmax); it keeps each vector's
-in-band coefficients, 162 complex numbers at kmax 1 in 3-D, and rebuilds
-a component on demand with one band inverse transform.  The phases, in
-order, with their tracemalloc peaks in full grids above the report's
-entry at 32^3 (64^3 within 0.15):
+(FlowMapProbe) is drawn in its band |m_i| <= kmax: white noise on the
+smallest grid whose Nyquist mode lies above the band (8^3 at kmax 1 and
+2: 4608 normals per probe in 3-D, at any n), cut to the band and
+scattered into the n-grid's band (random_probe).  It keeps each
+vector's in-band coefficients, 162 complex numbers at kmax 1 in 3-D, and
+rebuilds a component on demand with one band inverse transform
+(GridSpec band transforms with band=kmax).  The phases, in order, with
+their tracemalloc peaks in full grids above the report's entry at 32^3
+(at 64^3 none is higher, and none lower by more than 0.55):
 
 * the Darcy pass (fields._darcy_pass), 20.3: the flux block (j_p, j_n),
   grad(phi) and q0 = -k grad(theta); eliminating the heat flux from the
@@ -47,7 +50,8 @@ entry at 32^3 (64^3 within 0.15):
   it is and solves no exchange flux for it;
 * the kernel source div(phi R) + R.grad(phi), R = q0/(k theta^2), one
   component of R at a time (_kernel_source), 17.7;
-* the probe (random_probe), 19.3;
+* the probe (random_probe), 19.35: the n-grid band spectrum of a vector
+  and its inverse, which gives the component peaks;
 * the probe's ion directions dJ_p and dJ_n, rebuilt once for the scan,
   and its heat flux q1 eliminated from the coefficients over grad(phi)'s
   memory (_probe_heat_flux), 22.3;
@@ -60,7 +64,8 @@ entry at 32^3 (64^3 within 0.15):
   component rebuilt once adds its terms to both pairings and the
   balance maxima, in the order and with the bits of pairing and
   balancing whole force sets;
-* the conservative scan, 16.1.
+* the conservative scan, 17.1: the entropy density at +eps is alive
+  while the one at -eps is built.
 
 Keeping the probe as nine grids next to each phase, building the
 dissipative forces as a set beside the scan's inputs and the balance's
@@ -70,8 +75,10 @@ set, at 49.0.  A report transforms 85 real fields
 (tests/test_varcheck.py TestSharedWork::test_report_cost): the probe
 18, the Darcy pass 15, the dissipative kernel 10, the scan's directions
 6, the probe's heat-flux elimination 7, the conservative forces 14, the
-components the forces pair with 9 and the conservative scan 6.  The 18
-rebuilt components and phi_t and grad(phi_t) are kmax band inverses,
+components the forces pair with 9 and the conservative scan 6.  The
+probe's 9 forward transforms are of its draw grid's noise (8^3 at kmax
+1 and 2), the other 76 of n-grid fields.  The probe's 9 inverses, the
+18 rebuilt components and phi_t and grad(phi_t) are kmax band inverses,
 about half a full transform each at kmax 1.
 
 Both scans split what is linear in the probe.  The eliminated heat flux
@@ -92,9 +99,17 @@ evaluated by the same quadratic density.  The conservative scan moves
 phi = G(p - n) that the entropy functional derives is linear in the
 move: phi0 = G(p - n) once and phi0 - eps G(div dJ_p - div dJ_n) at
 every eps.  The three divergences and G(div dJ_p - div dJ_n) come from
-the probe's coefficients in one 4-row band inverse transform, and each
-evaluation works on raw arrays through _entropy_total, the quadrature
-of the entropy functional with its neutrality and temperature guards.
+the probe's coefficients in one 4-row band inverse transform.  Each
+evaluation works on raw arrays through _entropy_density, the entropy
+density with the functional's neutrality and temperature guards, and the
+scan integrates the pointwise difference eta(+eps) - eta(-eps) with one
+correctly rounded sum per eps, not two totals that it then subtracts.
+Two nearby densities subtract exactly (Sterbenz); elsewhere the
+subtraction rounds by at most an ulp of the two densities, no more than
+their own pointwise rounding.  The one sum then rounds at an ulp of the
+difference instead of an ulp of each total, so the central difference
+keeps the accuracy of the difference of two totals (at 64^3 the fds
+moved by 2e-16 to 1.4e-13 relative, the larger at the smaller eps).
 
 Sign bookkeeping, fixed once and unit-tested: the published closed-form
 forces pair as  sum_flows <f, dJ> = d/d_eps S(perturbed)  (equivalently
@@ -137,9 +152,11 @@ class FlowMapProbe:
 
     The probe holds no grid of values.  kmax is the band the directions
     are drawn in, coefs[k] holds flow k's unscaled in-band coefficients,
-    one (dim, m) array for the m modes of band_mask(kmax), and scales[k][i]
-    is the factor that brings component i of flow k to the probe's
-    amplitude.  component() rebuilds a direction from them."""
+    one (dim, m) array for the m modes of band_mask(kmax) in its order,
+    and scales[k][i] is the factor that brings component i of flow k to
+    the probe's amplitude on grid.  component() rebuilds a direction from
+    them.  random_probe draws the coefficients on a grid that may be
+    smaller than grid; they are those of grid's band all the same."""
 
     grid: GridSpec = field(repr=False)
     kmax: int
@@ -182,19 +199,28 @@ class FlowMapProbe:
 
 def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.1) -> FlowMapProbe:
     """Band-limited, dealiased probe directions from Philox(seed).  Each
-    vector's components are drawn in one call, which gives the same
-    numbers as drawing them one at a time, and filtered in one forward
-    and one inverse band transform (GridSpec.fft with band=kmax); the band
-    cut works in place.  The probe keeps each vector's unscaled in-band
-    coefficients and each component's scale, amplitude over its peak; the
-    inverse transform, which gives the peaks, then dies."""
+    vector is white noise on the draw grid, the smallest GridSpec that
+    resolves the band strictly below its Nyquist mode: size m = max(8, the
+    smallest power of two above 2 kmax), capped at n.  Its components are
+    drawn in one call, which gives the same numbers as drawing them one at
+    a time, and forward transformed in its band (GridSpec.fft with
+    band=kmax).  Its band_mask(kmax) coefficients are the vector's,
+    scattered into the band of grid: band_mask lists the modes in the same
+    order on both grids, and the band lies below the draw grid's Nyquist
+    mode, so the scattered spectrum is Hermitian.  When m = n this is the
+    draw of grid itself.  The probe keeps each vector's unscaled in-band
+    coefficients and each component's scale, amplitude over its peak on
+    grid, which one band inverse transform of the scattered spectrum gives
+    and which then dies."""
     gen = np.random.Generator(np.random.Philox(key=seed))
-    mask = grid.band_mask(kmax)
+    m = max(8, 1 << (2 * kmax).bit_length())
+    draw = grid if m >= grid.n else GridSpec(grid.dim, m, grid.length)
+    drawn, mask = draw.band_mask(kmax), grid.band_mask(kmax)
 
     def vec():
-        spec = grid.fft(gen.standard_normal((grid.dim,) + grid.shape), band=kmax)
-        spec *= mask
-        coefs = spec[:, mask]
+        coefs = draw.fft(gen.standard_normal((grid.dim,) + draw.shape), band=kmax)[:, drawn]
+        spec = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
+        spec[:, mask] = coefs
         comps = grid.ifft(spec, band=kmax)
         del spec
         peaks = np.abs(comps, out=comps).reshape(grid.dim, -1).max(axis=1)
@@ -213,10 +239,10 @@ def _temperature(p, n, e, rho, phi, params: PhysParams):
     return (e - 0.5 * rho * phi) / (params.c_p * p + params.c_n * n)
 
 
-def _entropy_total(grid: GridSpec, p, n, e, rho, phi, params: PhysParams) -> float:
-    """Total entropy of the raw arrays (p, n, e) with rho = p - n and
-    phi = G(rho), the temperature derived from them: the entropy
-    functional that the conservative scan evaluates.
+def _entropy_density(p, n, e, rho, phi, params: PhysParams) -> np.ndarray:
+    """The entropy density of the raw arrays (p, n, e) with rho = p - n and
+    phi = G(rho), the temperature derived from them: the integrand of the
+    entropy functional that the conservative scan evaluates.
 
     Raises ValueError if rho is not neutral and PositivityError if the
     derived temperature is not positive.
@@ -226,11 +252,7 @@ def _entropy_total(grid: GridSpec, p, n, e, rho, phi, params: PhysParams) -> flo
     theta = _temperature(p, n, e, rho, phi, params)
     if float(theta.min()) <= 0.0:
         raise PositivityError(f"derived temperature min {theta.min():.3e} <= 0")
-    eta = _entropy_arrays(p, n, theta, params)
-    # fsum: the central differences divide S by probe sizes down to 1e-5,
-    # so accumulation error in the quadrature must stay at one ulp; it is
-    # correctly rounded, so reading the buffer directly (no list) keeps the bits
-    return math.fsum(memoryview(eta.ravel())) * grid.cell_volume
+    return _entropy_arrays(p, n, theta, params)
 
 
 def _conservative_flows(s: State, params: PhysParams):
@@ -450,7 +472,9 @@ def _conservative_scan(s: State, params: PhysParams, probe: FlowMapProbe) -> lis
     dissipative scan splits q: phi0 = G(p - n) once and
     phi = phi0 - eps G(div_p - div_n).  The probe divergences and
     G(div_p - div_n) come from the probe's coefficients in one batched
-    band inverse transform."""
+    band inverse transform.  Each entry is one correctly rounded sum of
+    the density difference eta(+eps) - eta(-eps) over 2 eps; both
+    densities run the entropy functional's guards."""
     g = s.grid
     p0, n0 = s.p.values, s.n.values
     e0 = energy_density(s, params).values
@@ -462,12 +486,20 @@ def _conservative_scan(s: State, params: PhysParams, probe: FlowMapProbe) -> lis
     div_p, div_n, div_e, g_div = g.ifft(spec, band=probe.kmax)
     del spec
 
-    def S_at(eps: float) -> float:
+    def eta_at(eps: float) -> np.ndarray:
         p = p0 - eps * div_p
         n = n0 - eps * div_n
-        return _entropy_total(g, p, n, e0 - eps * div_e, p - n, phi0 - eps * g_div, params)
+        return _entropy_density(p, n, e0 - eps * div_e, p - n, phi0 - eps * g_div, params)
 
-    return [(S_at(eps) - S_at(-eps)) / (2.0 * eps) for eps in DEFAULT_EPS_SCAN]
+    fds = []
+    for eps in DEFAULT_EPS_SCAN:
+        diff = eta_at(eps)
+        diff -= eta_at(-eps)
+        # fsum: the difference is divided by probe sizes down to 1e-5, so its
+        # quadrature must stay at one ulp; it is correctly rounded, so
+        # reading the buffer directly (no list) keeps the bits
+        fds.append(math.fsum(memoryview(diff.ravel())) * g.cell_volume / (2.0 * eps))
+    return fds
 
 
 def _dissipative_scan(s: State, params: PhysParams, j_p, j_n, q0, dJ_p, dJ_n, q1) -> list[float]:

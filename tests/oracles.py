@@ -26,8 +26,9 @@ with them, most of them bit for bit:
 * flux_reconstruction_residual: the reciprocity residual of a State,
   which the onsager_residual column of audit.csv equals bit for bit;
 * entropy_functional: the total entropy of (p, n, e) with the temperature
-  derived, which varcheck's conservative scan evaluates on raw arrays
-  (varcheck._entropy_total);
+  derived, the correctly rounded quadrature of varcheck._entropy_density,
+  whose differences between the moved states varcheck's conservative scan
+  integrates instead;
 * eliminate_heat_flux and dissipation_functional: the heat flux
   eliminated from an arbitrary flux triple, and the quadratic entropy
   production of the triple, which varcheck's dissipative scan evaluates
@@ -374,14 +375,16 @@ def entropy_functional(p: ScalarField, n: ScalarField, e: ScalarField,
     """Total entropy with the temperature derived from (p, n, e); this
     hidden dependency is what makes the flow-map derivative nontrivial.
     p - n is formed once and serves the neutrality guard and the derived
-    temperature.
+    temperature.  fsum is correctly rounded, so reading the density's
+    buffer directly (no list) keeps the bits.
 
     Raises ValueError if (p, n) is not neutral and PositivityError if the
     derived temperature is not positive.
     """
     rho = p.values - n.values
     phi = greens_apply(p.grid, rho)
-    return varcheck._entropy_total(p.grid, p.values, n.values, e.values, rho, phi, params)
+    eta = varcheck._entropy_density(p.values, n.values, e.values, rho, phi, params)
+    return math.fsum(memoryview(eta.ravel())) * p.grid.cell_volume
 
 
 def eliminate_heat_flux(s: State, params: PhysParams, j_p, j_n, j_e, gphi):

@@ -3,12 +3,15 @@ central-difference derivatives, force balance, and the symbolic calculus
 identities behind the balance chain."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pnpf.fields import PhysParams, PositivityError, State, _darcy_pass, energy_density
+from pnpf.fields import (
+    PhysParams, PositivityError, State, _darcy_pass, energy_density, entropy_density,
+)
 from pnpf import varcheck
 from pnpf.grid import GridSpec, ScalarField, divergence_arrays, grad_arrays
 from pnpf.poisson import greens_apply, solve_array
@@ -97,8 +100,6 @@ class TestEntropyFunctional:
 
     def test_matches_compositional_path(self, grid3d, params):
         # independent path: reconstruct theta, then entropy density + quadrature
-        from pnpf.fields import entropy_density
-
         s = perturbed_state(grid3d, seed=3, amplitude=1e-2)
         e = energy_density(s, params)
         got = entropy_functional(s.p, s.n, e, params)
@@ -308,13 +309,16 @@ class TestSharedWork:
     @pytest.fixture
     def counted(self, monkeypatch):
         """Real fields through GridSpec.fft/ifft (batch elements count one
-        each) and calls of the probe's heat-flux elimination."""
-        counts = {"fields": 0, "eliminations": 0}
+        each), in all and by the size of the transform's grid, and calls of
+        the probe's heat-flux elimination."""
+        counts = {"fields": 0, "by_n": {}, "eliminations": 0}
         for name in ("fft", "ifft"):
             orig = getattr(GridSpec, name)
 
             def counting(grid, arr, *args, _orig=orig, **kwargs):
-                counts["fields"] += int(np.prod(arr.shape[: arr.ndim - grid.dim]))
+                fields = int(np.prod(arr.shape[: arr.ndim - grid.dim]))
+                counts["fields"] += fields
+                counts["by_n"][grid.n] = counts["by_n"].get(grid.n, 0) + fields
                 return _orig(grid, arr, *args, **kwargs)
 
             monkeypatch.setattr(GridSpec, name, counting)
@@ -330,20 +334,23 @@ class TestSharedWork:
     def test_report_cost(self, params, counted):
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
         s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
-        counted["fields"] = 0
+        counted["fields"], counted["by_n"] = 0, {}
         rep = varcheck_report(s, params, seed=1)
         assert rep["pass"]
-        # probe 18 (3 forward and 3 inverse band transforms per vector), the
-        # Darcy pass 15 (the spectrum 3, then 4 per axis; it gives grad(phi)
-        # and q0), the dissipative kernel 10 (its source 4 before the scan,
-        # its solve 2 and gradient 4 after it), the probe's ion directions 6
-        # for the dissipative scan, the probe's heat-flux elimination 7
-        # (phi_t 1 and grad(phi_t) 3 from the coefficients, dJ_e 3), the
-        # conservative forces 14, the probe components 9 that the streamed
-        # forces pair with, and the conservative scan 6 (G(p - n) 2 and one
-        # 4-row band inverse of the probe divergences and G(div_p - div_n));
-        # the 18 rebuilt components, phi_t and grad(phi_t) are band inverses
+        # probe 18 (3 forward band transforms of 8^3 noise, the draw grid of
+        # kmax 2, and 3 inverse band transforms on the 16-grid per vector),
+        # the Darcy pass 15 (the spectrum 3, then 4 per axis; it gives
+        # grad(phi) and q0), the dissipative kernel 10 (its source 4 before
+        # the scan, its solve 2 and gradient 4 after it), the probe's ion
+        # directions 6 for the dissipative scan, the probe's heat-flux
+        # elimination 7 (phi_t 1 and grad(phi_t) 3 from the coefficients,
+        # dJ_e 3), the conservative forces 14, the probe components 9 that
+        # the streamed forces pair with, and the conservative scan 6
+        # (G(p - n) 2 and one 4-row band inverse of the probe divergences
+        # and G(div_p - div_n)); the probe's 9 inverses, the 18 rebuilt
+        # components, phi_t and grad(phi_t) are band inverses
         assert counted["fields"] == 85
+        assert counted["by_n"] == {8: 9, 16: 76}
         assert counted["eliminations"] == 1
 
     def test_report_heat_flux_is_fouriers_law(self, params, monkeypatch):
@@ -421,54 +428,125 @@ class TestSharedWork:
         for got_flow, want_flow in zip(forces(s, params), want):
             assert all(np.array_equal(a, b) for a, b in zip(got_flow, want_flow))
 
-    def test_split_conservative_scan_is_the_functional(self, params, monkeypatch):
+    def test_split_conservative_scan_is_the_functional(self, params):
         # the scan moves (p, n, e) along the divergences of the probe's
-        # coefficients (TestProbe checks them against the components') and
-        # splits phi = G(p - n) linearly; each evaluation is
-        # entropy_functional of the moved fields, which derives phi anew
+        # coefficients (TestProbe checks them against the components'),
+        # splits phi = G(p - n) linearly and integrates the difference of
+        # the two moved entropy densities once per eps; each entry is the
+        # central difference of entropy_functional of the moved fields,
+        # which derives phi anew and totals each density on its own.  The
+        # totals nearly cancel (|S| is 2e-4 of the integral of |eta| here),
+        # so the bound is set by the quadrature's scale: 1e-15 of the
+        # integral of |eta| over eps, each total within a few ulps of that
+        # scale (measured: 1e-14 against 1.5e-13 at eps 1e-3, for one sum of
+        # the differences and for two totals alike)
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
         s = perturbed_state(grid, seed=14, amplitude=1e-3, kmax=1)
         probe = random_probe(grid, seed=2, kmax=1)
-        seen = []
-        orig = varcheck._entropy_total
-
-        def record(*args):
-            seen.append(orig(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(varcheck, "_entropy_total", record)
-        _conservative_scan(s, params, probe)
-        monkeypatch.setattr(varcheck, "_entropy_total", orig)
+        got = _conservative_scan(s, params, probe)
         e = energy_density(s, params).values
         divs = []
         for coef in probe.divergences():
             spec = np.zeros(grid.spectral_shape, dtype=complex)
             spec[grid.band_mask(1)] = coef
             divs.append(grid.ifft(spec))
-        signed = [sign * eps for eps in varcheck.DEFAULT_EPS_SCAN for sign in (1.0, -1.0)]
-        assert len(seen) == len(signed)
-        for eps, got in zip(signed, seen):
-            moved = (ScalarField(grid, f - eps * d)
-                     for f, d in zip((s.p.values, s.n.values, e), divs))
-            want = entropy_functional(*moved, params)
-            assert abs(got - want) <= 1e-13 * abs(want)
+        scale = np.abs(entropy_density(s, params).values).sum() * grid.cell_volume
+        assert len(got) == len(varcheck.DEFAULT_EPS_SCAN)
+        for eps, fd in zip(varcheck.DEFAULT_EPS_SCAN, got):
+            totals = [
+                entropy_functional(*(ScalarField(grid, f - sign * eps * d)
+                                     for f, d in zip((s.p.values, s.n.values, e), divs)), params)
+                for sign in (1.0, -1.0)
+            ]
+            want = (totals[0] - totals[1]) / (2.0 * eps)
+            assert abs(fd - want) <= 1e-15 * scale / eps, eps
+
+    def test_conservative_scan_keeps_the_temperature_guard(self, params):
+        # a probe whose energy direction is large enough to drive the
+        # derived temperature below zero at the scan's first eps raises
+        # PositivityError inside the scan, as the entropy functional does
+        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
+        s = perturbed_state(grid, seed=14, amplitude=1e-3, kmax=1)
+        probe = random_probe(grid, seed=2, kmax=1)
+        scales = (*probe.scales[:2], tuple(1e5 * c for c in probe.scales[2]))
+        with pytest.raises(PositivityError, match="temperature"):
+            _conservative_scan(s, params, replace(probe, scales=scales))
 
 
 class TestProbe:
     def test_band_transforms_keep_the_probe_bits(self):
-        # the probe is drawn through band transforms of its kmax and masked
-        # by multiplying; its rebuilt components are those of full
-        # transforms and a boolean cut, bit for bit, pruned (kmax < n//2)
-        # or not
-        grid = GridSpec(dim=3, n=16, length=2 * np.pi)
-        for kmax in (1, 5, 8):
+        # each vector is Philox white noise on the draw grid of size
+        # m = max(8, the smallest power of two above 2 kmax), capped at n,
+        # full transformed and cut to its band; the cut is scattered into
+        # the band of the n-grid, whose full inverse scaled to amplitude
+        # over its peak is the component, bit for bit, pruned (kmax < n//2)
+        # or not and drawn on a smaller grid (m < n) or not
+        for n, kmax, m in ((16, 1, 8), (16, 3, 8), (16, 4, 16), (16, 5, 16), (16, 8, 16),
+                           (32, 2, 8), (32, 4, 16), (32, 9, 32)):
+            grid = GridSpec(dim=3, n=n, length=2 * np.pi)
+            draw = GridSpec(dim=3, n=m, length=2 * np.pi)
             gen = np.random.Generator(np.random.Philox(key=3))
             probe = random_probe(grid, seed=3, kmax=kmax)
             for dJ in probe_flows(probe):
-                spec = grid.fft(gen.standard_normal((3,) + grid.shape))
-                spec[:, ~grid.band_mask(kmax)] = 0.0
+                cut = draw.fft(gen.standard_normal((3,) + draw.shape))[:, draw.band_mask(kmax)]
+                spec = np.zeros((3,) + grid.spectral_shape, dtype=complex)
+                spec[:, grid.band_mask(kmax)] = cut
                 for got, vals in zip(dJ, grid.ifft(spec)):
-                    assert np.array_equal(got, vals * (0.1 / np.abs(vals).max()))
+                    assert np.array_equal(got, vals * (0.1 / np.abs(vals).max())), (n, kmax)
+
+    def test_draw_is_at_most_the_draw_grids_noise(self, monkeypatch):
+        # a spy on Generator.standard_normal: a probe draws at most
+        # 3 dim m^dim normals, 4608 at kmax 1 in 3-D where the n-grid's
+        # white noise was 3 dim n^dim (2.4M at 64^3)
+        drawn = []
+        generator = np.random.Generator
+
+        class Spy:
+            def __init__(self, bitgen):
+                self.gen = generator(bitgen)
+
+            def standard_normal(self, size=None, *args, **kwargs):
+                drawn.append(int(np.prod(size)))
+                return self.gen.standard_normal(size, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Spy)
+        for dim, n, kmax, m in ((1, 64, 1, 8), (2, 64, 3, 8), (2, 64, 4, 16), (3, 64, 1, 8),
+                                (3, 64, 2, 8), (3, 32, 5, 16), (3, 16, 6, 16), (3, 8, 4, 8)):
+            drawn.clear()
+            random_probe(GridSpec(dim=dim, n=n, length=2 * np.pi), seed=1, kmax=kmax)
+            assert 0 < sum(drawn) <= 3 * dim * m**dim, (dim, n, kmax)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_scattered_spectrum_is_hermitian(self, dim):
+        # the band of the draw grid scattered into the n-grid's band is the
+        # spectrum of a real field: the forward band transform of its own
+        # inverse returns it to 1e-14
+        grid = GridSpec(dim=dim, n=32, length=2 * np.pi)
+        for kmax in range(grid.n // 2 + 1):
+            probe = random_probe(grid, seed=7 + kmax, kmax=kmax)
+            mask = grid.band_mask(kmax)
+            for coef in probe.coefs:
+                spec = np.zeros((dim,) + grid.spectral_shape, dtype=complex)
+                spec[:, mask] = coef
+                back = grid.fft(grid.ifft(spec, band=kmax), band=kmax)[:, mask]
+                assert np.abs(back - coef).max() <= 1e-14 * np.abs(coef).max(), kmax
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_kmax_draws_a_band_limited_probe(self, dim):
+        # kmax from 0 (the constant mode alone) to n//2 (the whole grid):
+        # each component holds the band's modes, vanishes outside the band
+        # and peaks at the amplitude
+        grid = GridSpec(dim=dim, n=16, length=2 * np.pi)
+        for kmax in range(grid.n // 2 + 1):
+            probe = random_probe(grid, seed=11 + kmax, kmax=kmax, amplitude=0.3)
+            mask = grid.band_mask(kmax)
+            for k in range(3):
+                assert probe.coefs[k].shape == (dim, int(mask.sum()))
+                for i in range(dim):
+                    vals = probe.component(k, i)
+                    assert abs(np.abs(vals).max() - 0.3) <= 1e-15, (kmax, k, i)
+                    outside = grid.fft(vals)[~mask]
+                    assert np.abs(outside).max(initial=0.0) <= 1e-13 * grid.n**dim, kmax
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_rebuilt_components_are_the_batched_inverse(self, dim):
@@ -524,14 +602,14 @@ class TestReport:
 
     def test_report_matches_stored_bytes(self, params, tmp_path):
         # data/varcheck-report-16.json was written by varcheck_report once
-        # it took q0 and grad(phi) from its Darcy pass and ran the
-        # conservative scan on the probe's coefficients with phi split
-        # linearly; against the file before that, every verdict, eps and
-        # non-float value is the same and the floats moved at rounding
-        # (conservative fd 3.0e-11 and dissipative pairing 2.6e-16
-        # relative, the conservative pairing and dissipative fds not at
-        # all).  Recorded on one host: numpy's log and the FFTs may round
-        # differently on another CPU or build
+        # it drew its probe on the 8-grid of kmax 1 and took one quadrature
+        # of the entropy-density difference per eps.  The probe is another
+        # direction, so every pairing and fd moved (conservative pairing
+        # 1.668e-3 -> 5.480e-4, best_rel_err 1.4e-9 -> 2.9e-8, order 2.46
+        # -> 1.84; dissipative best_rel_err 6.1e-15 -> 2.7e-14); the
+        # verdict, the balance, the thresholds, the eps and the probe seed
+        # are the same.  Recorded on one host: numpy's log and the FFTs may
+        # round differently on another CPU or build
         grid = GridSpec(dim=3, n=16, length=2 * np.pi)
         s = perturbed_state(grid, seed=13, amplitude=1e-3, kmax=1)
         write_report_json(varcheck_report(s, params, seed=1, probe_kmax=1), tmp_path / "r.json")
