@@ -33,15 +33,15 @@ Discretization choices that the audits rely on:
   evaluation re-solves Delta(phi) = n - p (equivalently Delta(phi) = v),
   so phi stays slaved to the charge density at every substage.
 
-Each right-hand side is a spectral core with a thin wrapper around it.
-The core (_rhs_primitive_core, _rhs_perturbation_core) takes the
-spectrum of its input (plus, for the primitive form, the input fields)
-and returns the (dealiased) spectrum of the time derivatives, leaving the
-input spectrum as it was.  The array wrapper (_rhs_primitive_arrays,
-_rhs_perturbation_arrays) adds the forward transform in front and the
-inverse transform behind; it serves rhs_primitive, rhs_perturbation and
-the tests' real-space compositions (tests/oracles), which the steppers
-match to rounding.
+Each right-hand side is one spectral core (_rhs_primitive_core,
+_rhs_perturbation_core): it takes the spectrum of its input (plus, for
+the primitive form, the input fields) and returns the spectrum of the
+time derivatives, leaving the input spectrum as it was.  The public
+rhs_primitive and rhs_perturbation compose the forward transform, the
+core's arithmetic with full transforms, dealias_mask and the inverse
+transform themselves; the tests' real-space compositions
+(tests/oracles) are built on them, and the steppers match them to
+rounding.
 
 One stepper shape serves both forms.  step advances the spectrum y_hat of
 the stepped fields, (n, p, theta) or (u_tilde, v, theta_tilde), which
@@ -56,7 +56,9 @@ the perturbation stack's last three rows, and inverse-transforms each
 stage once: the primitive RHS copies the stage into the slots' spectra
 and transforms it into the stage's fields, the perturbation RHS
 transforms it in its stack's batch; either checks the fields against the
-floor there.  k1 of RK4 and the IMEX1 core take the state's own fields.
+floor there.  k1 of RK4 and the IMEX1 core take the state's own fields;
+step hands either scheme one RHS of one signature for both forms,
+rhs(y, values) (_step_rhs).
 One IMEX1 update (_imex1) serves both forms: it calls the form's core on
 the carried spectrum and returns the new one, so the RHS output is never
 transformed back and forth.  Its implicit part is the form's
@@ -81,31 +83,24 @@ transform (GridSpec.fft and ifft with band, which skip the lanes outside
 the band and keep the bits): the Darcy gradients (fields.darcy_axes) and
 the three Laplacians, the flux-divergence and dtheta forward transforms,
 the stage and closing inverses, and the perturbation stack's inverse and
-the rates' forward transform.  The kernels take band from their stepper
-(band = cfg.dealias), never from dealias alone; a caller with any other
-spectrum keeps band False.
+the rates' forward transform.  A core masks its output exactly when
+band is set, and the steppers pass band = cfg.dealias; a caller with any
+other spectrum keeps band False and masks the output itself.  IMEX1 needs
+no mask of its own: its update vanishes wherever its inputs do.
 
-Transform counts, pinned in tests/test_dynamics.py
-(TestSpectralCore::test_run_step_transform_count,
-TestCarriedSpectrum::test_step_transform_count).  A 3-D primitive step of
-a run transforms 101 real fields in 92 calls under RK4 (four cores of 22
-one-field calls, three 3-field stage inverses and the 4-field closing
-inverse) and 26 in 23 under IMEX1 (114 in 106 and 30 in 26 while every
-stage and rate went through real space and a Poisson solve closed the
-step).  A 2-D perturbation step of a run transforms 69 in 9 (RK4) and 18
-in 3 (IMEX1).  A one-off step of a state that carries no spectrum adds
-the forward transform 3 and, dealiased, the projection's closing inverse
-4.
+The transform counts of a step are pinned in tests/test_dynamics.py:
+TestSpectralCore::test_run_step_transform_count and
+::test_imex1_step_cost (primitive form), and
+TestCarriedSpectrum::test_step_transform_count (perturbation form).
 
 step can feed an audit sample (a fields.AuditSink) from its first RHS
 evaluation, k1 of RK4 or the IMEX1 core: the Darcy pass is the sample's,
 the |q|^2, |j_p|^2 and |j_n|^2 sums and the production density ride on
 its axis loop, and the reconstruction residual runs after the heat rate
 on the fluxes, which that evaluation keeps in one (dim, 2) block array
-and transforms pair by pair only after the residual.  The sample adds
-3 + 3*dim transforms to the step where a standalone fields.flux_audit
-costs 6 + 7*dim, or 3 + 7*dim for a State that carries its spectrum
-(pinned at dim 3 by TestSpectralCore::test_transform_count).  Its
+and transforms pair by pair only after the residual.  So the sample adds
+only the residual's transforms to the step, fewer than a standalone
+fields.flux_audit makes (TestSpectralCore::test_transform_count).  Its
 coefficient arrays are built only after the axis loop, and its three sums
 live only in that loop, below the RHS's peak, so the step's peak memory
 grows by the one grid of the production density.
@@ -360,10 +355,8 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, sl
     return np.divide(heat, t, out=heat)
 
 
-def _rhs_primitive_core(
-    grid: GridSpec, spec, n, p, th, params: PhysParams, dealias=True, sink=None, slots=None,
-    band=False,
-):
+def _rhs_primitive_core(grid: GridSpec, spec, n, p, th, params: PhysParams, sink=None, slots=None,
+                        band=False):
     """Spectrum of (dn, dp, dtheta), shape (3,) + spectral_shape, from the
     forward transform spec of (n, p, th) and the fields themselves; spec
     is left as it was.  A fields.AuditSink of the state (n, p, th) is fed
@@ -371,9 +364,9 @@ def _rhs_primitive_core(
     are then kept for every axis, and the divergence waits for it.  slots
     (fields.new_slots) hold the gradients, the Laplacians and the
     residual's gradients; None makes call-local ones.  band, for a spec
-    that vanishes outside the 2/3 band and a dealiased output, makes every
-    transform of the flux pass, the Laplacians and the forward transforms
-    a band transform (GridSpec.fft); the residual's stay full."""
+    that vanishes outside the 2/3 band, makes every transform of the flux
+    pass, the Laplacians and the forward transforms a band transform
+    (GridSpec.fft) and masks the output; the residual's stay full."""
     if slots is None:
         slots = new_slots(grid)
     # continuity equations in divergence form (spectral outer divergence),
@@ -398,18 +391,9 @@ def _rhs_primitive_core(
     del div
     grid.fft(dth, out=out[2], band=band)
     del dth
-    if dealias:
+    if band:
         np.multiply(grid.dealias_mask, out, out=out)
     return out
-
-
-def _rhs_primitive_arrays(grid: GridSpec, n, p, th, params: PhysParams, dealias=True, sink=None,
-                          slots=None):
-    """(dn, dp, dtheta) raw arrays; see the module docstring for the scheme."""
-    spec = grid.fft(np.stack([n, p, th]))
-    out = _rhs_primitive_core(grid, spec, n, p, th, params, dealias, sink, slots)
-    del spec
-    return grid.ifft(out[0]), grid.ifft(out[1]), grid.ifft(out[2])
 
 
 class PerturbationSlots(NamedTuple):
@@ -576,36 +560,19 @@ def _perturbation_rates(grid: GridSpec, spec3, params: PhysParams, slots=None, v
     return rates
 
 
-def _rhs_perturbation_core(grid: GridSpec, spec3, params: PhysParams, dealias=True, slots=None,
-                           values=None, check=None, band=False):
+def _rhs_perturbation_core(grid: GridSpec, spec3, params: PhysParams, slots=None, values=None,
+                           check=None, band=False):
     """Spectrum of (du_tilde, dv, dtheta_tilde), shape (3,) +
     spectral_shape, from the spectrum spec3 of (ut, v, tt), which is left
     as it was: one forward transform of the rows _perturbation_rates
-    writes, given slots, values, check and band, dealiased in place; with
-    band (which needs dealias) both transforms are band transforms."""
+    writes, given slots, values, check and band; band, for a spec3 that
+    vanishes outside the 2/3 band, makes both transforms band transforms
+    and masks the output."""
     spec = grid.fft(_perturbation_rates(grid, spec3, params, slots, values, check, band),
                     band=band)
-    if dealias:
+    if band:
         np.multiply(grid.dealias_mask, spec, out=spec)
     return spec
-
-
-def _rhs_perturbation_arrays(grid: GridSpec, ut, v, tt, params: PhysParams, dealias=True):
-    """(du_tilde, dv, dtheta_tilde) raw arrays, literal perturbation system:
-    the forward transform of (ut, v, tt), _perturbation_rates given the
-    fields, and, dealiased, the core's forward transform and mask and the
-    inverse transform.  Without dealiasing the pointwise rates are
-    returned as they are.  It calls _perturbation_rates rather than the
-    core so that the kernel holds the only reference to the forward
-    transform and frees it before making its real buffer."""
-    rates = _perturbation_rates(grid, grid.fft(np.stack([ut, v, tt])), params, values=(ut, v, tt))
-    if not dealias:
-        return tuple(rates.copy())
-    spec = grid.fft(rates)
-    del rates
-    np.multiply(grid.dealias_mask, spec, out=spec)
-    res = grid.ifft(spec)
-    return res[0], res[1], res[2]
 
 
 def _require_perturbation_params(params: PhysParams) -> None:
@@ -616,23 +583,38 @@ def _require_perturbation_params(params: PhysParams) -> None:
 
 
 def rhs_primitive(s: State, params: PhysParams, dealias: bool = True):
-    """Time derivatives (dn, dp, dtheta) of the primitive system."""
-    dn, dp, dth = _rhs_primitive_arrays(
-        s.grid, s.n.values, s.p.values, s.theta.values, params, dealias
-    )
+    """Time derivatives (dn, dp, dtheta) of the primitive system: the
+    forward transform of (n, p, theta), the core with full transforms,
+    dealias_mask when dealias, and one inverse transform per field."""
     g = s.grid
-    return ScalarField(g, dn), ScalarField(g, dp), ScalarField(g, dth)
+    ys = (s.n.values, s.p.values, s.theta.values)
+    out = _rhs_primitive_core(g, g.fft(np.stack(ys)), *ys, params)
+    if dealias:
+        np.multiply(g.dealias_mask, out, out=out)
+    return tuple(ScalarField(g, g.ifft(row)) for row in out)
 
 
 def rhs_perturbation(ps: PerturbationState, params: PhysParams, dealias: bool = True):
     """Time derivatives (du_tilde, dv, dtheta_tilde) of the reformulated
-    system (requires c_p == c_n > 1 and unit mobilities/conduction)."""
+    system (requires c_p == c_n > 1 and unit mobilities/conduction): the
+    forward transform of (u_tilde, v, theta_tilde) and _perturbation_rates
+    given the fields, then, dealiased, the rates' forward transform,
+    dealias_mask and the inverse transform; undealiased, the pointwise
+    rates as they are.  It calls _perturbation_rates rather than the core
+    so that the kernel holds the only reference to the forward transform
+    and frees it before making its real buffer."""
     _require_perturbation_params(params)
-    du, dv, dtt = _rhs_perturbation_arrays(
-        ps.grid, ps.u_tilde.values, ps.v.values, ps.theta_tilde.values, params, dealias
-    )
     g = ps.grid
-    return ScalarField(g, du), ScalarField(g, dv), ScalarField(g, dtt)
+    ys = (ps.u_tilde.values, ps.v.values, ps.theta_tilde.values)
+    rates = _perturbation_rates(g, g.fft(np.stack(ys)), params, values=ys)
+    if dealias:
+        spec = g.fft(rates)
+        del rates
+        np.multiply(g.dealias_mask, spec, out=spec)
+        rates = g.ifft(spec)
+    else:
+        rates = rates.copy()
+    return tuple(ScalarField(g, row) for row in rates)
 
 
 # -- stability estimate -------------------------------------------------------
@@ -804,36 +786,48 @@ def carried(state, cfg: StepperConfig, slots=None):
     return _trusted(form.state, spec=spec, **values)
 
 
-def _primitive_rhs(grid: GridSpec, params: PhysParams, cfg: StepperConfig, slots, check):
-    """The primitive RHS a step hands to _rk4 and _imex1: rhs(y, values,
-    sink) is the core on the spectrum y with the fields values (a run's
-    Slots, bands as cfg dealiases).  Given no values, a stage's come from
-    one inverse transform of a copy of y in slots.spectra, into one buffer
-    that the step's first stage makes, and check sees them before the
-    core."""
+def _step_rhs(grid: GridSpec, params: PhysParams, cfg: StepperConfig, slots, form: _Form, sink):
+    """The RHS a step hands to _rk4 and _imex1, one signature for both
+    forms: rhs(y, values=None) is the form's core on the spectrum y, in the
+    run's slots, with band = cfg.dealias.  values are the stepped state's
+    own fields, and that evaluation feeds sink (primitive form only).
+    Given no values, a stage's come from one inverse transform of y, which
+    the stage check sees before any arithmetic: the perturbation core
+    transforms y in its stack's batch, the primitive RHS a copy of y in
+    slots.spectra, into one buffer that the step's first stage makes."""
+    band = cfg.dealias
+
+    def check(ys):
+        _check_stage(form.names, ys, cfg.positivity_floor, form.shifts)
+
+    if form is _PERTURBATION:
+        return lambda y, values=None: _rhs_perturbation_core(
+            grid, y, params, slots, values, check, band)
     real = None
 
-    def rhs(y, values=None, sink=None):
+    def rhs(y, values=None):
         nonlocal real
-        if values is None:
-            if real is None:
-                real = np.empty((3,) + grid.shape)
-            work = slots.spectra[:3]
-            np.copyto(work, y)
-            values = grid.ifft(work, out=real, band=cfg.dealias)
-            check(values)
-        return _rhs_primitive_core(grid, y, *values, params, cfg.dealias, sink, slots, cfg.dealias)
+        if values is not None:
+            return _rhs_primitive_core(grid, y, *values, params, sink, slots, band)
+        if real is None:
+            real = np.empty((3,) + grid.shape)
+        work = slots.spectra[:3]
+        np.copyto(work, y)
+        values = grid.ifft(work, out=real, band=band)
+        check(values)
+        return _rhs_primitive_core(grid, y, *values, params, None, slots, band)
 
     return rhs
 
 
-def _rk4(y, rhs, dt, fed=(), stage=None):
+def _rk4(y, rhs, dt, values, stage=None):
     """One RK4 step of the spectrum y, which is left as it was: k1 =
-    rhs(y, *fed), each later k = rhs(stage) of the stage y + c dt k built
-    in stage (a buffer, or None for one made after k1).  One accumulator
-    sums k1 + 2 k2 + 2 k3 + k4 in that order (see the module docstring) and
-    becomes y + dt/6 (k1 + 2 k2 + 2 k3 + k4) in place, with those bits."""
-    acc = rhs(y, *fed)
+    rhs(y, values), the state's own fields values, each later k =
+    rhs(stage) of the stage y + c dt k built in stage (a buffer, or None
+    for one made after k1).  One accumulator sums k1 + 2 k2 + 2 k3 + k4 in
+    that order (see the module docstring) and becomes y + dt/6 (k1 + 2 k2
+    + 2 k3 + k4) in place, with those bits."""
+    acc = rhs(y, values)
     if stage is None:
         stage = np.empty_like(acc)
     k = acc
@@ -896,32 +890,27 @@ def step(state, cfg: StepperConfig, params: PhysParams, sink=None, slots=None):
     state = carried(state, cfg, slots)
     if sink is not None:
         sink.state = state
-    check = lambda ys: _check_stage(form.names, ys, cfg.positivity_floor, form.shifts)
     values = tuple(getattr(state, name).values for name in form.fields[:3])
-    if form is _PRIMITIVE:
-        rhs, stage, fed = _primitive_rhs(g, params, cfg, slots, check), None, (values, sink)
-    else:
-        rhs = lambda y, values=None: _rhs_perturbation_core(
-            g, y, params, cfg.dealias, slots, values, check, cfg.dealias)
-        stage, fed = slots.stack[-3:], (values,)
+    rhs = _step_rhs(g, params, cfg, slots, form, sink)
     if cfg.scheme == "RK4":
-        out = _rk4(state.spec, rhs, cfg.dt, fed, stage)
+        stage = None if form is _PRIMITIVE else slots.stack[-3:]
+        out = _rk4(state.spec, rhs, cfg.dt, values, stage)
     else:
-        core = lambda y: rhs(y, *fed)
-        out = _imex1(g, state.spec, core, cfg, _linear_block(params, form is _PRIMITIVE))
+        out = _imex1(g, state.spec, rhs, cfg.dt, _linear_block(params, form is _PRIMITIVE), values)
     return _close(g, out, _four(g, slots, form), cfg, form)
 
 
-def _imex1(grid, spec_y, core, cfg, m):
+def _imex1(grid, spec_y, rhs, dt, m, values):
     """Backward Euler on the linear block -|k|^2 m (_linear_block), the
-    rest of the rates f = core(spec_y) explicit, for the state spectrum
-    spec_y (left as it was): with a = dt |k|^2 each mode solves
-    (I + a m) y_new = y + dt (f + |k|^2 m y).  As m[0,1] = m[1,0] = 0,
-    rows 0 and 1 are eliminated into row 2, which is solved for y_new[2]
-    and back-substituted.  Returns the spectrum of y_new, dealiased as
-    cfg asks, in the core's output."""
-    dt, k2 = cfg.dt, grid.k2
-    spec_f = core(spec_y)
+    rest of the rates f = rhs(spec_y, values) explicit, for the state
+    spectrum spec_y (left as it was) and its fields values: with a = dt
+    |k|^2 each mode solves (I + a m) y_new = y + dt (f + |k|^2 m y).  As
+    m[0,1] = m[1,0] = 0, rows 0 and 1 are eliminated into row 2, which is
+    solved for y_new[2] and back-substituted.  Returns the spectrum of
+    y_new in the rates' output: mode by mode, it vanishes wherever spec_y
+    and f both do, so a band-limited step stays in the band unmasked."""
+    k2 = grid.k2
+    spec_f = rhs(spec_y, values)
     lin = [k2 * (row[0] * spec_y[0] + row[1] * spec_y[1] + row[2] * spec_y[2]) for row in m]
     # everything from here on runs in place in the core's output, in the
     # order of b = y + dt (f + l), then new_2 = (b_2 - c_0 b_0 - c_1 b_1) d,
@@ -947,9 +936,6 @@ def _imex1(grid, spec_y, core, cfg, m):
     b[1] -= np.multiply(a * m[1, 2], b[2], out=t)
     b[1] *= r1
     del t
-    if cfg.dealias:
-        # the k = 0 mode is untouched by the mask's True entry there
-        np.multiply(grid.dealias_mask, b, out=b)
     return b
 
 

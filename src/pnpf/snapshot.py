@@ -93,8 +93,11 @@ def read_snapshot(path) -> tuple[GridSpec, dict]:
     sidecar_path = path.with_suffix(path.suffix + ".json")
     if not sidecar_path.exists():
         raise SnapshotFormatError(f"missing sidecar {sidecar_path}")
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
+    try:
+        with open(sidecar_path) as fh:
+            sidecar = json.load(fh)
+    except RecursionError as exc:
+        raise SnapshotFormatError(f"sidecar {sidecar_path} nests too deeply") from exc
     if not isinstance(sidecar, dict):
         raise SnapshotFormatError("sidecar is not a JSON object")
     names = sidecar.get("fields")

@@ -67,15 +67,12 @@ their tracemalloc peaks in full grids above the report's entry at 32^3
 * the conservative scan, 17.1: the entropy density at +eps is alive
   while the one at -eps is built.
 
-Keeping the probe as nine grids next to each phase, building the
-dissipative forces as a set beside the scan's inputs and the balance's
-conservative flows, peaked at 35.06 (in the dissipative closed form);
-building each force set whole, next to the flux set and the other force
-set, at 49.0.  A report transforms 85 real fields
-(tests/test_varcheck.py TestSharedWork::test_report_cost): the probe
-18, the Darcy pass 15, the dissipative kernel 10, the scan's directions
-6, the probe's heat-flux elimination 7, the conservative forces 14, the
-components the forces pair with 9 and the conservative scan 6.  The
+A report transforms 85 real fields (tests/test_varcheck.py
+TestSharedWork::test_report_cost): the probe 18, the Darcy pass 15, the
+dissipative kernel 10, the scan's directions 6, the probe's heat-flux
+elimination 7, the conservative forces 14, the components the forces
+pair with 9 and the conservative scan 6.  Every probe inverse scatters
+in-band coefficients into a zero spectrum first (_band_inverse).  The
 probe's 9 forward transforms are of its draw grid's noise (8^3 at kmax
 1 and 2), the other 76 of n-grid fields.  The probe's 9 inverses, the
 18 rebuilt components and phi_t and grad(phi_t) are kmax band inverses,
@@ -125,6 +122,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -142,6 +140,20 @@ from .grid import GridSpec, ScalarField, divergence_arrays, grad_arrays, integra
 from .poisson import greens_apply, solve_array
 
 DEFAULT_EPS_SCAN = (1e-3, 1e-4, 1e-5)
+
+
+def _band_inverse(grid: GridSpec, kmax: int, coefs, out=None, spec=None) -> np.ndarray:
+    """The fields whose spectrum is coefs on the modes of band_mask(kmax),
+    in its order along the last axis of coefs, and zero elsewhere: coefs
+    scattered into a zero spectrum, then one band inverse transform
+    (GridSpec.ifft with band=kmax) into out.  spec is a spectral scratch
+    of that shape, which the call overwrites; None makes a new one."""
+    if spec is None:
+        spec = np.zeros(coefs.shape[:-1] + grid.spectral_shape, dtype=complex)
+    else:
+        spec.fill(0.0)
+    spec[..., grid.band_mask(kmax)] = coefs
+    return grid.ifft(spec, out=out, band=kmax)
 
 
 @dataclass(frozen=True)
@@ -171,22 +183,22 @@ class FlowMapProbe:
         which is how random_probe drew it.  out is the grid it is written
         into, and spec a spectral scratch that the call overwrites; None
         makes a new one."""
-        g = self.grid
-        if spec is None:
-            spec = np.zeros(g.spectral_shape, dtype=complex)
-        else:
-            spec.fill(0.0)
-        spec[g.band_mask(self.kmax)] = self.coefs[k][i]
-        vals = g.ifft(spec, out=out, band=self.kmax)
+        vals = _band_inverse(self.grid, self.kmax, self.coefs[k][i], out, spec)
         vals *= self.scales[k][i]
         return vals
+
+    @cached_property
+    def grad_mult(self) -> list[np.ndarray]:
+        """The rows of grid.grad_mult on the modes of band_mask(kmax), in
+        its order."""
+        g = self.grid
+        mask = g.band_mask(self.kmax)
+        return [np.broadcast_to(m, g.spectral_shape)[mask] for m in g.grad_mult]
 
     def divergences(self) -> list[np.ndarray]:
         """The in-band coefficients of div(dJ_p), div(dJ_n) and div(dJ_e),
         in the order of band_mask(kmax), from the scaled coefficients."""
-        g = self.grid
-        mask = g.band_mask(self.kmax)
-        mult = [np.broadcast_to(m, g.spectral_shape)[mask] for m in g.grad_mult]
+        mult = self.grad_mult
         divs = []
         for coef, scales in zip(self.coefs, self.scales):
             scaled = [c * scale for c, scale in zip(coef, scales)]
@@ -215,14 +227,11 @@ def random_probe(grid: GridSpec, seed: int, kmax: int = 2, amplitude: float = 0.
     gen = np.random.Generator(np.random.Philox(key=seed))
     m = max(8, 1 << (2 * kmax).bit_length())
     draw = grid if m >= grid.n else GridSpec(grid.dim, m, grid.length)
-    drawn, mask = draw.band_mask(kmax), grid.band_mask(kmax)
+    drawn = draw.band_mask(kmax)
 
     def vec():
         coefs = draw.fft(gen.standard_normal((grid.dim,) + draw.shape), band=kmax)[:, drawn]
-        spec = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
-        spec[:, mask] = coefs
-        comps = grid.ifft(spec, band=kmax)
-        del spec
+        comps = _band_inverse(grid, kmax, coefs)
         peaks = np.abs(comps, out=comps).reshape(grid.dim, -1).max(axis=1)
         return coefs, tuple(float(amplitude / peak) if peak > 0 else 1.0 for peak in peaks)
 
@@ -304,20 +313,16 @@ def _probe_heat_flux(s: State, params: PhysParams, probe: FlowMapProbe, dJ_p, dJ
     rebuilt into gphi's once the exchange flux has read it.  One spectrum
     serves every transform, and between them its memory is the products'
     scratch."""
-    g = s.grid
+    g, kmax = s.grid, probe.kmax
     th, phi = s.theta.values, s.phi.values
-    mask = g.band_mask(probe.kmax)
     hat_p, hat_n, _ = probe.divergences()
-    phi_t_hat = -g.inv_k2[mask] * (hat_p - hat_n)
-    spec = np.zeros(g.spectral_shape, dtype=complex)
+    phi_t_hat = -g.inv_k2[g.band_mask(kmax)] * (hat_p - hat_n)
+    spec = np.empty(g.spectral_shape, dtype=complex)
     tmp = spec.view(float).reshape(-1)[: th.size].reshape(g.shape)
-    spec[mask] = phi_t_hat
-    phi_t = g.ifft(spec, band=probe.kmax)
+    phi_t = _band_inverse(g, kmax, phi_t_hat, spec=spec)
     exchange = np.empty(g.shape)
-    for i, m in enumerate(g.grad_mult):
-        spec.fill(0.0)
-        spec[mask] = np.broadcast_to(m, g.spectral_shape)[mask] * phi_t_hat
-        g.ifft(spec, out=exchange, band=probe.kmax)  # d_i phi_t
+    for i, m in enumerate(probe.grad_mult):
+        _band_inverse(g, kmax, m * phi_t_hat, out=exchange, spec=spec)  # d_i phi_t
         exchange *= phi
         q1 = np.multiply(phi_t, gphi[i], out=gphi[i])
         np.subtract(q1, exchange, out=exchange)
@@ -479,12 +484,10 @@ def _conservative_scan(s: State, params: PhysParams, probe: FlowMapProbe) -> lis
     p0, n0 = s.p.values, s.n.values
     e0 = energy_density(s, params).values
     phi0 = greens_apply(g, p0 - n0)
-    mask = g.band_mask(probe.kmax)
     hat_p, hat_n, hat_e = probe.divergences()
-    spec = np.zeros((4,) + g.spectral_shape, dtype=complex)
-    spec[:, mask] = hat_p, hat_n, hat_e, g.inv_k2[mask] * (hat_p - hat_n)
-    div_p, div_n, div_e, g_div = g.ifft(spec, band=probe.kmax)
-    del spec
+    inv_k2 = g.inv_k2[g.band_mask(probe.kmax)]
+    div_p, div_n, div_e, g_div = _band_inverse(
+        g, probe.kmax, np.stack([hat_p, hat_n, hat_e, inv_k2 * (hat_p - hat_n)]))
 
     def eta_at(eps: float) -> np.ndarray:
         p = p0 - eps * div_p

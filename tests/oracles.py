@@ -52,7 +52,8 @@ import numpy as np
 
 from pnpf import varcheck
 from pnpf.dynamics import (
-    _linear_block, _rhs_perturbation_arrays, _rhs_perturbation_core, _rhs_primitive_core,
+    PerturbationState, _linear_block, _rhs_perturbation_core, _rhs_primitive_core,
+    rhs_perturbation,
 )
 from pnpf.fields import (
     PhysParams, State, _darcy_pass, _deviation, _ion_coefficients, _ion_row,
@@ -571,14 +572,16 @@ def primitive_rk4_step(grid: GridSpec, ys, params, dt, dealias=True) -> np.ndarr
     spectrum, with full transforms: y_hat, the forward transform of ys
     (times dealias_mask when dealias, ys then being its inverse
     transform); k1 ... k4 of dynamics._rhs_primitive_core on y_hat with ys
-    and on each stage spectrum with its inverse transform; y_hat + dt/6
-    (k1 + 2 k2 + 2 k3 + k4).  Returns (n, p, theta, phi) of the new
-    spectrum, phi_hat = -(n_hat - p_hat)/|k|^2, in one array."""
+    and on each stage spectrum with its inverse transform, each times
+    dealias_mask when dealias; y_hat + dt/6 (k1 + 2 k2 + 2 k3 + k4).
+    Returns (n, p, theta, phi) of the new spectrum, phi_hat = -(n_hat -
+    p_hat)/|k|^2, in one array."""
     y = grid.fft(np.stack(ys))
+    mask = grid.dealias_mask if dealias else 1.0
     if dealias:
-        y = grid.dealias_mask * y
+        y = mask * y
         ys = grid.ifft(y.copy())
-    f = lambda z, fields: _rhs_primitive_core(grid, z, *fields, params, dealias)
+    f = lambda z, fields: mask * _rhs_primitive_core(grid, z, *fields, params)
     stage = lambda k, h: (lambda z: f(z, grid.ifft(z.copy())))(y + h * k)
     k1 = f(y, ys)
     k2 = stage(k1, 0.5 * dt)
@@ -590,10 +593,14 @@ def primitive_rk4_step(grid: GridSpec, ys, params, dt, dealias=True) -> np.ndarr
 
 def perturbation_rk4_step(grid: GridSpec, ys, params, dt, dealias=True) -> list:
     """One RK4 step of the perturbation form composed in real space, the
-    textbook way: k1 ... k4 of dynamics._rhs_perturbation_arrays (each a
-    forward transform of its stage, the RHS and an inverse transform) and
-    y + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
-    f = lambda ys: _rhs_perturbation_arrays(grid, *ys, params, dealias)
+    textbook way: k1 ... k4 of dynamics.rhs_perturbation (each a forward
+    transform of its stage, the RHS and an inverse transform) and y + dt/6
+    (k1 + 2 k2 + 2 k3 + k4)."""
+
+    def f(ys):
+        ps = PerturbationState.from_fields(*(ScalarField(grid, a) for a in ys))
+        return [r.values for r in rhs_perturbation(ps, params, dealias)]
+
     k1 = f(ys)
     k2 = f([a + 0.5 * dt * k for a, k in zip(ys, k1)])
     k3 = f([a + 0.5 * dt * k for a, k in zip(ys, k2)])
@@ -607,11 +614,12 @@ def perturbation_rk4_step(grid: GridSpec, ys, params, dt, dealias=True) -> list:
 def perturbation_imex1_step(grid: GridSpec, ys, params, dt, dealias=True) -> list:
     """One IMEX1 step of the perturbation form composed in real space: the
     forward transform of ys, the explicit rates f of
-    dynamics._rhs_perturbation_core, the system (I + dt |k|^2 M) y_new =
-    y + dt (f + |k|^2 M y), M = _linear_block(params, False), solved mode
-    by mode with numpy.linalg.solve, the mask, and the inverse transform."""
+    dynamics._rhs_perturbation_core with full transforms, the system (I +
+    dt |k|^2 M) y_new = y + dt (f + |k|^2 M y), M = _linear_block(params,
+    False), solved mode by mode with numpy.linalg.solve, the mask when
+    dealias, and the inverse transform."""
     spec_y = grid.fft(np.stack(ys))
-    f = _rhs_perturbation_core(grid, spec_y, params, dealias, values=ys)
+    f = _rhs_perturbation_core(grid, spec_y, params, values=ys)
     m = _linear_block(params, False)
     k2 = grid.k2.reshape(-1, 1)
     y = spec_y.reshape(3, -1).T

@@ -15,9 +15,7 @@ from pnpf.dynamics import (
     PerturbationState,
     _imex1,
     _linear_block,
-    _rhs_perturbation_arrays,
     _rhs_perturbation_core,
-    _rhs_primitive_arrays,
     _rhs_primitive_core,
     StepAbort,
     StepperConfig,
@@ -125,24 +123,23 @@ class TestRhsPrimitive:
         dim=st.integers(1, 3),
         n=st.sampled_from([8, 16, 32]),
         seed=st.integers(0, 10_000),
-        dealias=st.sampled_from(["off", "on", "band"]),
+        band=st.booleans(),
         caps=CAPS,
         mobs=MOBS,
     )
     @settings(max_examples=30, deadline=None)
-    def test_core_mass_modes_are_exactly_zero(self, dim, n, seed, dealias, caps, mobs):
+    def test_core_mass_modes_are_exactly_zero(self, dim, n, seed, band, caps, mobs):
         # the continuity rates are spectral divergences, whose k = 0
         # multiplier is 0: ion masses are conserved exactly, not to rounding,
         # also with band transforms of a carried (band-projected) spectrum
         grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
         s = perturbed_state(grid, seed=seed, amplitude=5e-2)
         params = PhysParams(c_p=caps[0], c_n=caps[1], D_p=mobs[0], D_n=mobs[1], k=0.9)
-        band = dealias == "band"
         if band:
             s = carried(s, StepperConfig())
         ys = [s.n.values, s.p.values, s.theta.values]
         spec = s.spec if band else grid.fft(np.stack(ys))
-        out = _rhs_primitive_core(grid, spec, *ys, params, dealias != "off", band=band)
+        out = _rhs_primitive_core(grid, spec, *ys, params, band=band)
         origin = (0,) * dim
         assert out[0][origin] == 0.0 and out[1][origin] == 0.0
 
@@ -155,29 +152,33 @@ class TestRhsPrimitive:
         grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
         s = perturbed_state(grid, seed=seed, amplitude=amplitude)
         ys = [s.n.values, s.p.values, s.theta.values]
-        got = _rhs_primitive_arrays(grid, *ys, params, dealias)
+        got = [f.values for f in rhs_primitive(s, params, dealias)]
         want = oracles.nine_sum_rhs(grid, *ys, params, dealias)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert np.abs(got[2] - want[2]).max() <= 1e-13 * np.abs(want[2]).max()
 
-    @given(dealias=st.booleans(), params=PARAM_SETS, **STATES)
+    @given(band=st.booleans(), params=PARAM_SETS, **STATES)
     @settings(max_examples=30, deadline=None)
-    def test_core_matches_the_batched_oracle(self, dim, n, seed, amplitude, dealias, params):
+    def test_core_matches_the_batched_oracle(self, dim, n, seed, amplitude, band, params):
         # the core transforms at most two fields per call after its input
         # spectrum; pocketfft computes each field the same way in any
         # batch and the divergence sums keep their order, so the output
-        # spectrum and the audit sample have the batched kernel's bits
+        # spectrum and the audit sample have the batched kernel's bits,
+        # also with band transforms of a carried (band-projected) spectrum
+        # against the oracle's full transforms and mask
         grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
         s = perturbed_state(grid, seed=seed, amplitude=amplitude)
+        if band:
+            s = carried(s, StepperConfig())
         ys = [s.n.values, s.p.values, s.theta.values]
-        spec = grid.fft(np.stack(ys))
+        spec = s.spec if band else grid.fft(np.stack(ys))
         assert np.array_equal(
-            _rhs_primitive_core(grid, spec, *ys, params, dealias),
-            oracles.batched_rhs_core(grid, spec, *ys, params, dealias),
+            _rhs_primitive_core(grid, spec, *ys, params, band=band),
+            oracles.batched_rhs_core(grid, spec, *ys, params, band),
         )
         got_sink, want_sink = fields.AuditSink(s, params), fields.AuditSink(s, params)
-        got = _rhs_primitive_core(grid, spec, *ys, params, dealias, got_sink)
-        want = oracles.batched_rhs_core(grid, spec, *ys, params, dealias, want_sink)
+        got = _rhs_primitive_core(grid, spec, *ys, params, got_sink, band=band)
+        want = oracles.batched_rhs_core(grid, spec, *ys, params, band, want_sink)
         assert np.array_equal(got, want)
         assert np.array_equal(got_sink.audit.production.values, want_sink.audit.production.values)
         assert got_sink.audit.residual == want_sink.audit.residual
@@ -494,15 +495,7 @@ class TestStreamedKernels:
     # for IMEX1 (test_run_step_peak_memory).  While each flux's forward
     # transform made a new spectrum, and the step ran on real arrays and
     # closed with a Poisson solve, they were 17.0, 23.0 (no projection),
-    # 17.9 and 12.8.  Earlier forms: 24.0 for the one-off step while the
-    # last row of each stage's derivative kept that derivative alive
-    # through the next stage; one 4-field inverse transform per axis
-    # instead of two 2-field ones at 19.1 and 26.1 (RHS and one-off step),
-    # the fluxes and dtheta kept for one (2*dim+1)-row forward transform
-    # instead of one 2-field transform per axis at 19.9 and 26.9, the nine
-    # running sums of the unfolded heat rate at 28.2 and 37.2, and a kernel
-    # holding every axis's gradients and the Laplacians in one inverse
-    # transform, with a stage array per RK4 derivative, at 51.8 and 69.9
+    # 17.9 and 12.8
     def test_rhs_peak_memory(self):
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
@@ -730,9 +723,9 @@ class TestClosingCheck:
 
 
 class TestSpectralCore:
-    """The RHS cores take and return spectra; the array RHS is the forward
-    transform, the core and the inverse transform, and IMEX1 calls the
-    core on the spectrum it already holds."""
+    """The RHS cores take and return spectra; the public RHS is the forward
+    transform, the core, the mask and the inverse transform, and IMEX1
+    calls the core on the spectrum it already holds."""
 
     PARAMS = PhysParams(c_p=1.3, c_n=1.7, D_p=0.8, D_n=1.2, k=0.9)
 
@@ -744,23 +737,25 @@ class TestSpectralCore:
         ys = [s.n.values, s.p.values, s.theta.values]
         spec = grid.fft(np.stack(ys))
         kept = spec.copy()
-        out = grid.ifft(_rhs_primitive_core(grid, spec, *ys, self.PARAMS, dealias))
+        # with full transforms the core leaves the mask to its caller
+        mask = grid.dealias_mask if dealias else 1.0
+        out = grid.ifft(mask * _rhs_primitive_core(grid, spec, *ys, self.PARAMS))
         assert np.array_equal(spec, kept)
-        for a, b in zip(out, _rhs_primitive_arrays(grid, *ys, self.PARAMS, dealias)):
-            assert np.array_equal(a, b)
+        for a, b in zip(out, rhs_primitive(s, self.PARAMS, dealias)):
+            assert np.array_equal(a, b.values)
 
         ps = convert(s)
         ys = [ps.u_tilde.values, ps.v.values, ps.theta_tilde.values]
         spec = grid.fft(np.stack(ys))
         kept = spec.copy()
-        got = _rhs_perturbation_core(grid, spec, PhysParams(), dealias, values=ys)
+        got = mask * _rhs_perturbation_core(grid, spec, PhysParams(), values=ys)
         assert np.array_equal(spec, kept)
         # given no fields, the core takes them from the spectrum's inverse
         # transform, as a stage does, and still keeps the spectrum
-        staged = _rhs_perturbation_core(grid, spec, PhysParams(), dealias)
+        staged = mask * _rhs_perturbation_core(grid, spec, PhysParams())
         assert np.array_equal(spec, kept)
         assert np.abs(staged - got).max() <= 1e-12 * np.abs(got).max()
-        want = _rhs_perturbation_arrays(grid, *ys, PhysParams(), dealias)
+        want = [f.values for f in rhs_perturbation(ps, PhysParams(), dealias)]
         if dealias:
             assert all(np.array_equal(a, b) for a, b in zip(grid.ifft(got), want))
         else:
@@ -799,7 +794,7 @@ class TestSpectralCore:
         assert sum(counted) == fields_ and len(counted) == calls
         assert bands == [dealias] * calls
 
-    # real-field transforms at dim 3: the array RHS is the forward transform
+    # real-field transforms at dim 3: the public RHS is the forward transform
     # 3, two 2-field Darcy inverses per axis 12, one 2-field forward
     # transform of (j_p,i, j_n,i) per axis 6, the Laplacians 2 + 1, the
     # forward transform of dtheta 1 and the inverse 3, one field per call;
@@ -809,8 +804,7 @@ class TestSpectralCore:
     # the residual's 3 + 3*dim to the step; flux_audit makes the Darcy pass
     # itself, 3 + 4*dim, plus that residual
     COSTS = {
-        "rhs_arrays": lambda s, p: _rhs_primitive_arrays(
-            s.grid, s.n.values, s.p.values, s.theta.values, p),
+        "rhs_arrays": rhs_primitive,
         "rk4_step": lambda s, p: step(s, StepperConfig(scheme="RK4", dt=1e-3), p),
         "audited_rk4_step": lambda s, p: step(
             s, StepperConfig(scheme="RK4", dt=1e-3), p, fields.AuditSink(s, p)),
@@ -855,12 +849,11 @@ class TestImex1Update:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        dim=st.integers(1, 3), seed=st.integers(0, 10_000), dealias=st.booleans(),
+        dim=st.integers(1, 3), seed=st.integers(0, 10_000),
         dt=st.sampled_from([1e-4, 1e-2, 1.0]), primitive=st.booleans(),
         prim_params=PARAM_SETS, c=st.floats(1.1, 5.0),
     )
-    def test_update_solves_the_linear_block(self, dim, seed, dealias, dt, primitive,
-                                            prim_params, c):
+    def test_update_solves_the_linear_block(self, dim, seed, dt, primitive, prim_params, c):
         params = prim_params if primitive else PhysParams(c_p=c, c_n=c)
         m = _linear_block(params, primitive)
         # the elimination, stability_bound and ETDRK4 rely on these
@@ -873,9 +866,8 @@ class TestImex1Update:
         gen = np.random.Generator(np.random.Philox(key=seed))
         ys = list(1.0 + 0.1 * gen.standard_normal((3,) + grid.shape))
         f = grid.fft(gen.standard_normal((3,) + grid.shape))
-        stub_core = lambda spec_y: f.copy()  # the explicit rates, fixed
-        cfg = StepperConfig(scheme="IMEX1", dt=dt, dealias=dealias)
-        got = _imex1(grid, grid.fft(np.stack(ys)), stub_core, cfg, m)
+        stub_rhs = lambda spec_y, values: f.copy()  # the explicit rates, fixed
+        got = _imex1(grid, grid.fft(np.stack(ys)), stub_rhs, dt, m, None)
 
         # the same system solved mode by mode, modes along the first axis
         k2 = grid.k2.reshape(-1, 1)
@@ -883,8 +875,6 @@ class TestImex1Update:
         b = y + dt * (f.reshape(3, -1).T + k2 * (y @ m.T))
         lhs = np.eye(3) + (dt * k2)[:, :, None] * m
         want = np.linalg.solve(lhs, b[:, :, None])[:, :, 0]
-        if dealias:
-            want *= grid.dealias_mask.reshape(-1, 1)
         want = want.T.reshape(got.shape)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 

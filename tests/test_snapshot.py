@@ -114,6 +114,8 @@ sidecar_edits = (
     st.tuples(st.just("replace"), st.none(), json_values)
     | st.tuples(st.just("set"), st.sampled_from(SIDECAR_KEYS), json_values)
     | st.tuples(st.just("drop"), st.sampled_from(SIDECAR_KEYS), st.none())
+    # the sidecar's raw text, JSON or not
+    | st.tuples(st.just("text"), st.none(), st.text(alphabet='[]{}",:0a ', max_size=12))
 )
 
 
@@ -140,9 +142,9 @@ def read_mutated(header_edit=None, sidecar_edit=None):
                 doc = value
             elif kind == "set":
                 doc[key] = value
-            else:
+            elif kind == "drop":
                 del doc[key]
-            side.write_text(json.dumps(doc))
+            side.write_text(value if kind == "text" else json.dumps(doc))
         try:
             read_snapshot(path)
         except ValueError:
@@ -162,6 +164,8 @@ def test_fuzzed_header_raises_only_value_error(edit):
 @example(edit=("drop", "fields", None))
 @example(edit=("set", "fields", 3))
 @example(edit=("set", "fields", [["a"]]))
+# nested too deeply for the JSON decoder, which raises RecursionError
+@example(edit=("text", None, "[" * 100_000))
 @settings(max_examples=80, deadline=None)
 def test_fuzzed_sidecar_raises_only_value_error(edit):
     read_mutated(sidecar_edit=edit)

@@ -4,6 +4,7 @@ with the reason it stays.  A definition that only tests call belongs in
 tests/oracles.py, next to the code it checks."""
 
 import ast
+import re
 from pathlib import Path
 
 import pnpf
@@ -12,12 +13,8 @@ PACKAGE = Path(pnpf.__file__).parent
 
 # module.name -> why it stays although no command reaches it
 KEPT = {
-    "dynamics.rhs_primitive": "perfbench/ calls it (checks.py, child.py, workloads.py)",
-    "dynamics._rhs_primitive_arrays":
-        "perfbench/ traces it as the primitive RHS kernel (tracing.KERNEL_ALIASES)",
+    "dynamics.rhs_primitive": "perfbench/ calls it (checks.py, child.py)",
     "dynamics.rhs_perturbation": "perfbench/ calls it (checks.py, child.py)",
-    "dynamics._rhs_perturbation_arrays":
-        "perfbench/ traces it as the perturbation RHS kernel (tracing.KERNEL_ALIASES)",
     "dynamics.convert_back":
         "perfbench/workloads.py gives the decay workload's state in primitive form with it",
     "dynamics.stability_bound": "perfbench/workloads.py reports dt over the bound",
@@ -28,6 +25,7 @@ KEPT = {
 }
 
 ROOT = ("cli", "main")
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 class _Module:
@@ -115,6 +113,23 @@ def test_kept_names_exist_and_stay_unreached():
         mod, name = key.split(".")
         assert name in mods[mod].defs, key
     assert set(KEPT) <= unreached(mods)
+
+
+def test_kept_reasons_cite_files_that_name_the_definition():
+    # a reason that cites a perfbench/ file stays true only while that
+    # file's source names the kept definition
+    cited = 0
+    for key, reason in KEPT.items():
+        if "perfbench/" not in reason:
+            continue
+        name = key.split(".")[1]
+        files = re.findall(r"\b(\w+\.py)\b", reason)
+        assert files, key
+        for file in files:
+            source = (PERFBENCH / file).read_text()
+            assert re.search(rf"\b{name}\b", source), (key, file)
+            cited += 1
+    assert cited
 
 
 def test_walk_follows_imports_and_module_attributes():
