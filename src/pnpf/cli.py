@@ -8,7 +8,9 @@ repeated --set dotted.key=json-value flags.  A file and a --set merge
 the same way: an object given for a section (`--set 'grid={"dim": 2}'`)
 merges into it key by key, so the section's other keys keep their
 values, and an unknown key anywhere is a configuration error.  The
-default output root is $PNPF_OUT, else the current directory.
+default output root is $PNPF_OUT, else the current directory.  run and
+decay step to stepper.t_end exactly: t_end/dt must be a whole number of
+steps, at least 1, to within 1e-9 relative.
 
 Exit codes: 0 success, 1 a failed varcheck verdict, 2 configuration/
 validation error (a config value of the wrong type included), 3 runtime
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -192,6 +195,19 @@ def _build_objects(config: dict):
     return grid, params, cfg
 
 
+def _check_end_time(cfg: StepperConfig) -> None:
+    """ConfigError naming stepper.t_end unless t_end/dt is a whole number
+    of steps, at least 1, to within 1e-9 relative: a run ends at t_end,
+    not at the nearest multiple of dt."""
+    ratio = cfg.t_end / cfg.dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
+        raise ConfigError(
+            f"config key 'stepper.t_end' is {cfg.t_end!r}, expected a whole number "
+            f"(>= 1) of steps of stepper.dt = {cfg.dt!r}; t_end/dt = {ratio!r}"
+        )
+
+
 def _outputs_dir(config: dict) -> Path:
     path = Path(config.get("outputs") or os.environ.get("PNPF_OUT") or ".")
     try:
@@ -241,6 +257,7 @@ def build_initial_state(config: dict, grid: GridSpec) -> State:
 
 def cmd_run(config: dict) -> int:
     grid, params, cfg = _build_objects(config)
+    _check_end_time(cfg)
     outdir = _outputs_dir(config)
     audit_every = int(config["audit_every"])
     state = build_initial_state(config, grid)
@@ -298,6 +315,7 @@ def cmd_varcheck(config: dict) -> int:
 
 def cmd_decay(config: dict) -> int:
     grid, params, cfg = _build_objects(config)
+    _check_end_time(cfg)
     outdir = _outputs_dir(config)
     dc = config["decay"]
     exp = decay_mod.DecayExperiment(

@@ -8,7 +8,11 @@ The monitored quantity is the H^2-level Lyapunov functional
 
 which decays monotonically for initial data small enough; the charge
 imbalance v and grad(phi) decay strictly faster than u_tilde thanks to
-the order-one screening term in the v equation.  The harness builds
+the order-one screening term in the v equation.  Lambda has one
+evaluation, from the spectra of (u_tilde, v, theta_tilde) with phi_hat =
+-v_hat/|k|^2 (_sums): a decay sample reads them from the spectrum its
+stepper carries, and an audit sample (thermo_audit) converts them from
+that of (n, p, theta), so neither transforms phi.  The harness builds
 neutral positive initial data scaled to a requested smallness size,
 integrates, samples the component norms, and fits exponential rates on
 the final half of the run.  A norm's fit ends at its last sample above
@@ -20,7 +24,6 @@ pull the fitted rate down.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +32,7 @@ import numpy as np
 from .dynamics import PerturbationState, StepAbort, StepperConfig, integrate
 from .fields import PhysParams
 from .grid import GridSpec, ScalarField
+from .snapshot import write_json as write_summary_json
 
 MONOTONE_TOL = 1e-10
 # a norm's fit ends where the norm meets the rounding floor
@@ -90,20 +94,13 @@ def _h2_sq(grid: GridSpec, spec) -> float:
     return grid.spectral_l2_sum(spec, grid.h2_norm_weight)
 
 
-def spectra(ps: PerturbationState) -> np.ndarray:
-    """Batched forward transform of (u_tilde, v, theta_tilde, phi)."""
-    return ps.grid.fft(
-        np.stack([ps.u_tilde.values, ps.v.values, ps.theta_tilde.values, ps.phi.values])
-    )
-
-
 def _sums(grid: GridSpec, spec) -> tuple:
-    """The four sums Lambda adds, of spec = (u_tilde, v, theta_tilde, phi)
-    spectra: ||u_tilde||_H2^2, ||v||_H2^2, ||theta_tilde||_H2^2 and
-    ||grad phi||_L2^2."""
-    su, sv, st, sphi = spec
+    """The four sums Lambda adds, of the spectra spec of (u_tilde, v,
+    theta_tilde): ||u_tilde||_H2^2, ||v||_H2^2, ||theta_tilde||_H2^2 and
+    ||grad phi||_L2^2, with phi_hat = -v_hat/|k|^2."""
+    su, sv, st = spec
     return _h2_sq(grid, su), _h2_sq(grid, sv), _h2_sq(grid, st), grid.spectral_l2_sum(
-        sphi, grid.h1_weight)
+        -grid.inv_k2 * sv, grid.h1_weight)
 
 
 def _lyapunov(sums, params: PhysParams) -> float:
@@ -114,14 +111,9 @@ def _lyapunov(sums, params: PhysParams) -> float:
     return float(out)
 
 
-def lyapunov(ps: PerturbationState, params: PhysParams) -> float:
-    """Lambda(ps); spectral H^2 norms, 2c weight on the temperature part,
-    of spectra(ps)."""
-    return spectral_lyapunov(ps.grid, spectra(ps), params)
-
-
-def spectral_lyapunov(grid: GridSpec, spec, params: PhysParams) -> float:
-    """Lambda of the spectra spec of (u_tilde, v, theta_tilde, phi)."""
+def lyapunov(grid: GridSpec, spec, params: PhysParams) -> float:
+    """Lambda of the spectra spec of (u_tilde, v, theta_tilde): spectral
+    H^2 norms, 2c weight on the temperature part."""
     return _lyapunov(_sums(grid, spec), params)
 
 
@@ -203,17 +195,17 @@ def run(exp: DecayExperiment, grid: GridSpec, params: PhysParams) -> DecaySeries
     component norms every sample_every steps.  A stepper abort truncates
     the series and flags it instead of raising.
 
-    A sample reads the spectrum the stepper carries (PerturbationState.spec)
-    and takes phi_hat = -v_hat/|k|^2 from it, so it transforms nothing; each
-    spectral sum is computed once, the H^2 norms and ||grad phi|| being the
-    sums Lambda adds."""
+    A sample reads the spectrum the stepper carries (PerturbationState.spec),
+    from which _sums takes phi_hat = -v_hat/|k|^2, so it transforms
+    nothing; each spectral sum is computed once, the H^2 norms and
+    ||grad phi|| being the sums Lambda adds."""
     ps = initial_condition(exp, grid, params)
     rows = []
     completed, reason = True, None
 
     def sample(t, state):
-        su, sv, st = state.spec
-        sums = _sums(grid, (su, sv, st, -grid.inv_k2 * sv))
+        su, sv, _ = state.spec
+        sums = _sums(grid, state.spec)
         rows.append(
             (  # in SERIES_COLUMNS order
                 t,
@@ -292,9 +284,3 @@ def _verdict(judged: bool, ok: bool) -> str:
     if not judged:
         return "inconclusive"
     return "pass" if ok else "flagged"
-
-
-def write_summary_json(data: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

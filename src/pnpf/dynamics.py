@@ -56,7 +56,13 @@ the perturbation stack's last three rows, and inverse-transforms each
 stage once: the primitive RHS copies the stage into the slots' spectra
 and transforms it into the stage's fields, the perturbation RHS
 transforms it in its stack's batch; either checks the fields against the
-floor there.  k1 of RK4 and the IMEX1 core take the state's own fields;
+floor there (_check_stage).  Both forms check n, p and theta: the
+perturbation form the extremes of the n = 1 + (u_tilde + v)/2, p = 1 +
+(u_tilde - v)/2 and theta = 1 + theta_tilde of convert_back, from
+u_tilde + v and u_tilde - v written into spectral memory that the
+inverse transform has consumed, so a v that takes n or p below the
+floor aborts as it does in the primitive form.  k1 of RK4
+and the IMEX1 core take the state's own fields;
 step hands either scheme one RHS of one signature for both forms,
 rhs(y, values) (_step_rhs).
 One IMEX1 update (_imex1) serves both forms: it calls the form's core on
@@ -70,7 +76,8 @@ A step closes (_close) with one inverse transform of (y_hat, phi_hat),
 phi_hat = -v_hat/|k|^2 with v_hat = n_hat - p_hat or the v row, which
 gives the new state with its potential: no step solves Poisson.  The
 closing check is the new state's one scan (_check_state): finiteness and
-the floor of the stepped fields, then neutrality, read off the k = 0
+the floor of the n, p and theta of the stepped fields, in the memory of
+the consumed closing spectra, then neutrality, read off the k = 0
 entry of v_hat, each a StepAbort; the State or PerturbationState is then
 built without its constructor's scans.  decay.run samples the carried
 spectrum without a transform, and an audit sample of a carried State
@@ -145,7 +152,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import poisson
-from .fields import POSITIVITY_FLOOR, PhysParams, State, darcy_axes, new_slots
+from .fields import (
+    POSITIVITY_FLOOR, PhysParams, State, _check_positive, darcy_axes, new_slots,
+)
 from .grid import GridSpec, ScalarField
 
 _RK4_REAL_AXIS = 2.785  # |lambda| dt limit on the negative real axis
@@ -162,7 +171,9 @@ class PerturbationState:
     theta_tilde = theta - 1, with phi the zero-mean solution of
     Delta(phi) = v.
 
-    Invariants: mean(v) = 0; 2 + u_tilde and 1 + theta_tilde positive.
+    Invariants: mean(v) = 0; the primitive fields convert_back gives,
+    n = 1 + (u_tilde + v)/2, p = 1 + (u_tilde - v)/2 and theta = 1 +
+    theta_tilde, above the positivity floor.
 
     spec is the spectrum of (u_tilde, v, theta_tilde), three rows, that
     the stepper carries from step to step, the fields being its inverse
@@ -178,10 +189,9 @@ class PerturbationState:
     def __post_init__(self) -> None:
         if abs(float(self.v.values.mean())) > poisson.NEUTRALITY_TOL:
             raise poisson.NonNeutralSource("mean(v) must vanish")
-        if float(self.u_tilde.values.min()) <= -2.0:
-            raise ValueError("2 + u_tilde must stay positive")
-        if float(self.theta_tilde.values.min()) <= -1.0:
-            raise ValueError("1 + theta_tilde must stay positive")
+        ys = (self.u_tilde.values, self.v.values, self.theta_tilde.values)
+        for name, values in zip(_NAMES, _primitive_values(ys, np.empty((3,) + self.grid.shape))):
+            _check_positive(name, values)
 
     @property
     def grid(self) -> GridSpec:
@@ -231,16 +241,27 @@ def convert(s: State) -> PerturbationState:
     )
 
 
+def _primitive_values(ys, out):
+    """The primitive fields of the perturbation rows ys = (u_tilde, v,
+    theta_tilde), n = 1 + (u_tilde + v)/2, p = 1 + (u_tilde - v)/2 and
+    theta = 1 + theta_tilde, written into out, three real grids: what
+    convert_back returns, and what the constructor's positivity check
+    tests (_check_stage reads the same extremes without them)."""
+    ut, v, tt = ys
+    for row, combine in zip(out, (np.add, np.subtract)):
+        combine(ut, v, out=row)
+        row *= 0.5
+        row += 1.0
+    np.add(tt, 1.0, out=out[2])
+    return out
+
+
 def convert_back(ps: PerturbationState) -> State:
     """Exact inverse of convert."""
     g = ps.grid
-    ut, v = ps.u_tilde.values, ps.v.values
-    return State(
-        ScalarField(g, 1.0 + 0.5 * (ut + v)),
-        ScalarField(g, 1.0 + 0.5 * (ut - v)),
-        ScalarField(g, 1.0 + ps.theta_tilde.values),
-        ps.phi,
-    )
+    ys = (ps.u_tilde.values, ps.v.values, ps.theta_tilde.values)
+    n, p, th = _primitive_values(ys, np.empty((3,) + g.shape))
+    return State(ScalarField(g, n), ScalarField(g, p), ScalarField(g, th), ps.phi)
 
 
 # -- raw-array right-hand sides ----------------------------------------------
@@ -671,38 +692,46 @@ def stability_bound(
 # -- steppers -----------------------------------------------------------------
 
 
-def _check_stage(names, arrays, floor, shifts):
-    """StepAbort unless every row of arrays is finite and min(row) + shift
-    is at least the floor, row by row in order; a shift of math.inf checks
-    finiteness only.  One min and one max reduction over all the rows: a
-    row is finite when both its extremes are."""
-    flat = arrays.reshape(len(arrays), -1)
+_NAMES = ("n", "p", "theta")
+
+
+def _check_stage(ys, floor, form, scratch):
+    """StepAbort unless the (n, p, theta) of the stepped fields ys are
+    finite and at least the floor, row by row in order.  One min and one
+    max reduction over all the rows: a row is finite when both its
+    extremes are.  The perturbation form reduces u_tilde + v, u_tilde - v
+    and theta_tilde, written into the memory of scratch, contiguous
+    spectral rows that the caller has done with, and maps each extreme x
+    to convert_back's 1 + x/2, 1 + x/2 and 1 + x (_primitive_values):
+    rounding is monotone, so these are the extremes of convert_back's n,
+    p and theta, bit for bit."""
+    if form is _PERTURBATION:
+        ut, v, tt = ys
+        ys = scratch.reshape(-1).view(float)[: ys.size].reshape(ys.shape)
+        np.add(ut, v, out=ys[0])
+        np.subtract(ut, v, out=ys[1])
+        np.copyto(ys[2], tt)
+    flat = ys.reshape(len(ys), -1)
     lows, highs = flat.min(axis=1).tolist(), flat.max(axis=1).tolist()
-    for name, low, high, shift in zip(names, lows, highs, shifts):
+    if form is _PERTURBATION:
+        lows, highs = ([1.0 + w * x for w, x in zip((0.5, 0.5, 1.0), e)] for e in (lows, highs))
+    for name, low, high in zip(_NAMES, lows, highs):
         if not (math.isfinite(low) and math.isfinite(high)):
             raise StepAbort(f"non-finite values in {name}")
-        if low + shift < floor:
-            raise StepAbort(
-                f"positivity floor breached: min({name}) = {low + shift:.3e} < {floor!r}"
-            )
+        if low < floor:
+            raise StepAbort(f"positivity floor breached: min({name}) = {low:.3e} < {floor!r}")
 
 
 class _Form(NamedTuple):
     """What a step of one form needs besides its RHS: the state type and
-    its field names (the three stepped fields, then phi), and the names
-    and floor shifts of the stepped fields' checks."""
+    its field names (the three stepped fields, then phi)."""
 
     state: type
     fields: tuple
-    names: tuple
-    shifts: tuple
 
 
-_PRIMITIVE = _Form(State, ("n", "p", "theta", "phi"), ("n", "p", "theta"), (0.0, 0.0, 0.0))
-_PERTURBATION = _Form(
-    PerturbationState, ("u_tilde", "v", "theta_tilde", "phi"),
-    ("2 + u_tilde", "v", "1 + theta_tilde"), (2.0, math.inf, 1.0),  # v is unconstrained
-)
+_PRIMITIVE = _Form(State, ("n", "p", "theta", "phi"))
+_PERTURBATION = _Form(PerturbationState, ("u_tilde", "v", "theta_tilde", "phi"))
 
 
 def _form(state) -> _Form:
@@ -722,11 +751,13 @@ def _trusted(cls, **values):
     return obj
 
 
-def _check_state(grid: GridSpec, y, fields3, cfg: StepperConfig, form: _Form) -> None:
+def _check_state(grid: GridSpec, y, fields3, cfg: StepperConfig, form: _Form, four) -> None:
     """The one check of a state a step returns: the finiteness and the
-    floor of its stepped fields fields3 (_check_stage), then neutrality,
-    read off the k = 0 entry of its spectrum y: mean(n - p), or mean(v)."""
-    _check_stage(form.names, fields3, cfg.positivity_floor, form.shifts)
+    floor of the (n, p, theta) of its stepped fields fields3
+    (_check_stage, in the memory of four, spectral rows that the caller
+    has done with), then neutrality, read off the k = 0 entry of its
+    spectrum y: mean(n - p), or mean(v)."""
+    _check_stage(fields3, cfg.positivity_floor, form, four)
     origin = (0,) * grid.dim
     v0 = y[0][origin] - y[1][origin] if form is _PRIMITIVE else y[1][origin]
     mean = float(v0.real) / grid.n**grid.dim
@@ -741,13 +772,13 @@ def _close(grid: GridSpec, y, four, cfg: StepperConfig, form: _Form):
     """The state whose spectrum is y, three rows, which it carries: one
     inverse transform of (y, phi_hat), phi_hat = -v_hat/|k|^2 with v_hat =
     n_hat - p_hat or the second row, from the four spectral rows four,
-    which it consumes, checked once (_check_state).  The state and its
-    fields are built without the constructors' scans."""
+    which it consumes, checked once (_check_state, in the memory of four).
+    The state and its fields are built without the constructors' scans."""
     v = np.subtract(y[0], y[1], out=four[3]) if form is _PRIMITIVE else y[1]
     np.multiply(-grid.inv_k2, v, out=four[3])
     np.copyto(four[:3], y)
     out = grid.ifft(four, band=cfg.dealias)
-    _check_state(grid, y, out[:3], cfg, form)
+    _check_state(grid, y, out[:3], cfg, form, four)
     values = {name: _trusted(ScalarField, grid=grid, values=a) for name, a in zip(form.fields, out)}
     return _trusted(form.state, spec=y, **values)
 
@@ -781,7 +812,7 @@ def carried(state, cfg: StepperConfig, slots=None):
         del ys
         np.multiply(g.dealias_mask, spec, out=spec)
         return _close(g, spec, _four(g, slots, form), cfg, form)
-    _check_state(g, spec, ys, cfg, form)
+    _check_state(g, spec, ys, cfg, form, _four(g, slots, form))
     values = {name: getattr(state, name) for name in form.fields}
     return _trusted(form.state, spec=spec, **values)
 
@@ -796,11 +827,12 @@ def _step_rhs(grid: GridSpec, params: PhysParams, cfg: StepperConfig, slots, for
     transforms y in its stack's batch, the primitive RHS a copy of y in
     slots.spectra, into one buffer that the step's first stage makes."""
     band = cfg.dealias
-
-    def check(ys):
-        _check_stage(form.names, ys, cfg.positivity_floor, form.shifts)
+    floor = cfg.positivity_floor
 
     if form is _PERTURBATION:
+        # the stack's memory, which the stage's inverse transform has
+        # consumed, is the check's scratch
+        check = lambda ys: _check_stage(ys, floor, form, slots.stack)
         return lambda y, values=None: _rhs_perturbation_core(
             grid, y, params, slots, values, check, band)
     real = None
@@ -814,7 +846,7 @@ def _step_rhs(grid: GridSpec, params: PhysParams, cfg: StepperConfig, slots, for
         work = slots.spectra[:3]
         np.copyto(work, y)
         values = grid.ifft(work, out=real, band=band)
-        check(values)
+        _check_stage(values, floor, form, None)
         return _rhs_primitive_core(grid, y, *values, params, None, slots, band)
 
     return rhs

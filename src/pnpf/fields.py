@@ -50,7 +50,7 @@ read it, so the standalone sample of a carried State makes no forward
 transform.
 
 AuditSink is the body of one audit sample, in three parts that any pass
-over darcy_axes can feed: the |q|^2, |j_p|^2 and |j_n|^2 sums per axis,
+over darcy_axes can feed: the |j_p|^2, |j_n|^2 and |q|^2 sums per axis,
 the production density from them, and the reconstruction residual
 over the pass's j_p and j_n rows after the axis loop.  A step fed a sink
 makes its first RHS evaluation that pass, and the sample adds 3 + 3*dim
@@ -62,7 +62,10 @@ Either way the sample takes from the axes only what it reads and builds
 nothing else: no phi_t, exchange flux or energy flux.  The entropy
 density eta has one definition, _entropy_arrays on raw arrays:
 entropy_density (the audit's total entropy) and varcheck's entropy
-functional both evaluate it.
+functional both evaluate it.  So does the entropy production density,
+_production_density of the three sums of squares: the sink divides its
+running sums, and varcheck's dissipative scan the sums of its moved
+fluxes, each built as the density asks for it.
 """
 
 from __future__ import annotations
@@ -312,12 +315,26 @@ def _entropy_arrays(p, n, theta, params: PhysParams) -> np.ndarray:
     return eta
 
 
-def _production_density(s: State, params: PhysParams, jp2, jn2, q2) -> ScalarField:
-    """The production density from the squared magnitudes |j_p|^2, |j_n|^2, |q|^2."""
+def _production_density(s: State, params: PhysParams, sums) -> ScalarField:
+    """The entropy production density
+
+        |j_p|^2/(D_p p theta) + |j_n|^2/(D_n n theta) + |q|^2/(k theta^2)
+
+    of sums, an iterable that yields the squared magnitudes |j_p|^2,
+    |j_n|^2 and |q|^2 in that order.  Each is divided in place as soon as
+    it arrives and added into the first, which becomes the density, so an
+    iterable that builds its sums lazily keeps one alive next to it."""
     th = s.theta.values
-    out = jp2 / (params.D_p * s.p.values * th)
-    out += jn2 / (params.D_n * s.n.values * th)
-    out += q2 / (params.k * th**2)
+    sums = iter(sums)
+    out = next(sums)
+    out /= params.D_p * s.p.values * th
+    term = next(sums)
+    term /= params.D_n * s.n.values * th
+    out += term
+    del term
+    term = next(sums)
+    term /= params.k * th**2
+    out += term
     return ScalarField(s.grid, out)
 
 
@@ -389,10 +406,11 @@ class AuditSink:
     The body has three parts, called in this order:
 
     * axis(d_i theta, j_p,i, j_n,i, tmp) for each axis i in order adds
-      |q_i|^2 = (-k d_i theta)^2, j_p,i^2 and j_n,i^2 to three running
-      sums, squaring in the scratch grid tmp;
-    * production() builds the production density from those sums after
-      the axis loop;
+      j_p,i^2, j_n,i^2 and |q_i|^2 = (-k d_i theta)^2 to three running
+      sums, three grids, squaring in the scratch grid tmp;
+    * production() hands those sums, in that order, to
+      _production_density after the axis loop, which divides them in
+      place and keeps the first as the density;
     * residual(j, slots) takes the reconstruction residual over the
       (dim, 2) flux blocks j (j[i] = (j_p,i, j_n,i)) and completes the
       sample in audit.  The quotients and each axis's three gradients go
@@ -416,15 +434,14 @@ class AuditSink:
 
     def axis(self, gth, jp, jn, tmp) -> None:
         if self._sums is None:
-            self._sums = np.zeros((3,) + gth.shape)
-        q2, jp2, jn2 = self._sums
+            self._sums = [np.zeros(gth.shape) for _ in range(3)]
+        jp2, jn2, q2 = self._sums
         q2 += np.square(np.multiply(-self.params.k, gth, out=tmp), out=tmp)
         jp2 += np.square(jp, out=tmp)
         jn2 += np.square(jn, out=tmp)
 
     def production(self) -> None:
-        q2, jp2, jn2 = self._sums
-        self._production = _production_density(self.state, self.params, jp2, jn2, q2)
+        self._production = _production_density(self.state, self.params, self._sums)
         self._sums = None
 
     def residual(self, j, slots) -> None:

@@ -151,8 +151,16 @@ def write_checkpoint(
         "stepper": asdict(cfg),
         "params": asdict(params),
     }
-    with open(prefix.with_suffix(".meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    write_json(meta, prefix.with_suffix(".meta.json"))
+
+
+def write_json(data: dict, path) -> None:
+    """data as JSON at path, indented by 2 with sorted keys and a closing
+    newline: a checkpoint's metadata, the decay summary
+    (decay.write_summary_json) and the varcheck report
+    (varcheck.write_report_json)."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -36,25 +36,27 @@ band projection of the initial state, checked as a step's output (a
 breach ends the run before its first step, and the initial state's one
 row is audited as given).  Every state it audits then carries its
 spectrum.  totals integrates the densities, and the Lyapunov functional
-takes the spectra of (u_tilde, v, theta_tilde, phi) from the carried one
-(u_hat = n_hat + p_hat - 2 N delta_0, v_hat = n_hat - p_hat,
-theta_tilde_hat = theta_hat - N delta_0, phi_hat = -v_hat/|k|^2, N =
-n^dim) without a transform; a State that carries none is converted and
-transformed (4 fields).  audit_run hands the sink of each audited state
-that is stepped further to that step, whose first RHS evaluation makes
-the pass, so the sample adds only the residual's 3 + 3*dim transforms to
-the step and observe none.  The final state, and a state whose step
-aborts before its first RHS, are audited by fields.flux_audit, which
-makes the pass itself from the carried spectrum: 3 + 7*dim transforms.
-tests/test_thermo_audit.py pins these counts
-(TestAuditSample::test_sample_cost, ::test_carried_sample_cost,
-TestFusedSample::test_audited_imex1_step_cost, ::test_audit_run_cost).
-Either way every column equals its definition bit for bit, the Lyapunov
-column to rounding: totals of the entropy production density of the
-constitutive fluxes, the flux-reconstruction residual (the textbook
-definitions of both are in tests/oracles.py, and read the same carried
-spectrum), and decay.lyapunov of the converted state (to rounding for a
-carried State, bit for bit for one without).
+converts the spectrum of (n, p, theta) (fields.spectrum: the carried
+one, or else the forward transform of the fields, 3 fields) into the
+spectra of (u_tilde, v, theta_tilde) without a transform (u_hat = n_hat
++ p_hat - 2 N delta_0, v_hat = n_hat - p_hat, theta_tilde_hat =
+theta_hat - N delta_0, N = n^dim); decay.lyapunov takes phi_hat =
+-v_hat/|k|^2 from them, as a decay sample does.  audit_run hands the
+sink of each audited state that is stepped further to that step, whose
+first RHS evaluation makes the pass, so the sample adds only the
+residual's 3 + 3*dim transforms to the step and observe none.  The
+final state, and a state whose step aborts before its first RHS, are
+audited by fields.flux_audit, which makes the pass itself from the
+carried spectrum: 3 + 7*dim transforms.  tests/test_thermo_audit.py pins
+these counts (TestAuditSample::test_sample_cost,
+::test_carried_sample_cost, TestFusedSample::test_audited_imex1_step_cost,
+::test_audit_run_cost).  Either way every column equals its definition
+bit for bit, the Lyapunov column to rounding: totals of the entropy
+production density of the constitutive fluxes, the flux-reconstruction
+residual (the textbook definitions of both are in tests/oracles.py, and
+read the same carried spectrum), and the Lyapunov functional of the
+converted state (tests/oracles.lyapunov, which transforms the converted
+fields).
 
 Audit rows stream to CSV as they are produced (one-sample lag for the
 centered difference) so aborted runs retain their trail.  The final state
@@ -67,10 +69,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
 
-import numpy as np
-
 from . import decay
-from .dynamics import StepAbort, StepperConfig, carried, convert, step
+from .dynamics import StepAbort, StepperConfig, carried, step
 from .fields import (
     AuditSink,
     FluxAudit,
@@ -80,6 +80,7 @@ from .fields import (
     entropy_density,
     flux_audit,
     new_slots,
+    spectrum,
 )
 from .grid import integrate as quad
 
@@ -127,21 +128,18 @@ CSV_HEADER = ",".join(f.name for f in dataclass_fields(AuditRecord))
 
 
 def _lyapunov(s: State, params: PhysParams) -> float:
-    """decay.lyapunov of convert(s).  A State that carries its spectrum
-    gives the four spectra without a transform: u_hat = n_hat + p_hat -
-    2 N delta_0, v_hat = n_hat - p_hat, theta_tilde_hat = theta_hat -
-    N delta_0 (N = n^dim, the forward transform of a constant 1 at k = 0)
-    and phi_hat = -v_hat/|k|^2."""
-    if s.spec is None:
-        return decay.lyapunov(convert(s), params)
+    """decay.lyapunov of s, from the spectrum of (n, p, theta) (the one s
+    carries, or else its forward transform, fields.spectrum) converted
+    without a transform: u_hat = n_hat + p_hat - 2 N delta_0, v_hat =
+    n_hat - p_hat and theta_tilde_hat = theta_hat - N delta_0 (N = n^dim,
+    the forward transform of a constant 1 at k = 0)."""
     g = s.grid
-    n_hat, p_hat, th_hat = s.spec
-    v_hat = n_hat - p_hat
-    spec = np.stack([n_hat + p_hat, v_hat, th_hat, -g.inv_k2 * v_hat])
+    n_hat, p_hat, th_hat = spectrum(s)
+    u_hat, th_tilde = n_hat + p_hat, th_hat.copy()
     origin, size = (0,) * g.dim, g.n**g.dim
-    spec[0][origin] -= 2.0 * size
-    spec[2][origin] -= size
-    return decay.spectral_lyapunov(g, spec, params)
+    u_hat[origin] -= 2.0 * size
+    th_tilde[origin] -= size
+    return decay.lyapunov(g, (u_hat, n_hat - p_hat, th_tilde), params)
 
 
 def totals(s: State, params: PhysParams, production):

@@ -91,7 +91,8 @@ evaluates the functional at (j0 + eps dJ, q0 + eps q1).  This split is
 exact, not an approximation:
 q0 + eps q1 and the elimination of j0 + eps dJ are the same discrete
 quantity and differ only in rounding, and the functional is then
-evaluated by the same quadratic density.  The conservative scan moves
+evaluated by the production density that the audit integrates too
+(fields._production_density).  The conservative scan moves
 (p, n, e) by -eps (div dJ_p, div dJ_n, div dJ_e), and the potential
 phi = G(p - n) that the entropy functional derives is linear in the
 move: phi0 = G(p - n) once and phi0 - eps G(div dJ_p - div dJ_n) at
@@ -119,7 +120,6 @@ are [(c_p+1) theta + phi] on j_p and [(c_n+1) theta - phi] on j_n.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -133,11 +133,13 @@ from .fields import (
     _darcy_pass,
     _deviation,
     _entropy_arrays,
+    _production_density,
     energy_density,
     energy_weight,
 )
-from .grid import GridSpec, ScalarField, divergence_arrays, grad_arrays, integrate
+from .grid import GridSpec, divergence_arrays, grad_arrays, integrate
 from .poisson import greens_apply, solve_array
+from .snapshot import write_json as write_report_json
 
 DEFAULT_EPS_SCAN = (1e-3, 1e-4, 1e-5)
 
@@ -344,28 +346,6 @@ def _sum_sq(comps):
     return acc
 
 
-def _dissipation(s: State, params: PhysParams, j_p, j_n, q) -> float:
-    """The quadratic entropy production of (j_p, j_n) and the heat flux q,
-    each an iterable of components: the integral of
-
-        |j_p|^2/(D_p p theta) + |j_n|^2/(D_n n theta) + |q|^2/(k theta^2),
-
-    summed in that order with the bits of fields._production_density.  Each
-    term is divided as soon as its sum of squares is complete, so one sum
-    is alive next to the density."""
-    th = s.theta.values
-    out = _sum_sq(j_p)
-    out /= params.D_p * s.p.values * th
-    term = _sum_sq(j_n)
-    term /= params.D_n * s.n.values * th
-    out += term
-    del term
-    term = _sum_sq(q)
-    term /= params.k * th**2
-    out += term
-    return integrate(ScalarField(s.grid, out))
-
-
 def _dissipative_flows(s: State, params: PhysParams, j_p, j_n, q, kernel):
     """The closed-form dissipative forces of the fluxes (j_p, j_n) and the
     eliminated heat flux q, one flow at a time in flow order, each written
@@ -512,12 +492,15 @@ def _dissipative_scan(s: State, params: PhysParams, j_p, j_n, q0, dJ_p, dJ_n, q1
     and its eliminated heat flux q1 (_probe_heat_flux).
 
     q is linear in the fluxes, so the functional is evaluated at
-    (j0 + eps*dJ, q0 + eps*q1) for every eps, one moved component at a
-    time."""
+    (j0 + eps*dJ, q0 + eps*q1) for every eps: the integral of the audit's
+    production density (fields._production_density) of the three sums of
+    squares, each built one moved component at a time as the density asks
+    for it."""
 
     def D_at(eps: float) -> float:
         moved = lambda base, step: (b + eps * d for b, d in zip(base, step))
-        return _dissipation(s, params, moved(j_p, dJ_p), moved(j_n, dJ_n), moved(q0, q1))
+        sums = map(_sum_sq, (moved(j_p, dJ_p), moved(j_n, dJ_n), moved(q0, q1)))
+        return integrate(_production_density(s, params, sums))
 
     return [0.5 * (D_at(eps) - D_at(-eps)) / (2.0 * eps) for eps in DEFAULT_EPS_SCAN]
 
@@ -566,9 +549,3 @@ def varcheck_report(
         "probe_seed": seed,
         "pass": bool(passed),
     }
-
-
-def write_report_json(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -20,6 +20,9 @@ with them, most of them bit for bit:
 * entropy_production_density: the pointwise production rate of a FluxSet,
   which fields.flux_audit and an audited step's AuditSink equal bit for
   bit;
+* lyapunov: the Lyapunov functional of a PerturbationState from the
+  transforms of its four fields, which decay.lyapunov and the audit's
+  lyapunov column equal to rounding;
 * OnsagerBlock, onsager_block and reconstruct_fluxes: the linear-response
   block with its reciprocal symmetries built in, and the fluxes rebuilt
   from it;
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pnpf import varcheck
+from pnpf import decay, varcheck
 from pnpf.dynamics import (
     PerturbationState, _linear_block, _rhs_perturbation_core, _rhs_primitive_core,
     rhs_perturbation,
@@ -59,7 +62,7 @@ from pnpf.fields import (
     PhysParams, State, _darcy_pass, _deviation, _ion_coefficients, _ion_row,
     _production_density, _quotients, darcy_axes, energy_weights, new_slots,
 )
-from pnpf.grid import GridSpec, ScalarField, divergence_arrays, grad_arrays
+from pnpf.grid import GridSpec, ScalarField, divergence_arrays, grad_arrays, integrate
 from pnpf.poisson import greens_apply, solve_array
 
 
@@ -267,7 +270,22 @@ def entropy_production_density(fl: FluxSet, s: State, params: PhysParams) -> Sca
     Nonnegative by construction for every admissible state and flux set.
     """
     sq = lambda v: sum(c**2 for c in v.components)
-    return _production_density(s, params, sq(fl.j_p), sq(fl.j_n), sq(fl.q))
+    return _production_density(s, params, (sq(fl.j_p), sq(fl.j_n), sq(fl.q)))
+
+
+def lyapunov(ps: PerturbationState, params: PhysParams) -> float:
+    """Lambda of ps from one batched forward transform of its four fields,
+    phi's own included, added as decay adds it: the definition that
+    decay.lyapunov evaluates from the spectra of (u_tilde, v, theta_tilde)
+    alone, with phi_hat = -v_hat/|k|^2, and thermo_audit from the spectrum
+    of (n, p, theta)."""
+    g = ps.grid
+    su, sv, st, sphi = g.fft(
+        np.stack([ps.u_tilde.values, ps.v.values, ps.theta_tilde.values, ps.phi.values])
+    )
+    h2 = lambda spec: g.spectral_l2_sum(spec, g.h2_norm_weight)
+    sums = h2(su), h2(sv), h2(st), g.spectral_l2_sum(sphi, g.h1_weight)
+    return decay._lyapunov(sums, params)
 
 
 @dataclass(frozen=True)
@@ -404,7 +422,8 @@ def dissipation_functional(s, params, j_p, j_n, j_e) -> float:
     the definition that varcheck's linearly split scan evaluates."""
     gphi = grad_arrays(s.grid, s.phi.values)
     q = eliminate_heat_flux(s, params, j_p, j_n, j_e, gphi)
-    return varcheck._dissipation(s, params, j_p, j_n, q)
+    sums = (varcheck._sum_sq(f) for f in (j_p, j_n, q))
+    return integrate(_production_density(s, params, sums))
 
 
 def dissipative_forces(s: State, params: PhysParams, j_p, j_n, gphi, q):

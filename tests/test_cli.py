@@ -155,6 +155,75 @@ class TestConfig:
         assert f"'varcheck.{key}'" in err and "float > 0" in err
         assert not (tmp_path / "varcheck-report.json").exists()
 
+    def test_set_without_a_value_is_a_config_error(self, tmp_path, capsys):
+        code = cli.main(["run", "--set", "grid.n", "--outputs", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "--set expects dotted.key=value, got 'grid.n'" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code = cli.main(["run", "--config", str(path), "--outputs", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("axis", "2", "single_mode axis 2 out of range for dim 2"),
+        ("field", "w", "unknown single_mode field 'w'"),
+    ])
+    def test_single_mode_outside_its_choices_is_a_config_error(self, tmp_path, capsys, key,
+                                                                value, message):
+        code = cli.main([
+            "run", "--set", "grid.dim=2", "--set", "grid.n=8",
+            "--set", "initial_condition.type=single_mode",
+            "--set", f"initial_condition.{key}={value}",
+            "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "audit.csv").exists()
+
+
+class TestEndTime:
+    """A run or a decay ends at stepper.t_end: t_end/dt must be a whole
+    number of steps, at least 1, to within 1e-9 relative, or the command
+    is a config error naming the key.  varcheck takes no steps and ignores
+    the stepper."""
+
+    @pytest.mark.parametrize("command", ["run", "decay"])
+    @pytest.mark.parametrize("dt, t_end", [(1.0, 0.4), (1e-3, 1e-300), (1e-3, 4.5e-3),
+                                           (1e-300, 1e300)])
+    def test_a_partial_step_is_a_config_error(self, tmp_path, capsys, command, dt, t_end):
+        code = cli.main([
+            command, "--set", "grid.dim=1", "--set", "grid.n=8",
+            "--set", "initial_condition.type=random_band",
+            "--set", "decay.mode_profile=random_band",
+            "--set", f"stepper.dt={dt!r}", "--set", f"stepper.t_end={t_end!r}",
+            "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'stepper.t_end'" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_rounded_quotient_ends_at_t_end(self, tmp_path):
+        # 0.3/0.1 = 2.9999999999999996 is 3 steps to rounding
+        code = cli.main([
+            "run", "--set", "grid.dim=1", "--set", "grid.n=8",
+            "--set", "stepper.dt=0.1", "--set", "stepper.t_end=0.3",
+            "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        meta = json.loads((tmp_path / "final.meta.json").read_text())
+        assert meta["step"] == 3
+
+    def test_varcheck_ignores_the_stepper(self, tmp_path):
+        code = cli.main([
+            "varcheck", "--set", "grid.n=8", "--set", "stepper.dt=1.0",
+            "--set", "stepper.t_end=0.4", "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+
 
 class TestConfigTypes:
     """A config value of the wrong JSON type exits 2 and names its key; no
@@ -386,6 +455,36 @@ class TestDecay:
         result = json.loads((tmp_path / "decay-summary.json").read_text())
         assert result["completed"] is False and "neutrality" in result["abort_reason"]
 
+    def test_scaling_check(self, tmp_path):
+        # a companion run at delta0/2: Lambda is quadratic in delta0, so the
+        # terminal ratio is 4 up to the nonlinear terms (4.0000019 here)
+        code = cli.main([
+            "decay", "--set", "grid.dim=2", "--set", "grid.n=16",
+            "--set", "decay.mode_profile=random_band", "--set", "stepper.t_end=0.05",
+            "--set", "decay.scaling_check=true", "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_OK
+        result = json.loads((tmp_path / "decay-summary.json").read_text())
+        assert result["scaling_verdict"] == "pass"
+        assert abs(result["terminal_scaling_ratio"] - 4.0000019156376485) <= 1e-9
+
+    @pytest.mark.parametrize("delta0", [-1, 50])
+    def test_inadmissible_amplitude_is_a_config_error(self, tmp_path, capsys, delta0):
+        # a negative delta0 fails the experiment's check; delta0 = 50 takes
+        # min n = min p to -1.53 (2 + u_tilde stays positive), which the
+        # perturbation form's positivity check rejects
+        code = cli.main([
+            "decay", "--set", "grid.dim=2", "--set", "grid.n=16",
+            "--set", f"decay.delta0={delta0}", "--set", "stepper.dt=1e-4",
+            "--set", "stepper.t_end=0.002", "--set", "decay.sample_every=1",
+            "--outputs", str(tmp_path),
+        ])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        want = "delta0 must be nonnegative" if delta0 < 0 else "PositivityError: min(n)"
+        assert want in err and "Traceback" not in err
+        assert not (tmp_path / "decay.csv").exists()
+
 
 class TestVarcheck:
     def test_unresolved_kmax_keeps_its_conservative_check(self, tmp_path):
@@ -444,6 +543,49 @@ class TestVarcheck:
                 d = probe.component(0, i).ravel()
                 for f in drawn:
                     assert abs(np.corrcoef(d, f.ravel())[0, 1]) < 0.5, (n, i)
+
+
+class TestPlotdata:
+    def test_pivot_gives_back_every_cell(self, tmp_path):
+        # an audit.csv and a decay.csv in one directory: one (series, t,
+        # value) row per non-t cell, carrying the cell's string unchanged
+        src, out = tmp_path / "src", tmp_path / "out"
+        base = ["--set", "grid.dim=1", "--set", "grid.n=8", "--set", "stepper.t_end=3e-3",
+                "--outputs", str(src)]
+        assert cli.main(["run", "--set", "initial_condition.type=random_band",
+                         "--set", "audit_every=1", *base]) == cli.EXIT_OK
+        assert cli.main(["decay", "--set", "decay.sample_every=1", *base]) == cli.EXIT_OK
+        assert cli.main(["plotdata", "--outputs", str(out), str(src)]) == cli.EXIT_OK
+        lines = (out / "plotdata.csv").read_text().strip().split("\n")
+        assert lines[0] == "series,t,value"
+        pivot = {}
+        for line in lines[1:]:
+            series, t, value = line.split(",")
+            stem, name = series.split(".")
+            pivot.setdefault(stem, {}).setdefault(t, {})[name] = value
+        cells = 0
+        for stem in ("audit", "decay"):
+            rows = (src / f"{stem}.csv").read_text().strip().split("\n")
+            header = rows[0].split(",")
+            want = {}
+            for row in rows[1:]:
+                t, *rest = row.split(",")
+                want[t] = dict(zip(header[1:], rest))
+                cells += len(rest)
+            assert pivot[stem] == want, stem
+        assert len(lines) - 1 == cells
+
+    def test_a_directory_without_csvs_is_a_config_error(self, tmp_path, capsys):
+        code = cli.main(["plotdata", "--outputs", str(tmp_path / "out"), str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "no audit.csv or decay.csv in" in capsys.readouterr().err
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("flags, want", [([], cli.DEFAULTS), (["--schema"], cli.CONFIG_SCHEMA)])
+    def test_prints_the_table(self, capsys, flags, want):
+        assert cli.main(["defaults", *flags]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == want
 
 
 class TestDeterminism:

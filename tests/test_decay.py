@@ -17,8 +17,6 @@ from pnpf.decay import (
     lyapunov,
     run,
     smallness_size,
-    spectra,
-    spectral_lyapunov,
     summary,
 )
 from pnpf.dynamics import PerturbationState, StepperConfig, convert
@@ -29,9 +27,17 @@ from .conftest import count_transforms, perturbation_state
 from . import oracles
 
 
+def lyapunov_of(ps, params):
+    """decay.lyapunov of the batched forward transform of (u_tilde, v,
+    theta_tilde)."""
+    g = ps.grid
+    spec = g.fft(np.stack([ps.u_tilde.values, ps.v.values, ps.theta_tilde.values]))
+    return lyapunov(g, spec, params)
+
+
 class TestLyapunov:
     def test_zero_perturbation(self, grid3d, params):
-        assert lyapunov(convert(State.equilibrium(grid3d)), params) == 0.0
+        assert lyapunov_of(convert(State.equilibrium(grid3d)), params) == 0.0
 
     def test_single_mode_analytic(self, params):
         # u_tilde = a sin(2 pi x), unit box, 3D:
@@ -44,7 +50,7 @@ class TestLyapunov:
             ScalarField(grid, a * np.sin(2 * np.pi * x)), zero, zero
         )
         want = a**2 * (1 + (2 * np.pi) ** 2 + (2 * np.pi) ** 4) / 2
-        assert abs(lyapunov(ps, params) - want) <= 1e-10 * want
+        assert abs(lyapunov_of(ps, params) - want) <= 1e-10 * want
 
     def test_single_v_mode_poisson_algebra(self, params):
         # pure v mode a sin(k x): ||v||_H2^2 = (a^2/2)(1 + k^2 + k^4) and,
@@ -59,14 +65,14 @@ class TestLyapunov:
         )
         v_l2_sq = a**2 / 2
         v_h2_sq = v_l2_sq * (1 + k**2 + k**4)
-        got = lyapunov(ps, params)
+        got = lyapunov_of(ps, params)
         assert abs(got - (v_h2_sq + v_l2_sq / k**2)) <= 1e-10 * got
         assert abs((got - v_h2_sq) - v_l2_sq / k**2) <= 1e-12 * v_l2_sq
 
     def test_matches_term_by_term_oracle(self, params):
         grid = GridSpec(dim=2, n=8, length=1.0)
         ps = perturbation_state(grid, seed=3, amplitude=1e-2)
-        got = lyapunov(ps, params)
+        got = lyapunov_of(ps, params)
         want = (
             oracles.dense_hk_norm(grid, ps.u_tilde.values, 2) ** 2
             + oracles.dense_hk_norm(grid, ps.v.values, 2) ** 2
@@ -81,15 +87,19 @@ class TestLyapunov:
 
     @pytest.mark.parametrize("dim, n", [(2, 64), (3, 16)])
     def test_batched_spectra_are_the_single_transforms(self, params, dim, n):
-        # lyapunov of a state given no spectrum (the audit's) takes one
-        # batched transform; its rows keep the bits of one transform per
-        # field
+        # Lambda of a batched transform of (u_tilde, v, theta_tilde) is
+        # Lambda of one transform per field bit for bit, and the
+        # four-field reference, which transforms phi, to rounding
         grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
         ps = perturbation_state(grid, seed=5, amplitude=1e-2)
-        spec = spectra(ps)
-        for row, f in zip(spec, (ps.u_tilde, ps.v, ps.theta_tilde, ps.phi)):
+        fields3 = (ps.u_tilde, ps.v, ps.theta_tilde)
+        spec = grid.fft(np.stack([f.values for f in fields3]))
+        for row, f in zip(spec, fields3):
             assert np.array_equal(row, grid.fft(f.values))
-        assert spectral_lyapunov(grid, spec, params) == lyapunov(ps, params)
+        got = lyapunov(grid, spec, params)
+        assert got == lyapunov(grid, [grid.fft(f.values) for f in fields3], params)
+        want = oracles.lyapunov(ps, params)
+        assert abs(got - want) <= 1e-14 * want
 
 
 class TestDissipationLedger:
@@ -134,7 +144,7 @@ class TestInitialCondition:
     def test_zero_delta(self, grid3d, params):
         exp = DecayExperiment(delta0=0.0)
         ps = initial_condition(exp, grid3d, params)
-        assert lyapunov(ps, params) == 0.0
+        assert lyapunov_of(ps, params) == 0.0
 
     def test_scaled_to_requested_size(self, params):
         grid = GridSpec(dim=3, n=16, length=1.0)
@@ -143,6 +153,14 @@ class TestInitialCondition:
             ps = initial_condition(exp, grid, params)
             size = smallness_size(grid, ps.u_tilde.values, ps.v.values, ps.theta_tilde.values)
             assert abs(size - 1e-2) <= 1e-12
+
+    def test_experiment_checks(self):
+        with pytest.raises(ValueError, match="delta0 must be nonnegative"):
+            DecayExperiment(delta0=-1e-3)
+        with pytest.raises(ValueError, match="unknown mode_profile"):
+            DecayExperiment(delta0=1e-2, mode_profile="pulse")
+        with pytest.raises(ValueError, match="sample_every must be >= 1"):
+            DecayExperiment(delta0=1e-2, sample_every=0)
 
     def test_smallness_flag(self):
         assert DecayExperiment(delta0=0.5).outside_smallness_regime
@@ -177,8 +195,8 @@ class TestRun:
         spec = lambda f: grid.fft(f.values)
         h2 = lambda f: math.sqrt(_h2_sq(grid, spec(f)))
         phi_hat = -grid.inv_k2 * spec(ps.v)
-        four = (spec(ps.u_tilde), spec(ps.v), spec(ps.theta_tilde), phi_hat)
-        assert series.lyapunov[0] == spectral_lyapunov(grid, four, params)
+        three = (spec(ps.u_tilde), spec(ps.v), spec(ps.theta_tilde))
+        assert series.lyapunov[0] == lyapunov(grid, three, params)
         assert series.v_l2[0] == math.sqrt(grid.spectral_l2_sum(spec(ps.v)))
         assert series.grad_phi_l2[0] == math.sqrt(grid.spectral_l2_sum(phi_hat, grid.h1_weight))
         assert series.u_l2[0] == math.sqrt(grid.spectral_l2_sum(spec(ps.u_tilde)))

@@ -261,6 +261,16 @@ class TestRhsPerturbation:
         with pytest.raises(ValueError, match="c > 1"):
             rhs_perturbation(ps, PhysParams(c_p=1.0, c_n=1.0))
 
+    @pytest.mark.parametrize("name", ["D_p", "D_n", "k"])
+    def test_rejects_non_unit_transport(self, name):
+        grid = GridSpec(dim=1, n=8, length=2 * np.pi)
+        ps = perturbation_state(grid, seed=2, amplitude=1e-2)
+        params = PhysParams(**{name: 2.0})
+        with pytest.raises(ValueError, match="D_p = D_n = k = 1"):
+            rhs_perturbation(ps, params)
+        with pytest.raises(ValueError, match="D_p = D_n = k = 1"):
+            step(ps, StepperConfig(), params)
+
 
 class TestCrossFormulation:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -332,6 +342,84 @@ class TestConvert:
         back = convert_back(convert(s))
         for a, b in ((back.n, s.n), (back.p, s.p), (back.theta, s.theta)):
             assert np.abs(a.values - b.values).max() <= 1e-15
+
+
+class TestPerturbationPositivity:
+    """The perturbation form holds the primitive form's floor: its state,
+    stage and closing checks test the n, p and theta that convert_back
+    gives, so a v that takes n or p below the floor is caught although
+    2 + u_tilde stays positive."""
+
+    GRID = GridSpec(dim=1, n=8, length=2 * np.pi)
+
+    @staticmethod
+    def v_wave(grid, amplitude):
+        """u_tilde = theta_tilde = 0 and v = amplitude sin(x): n and p dip
+        to 1 - amplitude/2."""
+        zero = ScalarField.constant(grid, 0.0)
+        v = amplitude * np.sin(grid.axes_coordinates()[0])
+        return zero, ScalarField(grid, v), zero
+
+    def test_a_v_below_the_floor_is_rejected(self):
+        # min n = min p = -0.5 with u_tilde = 0 (the parent accepted it)
+        with pytest.raises(fields.PositivityError, match=r"min\(n\)"):
+            PerturbationState.from_fields(*self.v_wave(self.GRID, 3.0))
+
+    @given(
+        ut=st.lists(st.floats(-3.0, 1.0), min_size=8, max_size=8),
+        v=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+        tt=st.lists(st.floats(-1.0 - 1e-7, 1.0), min_size=8, max_size=8),
+    )
+    @example(ut=[0.0] * 8, v=[3.0, -3.0] * 4, tt=[0.0] * 8)
+    @example(ut=[0.0] * 8, v=[0.0] * 8, tt=[-1.0 + fields.POSITIVITY_FLOOR] + [0.0] * 7)
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_exactly_when_the_primitive_fields_clear_the_floor(self, ut, v, tt):
+        # the constructor, and the stage check, which reads the extremes of
+        # u_tilde +- v and theta_tilde in spectral scratch
+        grid = self.GRID
+        ut, v, tt = np.array(ut), np.array(v), np.array(tt)
+        v -= v.mean()
+        floor = fields.POSITIVITY_FLOOR
+        ok = all(f.min() >= floor for f in (1.0 + 0.5 * (ut + v), 1.0 + 0.5 * (ut - v), 1.0 + tt))
+        zero = ScalarField.constant(grid, 0.0)
+        build = lambda: PerturbationState(
+            ScalarField(grid, ut), ScalarField(grid, v), ScalarField(grid, tt), zero)
+        check = lambda: dynamics._check_stage(
+            np.stack([ut, v, tt]), floor, dynamics._PERTURBATION,
+            np.empty((3,) + grid.spectral_shape, dtype=complex))
+        if ok:
+            build()
+            check()
+        else:
+            with pytest.raises(fields.PositivityError):
+                build()
+            with pytest.raises(StepAbort, match="positivity floor breached"):
+                check()
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_carried_state_check_reads_n_and_p(self, dealias):
+        # min n = min p = 0.98, 2 + u_tilde = 2 and 1 + theta_tilde = 1:
+        # a floor of 0.99 fails n, through the closing check (dealias) or
+        # the check of an unprojected state
+        ps = PerturbationState.from_fields(*self.v_wave(self.GRID, 0.04))
+        cfg = StepperConfig(dealias=dealias, positivity_floor=0.99)
+        with pytest.raises(StepAbort, match=r"positivity floor breached: min\(n\) = 9\.8"):
+            carried(ps, cfg)
+        assert carried(ps, StepperConfig(dealias=dealias, positivity_floor=0.97)).spec is not None
+
+    def test_stage_check_reads_n_and_p(self, monkeypatch):
+        # the first RK4 stage at dt = 4 takes v to about -5 times its
+        # initial wave (1 - 2 (|k|^2 + 2) = -5), so n dips to about 0.95
+        # below the floor 0.97, while 2 + u_tilde stays near 2; the step
+        # aborts right after that stage's inverse transform (the counts
+        # of TestCarriedSpectrum::test_stage_breach_aborts_inside_the_rhs)
+        grid = GridSpec(dim=1, n=32, length=2 * np.pi)
+        ps = PerturbationState.from_fields(*self.v_wave(grid, 0.02))
+        cfg = StepperConfig(scheme="RK4", dt=4.0, t_end=4.0, positivity_floor=0.97)
+        counted = count_transforms(monkeypatch)
+        with pytest.raises(StepAbort, match=r"positivity floor breached: min\(n\)"):
+            step(ps, cfg, PhysParams())
+        assert counted == [3, 4, 7, 3, 10]
 
 
 class TestStep:
@@ -713,9 +801,11 @@ class TestClosingCheck:
 
         monkeypatch.setattr(dynamics, name, faulty)
         seen = []
-        # (IMEX1's elimination carries a NaN at k = 0 into every row)
+        # (IMEX1's elimination carries a NaN at k = 0 into every row); both
+        # forms check the primitive theta, the perturbation form
+        # convert_back's 1 + theta_tilde
         if fault == "floor":
-            message += "theta" if primitive else "1 + theta_tilde"
+            message += "theta)"
         with pytest.raises(StepAbort, match=re.escape(message)):
             for i, _, _ in integrate(s if primitive else convert(s), cfg, PhysParams()):
                 seen.append(i)
@@ -897,6 +987,21 @@ class TestStabilityBound:
 
         assert survives(0.6 * dt_max)
         assert not survives(8.0 * dt_max)
+
+    def test_imex1_bound_and_unknown_scheme(self, params):
+        # IMEX1 solves the diffusion block implicitly: only the deviation
+        # times the stiffest rate, plus the screening term 2, limits dt
+        grid = GridSpec(dim=2, n=16, length=2 * np.pi)
+        k2max = 2 * (16 // 3) ** 2
+        rho = float(np.abs(np.linalg.eigvals(_linear_block(params, True))).max())
+        got = stability_bound(grid, params, "IMEX1", deviation=0.1)
+        assert got == 1.0 / (0.1 * k2max * rho + 2.0)
+        assert got > stability_bound(grid, params, "RK4")
+        # a zero deviation is taken as 1e-6, not as an unbounded step
+        assert stability_bound(grid, params, "IMEX1", deviation=0.0) == 1.0 / (
+            1e-6 * k2max * rho + 2.0)
+        with pytest.raises(ValueError, match="unknown scheme 'euler'"):
+            stability_bound(grid, params, "euler")
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="scheme"):

@@ -54,6 +54,12 @@ class TestState:
         with pytest.raises(Exception, match="neutral"):
             State.from_primitives(n, p, p)
 
+    def test_fields_on_different_grids_rejected(self, grid3d):
+        other = GridSpec(dim=grid3d.dim, n=grid3d.n, length=2.0 * grid3d.length)
+        one = ScalarField.constant(grid3d, 1.0)
+        with pytest.raises(ValueError, match="share one grid"):
+            State(one, one, ScalarField.constant(other, 1.0), ScalarField.constant(grid3d, 0.0))
+
     def test_phi_is_slaved(self, grid3d):
         s = perturbed_state(grid3d, seed=3)
         res = laplacian(grid3d, s.phi.values) - (s.n.values - s.p.values)

@@ -66,6 +66,13 @@ def test_rejected_write_leaves_the_previous_snapshot(tmp_path):
     assert got["n"].tobytes() == n.tobytes()
 
 
+def test_missing_sidecar_rejected(written):
+    _, _, path = written
+    path.with_suffix(path.suffix + ".json").unlink()
+    with pytest.raises(SnapshotFormatError, match="missing sidecar"):
+        read_snapshot(path)
+
+
 def test_trailing_bytes_rejected(written):
     _, _, path = written
     with open(path, "ab") as fh:

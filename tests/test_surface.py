@@ -15,6 +15,7 @@ PACKAGE = Path(pnpf.__file__).parent
 KEPT = {
     "dynamics.rhs_primitive": "perfbench/ calls it (checks.py, child.py)",
     "dynamics.rhs_perturbation": "perfbench/ calls it (checks.py, child.py)",
+    "dynamics.convert": "perfbench/ calls it (checks.py, child.py)",
     "dynamics.convert_back":
         "perfbench/workloads.py gives the decay workload's state in primitive form with it",
     "dynamics.stability_bound": "perfbench/workloads.py reports dt over the bound",

@@ -230,13 +230,16 @@ class TestAuditSample:
         )
         assert rec.onsager_residual == flux_reconstruction_residual(s, params)
         if c_n == params.c_p:
-            assert rec.lyapunov == decay.lyapunov(convert(s), params)
+            # from the spectrum of (n, p, theta), converted spectrally: the
+            # four-field reference to rounding
+            want = oracles.lyapunov(convert(s), params)
+            assert abs(rec.lyapunov - want) <= 1e-14 * want
         else:
             assert math.isnan(rec.lyapunov)
 
     def test_sample_cost(self, tmp_path, params, monkeypatch):
         # the flux pass 3 + 3 forward and 2 + 2 + 3 inverse per axis, the
-        # Lyapunov functional 4: at most one RHS evaluation (28)
+        # Lyapunov functional the 3 of (n, p, theta)
         grid = GridSpec(dim=3, n=8, length=2 * np.pi)
         s = perturbed_state(grid, seed=3, amplitude=1e-2)
         writer = AuditWriter(tmp_path / "audit.csv", params)
@@ -245,7 +248,7 @@ class TestAuditSample:
             writer.observe(0.0, s)
         finally:
             writer.close()
-        assert sum(counted) == 31
+        assert sum(counted) == 30
 
     def test_carried_sample_cost(self, tmp_path, params, monkeypatch):
         # a State that carries its spectrum: the flux pass reads it, 4 per
@@ -261,7 +264,7 @@ class TestAuditSample:
             writer.close()
         assert sum(counted) == 24
         # Lambda from the spectrum is Lambda of the converted state to rounding
-        want = decay.lyapunov(convert(s), params)
+        want = oracles.lyapunov(convert(s), params)
         assert abs(writer.records[0].lyapunov - want) <= 1e-14 * want
 
     # 20.1 full grids at 32^3, slots included (20.4 with the residual's
@@ -288,6 +291,16 @@ class TestAuditRecord:
                 dSdt_minus_Delta=0.0, energy_drift_rel=0.0,
                 onsager_residual=0.0, lyapunov=0.0,
             )
+
+    @pytest.mark.parametrize("name", ["E", "lyapunov", "dSdt_minus_Delta"])
+    def test_rejects_an_infinite_column(self, name):
+        # NaN stays allowed: it marks a missing neighbor sample
+        cols = dict(t=0.0, mass_n=1.0, mass_p=1.0, E=3.0, S=0.0, Delta=0.0,
+                    dSdt_minus_Delta=math.nan, energy_drift_rel=0.0,
+                    onsager_residual=0.0, lyapunov=math.nan)
+        AuditRecord(**cols)
+        with pytest.raises(ValueError, match=f"AuditRecord.{name} is not finite"):
+            AuditRecord(**dict(cols, **{name: math.inf}))
 
 
 class TestAuditWriter:

@@ -13,7 +13,7 @@ from pnpf.fields import (
     PhysParams, PositivityError, State, _darcy_pass, energy_density, entropy_density,
 )
 from pnpf import varcheck
-from pnpf.grid import GridSpec, ScalarField, divergence_arrays, grad_arrays
+from pnpf.grid import GridSpec, ScalarField, divergence_arrays, grad_arrays, integrate
 from pnpf.poisson import greens_apply, solve_array
 from pnpf.varcheck import (
     _conservative_flows,
@@ -384,15 +384,16 @@ class TestSharedWork:
         dJ_p, dJ_n, dJ_e = probe_flows(probe)
         q1 = _probe_heat_flux(s, params, probe, dJ_p, dJ_n, gphi)
         seen = []
-        orig = varcheck._dissipation
+        orig = varcheck._production_density
 
         def record(*args):
-            seen.append(orig(*args))
-            return seen[-1]
+            density = orig(*args)
+            seen.append(integrate(density))
+            return density
 
-        monkeypatch.setattr(varcheck, "_dissipation", record)
+        monkeypatch.setattr(varcheck, "_production_density", record)
         _dissipative_scan(s, params, j_p, j_n, q0, dJ_p, dJ_n, q1)
-        monkeypatch.setattr(varcheck, "_dissipation", orig)
+        monkeypatch.setattr(varcheck, "_production_density", orig)
         signed = [sign * eps for eps in varcheck.DEFAULT_EPS_SCAN for sign in (1.0, -1.0)]
         assert len(seen) == len(signed)
         for eps, got in zip(signed, seen):
