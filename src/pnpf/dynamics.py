@@ -5,9 +5,17 @@ formulations, plus RK4 and first-order IMEX time stepping.
 
 Discretization choices that the audits rely on:
 
-* the two continuity equations are discretized in divergence form with a
-  spectral outer divergence, so the means of dn and dp vanish exactly and
-  ion masses are conserved structurally;
+* the two continuity equations are discretized in divergence form, so the
+  means of dn and dp vanish exactly and ion masses are conserved
+  structurally.  There are two ion-rate paths, chosen by the cores' band
+  flag (_rhs_primitive_core).  With band (every dealiased step), dn and
+  dp are the forward transforms of the heat rate's pointwise -div j_n and
+  -div j_p, masked, with their k = 0 entries set to 0: under the 2/3 rule
+  every term of them is quadratic in band-limited fields, so they are the
+  spectral divergence of the fluxes up to rounding.  Without band
+  (undealiased steps and rhs_primitive, where the products alias), they
+  are the spectral outer divergence of the fluxes, whose k = 0 multiplier
+  is 0;
 * the temperature equation is evaluated pointwise with every spectral
   derivative acting directly on a primitive field (derivatives of
   composite products are expanded by exact calculus identities before
@@ -17,18 +25,19 @@ Discretization choices that the audits rely on:
 * the gradients and Darcy fluxes come from fields.darcy_axes, the
   kernel the audits and variational checks also use, so the audited
   fluxes are the stepped fluxes bit for bit.  It yields one axis at a
-  time (four one-field inverse transforms each); the RHS adds that
-  axis's terms to three running sums in axis order (the Joule terms
-  fold into -j_p.(grad theta + grad phi) and -j_n.(grad theta -
-  grad phi); see _fluxes_and_heat_rate), then forward-transforms the
-  axis's fluxes j_p,i and j_n,i one at a time and adds their divergence
-  into two spectral running sums, so one 2-row flux scratch serves every
-  axis.  The Laplacians come after the axis loop, one field per inverse
-  transform, and dtheta gets its own forward transform.  Only the
-  forward transform of the input (n, p, theta) takes more than one
-  field, and every lane is computed as in a batched transform, so the
-  output has the bits of one 4-field inverse per axis and one
-  (2*dim+1)-row outer forward transform (tests/oracles.batched_rhs_core);
+  time (four one-field inverse transforms each) with the axis's fluxes
+  in one 2-row scratch; the RHS adds that axis's terms to three running
+  sums in axis order (the Joule terms fold into -j_p.(grad theta + grad
+  phi) and -j_n.(grad theta - grad phi); see _fluxes_and_heat_rate), and
+  without band forward-transforms the axis's fluxes j_p,i and j_n,i one
+  at a time and adds their divergence into two spectral running sums.
+  The Laplacians come after the axis loop, one field per inverse
+  transform; they turn two of the sums into -div j_p and -div j_n and the
+  third into dtheta.  With band one 3-field forward transform takes the
+  three; without it dtheta gets its own.  Every lane is computed as in a
+  batched transform, so the output has the bits of one 4-field inverse
+  per axis and one batched forward transform of the rates or of the
+  fluxes and dtheta (tests/oracles.batched_rhs_core);
 * the electric potential is never integrated: each right-hand-side
   evaluation re-solves Delta(phi) = n - p (equivalently Delta(phi) = v),
   so phi stays slaved to the charge density at every substage.
@@ -88,36 +97,36 @@ band, and so does every spectrum it inverse-transforms; every forward
 transform's output is masked.  So every transform of the step is a band
 transform (GridSpec.fft and ifft with band, which skip the lanes outside
 the band and keep the bits): the Darcy gradients (fields.darcy_axes) and
-the three Laplacians, the flux-divergence and dtheta forward transforms,
-the stage and closing inverses, and the perturbation stack's inverse and
-the rates' forward transform.  A core masks its output exactly when
-band is set, and the steppers pass band = cfg.dealias; a caller with any
-other spectrum keeps band False and masks the output itself.  IMEX1 needs
-no mask of its own: its update vanishes wherever its inputs do.
+the three Laplacians, the forward transform of the rates, the stage and
+closing inverses, and the perturbation stack's inverse and the rates'
+forward transform.  A core masks its output exactly when band is set,
+and the steppers pass band = cfg.dealias; a caller with any other
+spectrum keeps band False and masks the output itself.  IMEX1 needs no
+mask of its own: its update vanishes wherever its inputs do.
 
 The transform counts of a step are pinned in tests/test_dynamics.py:
 TestSpectralCore::test_run_step_transform_count and
-::test_imex1_step_cost (primitive form), and
+::test_imex1_step_cost (primitive form, both ion-rate paths), and
 TestCarriedSpectrum::test_step_transform_count (perturbation form).
 
 step can feed an audit sample (a fields.AuditSink) from its first RHS
 evaluation, k1 of RK4 or the IMEX1 core: the Darcy pass is the sample's,
-the |q|^2, |j_p|^2 and |j_n|^2 sums and the production density ride on
-its axis loop, and the reconstruction residual runs after the heat rate
-on the fluxes, which that evaluation keeps in one (dim, 2) block array
-and transforms pair by pair only after the residual.  So the sample adds
-only the residual's transforms to the step, fewer than a standalone
-fields.flux_audit makes (TestSpectralCore::test_transform_count).  Its
-coefficient arrays are built only after the axis loop, and its three sums
-live only in that loop, below the RHS's peak, so the step's peak memory
-grows by the one grid of the production density.
+the |q|^2, |j_p|^2 and |j_n|^2 sums and the reconstruction residual ride
+on its axis loop, each axis's residual read off the axis's fluxes in the
+2-row scratch, and the production density follows the loop.  So the
+sample adds only the residual's transforms to the step, fewer than a
+standalone fields.flux_audit makes (TestSpectralCore::test_transform_count).
+The residual's coefficient block and quotient spectrum live through the
+loop in place of the (dim, 2) flux block that a residual after the loop
+would need, so an audited step peaks no higher than the RHS's other
+phases plus the one grid of the production density.
 
 The primitive kernels write their gradients, Laplacians and residual
 gradients, and every product of the flux and heat-rate arithmetic, into
 a fields.Slots (four real grids and one spectrum) in place, in the
 order of the expressions they replace, so the bits are those of the
-expressions; each flux's forward transform writes into the slots'
-spectrum too, and the stage and closing inverse transforms read their
+expressions; each flux's forward transform (undealiased) writes into
+the slots' spectrum too, and the stage and closing inverse transforms read their
 input from the same memory seen as four spectra.  integrate and
 thermo_audit.audit_run make one Slots for all their steps, which at 64^3
 saves most of the page faults that freeing and reallocating those grids
@@ -267,30 +276,29 @@ def convert_back(ps: PerturbationState) -> State:
 # -- raw-array right-hand sides ----------------------------------------------
 
 
-def _axis_divergence(grid: GridSpec, div, i, pair, sp, band) -> None:
+def _axis_divergence(grid: GridSpec, div, i, pair, sp) -> None:
     """Add grad_mult[i] times the spectra of axis i's flux pair (j_p,i,
     j_n,i) into the running sums div = (div j_n, div j_p)^: one one-field
-    forward transform per flux (a band transform with band) into the
-    slots' spectrum sp, which then takes its product with grad_mult[i]."""
+    forward transform per flux into the slots' spectrum sp, which then
+    takes its product with grad_mult[i]."""
     m = grid.grad_mult[i]
     for k in (1, 0):
-        grid.fft(pair[k], out=sp, band=band)
+        grid.fft(pair[k], out=sp)
         sp *= m
         div[1 - k] += sp
 
 
-def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, slots, div=None,
-                          j=None, sink=None, band=False):
-    """The pointwise temperature rate dtheta of (n, p, th), from their
-    forward transform spec, which is left as it was.  Given div, every
-    axis writes its Darcy fluxes into one 2-row scratch and adds their
-    divergence into div as soon as its terms are summed (_axis_divergence),
-    and the scratch dies before the heat stage.  Given j instead, axis i's
-    fluxes stay in the block j[i] and their divergence is the caller's.
-    An audit sink takes each axis's d_i theta, j_p,i and j_n,i.  The
-    gradients, the Laplacians and every product go into slots
-    (fields.Slots).  band makes the gradients', the Laplacians' and the
-    fluxes' transforms band transforms (the caller masks the divergence).
+def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, slots, rates,
+                          div=None, sink=None, band=False):
+    """The pointwise rates (-div j_n, -div j_p, dtheta) of (n, p, th),
+    written into rates, three zeroed real grids, from their forward
+    transform spec, which is left as it was.  Every axis writes its Darcy
+    fluxes into one 2-row scratch, which dies before the heat stage.
+    Given div, each axis adds its fluxes' spectral divergence into div as
+    soon as its terms are summed (_axis_divergence).  An audit sink takes
+    each axis's d_i theta, j_p,i and j_n,i in the loop.  The gradients,
+    the Laplacians and every product go into slots (fields.Slots).  band
+    makes the gradients' and the Laplacians' transforms band transforms.
 
     The rate is the paper's
 
@@ -302,18 +310,22 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, sl
     whose Joule terms fold by j_p = -D_p (theta grad p + p grad theta
     + p grad phi) into |j_p|^2/(D_p p) + (theta/p) j_p.grad(p) =
     -j_p.(grad theta + grad phi), and likewise for n with -grad phi.  So
-    three running sums carry it: a_p = grad p.(2 grad theta + grad phi),
-    a_n = grad n.(2 grad theta - grad phi) and b = j_p.((c_p+1) grad theta
-    + grad phi) + j_n.((c_n+1) grad theta - grad phi)."""
+    three running sums carry it, in the rows of rates: a_n = grad n.(2 grad
+    theta - grad phi), a_p = grad p.(2 grad theta + grad phi) and b =
+    j_p.((c_p+1) grad theta + grad phi) + j_n.((c_n+1) grad theta - grad
+    phi).  With the Laplacians, D_p (p Delta(theta) + theta Delta(p) + p
+    (n - p) + a_p) is -div j_p expanded pointwise (Delta(phi) = n - p), and
+    likewise for -div j_n: the heat rate is theta (-div j_p - div j_n) + k
+    Delta(theta) - b over c_p p + c_n n, and its two divergences stay in
+    their rows, where a band-limited step takes its ion rates from them."""
     Dp, Dn, kh = params.D_p, params.D_n, params.k
     wp, wn = params.c_p + 1.0, params.c_n + 1.0
 
     # the three sums over the axes, added in axis order; every derivative
     # acts on a primitive field, so div(j) expands with the Laplacians
     # built after the loop
-    a_p, a_n, b = (np.zeros(grid.shape) for _ in range(3))
-    if j is None:
-        j = [np.empty((2,) + grid.shape)] * grid.dim
+    a_n, a_p, b = rates
+    j = [np.empty((2,) + grid.shape)] * grid.dim
     # every product in place, in the order of a_p += gp (2 gth + gphi),
     # a_n += gn (2 gth - gphi) and b += jp (wp gth + gphi) + jn (wn gth -
     # gphi): t is the slots' scratch, and u the row of d_i n, which only
@@ -336,16 +348,19 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, sl
         b += t
         if sink is not None:
             sink.axis(gth, jp, jn, t)
+            sink.residual(i, jp, jn, slots)
         if div is not None:
-            _axis_divergence(grid, div, i, j[i], slots.spec, band)
+            _axis_divergence(grid, div, i, j[i], slots.spec)
     del j, jp, jn  # the fluxes are views of j
     if sink is not None:
         sink.production()
 
     # the Laplacians: theta and p for the D_p half of the rate, then n;
     # every product in place, in the order of
-    # heat = Dp (p lap_th + th lap_p + p rho + a_p) and
-    # heat += Dn (n lap_th + th lap_n - n rho + a_n)
+    # a_p = Dp (p lap_th + th lap_p + p rho + a_p),
+    # a_n = Dn (n lap_th + th lap_n - n rho + a_n) and
+    # heat = ((a_p + a_n) th + kh lap_th - b)/(c_p p + c_n n), heat taking
+    # the row of lap_n once a_n is built and b's row last
     neg_k2 = -grid.k2
     rows, sp = slots.rows, slots.spec
     lap_th = grid.ifft(np.multiply(neg_k2, spec[2], out=sp), out=rows[0], band=band)
@@ -358,22 +373,20 @@ def _fluxes_and_heat_rate(grid: GridSpec, spec, n, p, th, params: PhysParams, sl
     t += np.multiply(p, rho, out=u)
     a_p += t
     a_p *= Dp
-    heat = a_p
     lap_n = grid.ifft(np.multiply(neg_k2, spec[0], out=sp), out=rows[1], band=band)
     np.multiply(n, lap_th, out=t)
     t += np.multiply(th, lap_n, out=u)
     t -= np.multiply(n, rho, out=u)
     a_n += t
     a_n *= Dn
-    heat += a_n
-    del a_n
+    heat = np.add(a_p, a_n, out=rows[1])
     heat *= th
     heat += np.multiply(kh, lap_th, out=t)
-    heat -= b
-    del b
+    heat = np.subtract(heat, b, out=b)
     np.multiply(params.c_p, p, out=t)
     t += np.multiply(params.c_n, n, out=u)
-    return np.divide(heat, t, out=heat)
+    np.divide(heat, t, out=heat)
+    return rates
 
 
 def _rhs_primitive_core(grid: GridSpec, spec, n, p, th, params: PhysParams, sink=None, slots=None,
@@ -381,39 +394,44 @@ def _rhs_primitive_core(grid: GridSpec, spec, n, p, th, params: PhysParams, sink
     """Spectrum of (dn, dp, dtheta), shape (3,) + spectral_shape, from the
     forward transform spec of (n, p, th) and the fields themselves; spec
     is left as it was.  A fields.AuditSink of the state (n, p, th) is fed
-    by the flux pass and takes its residual over the pass's fluxes, which
-    are then kept for every axis, and the divergence waits for it.  slots
-    (fields.new_slots) hold the gradients, the Laplacians and the
-    residual's gradients; None makes call-local ones.  band, for a spec
-    that vanishes outside the 2/3 band, makes every transform of the flux
-    pass, the Laplacians and the forward transforms a band transform
-    (GridSpec.fft) and masks the output; the residual's stay full."""
+    by the flux pass, the residual's axis i as soon as axis i's fluxes
+    are built.  slots (fields.new_slots) hold the gradients, the
+    Laplacians and the residual's gradients; None makes call-local ones.
+
+    band is for a spec that vanishes outside the 2/3 band, as every
+    dealiased step's does.  It makes every transform of the flux pass and
+    the Laplacians a band transform, and takes the ion rates from the heat
+    rate's pointwise -div j_n and -div j_p: one 3-field band transform of
+    them with dtheta, masked, with the k = 0 entries of dn and dp set to
+    0, so the ion masses stay exact.  Every term of both divergence forms
+    is quadratic in band-limited fields, so under the 2/3 rule the two are
+    one discrete quantity and differ by rounding.  Without band (the
+    undealiased stepper, rhs_primitive) the products alias, and dn and dp
+    are spectral divergences, -sum(m_i j_hat_i), summed from zeros axis by
+    axis, whose k = 0 multiplier is 0; dtheta gets its own forward
+    transform, and the output is left unmasked.  The residual's
+    transforms are full either way."""
     if slots is None:
         slots = new_slots(grid)
+    if band:
+        rates = _fluxes_and_heat_rate(grid, spec, n, p, th, params, slots,
+                                      np.zeros((3,) + grid.shape), sink=sink, band=band)
+        out = grid.fft(rates, band=band)
+        del rates
+        np.multiply(grid.dealias_mask, out, out=out)
+        out[(slice(0, 2),) + (0,) * grid.dim] = 0.0
+        return out
     # continuity equations in divergence form (spectral outer divergence),
-    # summed from zeros so the sums have the bits of -sum(m_i j_hat_i)
-    div_shape = (2,) + grid.spectral_shape
-    if sink is None:
-        div = np.zeros(div_shape, dtype=complex)
-        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, slots, div=div, band=band)
-    else:
-        # the residual reads every axis's fluxes; their divergence waits
-        # until it has run, so no spectral sum is alive next to it
-        j = np.empty((grid.dim, 2) + grid.shape)
-        dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, slots, j=j, sink=sink,
-                                    band=band)
-        sink.residual(j, slots)
-        div = np.zeros(div_shape, dtype=complex)
-        for i in range(grid.dim):
-            _axis_divergence(grid, div, i, j[i], slots.spec, band)
-        del j
+    # summed from zeros so the sums have the bits of -sum(m_i j_hat_i); of
+    # the pointwise rates, three separate grids, only dtheta is kept, and
+    # the aliased divergences die here
+    div = np.zeros((2,) + grid.spectral_shape, dtype=complex)
+    dth = _fluxes_and_heat_rate(grid, spec, n, p, th, params, slots,
+                                [np.zeros(grid.shape) for _ in range(3)], div, sink)[2]
     out = np.empty((3,) + grid.spectral_shape, dtype=complex)
     np.negative(div, out=out[:2])
     del div
-    grid.fft(dth, out=out[2], band=band)
-    del dth
-    if band:
-        np.multiply(grid.dealias_mask, out, out=out)
+    grid.fft(dth, out=out[2])
     return out
 
 
@@ -605,7 +623,8 @@ def _require_perturbation_params(params: PhysParams) -> None:
 
 def rhs_primitive(s: State, params: PhysParams, dealias: bool = True):
     """Time derivatives (dn, dp, dtheta) of the primitive system: the
-    forward transform of (n, p, theta), the core with full transforms,
+    forward transform of (n, p, theta), the core with full transforms
+    (without band, so dn and dp are spectral divergences either way),
     dealias_mask when dealias, and one inverse transform per field."""
     g = s.grid
     ys = (s.n.values, s.p.values, s.theta.values)
@@ -668,18 +687,21 @@ def stability_bound(
     theta_max: float = 1.1,
     deviation: float = 0.1,
     primitive: bool = True,
+    dealias: bool = True,
 ) -> float:
     """
-    Estimated maximal stable dt.
+    Estimated maximal stable dt of a stepper with the given dealias.
 
-    RK4: the stiffest retained mode has |k|^2 = dim*(2*pi*floor(N/3)/L)^2;
-    the rate is theta_max * |k|^2 * rho with rho the linear block's
-    spectral radius, the largest eigenvalue of M = _linear_block, and
-    dt_max = 2.785/rate.  IMEX1 solves -|k|^2 M implicitly (_imex1), so
-    only the variable-coefficient remainder (size ~ `deviation`) limits
-    the step, plus the order-one screening term.
+    RK4: the stiffest retained mode has |k|^2 = dim*(2*pi*m/L)^2, with m =
+    floor(N/3) when the stepper dealiases (the 2/3 band) and m = N/2 when
+    it does not (it keeps every mode up to Nyquist, whose Laplacian
+    multiplier is kept); the rate is theta_max * |k|^2 * rho with rho the
+    linear block's spectral radius, the largest eigenvalue of M =
+    _linear_block, and dt_max = 2.785/rate.  IMEX1 solves -|k|^2 M
+    implicitly (_imex1), so only the variable-coefficient remainder (size
+    ~ `deviation`) limits the step, plus the order-one screening term.
     """
-    m_cut = grid.n // 3
+    m_cut = grid.n // 3 if dealias else grid.n // 2
     k2max = grid.dim * (2.0 * math.pi * m_cut / grid.length) ** 2
     rho = float(np.abs(np.linalg.eigvals(_linear_block(params, primitive))).max())
     if scheme == "RK4":

@@ -10,7 +10,7 @@ coefficients relating them to gradients of mu/theta and 1/theta
 the deviation, the reconstruction residual.
 
 Gradients and fluxes are built in one place, the raw-array helpers
-darcy_axes and energy_weights.  The ion fluxes are
+darcy_axes and energy_weight.  The ion fluxes are
 assembled in expanded form
 
     j_p = -D_p (theta*grad p + p*grad theta + p*grad phi)
@@ -34,8 +34,9 @@ to every step, whose RHS evaluations write their gradients, Laplacians
 and audit-residual gradients into it, so a 64^3 run does not fault
 those pages in again at every evaluation; a one-off call (flux_audit,
 varcheck) makes its own.  A caller that keeps the fluxes passes one
-(dim, 2) block array; the primitive RHS, which transforms each axis's
-pair inside its loop, passes one block for every axis.  The Laplacians are not part of the kernel: only the
+(dim, 2) block array (flux_audit, varcheck's Darcy pass); the primitive
+RHS, which uses each axis's pair inside its loop, passes one 2-row block
+for every axis.  The Laplacians are not part of the kernel: only the
 primitive RHS needs them, and it builds them after its axis loop from
 the same forward transform.  With band, every inverse transform of the
 pass is a band transform (GridSpec.ifft), which needs a spectrum that
@@ -51,10 +52,12 @@ transform.
 
 AuditSink is the body of one audit sample, in three parts that any pass
 over darcy_axes can feed: the |j_p|^2, |j_n|^2 and |q|^2 sums per axis,
-the production density from them, and the reconstruction residual
-over the pass's j_p and j_n rows after the axis loop.  A step fed a sink
-makes its first RHS evaluation that pass, and the sample adds 3 + 3*dim
-transforms to the step; flux_audit makes the pass itself, 6 + 7*dim
+the production density from them, and the reconstruction residual over
+each axis's j_p and j_n, inside the pass's axis loop (the primitive RHS,
+whose 2-row flux block holds only the current axis) or after it
+(flux_audit, once the state's spectrum and the sums are gone).  A step
+fed a sink makes its first RHS evaluation that pass, and the sample adds
+3 + 3*dim transforms to the step; flux_audit makes the pass itself, 6 + 7*dim
 transforms, 3 + 7*dim for a State that carries its spectrum
 (tests/test_dynamics.py TestSpectralCore::test_transform_count pins both
 at dim 3, tests/test_thermo_audit.py TestAuditSample the carried one).
@@ -267,14 +270,10 @@ def _darcy_axis(grid: GridSpec, spec, m, n, p, th, params: PhysParams, ji, slots
     return gn, gp, gth, gphi, jp, jn
 
 
-def energy_weights(th, phi, params: PhysParams):
-    """Energy carried per unit ion flux: ((c_p+1) theta + phi, (c_n+1) theta - phi)."""
-    return energy_weight(th, phi, params, 0), energy_weight(th, phi, params, 1)
-
-
 def energy_weight(th, phi, params: PhysParams, species: int, out=None):
-    """One of energy_weights, species 0 for p and 1 for n, written into out
-    when given."""
+    """Energy carried per unit ion flux of one species: (c_p+1) theta + phi
+    for species 0 (p), (c_n+1) theta - phi for species 1 (n), written into
+    out when given."""
     c, combine = ((params.c_p, np.add), (params.c_n, np.subtract))[species]
     w = np.multiply(c + 1.0, th, out=out)
     return combine(w, phi, out=w)
@@ -338,9 +337,9 @@ def _production_density(s: State, params: PhysParams, sums) -> ScalarField:
     return ScalarField(s.grid, out)
 
 
-def _ion_coefficients(s: State, params: PhysParams):
-    """(L_pp, L_nn, L_ptheta, L_ntheta, mu_p, mu_n) as raw arrays: the ion
-    rows of the linear-response (Onsager) block of the flux form
+def _ion_coefficients(s: State, params: PhysParams, scratch):
+    """(L_pp, L_nn, L_ptheta, L_ntheta) as raw arrays: the ion rows of the
+    linear-response (Onsager) block of the flux form
 
         j_p = -L_pp grad(mu_p/theta) + L_ptheta grad(1/theta)
         j_n = -L_nn grad(mu_n/theta) + L_ntheta grad(1/theta)
@@ -348,29 +347,34 @@ def _ion_coefficients(s: State, params: PhysParams):
     with L_pp = D_p p theta, L_ptheta = L_pp [(c_p+1) theta + phi],
     L_nn = D_n n theta, L_ntheta = L_nn [(c_n+1) theta - phi] and the
     chemical potentials mu_p = theta (log p - c_p log theta) + phi,
-    mu_n = theta (log n - c_n log theta) - phi.  Each reciprocal pair is
-    one array (L_ptheta is also L_thetap), and L_pn = L_np is zero."""
+    mu_n = theta (log n - c_n log theta) - phi (_quotients).  Each
+    reciprocal pair is one array (L_ptheta is also L_thetap), and L_pn =
+    L_np is zero.  The energy weights go into scratch, two real grids."""
     n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
     L_pp = params.D_p * p * th
     L_nn = params.D_n * n * th
-    a, b = energy_weights(th, phi, params)
-    L_pth, L_nth = L_pp * a, L_nn * b
-    del a, b  # before the potentials' temporaries
-    logth = np.log(th)
-    return (
-        L_pp, L_nn, L_pth, L_nth,
-        th * (np.log(p) - params.c_p * logth) + phi,
-        th * (np.log(n) - params.c_n * logth) - phi,
-    )
+    L_pth = L_pp * energy_weight(th, phi, params, 0, out=scratch[0])
+    L_nth = L_nn * energy_weight(th, phi, params, 1, out=scratch[1])
+    return L_pp, L_nn, L_pth, L_nth
 
 
-def _quotients(th, mu_p, mu_n, out):
+def _quotients(s: State, params: PhysParams, out, tmp):
     """(mu_p/theta, mu_n/theta, 1/theta), the potentials whose gradients
-    the flux form takes, written into out, three real grids.  Axis i's
+    the flux form takes, built in place in out, three real grids, with tmp
+    as scratch, in the operation order of theta (log p - c_p log theta) +
+    phi over theta, and likewise for n with - phi (_ion_coefficients), so
+    with the bits of the quotients of those expressions.  Axis i's
     gradients are grad_mult[i] times their batched forward transform,
     inverse transformed."""
-    np.divide(mu_p, th, out=out[0])
-    np.divide(mu_n, th, out=out[1])
+    n, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
+    logth = np.log(th, out=out[2])
+    for row, x, c, combine in ((out[0], p, params.c_p, np.add),
+                               (out[1], n, params.c_n, np.subtract)):
+        np.log(x, out=row)
+        row -= np.multiply(c, logth, out=tmp)
+        row *= th
+        combine(row, phi, out=row)
+        row /= th
     np.divide(1.0, th, out=out[2])
     return out
 
@@ -403,7 +407,7 @@ class AuditSink:
     """
     The FluxAudit of one state s, fed by a pass over darcy_axes of s:
     flux_audit's own pass, or the first RHS evaluation of a step from s.
-    The body has three parts, called in this order:
+    The body has three parts:
 
     * axis(d_i theta, j_p,i, j_n,i, tmp) for each axis i in order adds
       j_p,i^2, j_n,i^2 and |q_i|^2 = (-k d_i theta)^2 to three running
@@ -411,26 +415,37 @@ class AuditSink:
     * production() hands those sums, in that order, to
       _production_density after the axis loop, which divides them in
       place and keeps the first as the density;
-    * residual(j, slots) takes the reconstruction residual over the
-      (dim, 2) flux blocks j (j[i] = (j_p,i, j_n,i)) and completes the
-      sample in audit.  The quotients and each axis's three gradients go
-      into the pass's Slots, each gradient from a one-field inverse
-      transform.
+    * residual(i, j_p,i, j_n,i, slots) for each axis i in order, inside
+      the pass's axis loop or after it, takes the reconstruction
+      residual's axis i: the gradients of (mu_p/theta, mu_n/theta,
+      1/theta) along axis i, each from a one-field inverse transform into
+      a row of slots (inside the loop, the rows of the pass's axis-i
+      gradients, which the caller has read by then), the two rebuilt
+      fluxes, and their running deviation from j_p,i and j_n,i.  Inside
+      the loop, no axis's fluxes need outlive its turn, so the RHS keeps
+      no (dim, 2) flux block for the residual.
 
-    The sample keeps the |j_p|^2 and |j_n|^2 sums itself: the RHS's heat
-    rate folds its Joule terms into -j_p.(grad theta + grad phi) and
-    -j_n.(grad theta - grad phi) (see dynamics._fluxes_and_heat_rate), so
-    only the production density reads the squares.  The residual builds
-    the coefficient block and the batched spectrum of (mu_p/theta,
-    mu_n/theta, 1/theta) only when it runs, so no array of it is alive
-    during the pass's axis loop: 3 + 3*dim transforms.  It builds no phi_t,
-    exchange flux, j_e or L_thetatheta.
+    audit is the sample once the production density and the last axis's
+    residual are both in, else None.  The sample keeps the |j_p|^2 and
+    |j_n|^2 sums itself: the RHS's heat rate folds its Joule terms into
+    -j_p.(grad theta + grad phi) and -j_n.(grad theta - grad phi) (see
+    dynamics._fluxes_and_heat_rate), so only the production density reads
+    the squares.  The residual's first axis builds the coefficient block
+    and the batched spectrum of the quotients (_ion_coefficients,
+    _quotients, both in slots), and its last axis frees them: 3 + 3*dim
+    transforms.  It builds no phi_t, exchange flux, j_e or L_thetatheta.
     """
 
     def __init__(self, s: State, params: PhysParams):
         self.state, self.params = s, params
-        self.audit: FluxAudit | None = None
-        self._sums = self._production = None
+        self._sums = self._production = self._block = self._residual = None
+        self._dev = self._scale = 0.0
+
+    @property
+    def audit(self) -> FluxAudit | None:
+        if self._production is None or self._residual is None:
+            return None
+        return FluxAudit(self._production, self._residual)
 
     def axis(self, gth, jp, jn, tmp) -> None:
         if self._sums is None:
@@ -444,23 +459,23 @@ class AuditSink:
         self._production = _production_density(self.state, self.params, self._sums)
         self._sums = None
 
-    def residual(self, j, slots) -> None:
-        s, g = self.state, self.state.grid
-        L_pp, L_nn, L_pth, L_nth, mu_p, mu_n = _ion_coefficients(s, self.params)
-        quotients = _quotients(s.theta.values, mu_p, mu_n, slots.rows[:3])
-        del mu_p, mu_n  # before the transform
-        qspec = g.fft(quotients)
-        dev = scale = 0.0
+    def residual(self, i, jp, jn, slots) -> None:
+        s, g, tmp = self.state, self.state.grid, slots.tmp
+        if self._block is None:
+            coefs = _ion_coefficients(s, self.params, slots.rows)
+            self._block = coefs + (g.fft(_quotients(s, self.params, slots.rows[:3], tmp)),)
+        L_pp, L_nn, L_pth, L_nth, qspec = self._block
         gmp, gmn, ginv, rec = slots.rows
-        tmp = slots.tmp
-        for i, m in enumerate(g.grad_mult):
-            for k, row in enumerate((gmp, gmn, ginv)):
-                g.ifft(np.multiply(m, qspec[k], out=slots.spec), out=row)
-            _ion_row(L_pp, L_pth, gmp, ginv, rec, tmp)
-            dev, scale = _deviation(dev, scale, rec, j[i, 0], tmp)
-            _ion_row(L_nn, L_nth, gmn, ginv, rec, tmp)
-            dev, scale = _deviation(dev, scale, rec, j[i, 1], tmp)
-        self.audit = FluxAudit(self._production, dev / scale if scale else 0.0)
+        m = g.grad_mult[i]
+        for k, row in enumerate((gmp, gmn, ginv)):
+            g.ifft(np.multiply(m, qspec[k], out=slots.spec), out=row)
+        _ion_row(L_pp, L_pth, gmp, ginv, rec, tmp)
+        dev, scale = _deviation(self._dev, self._scale, rec, jp, tmp)
+        _ion_row(L_nn, L_nth, gmn, ginv, rec, tmp)
+        self._dev, self._scale = _deviation(dev, scale, rec, jn, tmp)
+        if i == g.dim - 1:
+            self._block = None
+            self._residual = self._dev / self._scale if self._scale else 0.0
 
 
 def flux_audit(s: State, params: PhysParams, slots=None) -> FluxAudit:
@@ -475,9 +490,10 @@ def flux_audit(s: State, params: PhysParams, slots=None) -> FluxAudit:
     when every flux vanishes.  It is the AuditSink body fed by its own
     pass over darcy_axes, which writes the fluxes into one (dim, 2)
     block array; the sink keeps the |q|^2, |j_p|^2 and |j_n|^2 sums in
-    axis order, as it does when it rides on an RHS evaluation.  The
-    textbook definitions of both quantities, which the tests compare it
-    with bit for bit, are in tests/oracles.py.
+    axis order, as it does when it rides on an RHS evaluation, and takes
+    the residual axis by axis after the pass, once the state's spectrum
+    and the sums are gone.  The textbook definitions of both quantities,
+    which the tests compare it with bit for bit, are in tests/oracles.py.
 
     This is the standalone sample, 6 + 7*dim transforms: the forward
     transform of (n, p, theta), which a State that carries its spectrum
@@ -497,5 +513,6 @@ def flux_audit(s: State, params: PhysParams, slots=None) -> FluxAudit:
         sink.axis(gth, jp, jn, slots.tmp)
     del spec
     sink.production()
-    sink.residual(j, slots)
+    for i, (jp, jn) in enumerate(j):
+        sink.residual(i, jp, jn, slots)
     return sink.audit

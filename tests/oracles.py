@@ -13,6 +13,9 @@ with them, most of them bit for bit:
 
 * VectorField, the container of dim components on a shared GridSpec that
   the flux sets hold;
+* energy_weights: the energy carried per unit flux of both ions, the
+  pair of fields.energy_weight that the energy flux and the Onsager block
+  read;
 * FluxSet and constitutive_fluxes: the Darcy ion fluxes, the Fourier heat
   flux, the exchange flux and the total energy flux of a State, from the
   package's Darcy pass (fields._darcy_pass) and the exchange solve
@@ -55,12 +58,11 @@ import numpy as np
 
 from pnpf import decay, varcheck
 from pnpf.dynamics import (
-    PerturbationState, _linear_block, _rhs_perturbation_core, _rhs_primitive_core,
-    rhs_perturbation,
+    PerturbationState, _linear_block, _rhs_perturbation_core, rhs_perturbation,
 )
 from pnpf.fields import (
-    PhysParams, State, _darcy_pass, _deviation, _ion_coefficients, _ion_row,
-    _production_density, _quotients, darcy_axes, energy_weights, new_slots,
+    PhysParams, State, _darcy_pass, _deviation, _ion_row, _production_density, darcy_axes,
+    energy_weight, new_slots,
 )
 from pnpf.grid import GridSpec, ScalarField, divergence_arrays, grad_arrays, integrate
 from pnpf.poisson import greens_apply, solve_array
@@ -201,6 +203,12 @@ class FluxSet:
     phi_t: ScalarField
 
 
+def energy_weights(th, phi, params: PhysParams):
+    """Energy carried per unit ion flux: ((c_p+1) theta + phi, (c_n+1) theta
+    - phi), fields.energy_weight of each species."""
+    return energy_weight(th, phi, params, 0), energy_weight(th, phi, params, 1)
+
+
 def exchange_arrays(grid: GridSpec, phi, gphi, j_p, j_n):
     """(phi_t, exchange flux): the potential rate solving
     Delta(phi_t) = div(j_p - j_n) and the electrostatic exchange flux
@@ -331,12 +339,16 @@ def onsager_block(s: State, params: PhysParams) -> OnsagerBlock:
     Chemical potentials: mu_p = theta (log p - c_p log theta) + phi and
     mu_n = theta (log n - c_n log theta) - phi.
     """
-    g, th = s.grid, s.theta.values
-    L_pp, L_nn, L_pth, L_nth, mu_p, mu_n = _ion_coefficients(s, params)
-    a, b = energy_weights(th, s.phi.values, params)
+    g, n, p, th, phi = s.grid, s.n.values, s.p.values, s.theta.values, s.phi.values
+    L_pp = params.D_p * p * th
+    L_nn = params.D_n * n * th
+    a, b = energy_weights(th, phi, params)
+    logth = np.log(th)
+    mu_p = th * (np.log(p) - params.c_p * logth) + phi
+    mu_n = th * (np.log(n) - params.c_n * logth) - phi
     f = lambda v: ScalarField(g, v)
     return OnsagerBlock(
-        L_pp=f(L_pp), L_nn=f(L_nn), L_ptheta=f(L_pth), L_ntheta=f(L_nth),
+        L_pp=f(L_pp), L_nn=f(L_nn), L_ptheta=f(L_pp * a), L_ntheta=f(L_nn * b),
         L_thetatheta=f(L_pp * a**2 + L_nn * b**2 + params.k * th**2),
         mu_p=f(mu_p), mu_n=f(mu_n),
     )
@@ -355,8 +367,8 @@ def reconstruct_fluxes(
     g = s.grid
     L_pp, L_nn = block.L_pp.values, block.L_nn.values
     L_pth, L_nth = block.L_ptheta.values, block.L_ntheta.values
-    quotients = np.empty((3,) + g.shape)
-    spec = g.fft(_quotients(s.theta.values, block.mu_p.values, block.mu_n.values, quotients))
+    th = s.theta.values
+    spec = g.fft(np.stack([block.mu_p.values / th, block.mu_n.values / th, 1.0 / th]))
     tmp = np.empty(g.shape)
     j_p, j_n, j_e = [], [], []
     for m, ex in zip(g.grad_mult, fl.exchange.components):
@@ -552,11 +564,14 @@ def _batched_darcy_axes(grid: GridSpec, spec, n, p, th, params, j):
 
 
 def batched_rhs_core(grid: GridSpec, spec, n, p, th, params, dealias=True, sink=None):
-    """dynamics._rhs_primitive_core with its transforms batched: one
-    4-field inverse transform per axis, the three Laplacians in one, and
-    one forward transform of a (2*dim+1)-row buffer of the fluxes and
-    dtheta.  The arithmetic is the core's, so the output spectrum and an
-    AuditSink's sample are the core's bit for bit."""
+    """dynamics._rhs_primitive_core with its transforms batched and full:
+    one 4-field inverse transform per axis and the three Laplacians in
+    one.  With dealias, as the core with band: one forward transform of
+    the pointwise (-div j_n, -div j_p, dtheta), dealias_mask, and the k = 0
+    entries of dn and dp set to 0.  Without it, one forward transform of a
+    (2*dim+1)-row buffer of the fluxes and dtheta, and the spectral
+    divergences.  The arithmetic is the core's, so the output spectrum and
+    an AuditSink's sample are the core's bit for bit."""
     d = grid.dim
     Dp, Dn = params.D_p, params.D_n
     wp, wn = params.c_p + 1.0, params.c_n + 1.0
@@ -564,43 +579,46 @@ def batched_rhs_core(grid: GridSpec, spec, n, p, th, params, dealias=True, sink=
     j = _flux_blocks(out)
     a_p, a_n, b = np.zeros((3,) + grid.shape)
     slots = new_slots(grid)  # the sink's scratch
-    for gn, gp, gth, gphi, jp, jn in _batched_darcy_axes(grid, spec, n, p, th, params, j):
+    axes = _batched_darcy_axes(grid, spec, n, p, th, params, j)
+    for i, (gn, gp, gth, gphi, jp, jn) in enumerate(axes):
         a_p += gp * (2.0 * gth + gphi)
         a_n += gn * (2.0 * gth - gphi)
         b += jp * (wp * gth + gphi) + jn * (wn * gth - gphi)
         if sink is not None:
             sink.axis(gth, jp, jn, slots.tmp)
+            sink.residual(i, jp, jn, slots)
     if sink is not None:
         sink.production()
 
     lap_n, lap_p, lap_th = grid.ifft(-grid.k2 * spec)
     rho = n - p
-    heat = Dp * (p * lap_th + th * lap_p + p * rho + a_p)
-    heat += Dn * (n * lap_th + th * lap_n - n * rho + a_n)
+    neg_div_p = Dp * (p * lap_th + th * lap_p + p * rho + a_p)
+    neg_div_n = Dn * (n * lap_th + th * lap_n - n * rho + a_n)
+    heat = neg_div_p + neg_div_n
     heat *= th
     heat += params.k * lap_th
     heat -= b
     np.divide(heat, params.c_p * p + params.c_n * n, out=out[2 * d])
-    if sink is not None:
-        sink.residual(j, slots)
-    return _outer_divergence(grid, out, dealias)
+    if not dealias:
+        return _outer_divergence(grid, out, False)
+    rates = grid.dealias_mask * grid.fft(np.stack([neg_div_n, neg_div_p, out[2 * d]]))
+    rates[(slice(0, 2),) + (0,) * d] = 0.0
+    return rates
 
 
 def primitive_rk4_step(grid: GridSpec, ys, params, dt, dealias=True) -> np.ndarray:
     """One RK4 step of the primitive form composed the textbook way on its
     spectrum, with full transforms: y_hat, the forward transform of ys
     (times dealias_mask when dealias, ys then being its inverse
-    transform); k1 ... k4 of dynamics._rhs_primitive_core on y_hat with ys
-    and on each stage spectrum with its inverse transform, each times
-    dealias_mask when dealias; y_hat + dt/6 (k1 + 2 k2 + 2 k3 + k4).
-    Returns (n, p, theta, phi) of the new spectrum, phi_hat = -(n_hat -
-    p_hat)/|k|^2, in one array."""
+    transform); k1 ... k4 of batched_rhs_core on y_hat with ys and on each
+    stage spectrum with its inverse transform; y_hat + dt/6 (k1 + 2 k2 +
+    2 k3 + k4).  Returns (n, p, theta, phi) of the new spectrum, phi_hat =
+    -(n_hat - p_hat)/|k|^2, in one array."""
     y = grid.fft(np.stack(ys))
-    mask = grid.dealias_mask if dealias else 1.0
     if dealias:
-        y = mask * y
+        y = grid.dealias_mask * y
         ys = grid.ifft(y.copy())
-    f = lambda z, fields: mask * _rhs_primitive_core(grid, z, *fields, params)
+    f = lambda z, fields: batched_rhs_core(grid, z, *fields, params, dealias)
     stage = lambda k, h: (lambda z: f(z, grid.ifft(z.copy())))(y + h * k)
     k1 = f(y, ys)
     k2 = stage(k1, 0.5 * dt)

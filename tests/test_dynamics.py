@@ -160,12 +160,13 @@ class TestRhsPrimitive:
     @given(band=st.booleans(), params=PARAM_SETS, **STATES)
     @settings(max_examples=30, deadline=None)
     def test_core_matches_the_batched_oracle(self, dim, n, seed, amplitude, band, params):
-        # the core transforms at most two fields per call after its input
-        # spectrum; pocketfft computes each field the same way in any
-        # batch and the divergence sums keep their order, so the output
-        # spectrum and the audit sample have the batched kernel's bits,
-        # also with band transforms of a carried (band-projected) spectrum
-        # against the oracle's full transforms and mask
+        # the core transforms one field per call, but for the band core's
+        # 3-field forward transform of its rates; pocketfft computes each
+        # field the same way in any batch and the sums keep their order, so
+        # the output spectrum and the audit sample have the batched
+        # kernel's bits, also with band transforms of a carried
+        # (band-projected) spectrum against the oracle's full transforms
+        # and mask
         grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
         s = perturbed_state(grid, seed=seed, amplitude=amplitude)
         if band:
@@ -184,14 +185,26 @@ class TestRhsPrimitive:
         assert got_sink.audit.residual == want_sink.audit.residual
 
 
-def energy_rate(s, params, dealias, heat_error=0.0):
+def band_rates(s, params):
+    """(dn, dp, dtheta) of a carried (band-projected) State as a dealiased
+    step takes them: the core with band on the carried spectrum, whose ion
+    rates are the heat rate's pointwise divergences, inverse transformed."""
+    grid = s.grid
+    ys = (s.n.values, s.p.values, s.theta.values)
+    return grid.ifft(_rhs_primitive_core(grid, s.spec, *ys, params, band=True))
+
+
+def energy_rate(s, params, dealias, heat_error=0.0, rates=None):
     """(|sum of the semi-discrete energy rate|, its rounding scale) of s:
     the rate of e = (c_p p + c_n n) theta + (p - n) phi/2 with
     Delta(phi) = n - p, summed over the grid, and the sum of the
-    magnitudes of its four terms.  heat_error is a relative error put into
-    the heat-rate term."""
+    magnitudes of its four terms.  The rates are rhs_primitive's, or the
+    given (dn, dp, dtheta).  heat_error is a relative error put into the
+    heat-rate term."""
     grid = s.grid
-    dn, dp, dth = (f.values for f in rhs_primitive(s, params, dealias))
+    if rates is None:
+        rates = (f.values for f in rhs_primitive(s, params, dealias))
+    dn, dp, dth = rates
     n_, p, th, phi = s.n.values, s.p.values, s.theta.values, s.phi.values
     phi_t = solve(ScalarField(grid, dn - dp)).values
     heat = (params.c_p * p + params.c_n * n_) * dth * (1.0 + heat_error)
@@ -222,6 +235,17 @@ class TestEnergyIdentity:
         grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
         s = perturbed_state(grid, seed=seed, amplitude=amplitude)
         total, scale = energy_rate(s, params, dealias)
+        assert total <= 1e-13 * scale
+
+    @given(params=PARAM_SETS, **STATES)
+    @settings(max_examples=30, deadline=None)
+    def test_band_core_energy_rate_vanishes(self, dim, n, seed, amplitude, params):
+        # the dealiased stepper's core, whose ion rates are the heat rate's
+        # pointwise -div j, on a carried (band-projected) state: every term
+        # is quadratic in band-limited fields, so the rate is rounding too
+        grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+        s = carried(perturbed_state(grid, seed=seed, amplitude=amplitude), StepperConfig())
+        total, scale = energy_rate(s, params, True, rates=band_rates(s, params))
         assert total <= 1e-13 * scale
 
     def test_bound_catches_a_heat_rate_error(self):
@@ -300,6 +324,28 @@ class TestCrossFormulation:
         assert np.abs((dn.values + dp.values) - du.values).max() <= 1e-10 * scale
         assert np.abs((dn.values - dp.values) - dv.values).max() <= 1e-10 * scale
         assert np.abs(dth.values - dtt.values).max() <= 1e-10 * scale
+
+    @given(c=st.floats(1.1, 3.0), **STATES)
+    @settings(max_examples=30, deadline=None)
+    def test_band_cores_agree_through_conversion(self, dim, n, seed, amplitude, c):
+        # the band cores of a carried (band-projected) state, the primitive
+        # one with its ion rates from the pointwise -div j, and the
+        # perturbation one on the converted spectrum (u_tilde_hat = n_hat +
+        # p_hat - 2, v_hat = n_hat - p_hat, theta_tilde_hat = theta_hat - 1)
+        grid = GridSpec(dim=dim, n=n, length=2 * np.pi)
+        params = PhysParams(c_p=c, c_n=c)
+        s = carried(perturbed_state(grid, seed=seed, amplitude=amplitude), StepperConfig())
+        dn, dp, dth = band_rates(s, params)
+        n_hat, p_hat, th_hat = s.spec
+        spec3 = np.stack([n_hat + p_hat, n_hat - p_hat, th_hat])
+        origin, size = (0,) * dim, grid.n**dim
+        spec3[0][origin] -= 2.0 * size
+        spec3[2][origin] -= size
+        du, dv, dtt = grid.ifft(_rhs_perturbation_core(grid, spec3, params, band=True))
+        scale = max(np.abs(du).max(), np.abs(dv).max(), np.abs(dtt).max())
+        assert np.abs((dn + dp) - du).max() <= 1e-10 * scale
+        assert np.abs((dn - dp) - dv).max() <= 1e-10 * scale
+        assert np.abs(dth - dtt).max() <= 1e-10 * scale
 
     def test_agreement_is_roundoff_level(self, params):
         # the two discretizations are algebraically parallel; the gap
@@ -576,14 +622,15 @@ class TestStreamedKernels:
             assert np.array_equal(getattr(got, name).values, b)
 
     # peaks at 32^3 above the call's entry, in full grids: measured RHS
-    # 15.9 and one-off RK4 step 29.3, slots included (the step makes its
+    # 15.9 and one-off RK4 step 27.8, slots included (the step makes its
     # own) and 7.2 of them the band projection of the state, which carries
     # no spectrum: its four fields and its spectrum.  A run's step of a
-    # carried state, given the run's slots, peaks at 17.0 for RK4 and 9.6
-    # for IMEX1 (test_run_step_peak_memory).  While each flux's forward
-    # transform made a new spectrum, and the step ran on real arrays and
-    # closed with a Poisson solve, they were 17.0, 23.0 (no projection),
-    # 17.9 and 12.8
+    # carried state, given the run's slots, peaks at 15.6 for RK4 and 9.6
+    # for IMEX1 (test_run_step_peak_memory).  The dealiased steps' cores
+    # hold no spectral divergence sums; with them the RK4 steps were 29.3
+    # and 17.0.  While each flux's forward transform made a new spectrum,
+    # and the step ran on real arrays and closed with a Poisson solve, they
+    # were 17.0, 23.0 (no projection), 17.9 and 12.8
     def test_rhs_peak_memory(self):
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
@@ -593,7 +640,7 @@ class TestStreamedKernels:
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=5, amplitude=5e-2)
         cfg = StepperConfig(scheme="RK4", dt=1e-4)
-        assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 29.7
+        assert peak_grids(lambda: step(s, cfg, self.PARAMS), grid) <= 28.3
 
     @pytest.mark.parametrize("scheme, bound", [("RK4", 17.4), ("IMEX1", 10.0)])
     def test_run_step_peak_memory(self, scheme, bound):
@@ -852,28 +899,39 @@ class TestSpectralCore:
             assert np.array_equal(got, grid.fft(np.stack(want)))
 
     def test_imex1_step_cost(self, monkeypatch):
-        # a one-off step of a state that carries no spectrum: the forward
-        # transform of (n, p, theta) 3 and its projection's closing inverse
-        # 4, the core 22 (the RHS's 28 less its own forward and inverse
-        # transforms) and the step's closing inverse of (y_hat, phi_hat) 4
-        # (30 when the update's inverse 3 and a Poisson solve of the new
-        # State 2 followed the core, and nothing was projected)
+        # a one-off dealiased step of a state that carries no spectrum: the
+        # forward transform of (n, p, theta) 3 and its projection's closing
+        # inverse 4, the band core 18 (four Darcy inverses per axis 12, the
+        # Laplacians 3 and one forward transform of (-div j_n, -div j_p,
+        # dtheta) 3) and the step's closing inverse of (y_hat, phi_hat) 4
+        # (33 while the core took dn and dp from the forward transforms of
+        # the six fluxes, as the undealiased core still does; 30 when the
+        # update's inverse 3 and a Poisson solve of the new State 2 followed
+        # the core, and nothing was projected)
         grid = GridSpec(dim=3, n=8, length=2 * np.pi)
         s = perturbed_state(grid, seed=9, amplitude=5e-2)
         counted = count_transforms(monkeypatch)
         step(s, StepperConfig(scheme="IMEX1", dt=1e-3), self.PARAMS)
-        assert sum(counted) == 33
+        assert sum(counted) == 29
 
-    # the step of a run, from a state that carries its spectrum: RK4's four
-    # cores 4 * 22 in 22 one-field calls each, the three stages' inverse
-    # transforms 3 * 3 and the closing inverse of (y_hat, phi_hat) 4, so 101
-    # fields in 92 calls (114 in 106 when every stage and rate went through
-    # real space and a Poisson solve closed the step); IMEX1's core 22 and
-    # the closing 4, 26 in 23 (30 in 26).  With dealias on, every one of
-    # them is a band transform.
-    @pytest.mark.parametrize("scheme, fields_, calls", [("RK4", 101, 92), ("IMEX1", 26, 23)])
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_run_step_transform_count(self, monkeypatch, scheme, fields_, calls, dealias):
+    # the step of a run, from a state that carries its spectrum.  With
+    # dealias on, each core is 18 fields in 16 calls: four one-field Darcy
+    # inverses per axis 12, the Laplacians 3 and one 3-field forward
+    # transform of the pointwise (-div j_n, -div j_p, dtheta); RK4's four
+    # cores 4 * 18, the three stages' inverse transforms 3 * 3 and the
+    # closing inverse of (y_hat, phi_hat) 4 make 85 fields in 68 calls, and
+    # IMEX1's core and the closing 4 make 22 in 17, every one of them a band
+    # transform.  With dealias off, each core also forward-transforms the
+    # six fluxes one by one for the spectral divergence and dtheta on its
+    # own, 22 fields in 22 calls: RK4 101 in 92 and IMEX1 26 in 23, as the
+    # dealiased step was too before it took the pointwise divergences (114
+    # in 106 and 30 in 26 when every stage and rate went through real space
+    # and a Poisson solve closed the step).
+    @pytest.mark.parametrize("dealias, scheme, fields_, calls", [
+        (True, "RK4", 85, 68), (False, "RK4", 101, 92),
+        (True, "IMEX1", 22, 17), (False, "IMEX1", 26, 23),
+    ])
+    def test_run_step_transform_count(self, monkeypatch, dealias, scheme, fields_, calls):
         grid = GridSpec(dim=3, n=8, length=2 * np.pi)
         cfg = StepperConfig(scheme=scheme, dt=1e-3, dealias=dealias)
         slots = fields.new_slots(grid)
@@ -884,15 +942,17 @@ class TestSpectralCore:
         assert sum(counted) == fields_ and len(counted) == calls
         assert bands == [dealias] * calls
 
-    # real-field transforms at dim 3: the public RHS is the forward transform
-    # 3, two 2-field Darcy inverses per axis 12, one 2-field forward
-    # transform of (j_p,i, j_n,i) per axis 6, the Laplacians 2 + 1, the
-    # forward transform of dtheta 1 and the inverse 3, one field per call;
-    # a one-off RK4 step is the forward transform 3 and the projection's
-    # closing inverse 4 of the state, which carries no spectrum, and a
-    # run's step, 101 (test_run_step_transform_count); an audit sink adds
-    # the residual's 3 + 3*dim to the step; flux_audit makes the Darcy pass
-    # itself, 3 + 4*dim, plus that residual
+    # real-field transforms at dim 3: the public RHS, which runs the
+    # undealiased core, is the forward transform 3, four one-field Darcy
+    # inverses per axis 12, the forward transforms of j_p,i and j_n,i per
+    # axis 6, the Laplacians 3, the forward transform of dtheta 1 and the
+    # inverse 3, one field per call after the first; a one-off dealiased
+    # RK4 step is the forward transform 3 and the projection's closing
+    # inverse 4 of the state, which carries no spectrum, and a run's step,
+    # 85 (test_run_step_transform_count; 108 and 120 below while the
+    # dealiased core took the six fluxes' forward transforms); an audit
+    # sink adds the residual's 3 + 3*dim to the step; flux_audit makes the
+    # Darcy pass itself, 3 + 4*dim, plus that residual
     COSTS = {
         "rhs_arrays": rhs_primitive,
         "rk4_step": lambda s, p: step(s, StepperConfig(scheme="RK4", dt=1e-3), p),
@@ -902,7 +962,7 @@ class TestSpectralCore:
     }
 
     @pytest.mark.parametrize("kernel, want", [
-        ("rhs_arrays", 28), ("rk4_step", 108), ("audited_rk4_step", 120), ("flux_audit", 27),
+        ("rhs_arrays", 28), ("rk4_step", 92), ("audited_rk4_step", 104), ("flux_audit", 27),
     ])
     def test_transform_count(self, monkeypatch, kernel, want):
         grid = GridSpec(dim=3, n=8, length=2 * np.pi)
@@ -1002,6 +1062,33 @@ class TestStabilityBound:
             1e-6 * k2max * rho + 2.0)
         with pytest.raises(ValueError, match="unknown scheme 'euler'"):
             stability_bound(grid, params, "euler")
+        # without dealiasing the stiffest mode is the Nyquist mode, 16 // 2
+        k2full = 2 * (16 // 2) ** 2
+        assert stability_bound(grid, params, "IMEX1", deviation=0.1, dealias=False) == 1.0 / (
+            0.1 * k2full * rho + 2.0)
+
+    def test_undealiased_rk4_bound_takes_the_nyquist_mode(self, params):
+        # an undealiased step keeps every mode up to n//2: at n = 32 the
+        # n//3 cutoff gave a bound (16/10)^2 = 2.56 times too large, and 0.9
+        # of it aborts at step 15 (min n = -2.7), while 0.9 of the n//2
+        # bound completes 200 steps
+        grid = GridSpec(dim=2, n=32, length=2 * np.pi)
+        s = perturbed_state(grid, seed=1, amplitude=1e-3)
+        full = stability_bound(grid, params, "RK4", dealias=False)
+        assert stability_bound(grid, params, "RK4") == pytest.approx(2.56 * full, rel=1e-14)
+
+        def completed(dt):
+            cfg = StepperConfig(scheme="RK4", dt=dt, t_end=200 * dt, dealias=False)
+            i = 0
+            try:
+                for i, _, _ in integrate(s, cfg, params):
+                    pass
+            except StepAbort:
+                pass
+            return i
+
+        assert completed(0.9 * 2.56 * full) < 20
+        assert completed(0.9 * full) == 200
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="scheme"):

@@ -178,9 +178,9 @@ class TestOnsagerResidual:
         # flags it, the step-fed samples and the final standalone one alike
         real = fields._ion_coefficients
 
-        def scaled(s, params):
-            L_pp, L_nn, L_pth, L_nth, mu_p, mu_n = real(s, params)
-            return L_pp, L_nn, L_pth * scale, L_nth, mu_p, mu_n
+        def scaled(*args):
+            L_pp, L_nn, L_pth, L_nth = real(*args)
+            return L_pp, L_nn, L_pth * scale, L_nth
 
         monkeypatch.setattr(fields, "_ion_coefficients", scaled)
         s = perturbed_state(self.grid, seed=13, amplitude=1e-3, kmax=1)
@@ -267,18 +267,19 @@ class TestAuditSample:
         want = oracles.lyapunov(convert(s), params)
         assert abs(writer.records[0].lyapunov - want) <= 1e-14 * want
 
-    # 20.1 full grids at 32^3, slots included (20.4 with the residual's
+    # 19.8 full grids at 32^3, slots included, with the residual's
+    # quotients and energy weights built in the slots' rows (20.1 with the
+    # potentials mu_p and mu_n as arrays of their own, 20.4 with the
     # quotients stacked from temporaries, 21.0 with one 4-field Darcy
     # inverse per axis as well); a darcy_axes that keeps its spectra and
-    # phi_hat alive through
-    # each axis adds 2.3, and a sample that builds a FluxSet and then the
-    # full reconstruction next to it peaks at 42.0
+    # phi_hat alive through each axis adds 2.3, and a sample that builds a
+    # FluxSet and then the full reconstruction next to it peaks at 42.0
     def test_sample_peak_memory(self, tmp_path, params):
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
         s = perturbed_state(grid, seed=3, amplitude=1e-2)
         writer = AuditWriter(tmp_path / "audit.csv", params)
         try:
-            assert peak_grids(lambda: writer.observe(0.0, s), grid) <= 20.5
+            assert peak_grids(lambda: writer.observe(0.0, s), grid) <= 20.2
         finally:
             writer.close()
 
@@ -458,30 +459,34 @@ class TestFusedSample:
             step(convert(s), StepperConfig(), PhysParams(), fields.AuditSink(s, PhysParams()))
 
     def test_audited_imex1_step_cost(self, monkeypatch):
-        # the one-off step 33 (test_dynamics.py TestSpectralCore), the
+        # the one-off step 29 (test_dynamics.py TestSpectralCore; 33 while
+        # the dealiased core took the six fluxes' forward transforms), the
         # residual's forward transform of (mu_p/theta, mu_n/theta, 1/theta)
-        # 3 and its 3-field inverse per axis 9; the Darcy pass is the core's
+        # 3 and three one-field inverses per axis 9; the Darcy pass is the
+        # core's
         grid = GridSpec(dim=3, n=8, length=2 * np.pi)
         s = perturbed_state(grid, seed=9, amplitude=5e-2)
         sink = fields.AuditSink(s, self.PARAMS)
         counted = count_transforms(monkeypatch)
         step(s, StepperConfig(scheme="IMEX1", dt=1e-3), self.PARAMS, sink)
-        assert sum(counted) == 33 + 3 + 9
+        assert sum(counted) == 29 + 3 + 9
 
     def test_audit_run_cost(self, tmp_path, monkeypatch):
         # the projection of the initial state 3 + 4, four audited IMEX1
-        # steps of a carried state, 26 + 12 each, whose samples take their
-        # Lyapunov functional from the carried spectrum (c_p == c_n), and the
-        # final state's standalone sample 24, whose Darcy pass reads its
-        # spectrum; observing each state on its own costs 7 + 4 * (26 + 24)
-        # + 24 = 231 (4 * (42 + 4) + 31 = 215 and 275 when the steps ran on
-        # real arrays and every sample transformed its state)
+        # steps of a carried state, 22 + 12 each (26 + 12 while the
+        # dealiased core took the six fluxes' forward transforms), whose
+        # samples take their Lyapunov functional from the carried spectrum
+        # (c_p == c_n), and the final state's standalone sample 24, whose
+        # Darcy pass reads its spectrum; observing each state on its own
+        # costs 7 + 4 * (22 + 24) + 24 = 215 (4 * (42 + 4) + 31 = 215 and 275
+        # when the steps ran on real arrays and every sample transformed its
+        # state)
         grid = GridSpec(dim=3, n=8, length=2 * np.pi)
         s = perturbed_state(grid, seed=9, amplitude=5e-2)
         cfg = StepperConfig(scheme="IMEX1", dt=1e-3, t_end=4e-3)
         counted = count_transforms(monkeypatch)
         audit_run(s, cfg, PhysParams(), tmp_path / "audit.csv", audit_every=1)
-        assert sum(counted) == 7 + 4 * (26 + 12) + 24
+        assert sum(counted) == 7 + 4 * (22 + 12) + 24
 
     # at 32^3 the one-off audited steps peak at 30.3 (RK4) and 28.3 (IMEX1)
     # full grids, slots and the band projection of the state, which carries
@@ -507,7 +512,7 @@ class TestFusedSample:
         assert peak_grids(audited, grid) <= bound
 
     @pytest.mark.parametrize(
-        "scheme, dt, bound", [("RK4", 1e-4, 18.4), ("IMEX1", 1e-3, 16.4)], ids=["RK4", "IMEX1"]
+        "scheme, dt, bound", [("RK4", 1e-4, 17.0), ("IMEX1", 1e-3, 16.1)], ids=["RK4", "IMEX1"]
     )
     def test_audited_run_step_peak_memory(self, scheme, dt, bound):
         grid = GridSpec(dim=3, n=32, length=2 * np.pi)
@@ -720,7 +725,7 @@ class TestSlots:
         fl = constitutive_fluxes(s, P)
         g_n, g_p, g_th, g_phi = (grad_arrays(g, f) for f in (n, p, th, phi))
         g_phit = grad_arrays(g, fl.phi_t.values)
-        a, b = fields.energy_weights(th, phi, P)
+        a, b = oracles.energy_weights(th, phi, P)
         for i in range(g.dim):
             j_p = -P.D_p * (th * g_p[i] + p * g_th[i] + p * g_phi[i])
             j_n = -P.D_n * (th * g_n[i] + n * g_th[i] - n * g_phi[i])
